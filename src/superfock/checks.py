@@ -1,7 +1,7 @@
 """Generic verifiers: component Jacobi/Borcherds identities and bracket tables.
 
-Both verifiers work against any engine exposing the mode-family interface
-(untwisted algebra, sigma-twisted module, mirror-twisted module).  Checks
+Both verifiers work against any `modes.Engine` (untwisted algebra, tensor
+square, sigma-twisted module, mirror-twisted module).  Checks
 whose intermediate states would leave the truncated space are counted as
 filtered, never silently dropped.
 """
@@ -13,26 +13,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .errors import TruncationOverflow
-from .modes import Family
-from .operators import Vec, binomial, v_iadd, v_scale
+from .modes import Family, ModeHandle, jacobi_left
+from .operators import Vec, binomial, v_iadd
 from .scalars import ExactScalar
 from .superalgebra import PARITY, Generator, Presentation, pair_bracket
-
-HALF = Fraction(1, 2)
-
-
-@dataclass
-class ModeHandle:
-    """A labeled tower such as L(n) = omega_{n+1}: family plus index shift."""
-
-    family: Family
-    shift: Fraction
-
-    def apply_basis(self, index, col) -> Vec:
-        return self.family.apply_basis(Fraction(index) + self.shift, col)
-
-    def apply(self, index, vec: Vec) -> Vec:
-        return self.family.apply(Fraction(index) + self.shift, vec)
 
 
 @dataclass
@@ -92,12 +76,11 @@ def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
     report = CheckReport(name)
     fu = engine.family(u_vec)
     fv = engine.family(v_vec)
-    k = getattr(engine, "order", 1)
+    k = engine.order
     ju = engine.twist_exponent(u_vec) if k == 2 else 0
     jv = engine.twist_exponent(v_vec) if k == 2 else 0
     off_u = Fraction(ju, k) % 1
     off_v = Fraction(jv, k) % 1
-    pu, pv = fu.parity, fv.parity
     wu, wv = fu.weight, fv.weight
     cols = [i for i in range(engine.space.dim)
             if engine.col_weight(i) <= max_col_weight]
@@ -110,34 +93,14 @@ def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
             comp_cache[s] = engine.family(vec) if vec else None
         return comp_cache[s]
 
-    min_w = engine.min_col_weight
     for ell in range(-window, window + 1):
         for m in _lattice_range(off_u, window):
             for n in _lattice_range(off_v, window):
                 for col in cols:
                     col_w = engine.col_weight(col)
                     try:
-                        acc: Vec = {}
-                        i = 0
-                        while col_w + wv - (n + i) - 1 >= min_w:
-                            mid = fv.apply_basis(n + i, col)
-                            if mid:
-                                res = fu.apply(m + ell - i, mid)
-                                if res:
-                                    v_iadd(acc, res,
-                                           ExactScalar((-1) ** i * binomial(ell, i)))
-                            i += 1
-                        sgn = -((-1) ** (ell % 2)) * ((-1) ** (pu * pv))
-                        i = 0
-                        while col_w + wu - (m + i) - 1 >= min_w:
-                            mid = fu.apply_basis(m + i, col)
-                            if mid:
-                                res = fv.apply(n + ell - i, mid)
-                                if res:
-                                    v_iadd(acc, res,
-                                           ExactScalar(sgn * (-1) ** i * binomial(ell, i)))
-                            i += 1
-                        # right side
+                        acc = jacobi_left(fu, fv, ell, m, n, col, col_w)
+                        # minus the right side
                         i = 0
                         while wu + wv - (ell + i) - 1 >= 0:
                             cb = binomial(m, i)
@@ -270,19 +233,3 @@ def bracket_table_check(name: str,
             report.pairs.append(pr)
     return report
 
-
-def diagonal_eigenvalues(handle: ModeHandle, index, dim: int) -> List[Fraction]:
-    """Extract the diagonal of a grading operator; raises NonDiagonal if it mixes."""
-    from .errors import NonDiagonal
-
-    out = []
-    for col in range(dim):
-        vec = handle.apply_basis(index, col)
-        off = {i: c for i, c in vec.items() if i != col}
-        if off:
-            raise NonDiagonal(f"operator mixes basis state {col}")
-        coeff = vec.get(col, ExactScalar(0))
-        if not coeff.is_rational():
-            raise NonDiagonal(f"non-rational diagonal entry at {col}")
-        out.append(coeff.as_rational())
-    return out

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 
 from . import delta as delta_mod
 from .checks import borcherds_check
 from .errors import SuperfockError
 from .fock import FockSpaceSpec, TruncatedSpace, character
-from .scalars import ExactScalar, parse_rational
+from .operators import v_scale
+from .scalars import ExactScalar
 from .series import Series, substitute_root_phase
 from .superalgebra import (
     Element,
@@ -58,13 +58,17 @@ SCHEMA = 1
 HALF = Fraction(1, 2)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SUPERFOCK_THREADS", "1")
+def _require(ok: bool, message: str) -> None:
+    """Reject a configuration: main() reports it with exit code 2."""
+    if not ok:
+        raise SuperfockError(message)
+
+
+def _fraction(text: str, option: str) -> Fraction:
     try:
-        n = int(raw)
-    except ValueError:
-        raise SuperfockError(f"SUPERFOCK_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SuperfockError(f"{option} must be a rational number, got {text!r}") from None
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -106,6 +110,8 @@ def _suite_payload(name: str, checks: list[Check], skipped: bool = False):
 # ---------------------------------------------------------------------------
 
 def cmd_delta(args) -> int:
+    _require(args.k >= 1 and args.terms >= 1, "--k and --terms must be positive")
+    _require(args.verify_order >= 0, "--verify-order must be >= 0")
     coeffs = delta_mod.delta_coefficients(args.k, args.terms)
     payload = {
         "schema": SCHEMA,
@@ -138,11 +144,15 @@ def cmd_verify_algebra(args) -> int:
     elif name == "virasoro-corrupted-quintic":
         pres = corrupted_virasoro_quintic()
     elif name.startswith("virasoro-rescaled-"):
-        pres = rescaled_virasoro(int(name.rsplit("-", 1)[1]))
+        try:
+            denominator = int(name.rsplit("-", 1)[1])
+        except ValueError:
+            denominator = 0
+        _require(denominator != 0, f"{name!r}: the rescaling must be a nonzero integer")
+        pres = rescaled_virasoro(denominator)
     else:
-        print(f"unknown algebra {name!r}; choices: "
-              + ", ".join(sorted(PRESENTATIONS)), file=sys.stderr)
-        return 2
+        raise SuperfockError(f"unknown algebra {name!r}; choices: "
+                             + ", ".join(sorted(PRESENTATIONS)))
     report = verify_algebra(pres, args.window)
     payload = {"schema": SCHEMA, "command": "verify-algebra", **report.to_json()}
     status = "PASS" if report.passed else "FAIL"
@@ -188,7 +198,10 @@ def _vosa_suite(max_weight: Fraction, window: int) -> list[Check]:
 
 
 def cmd_verify_vosa(args) -> int:
-    checks = _vosa_suite(Fraction(args.max_weight), args.window)
+    max_weight = _fraction(args.max_weight, "--max-weight")
+    _require(max_weight > 2, "--max-weight must exceed 2, the weight of the "
+             "conformal vector")
+    checks = _vosa_suite(max_weight, args.window)
     payload = {"schema": SCHEMA, "command": "verify-vosa",
                "config": {"max_weight": str(args.max_weight), "window": args.window},
                **_suite_payload("vosa", checks)}
@@ -196,26 +209,34 @@ def cmd_verify_vosa(args) -> int:
     return 0 if payload["pass"] else 1
 
 
-_stack_cache: dict = {}
+# The calibration and the tower are cached per process: everything is
+# deterministic and immutable after construction, so reuse across suites
+# changes no output.
+_calibrations: dict = {}
 
 
+def _calibrated(window: int = 2):
+    """V, its tensor square and the N=2 calibration at a bracket window."""
+    if window not in _calibrations:
+        V = Vosa(5)
+        tensor = TensorVosa(V, 5)
+        _calibrations[window] = (V, tensor, calibrate_n2(tensor, window=window))
+    return _calibrations[window]
+
+
+@lru_cache(maxsize=None)
 def _build_stack(levels: int):
-    """Shared tower (V, tensor square, calibration, twisted sectors).
-
-    Cached per level bound: everything is deterministic and immutable after
-    construction, so reuse across suites changes no output.
-    """
-    hit = _stack_cache.get(levels)
-    if hit is not None:
-        return hit
-    V = Vosa(5)
-    tensor = TensorVosa(V, 5)
-    n2 = calibrate_n2(tensor)
+    """Shared tower (V, tensor square, calibration, twisted sectors)."""
+    V, tensor, n2 = _calibrated()
     sigma = SigmaModule(V, levels=levels)
-    mirror = MirrorModule(sigma, tensor, n2)
-    stack = (V, tensor, n2, sigma, mirror)
-    _stack_cache[levels] = stack
-    return stack
+    return V, tensor, n2, sigma, MirrorModule(sigma, tensor, n2)
+
+
+def _mirror_signs(tensor: TensorVosa, n2) -> bool:
+    """The mirror map fixes tau1 and negates tau2 and J."""
+    return (tensor.kappa(n2.tau1) == n2.tau1
+            and tensor.kappa(n2.tau2) == v_scale(n2.tau2, -1)
+            and tensor.kappa(n2.jvec) == v_scale(n2.jvec, -1))
 
 
 def _twisted_suite(window: int, max_level: Fraction, levels: int) -> list[Check]:
@@ -258,8 +279,10 @@ def _twisted_suite(window: int, max_level: Fraction, levels: int) -> list[Check]
 
 
 def cmd_verify_twisted(args) -> int:
+    _require(args.levels >= 0, "--levels must be >= 0")
     levels = args.levels if args.levels else 4 * args.window + 1
-    checks = _twisted_suite(args.window, Fraction(args.max_weight), levels)
+    checks = _twisted_suite(args.window, _fraction(args.max_weight, "--max-weight"),
+                            levels)
     payload = {"schema": SCHEMA, "command": "verify-twisted",
                "config": {"window": args.window, "max_weight": str(args.max_weight),
                           "levels": levels},
@@ -277,14 +300,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    V = Vosa(5)
-    tensor = TensorVosa(V, 5)
-    n2 = calibrate_n2(tensor, window=args.window)
-    from .operators import v_scale
-
-    sign_ok = (tensor.kappa(n2.tau1) == n2.tau1
-               and tensor.kappa(n2.tau2) == v_scale(n2.tau2, -1)
-               and tensor.kappa(n2.jvec) == v_scale(n2.jvec, -1))
+    _, tensor, n2 = _calibrated(args.window)
+    sign_ok = _mirror_signs(tensor, n2)
     payload = {"schema": SCHEMA, "command": "calibrate-n2",
                **n2.to_json(), "mirror_signs": sign_ok}
     ok = n2.table.passed and sign_ok
@@ -303,7 +320,11 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_character(args) -> int:
-    trunc = parse_rational(args.trunc)
+    trunc = _fraction(args.trunc, "--trunc")
+    _require(trunc > 0, "--trunc must be positive")
+    if args.space in ("ramond", "twisted"):
+        _require(trunc.denominator == 1,
+                 "--trunc counts levels for twisted sectors and must be an integer")
     if args.space == "vosa":
         space = TruncatedSpace(FockSpaceSpec("vosa", trunc))
         series = character(space, Fraction(3, 2))
@@ -333,6 +354,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_corollary2(args) -> int:
+    _require(args.trunc >= 1, "--trunc must be >= 1")
     levels = 2 * int(args.trunc)
     _, _, _, _, mirror = _build_stack(max(levels, 4))
     result = corollary2_check(mirror, Fraction(args.trunc) * 2)
@@ -401,15 +423,8 @@ def _delta_suite() -> list[Check]:
 
 def _algebra_suite(window: int) -> list[Check]:
     checks = []
-    names = sorted(PRESENTATIONS)
-    cap = _thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            reports = list(pool.map(
-                lambda n: verify_algebra(PRESENTATIONS[n], window), names))
-    else:
-        reports = [verify_algebra(PRESENTATIONS[n], window) for n in names]
-    for name, rep in zip(names, reports):
+    for name in sorted(PRESENTATIONS):
+        rep = verify_algebra(PRESENTATIONS[name], window)
         checks.append(Check(f"algebra-{name}", rep.passed,
                             triples=rep.triples_checked))
     # a quintic cocycle first violates Jacobi on index-3 triples
@@ -433,20 +448,13 @@ def _algebra_suite(window: int) -> list[Check]:
 
 
 def _calibration_suite() -> list[Check]:
-    from .operators import v_scale
-
-    V = Vosa(5)
-    tensor = TensorVosa(V, 5)
+    _, tensor, n2 = _calibrated()
     ka = kappa_automorphism_report(tensor)
-    n2 = calibrate_n2(tensor)
-    signs = (tensor.kappa(n2.tau1) == n2.tau1
-             and tensor.kappa(n2.tau2) == v_scale(n2.tau2, -1)
-             and tensor.kappa(n2.jvec) == v_scale(n2.jvec, -1))
     return [
         Check("kappa-vertex-compatibility", ka.passed, checked=ka.checked),
         Check("n2-calibration-table", n2.table.passed, c1=str(n2.c1),
               c2=str(n2.c2), cJ=str(n2.cJ)),
-        Check("n2-mirror-signs", signs),
+        Check("n2-mirror-signs", _mirror_signs(tensor, n2)),
     ]
 
 
@@ -475,12 +483,10 @@ ALL_SUITES = ("scalars", "delta", "algebra", "vosa", "calibration", "twisted",
 
 def cmd_all(args) -> int:
     window = args.window
-    max_weight = Fraction(args.max_weight)
+    max_weight = _fraction(args.max_weight, "--max-weight")
     only = set(args.only.split(",")) if args.only else set(ALL_SUITES)
     unknown = only - set(ALL_SUITES)
-    if unknown:
-        print(f"unknown suites: {sorted(unknown)}", file=sys.stderr)
-        return 2
+    _require(not unknown, f"unknown suites: {sorted(unknown)}")
     levels = 4 * window + 1
     suites = []
 
@@ -505,8 +511,7 @@ def cmd_all(args) -> int:
         "schema": SCHEMA,
         "command": "all",
         "config": {"window": window, "max_weight": str(max_weight),
-                   "seed": args.seed, "levels": levels,
-                   "threads": _thread_cap()},
+                   "seed": args.seed, "levels": levels},
         "suites": suites,
         "summary": {"total": len(suites), "failed": failed, "skipped": skipped},
         "pass": overall,
@@ -607,6 +612,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require(getattr(args, "window", 0) >= 0, "--window must be >= 0")
         return args.func(args)
     except SuperfockError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
-from .errors import InsufficientTerms, NonHomogeneous, UnsupportedK
+from .errors import InsufficientTerms, UnsupportedK
 from .scalars import ExactScalar, pow_two
 from .series import Series
 

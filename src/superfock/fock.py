@@ -12,7 +12,6 @@ the tests cross-check the two.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
@@ -168,9 +167,6 @@ class TruncatedSpace:
 
     def layer_dims(self) -> dict[Fraction, int]:
         return {w: len(ix) for w, ix in sorted(self.layers.items())}
-
-    def indices_up_to(self, max_weight: Fraction) -> list[int]:
-        return [i for i, w in enumerate(self.weights) if w <= max_weight]
 
     def basis_dump(self) -> list[str]:
         return [str(s) for s in self.states]

@@ -15,19 +15,19 @@ correction term since C(0,i) = 0 for i >= 1, so it is preferred when the
 lattice allows it).  The same code serves the untwisted algebra and the
 order-two twisted modules; only lattices and weight units differ.
 
-Engines must expose: col_weight(i), weight_bound, min_col_weight.
+Engines derive from `Engine`, which holds the interface every family and
+verifier relies on.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import TruncationOverflow
-from .operators import Vec, binomial, v_iadd
-from .scalars import ExactScalar
-
-HALF = Fraction(1, 2)
+from .errors import NonDiagonal, NonHomogeneous, TruncationOverflow
+from .operators import Vec, binomial, v_iadd, v_scale
+from .scalars import ExactScalar, ONE
 
 
 class Family:
@@ -171,39 +171,18 @@ class CompositeFamily(Family):
             f"no admissible auxiliary index for mode {t} at column weight {col_w}")
 
     def _compute(self, t, col):
-        eng = self.engine
-        col_w = eng.col_weight(col)
-        min_w = eng.min_col_weight
-        m = self._choose_m(t, col_w)
-        n = t - m
+        col_w = self.engine.col_weight(col)
+        return self.column(t, col, self._choose_m(t, col_w))
+
+    def column(self, t: Fraction, col: int, m: Fraction) -> Vec:
+        """The column (u_l w)_t col computed with auxiliary index m; every
+        admissible m on u's lattice gives the same vector."""
         ell = self.ell
-        u_fam, w_fam = self.u_fam, self.w_fam
-        acc: Vec = {}
-
-        # sum_i (-1)**i C(l,i) u_{m+l-i} v_{n+i}
-        i = 0
-        while col_w + w_fam.weight - (n + i) - 1 >= min_w:
-            mid = w_fam.apply_basis(n + i, col)
-            if mid:
-                res = u_fam.apply(m + ell - i, mid)
-                if res:
-                    v_iadd(acc, res, ExactScalar((-1) ** i * binomial(ell, i)))
-            i += 1
-
-        # -(-1)**l (-1)**|u||w| sum_i (-1)**i C(l,i) v_{n+l-i} u_{m+i}
-        sgn = -((-1) ** (ell % 2)) * ((-1) ** (u_fam.parity * w_fam.parity))
-        i = 0
-        while col_w + u_fam.weight - (m + i) - 1 >= min_w:
-            mid = u_fam.apply_basis(m + i, col)
-            if mid:
-                res = w_fam.apply(n + ell - i, mid)
-                if res:
-                    v_iadd(acc, res, ExactScalar(sgn * (-1) ** i * binomial(ell, i)))
-            i += 1
-
+        acc = jacobi_left(self.u_fam, self.w_fam, ell, m, t - m, col,
+                          self.engine.col_weight(col))
         # -sum_{i>=1} C(m,i) (u_{l+i} w)_{t-i}
         i = 1
-        while u_fam.weight + w_fam.weight - (ell + i) - 1 >= 0:
+        while self.u_fam.weight + self.w_fam.weight - (ell + i) - 1 >= 0:
             cb = binomial(m, i)
             if cb:
                 fam = self.corrections(i)
@@ -215,5 +194,143 @@ class CompositeFamily(Family):
         return acc
 
 
-def no_corrections(i: int) -> Optional[Family]:
-    return None
+def jacobi_left(u_fam: Family, w_fam: Family, ell: int, m: Fraction,
+                n: Fraction, col: int, col_w: Fraction) -> Vec:
+    """The left side of the component identity on one basis column:
+
+        sum_i (-1)**i C(l,i) [u_{m+l-i} w_{n+i} - (-1)**l (-1)**|u||w| w_{n+l-i} u_{m+i}] col
+
+    Each sum stops once the inner mode annihilates every state of the column
+    weight col_w.
+    """
+    min_w = u_fam.engine.min_col_weight
+    acc: Vec = {}
+    i = 0
+    while col_w + w_fam.weight - (n + i) - 1 >= min_w:
+        mid = w_fam.apply_basis(n + i, col)
+        if mid:
+            res = u_fam.apply(m + ell - i, mid)
+            if res:
+                v_iadd(acc, res, ExactScalar((-1) ** i * binomial(ell, i)))
+        i += 1
+    sgn = -((-1) ** (ell % 2)) * ((-1) ** (u_fam.parity * w_fam.parity))
+    i = 0
+    while col_w + u_fam.weight - (m + i) - 1 >= min_w:
+        mid = u_fam.apply_basis(m + i, col)
+        if mid:
+            res = w_fam.apply(n + ell - i, mid)
+            if res:
+                v_iadd(acc, res, ExactScalar(sgn * (-1) ** i * binomial(ell, i)))
+        i += 1
+    return acc
+
+
+@dataclass
+class ModeHandle:
+    """A labeled tower such as L(n) = omega_{n+1}: family plus index shift."""
+
+    family: Family
+    shift: Fraction
+
+    def apply_basis(self, index, col) -> Vec:
+        return self.family.apply_basis(Fraction(index) + self.shift, col)
+
+    def apply(self, index, vec: Vec) -> Vec:
+        return self.family.apply(Fraction(index) + self.shift, vec)
+
+
+class Engine:
+    """What the families and the verifiers need from a mode engine.
+
+    A subclass sets `space` (the module's ordered basis: `states`, `weights`,
+    `bound`, `min_weight`, `dim`), `algebra` (the vertex algebra whose states
+    label the families: the engine itself for an algebra acting on itself)
+    and implements `_family_by_index`.  Twisted engines set `order = 2` and a
+    `twist`, the order-two automorphism whose eigenvalues fix mode lattices.
+    """
+
+    order = 1
+
+    def col_weight(self, i: int) -> Fraction:
+        return self.space.weights[i]
+
+    @property
+    def weight_bound(self) -> Fraction:
+        return self.space.bound
+
+    @property
+    def min_col_weight(self) -> Fraction:
+        return self.space.min_weight
+
+    def weight_of(self, vec: Vec) -> Fraction:
+        ws = {self.col_weight(i) for i in vec}
+        if len(ws) != 1:
+            raise NonHomogeneous(f"vector spans weights {sorted(ws)}")
+        return ws.pop()
+
+    def twist(self, vec: Vec) -> Vec:
+        return vec
+
+    def twist_exponent(self, vec: Vec) -> int:
+        """j with twist(vec) = (-1)**j vec."""
+        image = self.twist(vec)
+        if image == vec:
+            return 0
+        if image == v_scale(vec, ExactScalar(-1)):
+            return 1
+        raise NonHomogeneous("vector is not an eigenvector of the twist")
+
+    # families -------------------------------------------------------------
+
+    def _family_by_index(self, i: int) -> Family:
+        raise NotImplementedError
+
+    def family(self, vec: Vec) -> Family:
+        """The modes of an algebra vector, given in the algebra's basis."""
+        items = sorted(vec.items())
+        if len(items) == 1 and items[0][1] == ONE:
+            return self._family_by_index(items[0][0])
+        parts = [(c, self._family_by_index(i)) for i, c in items]
+        offs = {f.mode_offset for _, f in parts}
+        return LinearFamily(self, parts, offs.pop() if len(offs) == 1 else None)
+
+    def product(self, u_vec: Vec, m: Fraction, v_vec: Vec) -> Vec:
+        """The algebra product state u_m v."""
+        if not u_vec or not v_vec:
+            return {}
+        return self.algebra.family(u_vec).apply(Fraction(m), v_vec)
+
+    # the grading ------------------------------------------------------------
+
+    def L_handle(self) -> ModeHandle:
+        return ModeHandle(self.family(self.algebra.omega_vec), Fraction(1))
+
+    def l0_eigenvalues(self) -> List[Fraction]:
+        """The diagonal of L(0); raises NonDiagonal if it mixes basis states."""
+        lh = self.L_handle()
+        out = []
+        for col in range(self.space.dim):
+            vec = lh.apply_basis(0, col)
+            if set(vec) - {col}:
+                raise NonDiagonal(f"operator mixes basis state {col}")
+            coeff = vec.get(col, ExactScalar(0))
+            if not coeff.is_rational():
+                raise NonDiagonal(f"non-rational diagonal entry at {col}")
+            out.append(coeff.as_rational())
+        return out
+
+    def ground_eigenvalue(self) -> Fraction:
+        """The L(0) eigenvalue on the Fock ground states, computed from the
+        constructed modes (this is where a twisted ground weight emerges)."""
+        lh = self.L_handle()
+        ground_cols = [i for i, s in enumerate(self.space.states)
+                       if not s.bosons and not s.fermions]
+        values = set()
+        for col in ground_cols:
+            got = lh.apply_basis(0, col)
+            if set(got) - {col}:
+                raise NonHomogeneous("L(0) mixes ground states")
+            values.add(got.get(col, ExactScalar(0)).as_rational())
+        if len(values) != 1:
+            raise NonHomogeneous(f"ground eigenvalues disagree: {values}")
+        return values.pop()

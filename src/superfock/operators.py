@@ -1,10 +1,10 @@
-"""Sparse exact vectors and operators over an indexed basis."""
+"""Sparse exact vectors over an indexed basis."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Iterable, Union
+from typing import Dict, Union
 
 from .scalars import ExactScalar
 
@@ -43,62 +43,5 @@ def v_iadd(acc: Vec, vec: Vec, coeff=1) -> Vec:
     return acc
 
 
-def v_add(a: Vec, b: Vec) -> Vec:
-    return v_iadd(dict(a), b)
-
-
-def v_sub(a: Vec, b: Vec) -> Vec:
-    return v_iadd(dict(a), b, -1)
-
-
 def v_is_zero(vec: Vec) -> bool:
     return not vec
-
-
-def v_eq(a: Vec, b: Vec) -> bool:
-    return a == b
-
-
-class SparseOp:
-    """Column-sparse exact operator, used for report payloads and equality checks."""
-
-    __slots__ = ("cols",)
-
-    def __init__(self, cols: Dict[int, Vec] | None = None):
-        self.cols = {c: dict(v) for c, v in (cols or {}).items() if v}
-
-    @classmethod
-    def from_columns(cls, pairs: Iterable[tuple[int, Vec]]) -> "SparseOp":
-        return cls(dict(pairs))
-
-    def apply(self, vec: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in vec.items():
-            col = self.cols.get(i)
-            if col:
-                v_iadd(out, col, c)
-        return out
-
-    def column(self, i: int) -> Vec:
-        return dict(self.cols.get(i, {}))
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseOp):
-            return NotImplemented
-        return self.cols == other.cols
-
-    def __sub__(self, other: "SparseOp") -> "SparseOp":
-        cols = {c: dict(v) for c, v in self.cols.items()}
-        for c, v in other.cols.items():
-            acc = cols.setdefault(c, {})
-            v_iadd(acc, v, -1)
-            if not acc:
-                del cols[c]
-        return SparseOp(cols)
-
-    def is_zero(self) -> bool:
-        return not self.cols
-
-    def __repr__(self):
-        n = sum(len(v) for v in self.cols.values())
-        return f"SparseOp({len(self.cols)} cols, {n} entries)"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from .errors import InvalidAlgebra, InvalidIndexLattice
 from .scalars import ExactScalar, format_rational
@@ -370,7 +370,7 @@ class AlgebraReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.violations and self.pairs_checked + self.triples_checked > 0
 
     def to_json(self):
         return {

@@ -15,10 +15,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .checks import CheckReport, ModeHandle, TableReport, bracket_table_check, borcherds_check
-from .errors import NoCalibration, NonHomogeneous, TruncationOverflow
+from .checks import CheckReport, CheckViolation, TableReport, bracket_table_check
+from .errors import NoCalibration, TruncationOverflow
 from .fock import FockSpaceSpec, FockState, TruncatedSpace, mode_apply
-from .modes import CompositeFamily, Family, GeneratorFamily, LinearFamily, VacuumFamily
+from .modes import (
+    CompositeFamily,
+    Engine,
+    Family,
+    GeneratorFamily,
+    ModeHandle,
+    VacuumFamily,
+)
 from .operators import Vec, v_iadd, v_scale
 from .scalars import ExactScalar, I, ONE
 
@@ -56,13 +63,72 @@ def _isqrt_exact(n: int) -> Optional[int]:
     return s if s * s == n else None
 
 
-class Vosa:
-    """The N=1 free-field model: one boson and one fermion, truncated by weight."""
+class FreeFieldEngine(Engine):
+    """Modes of the states of V on a boson-fermion Fock module.
 
-    order = 1
+    The generators a(-1)|0> and psi(-1/2)|0> act as the free fields of the
+    module's space; every other state's modes come out of the component
+    recursion, peeling off the leading creation mode.  The fermion's modes
+    live on Z + fermion_offset (0 on V, 1/2 on the parity-twisted module),
+    and a composite state's on Z + parity * fermion_offset.
+    """
+
+    fermion_offset = Fraction(0)
+
+    def _mode_action(self, field: str, index: Fraction, col: int):
+        space = self.space
+        return [(space.index[st], c) for st, c in
+                mode_apply(space, field, index, space.states[col],
+                           self.algebra.psi_delta)]
+
+    def family_of_state(self, st: FockState) -> Family:
+        fam = self._fams.get(st)
+        if fam is not None:
+            return fam
+        V = self.algebra
+        if st == V.vac_state:
+            fam = VacuumFamily(self)
+        elif st == V.b_state:
+            fam = GeneratorFamily(self, Fraction(1), 0, Fraction(0),
+                                  lambda t, col: self._mode_action("a", t, col))
+        elif st == V.f_state:
+            fam = GeneratorFamily(self, HALF, 1, self.fermion_offset,
+                                  lambda t, col: self._mode_action("psi", t + HALF, col))
+        else:
+            if st.bosons:
+                u_state = V.b_state
+                ell = Fraction(-st.bosons[0])
+                rest = replace(st, bosons=st.bosons[1:])
+            else:
+                u_state = V.f_state
+                ell = -st.fermions[0] - HALF
+                rest = replace(st, fermions=st.fermions[1:])
+            u_fam = self.family_of_state(u_state)
+            u_vec, rest_vec = V.vec_of(u_state), V.vec_of(rest)
+
+            def corrections(i: int):
+                vec = V.product(u_vec, ell + i, rest_vec)
+                return self.family(vec) if vec else None
+
+            fam = CompositeFamily(self, u_fam, self.family_of_state(rest), ell,
+                                  u_fam.mode_offset, corrections,
+                                  st.parity * self.fermion_offset)
+        self._fams[st] = fam
+        return fam
+
+    def _family_by_index(self, i: int) -> Family:
+        return self.family_of_state(self.algebra.space.states[i])
+
+    def G_handle(self) -> ModeHandle:
+        return ModeHandle(self.family(self.algebra.tau_vec), HALF)
+
+
+class Vosa(FreeFieldEngine):
+    """The N=1 free-field model: one boson and one fermion, truncated by weight."""
 
     def __init__(self, max_weight=4, psi_delta: Fraction = Fraction(1)):
         self.space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(max_weight)))
+        self.algebra = self
         self.psi_delta = Fraction(psi_delta)
         self.vac_state = FockState()
         self.b_state = FockState(bosons=(1,))
@@ -70,22 +136,6 @@ class Vosa:
         self.vac = self.space.index[self.vac_state]
         self._fams: Dict[FockState, Family] = {}
         self.central_charge = Fraction(3, 2)
-
-    # engine interface -------------------------------------------------
-
-    def col_weight(self, i: int) -> Fraction:
-        return self.space.weights[i]
-
-    @property
-    def weight_bound(self) -> Fraction:
-        return self.space.bound
-
-    @property
-    def min_col_weight(self) -> Fraction:
-        return self.space.min_weight
-
-    def twist_exponent(self, vec: Vec) -> int:
-        return 0
 
     # states -----------------------------------------------------------
 
@@ -108,100 +158,6 @@ class Vosa:
     def tau_vec(self) -> Vec:
         return {self.space.index[FockState(bosons=(1,), fermions=(HALF,))]: ONE}
 
-    def weight_of(self, vec: Vec) -> Fraction:
-        ws = {self.col_weight(i) for i in vec}
-        if len(ws) != 1:
-            raise NonHomogeneous(f"vector spans weights {sorted(ws)}")
-        return ws.pop()
-
-    def parity_of(self, vec: Vec) -> int:
-        ps = {self.space.parities[i] for i in vec}
-        if len(ps) != 1:
-            raise NonHomogeneous("vector mixes parities")
-        return ps.pop()
-
-    # mode families ------------------------------------------------------
-
-    def _alpha_action(self, t: Fraction, col: int):
-        return [(self.space.index[st], c) for st, c in
-                mode_apply(self.space, "a", t, self.space.states[col], self.psi_delta)]
-
-    def _psi_action(self, t: Fraction, col: int):
-        return [(self.space.index[st], c) for st, c in
-                mode_apply(self.space, "psi", t + HALF, self.space.states[col],
-                           self.psi_delta)]
-
-    def _generator_offsets(self) -> Tuple[Fraction, Fraction]:
-        # untwisted modes live on the integer lattice for both generators
-        return Fraction(0), Fraction(0)
-
-    def _state_mode_offset(self, st: FockState) -> Fraction:
-        return Fraction(0)
-
-    def family_of_state(self, st: FockState) -> Family:
-        fam = self._fams.get(st)
-        if fam is not None:
-            return fam
-        boff, foff = self._generator_offsets()
-        if st == self.vac_state:
-            fam = VacuumFamily(self)
-        elif st == self.b_state:
-            fam = GeneratorFamily(self, Fraction(1), 0, boff, self._alpha_action)
-        elif st == self.f_state:
-            fam = GeneratorFamily(self, HALF, 1, foff, self._psi_action)
-        else:
-            if st.bosons:
-                u_state = self.b_state
-                ell = Fraction(-st.bosons[0])
-                rest = replace(st, bosons=st.bosons[1:])
-            else:
-                u_state = self.f_state
-                ell = -st.fermions[0] - HALF
-                rest = replace(st, fermions=st.fermions[1:])
-            u_fam = self.family_of_state(u_state)
-            w_fam = self.family_of_state(rest)
-            u_vec = self._ambient_vec(u_state)
-            rest_vec = self._ambient_vec(rest)
-
-            def corrections(i: int, u_vec=u_vec, ell=ell, rest_vec=rest_vec):
-                vec = self.product(u_vec, ell + i, rest_vec)
-                return self.family(vec) if vec else None
-
-            fam = CompositeFamily(self, u_fam, w_fam, ell, u_fam.mode_offset,
-                                  corrections, self._state_mode_offset(st))
-        self._fams[st] = fam
-        return fam
-
-    def _ambient_vec(self, st: FockState) -> Vec:
-        """The state as a vector of the ambient (untwisted) algebra."""
-        return {self.space.index[st]: ONE}
-
-    def family(self, vec: Vec) -> Family:
-        items = sorted(vec.items())
-        if len(items) == 1 and items[0][1] == ONE:
-            return self._family_by_index(items[0][0])
-        parts = [(c, self._family_by_index(i)) for i, c in items]
-        offs = {f.mode_offset for _, f in parts}
-        off = offs.pop() if len(offs) == 1 else None
-        return LinearFamily(self, parts, off)
-
-    def _family_by_index(self, i: int) -> Family:
-        return self.family_of_state(self.space.states[i])
-
-    def product(self, u_vec: Vec, m: Fraction, v_vec: Vec) -> Vec:
-        """The untwisted product state u_m v."""
-        if not u_vec or not v_vec:
-            return {}
-        return self.family(u_vec).apply(Fraction(m), v_vec)
-
-    # convenience towers ----------------------------------------------------
-
-    def L_handle(self) -> ModeHandle:
-        return ModeHandle(self.family(self.omega_vec), Fraction(1))
-
-    def G_handle(self) -> ModeHandle:
-        return ModeHandle(self.family(self.tau_vec), HALF)
-
     def L(self, n: int, vec: Vec) -> Vec:
         return self.family(self.omega_vec).apply(Fraction(n) + 1, vec)
 
@@ -222,8 +178,8 @@ def creation_report(V: Vosa, max_mode: int = 3) -> CheckReport:
             continue
         rep.checked += 1
         if got != {i: ONE}:
-            rep.violations.append(
-                _violation({"state": str(V.space.states[i]), "mode": "-1"}, got))
+            rep.violations.append(CheckViolation(
+                {"state": str(V.space.states[i]), "mode": "-1"}, len(got)))
         for n in range(0, max_mode + 1):
             try:
                 got = fam.apply(Fraction(n), V.vacuum_vec)
@@ -232,8 +188,8 @@ def creation_report(V: Vosa, max_mode: int = 3) -> CheckReport:
                 continue
             rep.checked += 1
             if got:
-                rep.violations.append(
-                    _violation({"state": str(V.space.states[i]), "mode": str(n)}, got))
+                rep.violations.append(CheckViolation(
+                    {"state": str(V.space.states[i]), "mode": str(n)}, len(got)))
     return rep
 
 
@@ -246,7 +202,8 @@ def grading_report(V: Vosa) -> CheckReport:
         want = {i: ExactScalar(V.col_weight(i))} if V.col_weight(i) else {}
         rep.checked += 1
         if got != want:
-            rep.violations.append(_violation({"state": str(V.space.states[i])}, got))
+            rep.violations.append(CheckViolation(
+                {"state": str(V.space.states[i])}, len(got)))
     return rep
 
 
@@ -272,16 +229,10 @@ def translation_report(V: Vosa, max_weight=Fraction(5, 2), window: int = 2) -> C
                     continue
                 rep.checked += 1
                 if lhs != rhs:
-                    rep.violations.append(_violation(
+                    rep.violations.append(CheckViolation(
                         {"state": str(V.space.states[i]), "mode": str(n), "col": col},
-                        lhs))
+                        len(lhs)))
     return rep
-
-
-def _violation(context: dict, payload) -> "CheckViolation":
-    from .checks import CheckViolation
-
-    return CheckViolation(context, len(payload) if payload else 0)
 
 
 def n1_table_report(V: Vosa, window: int = 2,
@@ -363,10 +314,8 @@ class _TensorMonoFamily(Family):
         return acc
 
 
-class TensorVosa:
+class TensorVosa(Engine):
     """V (x) V with Koszul-sign tensor vertex operators."""
-
-    order = 1
 
     def __init__(self, V: Vosa, bound=None):
         self.V = V
@@ -374,20 +323,10 @@ class TensorVosa:
         if bound > V.space.bound:
             raise ValueError("tensor truncation cannot exceed the factor truncation")
         self.space = PairSpace(V, bound)
+        self.algebra = self
         self._fams: Dict[Tuple[int, int], Family] = {}
         self.vac = self.space.index[(V.vac, V.vac)]
         self.central_charge = 2 * V.central_charge
-
-    def col_weight(self, k: int) -> Fraction:
-        return self.space.weights[k]
-
-    @property
-    def weight_bound(self) -> Fraction:
-        return self.space.bound
-
-    @property
-    def min_col_weight(self) -> Fraction:
-        return self.space.min_weight
 
     # states ------------------------------------------------------------
 
@@ -426,23 +365,11 @@ class TensorVosa:
             v_iadd(out, {self.space.index[(j, i)]: c}, 1)
         return out
 
+    twist = kappa
+
     def sigma(self, vec: Vec) -> Vec:
         """Parity map on the tensor square."""
         return {k: (-c if self.space.parities[k] else c) for k, c in vec.items()}
-
-    def twist_exponent(self, vec: Vec) -> int:
-        k = self.kappa(vec)
-        if k == vec:
-            return 0
-        if k == v_scale(vec, ExactScalar(-1)):
-            return 1
-        raise NonHomogeneous("vector is not a signed-transposition eigenvector")
-
-    def weight_of(self, vec: Vec) -> Fraction:
-        ws = {self.col_weight(i) for i in vec}
-        if len(ws) != 1:
-            raise NonHomogeneous(f"vector spans weights {sorted(ws)}")
-        return ws.pop()
 
     # families -------------------------------------------------------------
 
@@ -457,24 +384,8 @@ class TensorVosa:
             self._fams[key] = fam
         return fam
 
-    def family(self, vec: Vec) -> Family:
-        items = sorted(vec.items())
-        if len(items) == 1 and items[0][1] == ONE:
-            i, j = self.space.states[items[0][0]]
-            return self.family_of_pair(i, j)
-        parts = []
-        for k, c in items:
-            i, j = self.space.states[k]
-            parts.append((c, self.family_of_pair(i, j)))
-        return LinearFamily(self, parts, Fraction(0))
-
-    def product(self, u_vec: Vec, m: Fraction, v_vec: Vec) -> Vec:
-        if not u_vec or not v_vec:
-            return {}
-        return self.family(u_vec).apply(Fraction(m), v_vec)
-
-    def L_handle(self) -> ModeHandle:
-        return ModeHandle(self.family(self.omega_vec), Fraction(1))
+    def _family_by_index(self, k: int) -> Family:
+        return self.family_of_pair(*self.space.states[k])
 
 
 def kappa_automorphism_report(tensor: TensorVosa, max_state_weight=Fraction(2),
@@ -501,8 +412,8 @@ def kappa_automorphism_report(tensor: TensorVosa, max_state_weight=Fraction(2),
                     continue
                 rep.checked += 1
                 if lhs != rhs:
-                    rep.violations.append(_violation(
-                        {"state": k, "mode": t, "col": col}, lhs))
+                    rep.violations.append(CheckViolation(
+                        {"state": k, "mode": t, "col": col}, len(lhs)))
     return rep
 
 

@@ -109,3 +109,22 @@ def test_all_json_determinism(capsys):
     payload = json.loads(out1)
     assert payload["schema"] == 1
     assert payload["summary"]["skipped"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "algebra", "--name", "virasoro-rescaled-0"),
+    ("verify", "algebra", "--name", "virasoro-rescaled-x"),
+    ("delta", "--k", "0", "--terms", "2"),
+    ("verify", "vosa", "--max-weight", "1.5", "--window", "1"),
+    ("character", "--space", "ramond", "--trunc", "x"),
+    # these two passed vacuously: only the central element, an empty range
+    ("verify", "algebra", "--name", "n2-ns", "--window", "-1"),
+    ("corollary2", "--trunc", "0"),
+])
+def test_configuration_errors_exit_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

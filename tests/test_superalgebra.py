@@ -5,6 +5,7 @@ import pytest
 from superfock.errors import InvalidAlgebra, InvalidIndexLattice
 from superfock.scalars import ExactScalar
 from superfock.superalgebra import (
+    AlgebraReport,
     Element,
     N1_NS,
     N1_RAMOND,
@@ -145,3 +146,9 @@ def test_report_json_shape():
     js = rep.to_json()
     assert js["algebra"] == "virasoro" and js["pass"] is True
     assert js["violations"] == []
+
+
+def test_empty_report_does_not_pass():
+    # a report that checked nothing must not count as a pass
+    assert not AlgebraReport("virasoro", 0).passed
+    assert verify_algebra(VIRASORO, 0).passed

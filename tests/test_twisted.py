@@ -174,6 +174,20 @@ def test_mirror_equivariance(mirror):
     assert rep.passed
 
 
+class _BrokenFamily:
+    def apply_basis(self, t, col):
+        raise KeyError(col)
+
+
+def test_reports_do_not_filter_faults(mirror, monkeypatch):
+    # only truncation overflows count as filtered; any other error propagates
+    monkeypatch.setattr(mirror, "family", lambda vec: _BrokenFamily())
+    with pytest.raises(KeyError):
+        mirror.mode_lattice_report(1, Fraction(1))
+    with pytest.raises(KeyError):
+        mirror_equivariance_report(mirror, Fraction(1), 1, Fraction(1))
+
+
 def test_functor_rebuild_is_identical(sigma, tensor, n2, mirror):
     """Determinism of the construction: rebuilding yields the same mode table."""
     again = MirrorModule(sigma, tensor, n2)
@@ -223,3 +237,9 @@ def test_corollary2_coefficientwise_equality(mirror):
     subst = result.mirror_series.substitute_square()
     bound = min(result.sigma_series.truncation, subst.truncation)
     assert subst.truncate(bound) == result.sigma_series.truncate(bound)
+
+
+def test_corollary2_empty_range_does_not_match(mirror):
+    result = corollary2_check(mirror, Fraction(0))
+    assert result.sigma_series.is_zero() and result.substituted.is_zero()
+    assert not result.matches
