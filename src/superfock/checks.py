@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import TruncationOverflow
+from .errors import InvalidAlgebra, TruncationOverflow
 from .modes import Family, ModeHandle, jacobi_left
 from .operators import Vec, binomial, v_iadd
 from .scalars import ExactScalar
-from .superalgebra import PARITY, Generator, Presentation, pair_bracket
+from .superalgebra import PARITY, Element, Generator, Presentation, pair_bracket
 
 
 @dataclass
@@ -56,6 +56,26 @@ class CheckReport:
         }
 
 
+def tally(report: CheckReport, compare: Callable[[], Tuple[Vec, Vec]],
+          context: Callable[[], dict]) -> None:
+    """Run one exact comparison lhs == rhs into the report.
+
+    `compare()` returns (lhs, rhs).  A truncation overflow while computing
+    them counts the check as filtered; a mismatch records a violation with
+    `context()` and the number of nonzero entries of lhs - rhs.  Any other
+    error propagates.
+    """
+    try:
+        lhs, rhs = compare()
+    except TruncationOverflow:
+        report.filtered += 1
+        return
+    report.checked += 1
+    if lhs != rhs:
+        report.violations.append(
+            CheckViolation(context(), len(v_iadd(dict(lhs), rhs, -1))))
+
+
 def _lattice_range(offset: Fraction, window: int):
     v = -window + ((offset + window) % 1)
     out = []
@@ -82,8 +102,7 @@ def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
     off_u = Fraction(ju, k) % 1
     off_v = Fraction(jv, k) % 1
     wu, wv = fu.weight, fv.weight
-    cols = [i for i in range(engine.space.dim)
-            if engine.col_weight(i) <= max_col_weight]
+    cols = engine.columns(max_col_weight)
 
     comp_cache: Dict[Fraction, Optional[Family]] = {}
 
@@ -93,32 +112,27 @@ def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
             comp_cache[s] = engine.family(vec) if vec else None
         return comp_cache[s]
 
+    def residual(ell, m, n, col):
+        acc = jacobi_left(fu, fv, ell, m, n, col, engine.col_weight(col))
+        # minus the right side
+        i = 0
+        while wu + wv - (ell + i) - 1 >= 0:
+            cb = binomial(m, i)
+            if cb:
+                fam = composite(Fraction(ell + i))
+                if fam is not None:
+                    res = fam.apply_basis(m + n - i, col)
+                    if res:
+                        v_iadd(acc, res, ExactScalar(-cb))
+            i += 1
+        return acc, {}
+
     for ell in range(-window, window + 1):
         for m in _lattice_range(off_u, window):
             for n in _lattice_range(off_v, window):
                 for col in cols:
-                    col_w = engine.col_weight(col)
-                    try:
-                        acc = jacobi_left(fu, fv, ell, m, n, col, col_w)
-                        # minus the right side
-                        i = 0
-                        while wu + wv - (ell + i) - 1 >= 0:
-                            cb = binomial(m, i)
-                            if cb:
-                                fam = composite(Fraction(ell + i))
-                                if fam is not None:
-                                    res = fam.apply_basis(m + n - i, col)
-                                    if res:
-                                        v_iadd(acc, res, ExactScalar(-cb))
-                            i += 1
-                    except TruncationOverflow:
-                        report.filtered += 1
-                        continue
-                    report.checked += 1
-                    if acc:
-                        report.violations.append(CheckViolation(
-                            {"l": str(ell), "m": str(m), "n": str(n), "column": col},
-                            len(acc)))
+                    tally(report, lambda: residual(ell, m, n, col),
+                          lambda: {"l": str(ell), "m": str(m), "n": str(n), "column": col})
     return report
 
 
@@ -142,6 +156,7 @@ class TableReport:
     window: int
     central_value: ExactScalar
     pairs: List[PairResult] = field(default_factory=list)
+    source: Optional[Presentation] = field(default=None, repr=False, compare=False)
 
     @property
     def checked(self) -> int:
@@ -163,6 +178,40 @@ class TableReport:
     @property
     def passed(self) -> bool:
         return self.violations == 0 and self.complete
+
+    def restrict(self, name: str, presentation: Presentation,
+                 families: Dict[str, str]) -> "TableReport":
+        """The sub-table of the pairs whose families both lie in `families`,
+        relabelled through it (e.g. {"L": "L", "G1": "G"}), as the table of
+        `presentation` with the same window, central value and columns.
+
+        Raises InvalidAlgebra unless the relabelled generators are exactly
+        presentation.basis(window) without C, in order, and every kept
+        pair's bracket in `presentation` is the relabelled bracket of this
+        table's presentation: a view must check the same identities.
+        """
+        def relabel(g: Generator) -> Generator:
+            if g.family == "C":
+                return g
+            if g.family not in families:
+                raise InvalidAlgebra(f"{name}: {g} lies outside the view {families}")
+            return Generator(families[g.family], g.index)
+
+        kept = [p for p in self.pairs
+                if p.a.family in families and p.b.family in families]
+        symbols = [relabel(p.a) for p in kept if p.a == p.b]
+        if symbols != [g for g in presentation.basis(self.window) if g.family != "C"]:
+            raise InvalidAlgebra(f"{name}: the view of {self.presentation} does not "
+                                 f"span {presentation.name} at window {self.window}")
+        view = TableReport(name, presentation.name, self.window, self.central_value,
+                           source=presentation)
+        for p in kept:
+            a, b = relabel(p.a), relabel(p.b)
+            full = pair_bracket(self.source, p.a, p.b).terms.items()
+            if pair_bracket(presentation, a, b) != Element([(relabel(g), c) for g, c in full]):
+                raise InvalidAlgebra(f"{name}: [{a}, {b}] differs from {self.presentation}")
+            view.pairs.append(PairResult(a, b, p.checked, p.filtered, p.violations))
+        return view
 
     def to_json(self):
         return {
@@ -191,7 +240,8 @@ def bracket_table_check(name: str,
     a scalar.
     """
     central_value = ExactScalar.coerce(central_value)
-    report = TableReport(name, presentation.name, window, central_value)
+    report = TableReport(name, presentation.name, window, central_value,
+                         source=presentation)
     symbols = [g for g in presentation.basis(window)
                if g.family != "C" and g.family in handles]
     for ai in range(len(symbols)):

@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
-from .errors import InsufficientTerms, UnsupportedK
+from .errors import InsufficientTerms, UnboundedExpansion, UnsupportedK
+from .operators import Vec, v_iadd, v_scale
 from .scalars import ExactScalar, pow_two
 from .series import Series
 
@@ -52,15 +53,13 @@ def _exp_flow_on_x(coeffs: List[Fraction], order: int) -> Poly:
     """exp(-D) . x through x**order, D as above with the given a_j."""
     acc: Poly = {1: Fraction(1)}
     term: Poly = {1: Fraction(1)}
-    n = 0
-    while term:
-        n += 1
+    # D raises the degree by at least one, so D**n x starts at x**(n+1) and
+    # the rounds n >= order contribute nothing below the truncation
+    for n in range(1, order):
         term = _flow_derivation(coeffs, term, order)
         term = {e: -c / n for e, c in term.items() if c}
         for e, c in term.items():
             acc[e] = acc.get(e, Fraction(0)) + c
-        if n > order + 2:
-            break
     return _poly_trim(acc, order)
 
 
@@ -68,10 +67,9 @@ def _target(k: int, order: int) -> Poly:
     """(1+x)**k / k - 1/k through x**order."""
     out: Poly = {}
     binom = 1
-    for m in range(1, k + 1):
+    for m in range(1, min(k, order) + 1):
         binom = binom * (k - m + 1) // m
-        if m <= order:
-            out[m] = Fraction(binom, k)
+        out[m] = Fraction(binom, k)
     return out
 
 
@@ -124,19 +122,14 @@ def verify_delta_equation(k: int, terms: int, order: int) -> Series:
     return residual_for_coefficients(k, list(delta_coefficients(k, terms)), order)
 
 
-def apply_delta(weight: Fraction,
-                vec,
-                lower: Callable[[int, object], object],
-                vec_scale: Callable[[object, ExactScalar], object],
-                vec_add: Callable[[object, object], object],
-                is_zero: Callable[[object], bool],
-                k: int = 2,
-                max_level: int | None = None) -> List[Tuple[Fraction, object]]:
+def apply_delta(weight: Fraction, vec: Vec, lower: Callable[[int, Vec], Vec],
+                k: int = 2, max_level: int | None = None) -> List[Tuple[Fraction, Vec]]:
     """Apply the twist operator to a weight-homogeneous vector.
 
-    `lower(j, v)` must implement the positive Virasoro mode L(j); the caller
-    owns the vector representation.  Returns [(x-exponent, vector)] sorted by
-    exponent; for k=1 this is just [(0, vec)].
+    `lower(j, v)` must implement the positive Virasoro mode L(j), which lowers
+    the weight by j.  Returns [(x-exponent, vector)] sorted by exponent; for
+    k=1 this is just [(0, vec)].  Raises UnboundedExpansion if a lowered
+    vector survives below weight 0.
     """
     if k not in (1, 2):
         raise UnsupportedK(f"twist operator implemented for k in {{1, 2}}, got {k}")
@@ -147,35 +140,23 @@ def apply_delta(weight: Fraction,
         max_level = max(1, int(weight) + 1)
     coeffs = delta_coefficients(2, max_level)
 
-    base = vec_scale(vec, pow_two(-weight))
+    base = v_scale(vec, pow_two(-weight))
     # layers[d] collects the total-lowering-d part of exp(sum a_j x**(-j/2) L(j))
-    layers: dict[int, object] = {0: base}
-    current: dict[int, object] = {0: base}
+    layers: Dict[int, Vec] = {0: base}
+    current: Dict[int, Vec] = {0: base}
     n = 0
     while current:
         n += 1
-        nxt: dict[int, object] = {}
+        nxt: Dict[int, Vec] = {}
         for d, v in current.items():
-            for j in range(1, max_level + 1):
-                if not coeffs[j - 1]:
-                    continue
-                w = lower(j, v)
-                if is_zero(w):
-                    continue
-                w = vec_scale(w, ExactScalar(coeffs[j - 1]))
-                dd = d + j
-                nxt[dd] = vec_add(nxt[dd], w) if dd in nxt else w
-        current = {}
-        for d, v in nxt.items():
-            v = vec_scale(v, ExactScalar(Fraction(1, n)))
-            # accumulate 1/n! progressively: divide the running product each step
-            layers[d] = vec_add(layers[d], v) if d in layers else v
-            current[d] = v
-        if n > 4 * max_level + 4:
-            break
-    out = []
-    for d in sorted(layers):
-        v = layers[d]
-        if not is_zero(v):
-            out.append((-(weight + d) / 2, v))
-    return out
+            for j, a in enumerate(coeffs, start=1):
+                if a and (w := lower(j, v)):
+                    v_iadd(nxt.setdefault(d + j, {}), w, a)
+        # dividing by n each round accumulates the 1/n! of the exponential
+        current = {d: v_scale(v, Fraction(1, n)) for d, v in nxt.items() if v}
+        if current and max(current) > weight:
+            raise UnboundedExpansion(
+                f"L(j) left a nonzero vector below weight 0 after {n} rounds")
+        for d, v in current.items():
+            v_iadd(layers.setdefault(d, {}), v)
+    return [(-(weight + d) / 2, layers[d]) for d in sorted(layers) if layers[d]]

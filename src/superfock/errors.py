@@ -33,6 +33,11 @@ class InsufficientTerms(SuperfockError):
     pass
 
 
+class UnboundedExpansion(SuperfockError):
+    """An expansion that the grading bounds did not stop: its operator does
+    not lower the weight."""
+
+
 class InvalidIndexLattice(SuperfockError):
     pass
 

@@ -159,14 +159,12 @@ class CompositeFamily(Family):
             prefs.extend([Fraction(-1, 2), Fraction(1, 2)])
         balanced = (t + self.u_fam.weight - self.w_fam.weight) / 2
         snapped = self.u_offset + Fraction(round(balanced - self.u_offset))
+        # the feasible m form an open interval centred on `balanced`, so if
+        # its nearest lattice point is infeasible, every lattice point is
         prefs.append(snapped)
         for m in prefs:
             if self._feasible(m, t, col_w):
                 return m
-        for step in range(1, 64):
-            for m in (snapped - step, snapped + step):
-                if self._feasible(m, t, col_w):
-                    return m
         raise TruncationOverflow(
             f"no admissible auxiliary index for mode {t} at column weight {col_w}")
 
@@ -261,6 +259,10 @@ class Engine:
     @property
     def min_col_weight(self) -> Fraction:
         return self.space.min_weight
+
+    def columns(self, max_col_weight) -> List[int]:
+        """The basis columns of weight at most max_col_weight."""
+        return [i for i in range(self.space.dim) if self.col_weight(i) <= max_col_weight]
 
     def weight_of(self, vec: Vec) -> Fraction:
         ws = {self.col_weight(i) for i in vec}

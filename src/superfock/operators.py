@@ -41,7 +41,3 @@ def v_iadd(acc: Vec, vec: Vec, coeff=1) -> Vec:
         else:
             acc[i] = s
     return acc
-
-
-def v_is_zero(vec: Vec) -> bool:
-    return not vec

@@ -22,18 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .checks import (
-    CheckReport,
-    CheckViolation,
-    TableReport,
-    borcherds_check,
-    bracket_table_check,
-)
+from .checks import CheckReport, TableReport, borcherds_check, bracket_table_check, tally
 from .delta import apply_delta
-from .errors import TruncationOverflow
 from .fock import FockSpaceSpec, FockState, TruncatedSpace, character
 from .modes import CompositeFamily, Engine, Family, LinearFamily, ModeHandle, VacuumFamily
-from .operators import Vec, v_is_zero, v_iadd, v_scale
+from .operators import Vec, v_iadd, v_scale
 from .scalars import ExactScalar, ONE
 from .series import Series
 from .superalgebra import N1_RAMOND, N2_MIRROR_TWISTED, N1_NS, VIRASORO
@@ -54,6 +47,7 @@ class SigmaModule(FreeFieldEngine):
         offset = Fraction(1, 16)
         self.space = TruncatedSpace(FockSpaceSpec("sigma", offset + levels))
         self._fams: Dict[FockState, Family] = {}
+        self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     def twist(self, vec: Vec) -> Vec:
         """The parity map of V."""
@@ -113,6 +107,7 @@ class MirrorModule(Engine):
         self._pair_fams: Dict[Tuple[int, int], Family] = {}
         self._slot_fams: Dict[Tuple[FockState, int], Family] = {}
         self._delta_cache: Dict[FockState, list] = {}
+        self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     # engine interface: weights in units of the twisted conformal grading
 
@@ -139,16 +134,8 @@ class MirrorModule(Engine):
         V = self.V
         h = v_state.level
         lh = V.L_handle()
-        terms = apply_delta(
-            h, V.vec_of(v_state),
-            lower=lambda j, vec: lh.apply(j, vec),
-            vec_scale=v_scale,
-            vec_add=lambda a, b: v_iadd(dict(a), b),
-            is_zero=v_is_zero,
-            k=2,
-        )
         fams = []
-        for exp, vec in terms:
+        for exp, vec in apply_delta(h, V.vec_of(v_state), lh.apply):
             d = -2 * exp - h
             fams.append((d, self.sigma.family(vec)))
         self._delta_cache[v_state] = fams
@@ -244,8 +231,7 @@ class MirrorModule(Engine):
         rep = CheckReport("mirror-mode-lattices")
         if max_col_weight is None:
             max_col_weight = self.weight_bound - 1
-        cols = [i for i in range(self.space.dim)
-                if self.col_weight(i) <= max_col_weight]
+        cols = self.columns(max_col_weight)
         towers = [
             ("omega", self.family(self.tensor.omega_vec), 0),
             ("tau1", self.family(self.n2.tau1), 0),
@@ -258,15 +244,8 @@ class MirrorModule(Engine):
             t = start - window
             while t <= window:
                 for col in cols:
-                    try:
-                        got = fam.apply_basis(t, col)
-                    except TruncationOverflow:
-                        rep.filtered += 1
-                        continue
-                    rep.checked += 1
-                    if got:
-                        rep.violations.append(
-                            CheckViolation({"tower": name, "mode": str(t), "col": col}, 1))
+                    tally(rep, lambda: (fam.apply_basis(t, col), {}),
+                          lambda: {"tower": name, "mode": str(t), "col": col})
                 t += 1
         return rep
 
@@ -277,18 +256,22 @@ class MirrorModule(Engine):
 
 def sigma_virasoro_report(sigma: SigmaModule, window: int = 2,
                           max_col_level: Fraction = Fraction(2)) -> TableReport:
-    cols = _level_cols(sigma.space, max_col_level)
-    return bracket_table_check("sigma-virasoro", VIRASORO,
-                               sigma.V.central_charge,
-                               {"L": sigma.L_handle()}, window, cols, sigma)
+    """The L pairs of the N=1 Ramond table."""
+    return sigma_ramond_report(sigma, window, max_col_level).restrict(
+        "sigma-virasoro", VIRASORO, {"L": "L"})
 
 
 def sigma_ramond_report(sigma: SigmaModule, window: int = 2,
                         max_col_level: Fraction = Fraction(2)) -> TableReport:
-    cols = _level_cols(sigma.space, max_col_level)
-    handles = {"L": sigma.L_handle(), "G": sigma.G_handle()}
-    return bracket_table_check("sigma-n1-ramond", N1_RAMOND,
-                               sigma.V.central_charge, handles, window, cols, sigma)
+    """The N=1 Ramond table on the columns up to max_col_level above the
+    ground states, computed once per (window, max_col_level)."""
+    key = (window, Fraction(max_col_level))
+    if key not in sigma._tables:
+        handles = {"L": sigma.L_handle(), "G": sigma.G_handle()}
+        sigma._tables[key] = bracket_table_check(
+            "sigma-n1-ramond", N1_RAMOND, sigma.V.central_charge, handles, window,
+            sigma.columns(sigma.min_col_weight + max_col_level), sigma)
+    return sigma._tables[key]
 
 
 def sigma_twisted_jacobi_report(sigma: SigmaModule, window: int = 2,
@@ -305,33 +288,25 @@ def sigma_twisted_jacobi_report(sigma: SigmaModule, window: int = 2,
     return rep
 
 
-def _level_cols(space: TruncatedSpace, max_level: Fraction) -> List[int]:
-    """Basis columns at most max_level above the ground states."""
-    top = space.min_weight + max_level
-    return [i for i in range(space.dim) if space.weights[i] <= top]
-
-
 def mirror_table_report(mirror: MirrorModule, window: int = 2,
                         max_col_level: Fraction = Fraction(2)) -> TableReport:
-    cols = _level_cols(mirror.space, max_col_level)
-    central = 2 * mirror.V.central_charge
-    return bracket_table_check("mirror-twisted-n2", N2_MIRROR_TWISTED, central,
-                               mirror.handles(), window, cols, mirror)
+    """The mirror-twisted N=2 table on the columns up to max_col_level
+    levels above the ground states, computed once per (window, max_col_level)."""
+    key = (window, Fraction(max_col_level))
+    if key not in mirror._tables:
+        mirror._tables[key] = bracket_table_check(
+            "mirror-twisted-n2", N2_MIRROR_TWISTED, 2 * mirror.V.central_charge,
+            mirror.handles(), window, mirror.columns(Fraction(max_col_level, 2)), mirror)
+    return mirror._tables[key]
 
 
 def mirror_subalgebra_reports(mirror: MirrorModule, window: int = 2,
                               max_col_level: Fraction = Fraction(2)) -> List[TableReport]:
-    cols = _level_cols(mirror.space, max_col_level)
-    central = 2 * mirror.V.central_charge
-    h = mirror.handles()
-    return [
-        bracket_table_check("mirror-virasoro", VIRASORO, central,
-                            {"L": h["L"]}, window, cols, mirror),
-        bracket_table_check("mirror-g1-ns", N1_NS, central,
-                            {"L": h["L"], "G": h["G1"]}, window, cols, mirror),
-        bracket_table_check("mirror-g2-ramond", N1_RAMOND, central,
-                            {"L": h["L"], "G": h["G2"]}, window, cols, mirror),
-    ]
+    """The Virasoro, G1 Neveu-Schwarz and G2 Ramond sub-tables of the N=2 table."""
+    table = mirror_table_report(mirror, window, max_col_level)
+    return [table.restrict("mirror-virasoro", VIRASORO, {"L": "L"}),
+            table.restrict("mirror-g1-ns", N1_NS, {"L": "L", "G1": "G"}),
+            table.restrict("mirror-g2-ramond", N1_RAMOND, {"L": "L", "G2": "G"})]
 
 
 def mirror_twisted_jacobi_report(mirror: MirrorModule, window: int = 1,
@@ -364,10 +339,8 @@ def mirror_equivariance_report(mirror: MirrorModule,
     (kappa v)_t = (-1)**(2t) v_t."""
     rep = CheckReport("mirror-equivariance")
     tensor = mirror.tensor
-    cols = _level_cols(mirror.space, max_col_level)
-    for k in range(tensor.space.dim):
-        if tensor.col_weight(k) > max_state_weight:
-            continue
+    cols = mirror.columns(Fraction(max_col_level, 2))
+    for k in tensor.columns(max_state_weight):
         vec = {k: ONE}
         fam = mirror.family(vec)
         kfam = mirror.family(tensor.kappa(vec))
@@ -375,16 +348,9 @@ def mirror_equivariance_report(mirror: MirrorModule,
         while t <= window:
             sign = ExactScalar(-1 if (2 * t) % 2 else 1)
             for col in cols:
-                try:
-                    lhs = kfam.apply_basis(t, col)
-                    rhs = v_scale(fam.apply_basis(t, col), sign)
-                except TruncationOverflow:
-                    rep.filtered += 1
-                    continue
-                rep.checked += 1
-                if lhs != rhs:
-                    rep.violations.append(CheckViolation(
-                        {"state": k, "mode": str(t), "col": col}, 1))
+                tally(rep, lambda: (kfam.apply_basis(t, col),
+                                    v_scale(fam.apply_basis(t, col), sign)),
+                      lambda: {"state": k, "mode": str(t), "col": col})
             t += HALF
     return rep
 

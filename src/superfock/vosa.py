@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .checks import CheckReport, CheckViolation, TableReport, bracket_table_check
+from .checks import CheckReport, TableReport, bracket_table_check, tally
 from .errors import NoCalibration, TruncationOverflow
 from .fock import FockSpaceSpec, FockState, TruncatedSpace, mode_apply
 from .modes import (
@@ -171,25 +171,10 @@ def creation_report(V: Vosa, max_mode: int = 3) -> CheckReport:
     rep = CheckReport("creation-axiom")
     for i in range(V.space.dim):
         fam = V._family_by_index(i)
-        try:
-            got = fam.apply(Fraction(-1), V.vacuum_vec)
-        except TruncationOverflow:
-            rep.filtered += 1
-            continue
-        rep.checked += 1
-        if got != {i: ONE}:
-            rep.violations.append(CheckViolation(
-                {"state": str(V.space.states[i]), "mode": "-1"}, len(got)))
-        for n in range(0, max_mode + 1):
-            try:
-                got = fam.apply(Fraction(n), V.vacuum_vec)
-            except TruncationOverflow:
-                rep.filtered += 1
-                continue
-            rep.checked += 1
-            if got:
-                rep.violations.append(CheckViolation(
-                    {"state": str(V.space.states[i]), "mode": str(n)}, len(got)))
+        for n in range(-1, max_mode + 1):
+            tally(rep, lambda: (fam.apply(Fraction(n), V.vacuum_vec),
+                                {i: ONE} if n == -1 else {}),
+                  lambda: {"state": str(V.space.states[i]), "mode": str(n)})
     return rep
 
 
@@ -198,12 +183,9 @@ def grading_report(V: Vosa) -> CheckReport:
     rep = CheckReport("l0-grading")
     lh = V.L_handle()
     for i in range(V.space.dim):
-        got = lh.apply_basis(0, i)
         want = {i: ExactScalar(V.col_weight(i))} if V.col_weight(i) else {}
-        rep.checked += 1
-        if got != want:
-            rep.violations.append(CheckViolation(
-                {"state": str(V.space.states[i])}, len(got)))
+        tally(rep, lambda: (lh.apply_basis(0, i), want),
+              lambda: {"state": str(V.space.states[i])})
     return rep
 
 
@@ -211,27 +193,22 @@ def translation_report(V: Vosa, max_weight=Fraction(5, 2), window: int = 2) -> C
     """(L(-1)v)_n = -n v_{n-1} on a spanning set, as exact operators."""
     rep = CheckReport("translation-axiom")
     lh = V.L_handle()
-    cols = [i for i in range(V.space.dim) if V.col_weight(i) <= max_weight]
-    for i in range(V.space.dim):
-        if V.col_weight(i) > max_weight:
+    cols = V.columns(max_weight)
+    for i in cols:
+        try:
+            dv = lh.apply(-1, {i: ONE})
+        except TruncationOverflow:
+            # L(-1)v lies beyond the truncation: none of v's checks can run
+            rep.filtered += (2 * window + 1) * len(cols)
             continue
-        dv = lh.apply(-1, {i: ONE})
         dfam = V.family(dv) if dv else None
         vfam = V._family_by_index(i)
         for n in range(-window, window + 1):
             for col in cols:
-                try:
-                    lhs = dfam.apply_basis(Fraction(n), col) if dfam else {}
-                    rhs = v_scale(vfam.apply_basis(Fraction(n - 1), col),
-                                  ExactScalar(-n))
-                except TruncationOverflow:
-                    rep.filtered += 1
-                    continue
-                rep.checked += 1
-                if lhs != rhs:
-                    rep.violations.append(CheckViolation(
-                        {"state": str(V.space.states[i]), "mode": str(n), "col": col},
-                        len(lhs)))
+                tally(rep, lambda: (dfam.apply_basis(Fraction(n), col) if dfam else {},
+                                    v_scale(vfam.apply_basis(Fraction(n - 1), col),
+                                            ExactScalar(-n))),
+                      lambda: {"state": str(V.space.states[i]), "mode": str(n), "col": col})
     return rep
 
 
@@ -242,10 +219,9 @@ def n1_table_report(V: Vosa, window: int = 2,
 
     if max_col_weight is None:
         max_col_weight = V.space.bound - 1
-    cols = [i for i in range(V.space.dim) if V.col_weight(i) <= max_col_weight]
     handles = {"L": V.L_handle(), "G": V.G_handle()}
     return bracket_table_check("n1-free-field", N1_NS, V.central_charge,
-                               handles, window, cols, V)
+                               handles, window, V.columns(max_col_weight), V)
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +369,17 @@ def kappa_automorphism_report(tensor: TensorVosa, max_state_weight=Fraction(2),
                               max_col_weight=Fraction(2)) -> CheckReport:
     """kappa Y(v,x) kappa = Y(kappa v, x) on windowed states and modes."""
     rep = CheckReport("kappa-vertex-compatibility")
-    cols = [k for k in range(tensor.space.dim)
-            if tensor.col_weight(k) <= max_col_weight]
-    for k in range(tensor.space.dim):
-        if tensor.col_weight(k) > max_state_weight:
-            continue
+    cols = tensor.columns(max_col_weight)
+    for k in tensor.columns(max_state_weight):
         v = {k: ONE}
         fam = tensor.family(v)
         kfam = tensor.family(tensor.kappa(v))
         for t in range(-window, window + 1):
             for col in cols:
-                try:
-                    lhs = tensor.kappa(fam.apply(Fraction(t),
-                                                 tensor.kappa({col: ONE})))
-                    rhs = kfam.apply_basis(Fraction(t), col)
-                except TruncationOverflow:
-                    rep.filtered += 1
-                    continue
-                rep.checked += 1
-                if lhs != rhs:
-                    rep.violations.append(CheckViolation(
-                        {"state": k, "mode": t, "col": col}, len(lhs)))
+                tally(rep, lambda: (tensor.kappa(fam.apply(Fraction(t),
+                                                           tensor.kappa({col: ONE}))),
+                                    kfam.apply_basis(Fraction(t), col)),
+                      lambda: {"state": k, "mode": t, "col": col})
     return rep
 
 
@@ -513,16 +479,14 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2,
             tau1 = v_scale(tau1_raw, c1)
             tau2 = v_scale(tau2_raw, c2)
             jvec = v_scale(j_raw, cJ)
-            cols = [k for k in range(tensor.space.dim)
-                    if tensor.col_weight(k) <= max_col_weight]
             handles = {
                 "L": tensor.L_handle(),
                 "J": ModeHandle(tensor.family(jvec), Fraction(0)),
                 "G1": ModeHandle(tensor.family(tau1), HALF),
                 "G2": ModeHandle(tensor.family(tau2), HALF),
             }
-            table = bracket_table_check("n2-calibrated", N2_NS, central,
-                                        handles, window, cols, tensor)
+            table = bracket_table_check("n2-calibrated", N2_NS, central, handles,
+                                        window, tensor.columns(max_col_weight), tensor)
             if table.passed:
                 return N2Data(c1, c2, cJ, tau1, tau2, jvec, table, tried)
     raise NoCalibration(

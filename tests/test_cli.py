@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superfock.cli import main
+from superfock.superalgebra import PRESENTATIONS
 
 
 def run(capsys, *argv):
@@ -50,6 +54,17 @@ def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("max_weight", ["3", "7/2"])
+def test_verify_vosa_low_truncation_filters_translation(capsys, max_weight):
+    # L(-1) of a top-weight state leaves the truncated space: its translation
+    # checks are filtered, not a configuration error
+    code, out = run(capsys, "verify", "vosa", "--max-weight", max_weight,
+                    "--window", "1")
+    assert code == 0
+    line, = [ln for ln in out.splitlines() if "translation-axiom" in ln]
+    assert "PASS" in line and "filtered=0" not in line
 
 
 def test_character_vosa(capsys):
@@ -128,3 +143,50 @@ def test_configuration_errors_exit_2(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# text with no decimal digits cannot parse as a number, so it cannot ask for
+# a large (slow) truncation; the numeric cases are drawn separately
+_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+
+
+def _int_or_text(lo=None, hi=None):
+    number = st.integers(lo, hi).map(str)
+    return st.one_of(number, number, _TEXT)  # two thirds numbers
+
+
+_JSON = st.sampled_from([[], ["--json"]])
+
+_ARGV = st.one_of(
+    st.builds(lambda k, terms, order, js: ["delta", "--k", k, "--terms", terms,
+                                           "--verify-order", order] + js,
+              _int_or_text(), _int_or_text(-3, 6), _int_or_text(-3, 8), _JSON),
+    st.builds(lambda name, window, js: ["verify", "algebra", "--name", name,
+                                        "--window", window] + js,
+              st.one_of(st.sampled_from(sorted(PRESENTATIONS)
+                                        + ["virasoro-corrupted-quintic"]),
+                        st.integers().map(lambda n: f"virasoro-rescaled-{n}"),
+                        _TEXT.map(lambda t: f"virasoro-rescaled-{t}"), _TEXT),
+              _int_or_text(-3, 2), _JSON),
+    st.builds(lambda space, trunc, dump, js: ["character", "--space", space,
+                                              "--trunc", trunc] + dump + js,
+              st.sampled_from(["vosa", "ns-fermion"]),
+              st.one_of(st.fractions(-3, 4, max_denominator=4).map(str),
+                        _int_or_text(hi=4)),
+              st.sampled_from([[], ["--dump-basis"]]), _JSON),
+    st.builds(lambda trunc, js: ["corollary2", "--trunc", trunc] + js,
+              _int_or_text(hi=0), _JSON),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_cli_exit_codes_hold_for_any_option_values(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed options
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -8,8 +8,8 @@ from superfock.delta import (
     residual_for_coefficients,
     verify_delta_equation,
 )
-from superfock.errors import InsufficientTerms, UnsupportedK
-from superfock.operators import v_is_zero, v_iadd, v_scale
+from superfock.errors import InsufficientTerms, UnboundedExpansion, UnsupportedK
+from superfock.operators import v_scale
 from superfock.scalars import ExactScalar, SQRT2
 
 
@@ -86,15 +86,19 @@ def test_perturbed_coefficient_leaves_residual():
 # ---------------------------------------------------------------------------
 
 def _expand(weight, vec, lower, k=2):
-    return apply_delta(Fraction(weight), vec, lower,
-                       vec_scale=v_scale,
-                       vec_add=lambda a, b: v_iadd(dict(a), b),
-                       is_zero=v_is_zero, k=k)
+    return apply_delta(Fraction(weight), vec, lower, k=k)
 
 
 def test_unsupported_k():
     with pytest.raises(UnsupportedK):
         _expand(0, {0: ExactScalar(1)}, lambda j, v: {}, k=3)
+
+
+def test_non_lowering_operator_is_an_error():
+    # an identity "L(j)" never empties a layer; the expansion must not stop
+    # silently at some cap
+    with pytest.raises(UnboundedExpansion):
+        _expand(2, {0: ExactScalar(1)}, lambda j, v: v)
 
 
 def test_vacuum_is_fixed(V4):

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from superfock.checks import borcherds_check
+from superfock.checks import borcherds_check, bracket_table_check
+from superfock.errors import InvalidAlgebra
 from superfock.fock import FockState
 from superfock.operators import v_iadd, v_scale
 from superfock.scalars import ExactScalar, ONE
+from superfock.superalgebra import N1_NS, N1_RAMOND, VIRASORO, corrupted_virasoro_quintic
 from superfock.twisted import (
     MirrorModule,
     corollary2_check,
@@ -44,6 +46,41 @@ def test_sigma_virasoro(sigma):
 def test_sigma_ramond_table(sigma):
     rep = sigma_ramond_report(sigma, 2, Fraction(2))
     assert rep.passed and rep.complete
+
+
+def test_sigma_virasoro_is_the_standalone_table(sigma):
+    cols = sigma.columns(sigma.min_col_weight + 2)
+    alone = bracket_table_check("sigma-virasoro", VIRASORO, sigma.V.central_charge,
+                                {"L": sigma.L_handle()}, 2, cols, sigma)
+    assert sigma_virasoro_report(sigma, 2, Fraction(2)).to_json() == alone.to_json()
+
+
+def test_restrict_refuses_a_view_of_another_algebra(sigma, mirror_deep):
+    # same generators, different cocycle: [L(2), L(-2)] disagrees
+    with pytest.raises(InvalidAlgebra):
+        sigma_ramond_report(sigma, 2, Fraction(2)).restrict(
+            "quintic", corrupted_virasoro_quintic(), {"L": "L"})
+    # G2 is integer-moded, the Neveu-Schwarz G is not
+    with pytest.raises(InvalidAlgebra):
+        mirror_table_report(mirror_deep, 2, Fraction(2)).restrict(
+            "g2-ns", N1_NS, {"L": "L", "G2": "G"})
+
+
+def test_sigma_character_matches_product_formula(sigma):
+    """dim_q of the parity-twisted module is 2 prod_n (1+q^n)/(1-q^n)."""
+    terms = 6
+    want = [2] + [0] * (terms - 1)
+    for n in range(1, terms):
+        times = want[:]                      # times (1 + q^n)
+        for e in range(n, terms):
+            times[e] += want[e - n]
+        for e in range(n, terms):            # times 1/(1 - q^n) = sum_k q^(nk)
+            times[e] += times[e - n]
+        want = times
+    series = sigma.graded_dimension()
+    assert series.truncation >= terms
+    assert [series.coefficient(Fraction(e)) for e in range(terms)] == [
+        ExactScalar(c) for c in want]
 
 
 def test_sigma_g0_squared(sigma):
@@ -124,6 +161,22 @@ def test_mirror_table_full_window(mirror_deep):
 def test_mirror_subalgebras(mirror_deep):
     for rep in mirror_subalgebra_reports(mirror_deep, 2, Fraction(2)):
         assert rep.passed and rep.complete, rep.name
+
+
+def test_mirror_subalgebras_are_the_standalone_tables(mirror_deep):
+    cols = mirror_deep.columns(1)
+    central = 2 * mirror_deep.V.central_charge
+    h = mirror_deep.handles()
+    alone = [
+        bracket_table_check("mirror-virasoro", VIRASORO, central, {"L": h["L"]}, 2,
+                            cols, mirror_deep),
+        bracket_table_check("mirror-g1-ns", N1_NS, central, {"L": h["L"], "G": h["G1"]},
+                            2, cols, mirror_deep),
+        bracket_table_check("mirror-g2-ramond", N1_RAMOND, central,
+                            {"L": h["L"], "G": h["G2"]}, 2, cols, mirror_deep),
+    ]
+    views = mirror_subalgebra_reports(mirror_deep, 2, Fraction(2))
+    assert [v.to_json() for v in views] == [a.to_json() for a in alone]
 
 
 def test_specific_mirror_brackets(mirror):
