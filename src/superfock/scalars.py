@@ -9,14 +9,12 @@ twisting operator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 from .errors import DivisionByZero
 
 RationalLike = Union[int, Fraction]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -31,38 +29,67 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
-class ExactScalar:
-    """a + b*i + c*sqrt2 + d*i*sqrt2 with arbitrary-precision rational parts."""
+def _reduced(a: int, b: int, c: int, d: int, q: int) -> tuple:
+    """(a, b, c, d, q) divided by gcd(a, b, c, d, q); q must be positive."""
+    g = gcd(a, b, c, d, q)
+    if g == 1:
+        return (a, b, c, d, q)
+    return (a // g, b // g, c // g, d // g, q // g)
 
-    __slots__ = ("a", "b", "c", "d")
+
+def _part(k: int, doc: str) -> property:
+    return property(lambda self: Fraction(self._v[k], self._v[4]), doc=doc)
+
+
+class ExactScalar:
+    """a + b*i + c*sqrt2 + d*i*sqrt2 with arbitrary-precision rational parts.
+
+    The value is stored as five ints ``(a, b, c, d, q)`` meaning
+    ``(a + b*i + c*sqrt2 + d*i*sqrt2) / q`` with ``q > 0`` and
+    ``gcd(a, b, c, d, q) == 1``, so zero is ``(0, 0, 0, 0, 1)`` and two
+    scalars are equal exactly when their tuples are.  The parts ``.a`` to
+    ``.d`` are read back as ``Fraction``.
+    """
+
+    __slots__ = ("_v",)
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0,
                  c: RationalLike = 0, d: RationalLike = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            _set_v(self, (a, b, c, d, 1))
+            return
+        parts = (a, b, c, d)
+        for x in parts:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
+        # parts in lowest terms over the lcm of their denominators leave
+        # nothing to cancel
+        q = lcm(*(x.denominator for x in parts))
+        _set_v(self, tuple(x.numerator * (q // x.denominator) for x in parts) + (q,))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
+
+    a = _part(0, "rational part")
+    b = _part(1, "coefficient of i")
+    c = _part(2, "coefficient of sqrt2")
+    d = _part(3, "coefficient of i*sqrt2")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def coerce(cls, x) -> "ExactScalar":
-        if isinstance(x, ExactScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
+        return x if isinstance(x, ExactScalar) else cls(x)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        a, b, c, d, _ = self._v
+        return not (a or b or c or d)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        _, b, c, d, _ = self._v
+        return not (b or c or d)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -75,13 +102,28 @@ class ExactScalar:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        o = ExactScalar.coerce(other)
-        return ExactScalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        out = _new(ExactScalar)
+        if q1 == q2:
+            if q1 == 1:
+                _set_v(out, (a1 + a2, b1 + b2, c1 + c2, d1 + d2, 1))
+            else:
+                _set_v(out, _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1))
+        else:
+            _set_v(out, _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                                 c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2))
+        return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, q = self._v
+        out = _new(ExactScalar)
+        _set_v(out, (-a, -b, -c, -d, q))
+        return out
 
     def __sub__(self, other):
         return self + (-ExactScalar.coerce(other))
@@ -90,15 +132,28 @@ class ExactScalar:
         return ExactScalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = ExactScalar.coerce(other)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return ExactScalar(
-            a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        out = _new(ExactScalar)
+        if not (b2 or c2 or d2):
+            if not (b1 or c1 or d1):
+                a, q = a1 * a2, q1 * q2
+                g = gcd(a, q)
+                _set_v(out, (a // g, 0, 0, 0, q // g))
+            else:
+                _set_v(out, _reduced(a1 * a2, b1 * a2, c1 * a2, d1 * a2, q1 * q2))
+        elif not (b1 or c1 or d1):
+            _set_v(out, _reduced(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q1 * q2))
+        else:
+            _set_v(out, _reduced(
+                a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+                a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+                a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+                a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+                q1 * q2))
+        return out
 
     __rmul__ = __mul__
 
@@ -106,12 +161,16 @@ class ExactScalar:
         """Multiplicative inverse; exact via the two field conjugations."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero in Q(i, sqrt2)")
-        # y = self * conj_i(self) lies in Q(sqrt2): y = p + q*sqrt2.
-        p = self.a * self.a + self.b * self.b + 2 * (self.c * self.c + self.d * self.d)
-        q = 2 * (self.a * self.c + self.b * self.d)
-        norm = p * p - 2 * q * q
-        # inv = conj_i(self) * (p - q*sqrt2) / norm
-        return self.conj_i() * ExactScalar(p / norm, 0, -q / norm, 0)
+        # With self = n/q, y = n * conj_i(n) lies in Z[sqrt2]: y = p + r*sqrt2,
+        # and norm = y * conj_sqrt2(y) is a positive int.
+        a, b, c, d, q = self._v
+        p = a * a + b * b + 2 * (c * c + d * d)
+        r = 2 * (a * c + b * d)
+        norm = p * p - 2 * r * r
+        # inv = conj_i(self) * q**2 * (p - r*sqrt2) / norm
+        factor = _new(ExactScalar)
+        _set_v(factor, _reduced(q * q * p, 0, -q * q * r, 0, norm))
+        return self.conj_i() * factor
 
     def __truediv__(self, other):
         return self * ExactScalar.coerce(other).inv()
@@ -123,23 +182,35 @@ class ExactScalar:
 
     def conj_i(self) -> "ExactScalar":
         """Galois conjugation i -> -i."""
-        return ExactScalar(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, q = self._v
+        out = _new(ExactScalar)
+        _set_v(out, (a, -b, c, -d, q))
+        return out
 
     def conj_sqrt2(self) -> "ExactScalar":
         """Galois conjugation sqrt2 -> -sqrt2."""
-        return ExactScalar(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, q = self._v
+        out = _new(ExactScalar)
+        _set_v(out, (a, b, -c, -d, q))
+        return out
 
     # -- comparisons and hashing -----------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, ExactScalar):
+            return self._v == other._v
         if isinstance(other, (int, Fraction)):
-            other = ExactScalar(other)
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+            a, b, c, d, q = self._v
+            return (not (b or c or d) and a == other.numerator
+                    and q == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        # a rational value hashes like the int or Fraction it equals
+        a, b, c, d, q = self._v
+        if b or c or d:
+            return hash(self._v)
+        return hash(a) if q == 1 else hash(Fraction(a, q))
 
     # -- rendering -------------------------------------------------------
 
@@ -177,6 +248,9 @@ class ExactScalar:
     def from_json(cls, obj: dict) -> "ExactScalar":
         return cls(*(parse_rational(obj[k]) for k in ("a", "b", "c", "d")))
 
+
+_new = object.__new__
+_set_v = ExactScalar._v.__set__
 
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
