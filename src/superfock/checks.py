@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InvalidAlgebra, TruncationOverflow
-from .modes import Family, ModeHandle, jacobi_left
-from .operators import Vec, binomial, v_iadd
+from .modes import Family, ModeHandle, binomial2, jacobi_left
+from .operators import Vec, v_iadd
 from .scalars import ExactScalar
 from .superalgebra import PARITY, Element, Generator, Presentation, pair_bracket
 
@@ -76,15 +76,6 @@ def tally(report: CheckReport, compare: Callable[[], Tuple[Vec, Vec]],
             CheckViolation(context(), len(v_iadd(dict(lhs), rhs, -1))))
 
 
-def _lattice_range(offset: Fraction, window: int):
-    v = -window + ((offset + window) % 1)
-    out = []
-    while v <= window:
-        out.append(Fraction(v))
-        v += 1
-    return out
-
-
 def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
                     max_col_weight, name: str) -> CheckReport:
     """Verify the component (twisted) Jacobi identity for one pair of states.
@@ -96,43 +87,40 @@ def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
     report = CheckReport(name)
     fu = engine.family(u_vec)
     fv = engine.family(v_vec)
-    k = engine.order
-    ju = engine.twist_exponent(u_vec) if k == 2 else 0
-    jv = engine.twist_exponent(v_vec) if k == 2 else 0
-    off_u = Fraction(ju, k) % 1
-    off_v = Fraction(jv, k) % 1
-    wu, wv = fu.weight, fv.weight
+    # on an order-two module u's modes live on Z + j/2 when twist(u) = (-1)**j u
+    twisted = engine.order == 2
+    off_u2 = engine.twist_exponent(u_vec) if twisted else 0
+    off_v2 = engine.twist_exponent(v_vec) if twisted else 0
     cols = engine.columns(max_col_weight)
 
-    comp_cache: Dict[Fraction, Optional[Family]] = {}
+    comp_cache: Dict[int, Optional[Family]] = {}
 
-    def composite(s: Fraction) -> Optional[Family]:
+    def composite(s: int) -> Optional[Family]:
         if s not in comp_cache:
             vec = engine.product(u_vec, s, v_vec)
             comp_cache[s] = engine.family(vec) if vec else None
         return comp_cache[s]
 
-    def residual(ell, m, n, col):
-        acc = jacobi_left(fu, fv, ell, m, n, col, engine.col_weight(col))
-        # minus the right side
-        i = 0
-        while wu + wv - (ell + i) - 1 >= 0:
-            cb = binomial(m, i)
+    def residual(ell, m2, n2, col):
+        acc = jacobi_left(fu, fv, ell, m2, n2, col, engine.col_w2[col])
+        # minus the right side; u_{l+i} v has weight wt_u + wt_v - l - i - 1
+        for i in range((fu.weight2 + fv.weight2) // 2 - ell):
+            cb = binomial2(m2, i)
             if cb:
-                fam = composite(Fraction(ell + i))
+                fam = composite(ell + i)
                 if fam is not None:
-                    res = fam.apply_basis(m + n - i, col)
+                    res = fam.apply_basis(m2 + n2 - 2 * i, col)
                     if res:
                         v_iadd(acc, res, ExactScalar(-cb))
-            i += 1
         return acc, {}
 
     for ell in range(-window, window + 1):
-        for m in _lattice_range(off_u, window):
-            for n in _lattice_range(off_v, window):
+        for m2 in range(off_u2 - 2 * window, 2 * window + 1, 2):
+            for n2 in range(off_v2 - 2 * window, 2 * window + 1, 2):
                 for col in cols:
-                    tally(report, lambda: residual(ell, m, n, col),
-                          lambda: {"l": str(ell), "m": str(m), "n": str(n), "column": col})
+                    tally(report, lambda: residual(ell, m2, n2, col),
+                          lambda: {"l": str(ell), "m": str(Fraction(m2, 2)),
+                                   "n": str(Fraction(n2, 2)), "column": col})
     return report
 
 

@@ -71,6 +71,13 @@ def _fraction(text: str, option: str) -> Fraction:
         raise SuperfockError(f"{option} must be a rational number, got {text!r}") from None
 
 
+def _max_level(text: str) -> Fraction:
+    """The twisted suite's --max-weight: the largest column level, >= 0."""
+    level = _fraction(text, "--max-weight")
+    _require(level >= 0, "--max-weight (the largest column level) must be >= 0")
+    return level
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -281,8 +288,7 @@ def _twisted_suite(window: int, max_level: Fraction, levels: int) -> list[Check]
 def cmd_verify_twisted(args) -> int:
     _require(args.levels >= 0, "--levels must be >= 0")
     levels = args.levels if args.levels else 4 * args.window + 1
-    checks = _twisted_suite(args.window, _fraction(args.max_weight, "--max-weight"),
-                            levels)
+    checks = _twisted_suite(args.window, _max_level(args.max_weight), levels)
     payload = {"schema": SCHEMA, "command": "verify-twisted",
                "config": {"window": args.window, "max_weight": str(args.max_weight),
                           "levels": levels},
@@ -483,7 +489,7 @@ ALL_SUITES = ("scalars", "delta", "algebra", "vosa", "calibration", "twisted",
 
 def cmd_all(args) -> int:
     window = args.window
-    max_weight = _fraction(args.max_weight, "--max-weight")
+    max_weight = _max_level(args.max_weight)
     only = set(args.only.split(",")) if args.only else set(ALL_SUITES)
     unknown = only - set(ALL_SUITES)
     _require(not unknown, f"unknown suites: {sorted(unknown)}")

@@ -15,6 +15,11 @@ correction term since C(0,i) = 0 for i >= 1, so it is preferred when the
 lattice allows it).  The same code serves the untwisted algebra and the
 order-two twisted modules; only lattices and weight units differ.
 
+Every mode index, lattice offset and weight inside the recursion is an int
+in half units (t2 = 2t, see `twice`), and column weights are measured above
+the engine's lowest one (`Engine.col_w2`), so the index arithmetic is int
+arithmetic.  `ModeHandle` converts labelled indices at the boundary.
+
 Engines derive from `Engine`, which holds the interface every family and
 verifier relies on.
 """
@@ -23,54 +28,95 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import ceil, factorial, floor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import NonDiagonal, NonHomogeneous, TruncationOverflow
-from .operators import Vec, binomial, v_iadd, v_scale
+from .operators import Vec, v_iadd, v_scale
 from .scalars import ExactScalar, ONE
 
 
-class Family:
-    """Base: all mode operators of a fixed state on a fixed module."""
+def twice(x) -> int:
+    """2x as an int, for x in (1/2)Z: the half unit in which the engines
+    hold every mode index, lattice offset and weight (t2 = 2t).
 
-    def __init__(self, engine, weight, parity: int,
-                 mode_offset: Optional[Fraction] = None):
+    Raises ValueError for x off (1/2)Z.
+    """
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    if x.denominator > 2:
+        raise ValueError(f"{x} is not in (1/2)Z")
+    return x.numerator * (2 // x.denominator)
+
+
+@lru_cache(maxsize=4096)
+def binomial2(m2: int, i: int) -> Fraction:
+    """C(m, i) for m = m2/2 in (1/2)Z and an integer i >= 0.
+
+    Cached: the recursion asks for the same few hundred (m2, i) pairs
+    thousands of times per run.
+    """
+    num = 1
+    for z in range(i):
+        num *= m2 - 2 * z
+    return Fraction(num, 2 ** i * factorial(i))
+
+
+def _not_half_units(t2) -> TypeError:
+    return TypeError(f"mode index {t2!r} is not an int in half units (2t)")
+
+
+class Family:
+    """Base: all mode operators of a fixed state on a fixed module.
+
+    The weight, the lattice offset and every mode index are ints in half
+    units: `weight2` is twice the state's weight and `apply_basis(t2, col)`
+    applies the mode t = t2/2.
+    """
+
+    def __init__(self, engine, weight2: int, parity: int,
+                 off2: Optional[int] = None):
         self.engine = engine
-        self.weight = Fraction(weight)
+        self.weight2 = weight2
         self.parity = parity % 2
-        # mode_offset: the lattice Z + offset carrying all nonzero modes,
-        # or None when both half-integer lattices can occur.
-        self.mode_offset = mode_offset
+        # off2: the lattice Z + off2/2 carrying all nonzero modes (off2 is 0
+        # or 1), or None when both half-integer lattices can occur.
+        self.off2 = off2
         self._cols: dict = {}
 
-    def apply_basis(self, t: Fraction, col: int) -> Vec:
-        t = Fraction(t)
-        if self.mode_offset is not None and (t - self.mode_offset).denominator != 1:
+    def apply_basis(self, t2: int, col: int) -> Vec:
+        if not isinstance(t2, int):
+            raise _not_half_units(t2)
+        if self.off2 is not None and (t2 - self.off2) % 2:
             return {}
-        key = (t, col)
+        key = (t2, col)
         hit = self._cols.get(key)
         if hit is not None:
             return hit
         eng = self.engine
-        out_w = eng.col_weight(col) + self.weight - t - 1
-        if out_w < eng.min_col_weight:
+        out_w2 = eng.col_w2[col] + self.weight2 - t2 - 2
+        if out_w2 < 0:
             res: Vec = {}
-        elif out_w >= eng.weight_bound:
+        elif out_w2 >= eng.bound2:
             raise TruncationOverflow(
-                f"mode {t} of weight-{self.weight} state: output weight {out_w} "
+                f"mode {Fraction(t2, 2)} of weight-{Fraction(self.weight2, 2)} state: "
+                f"output weight {eng.min_col_weight + Fraction(out_w2, 2)} "
                 f">= bound {eng.weight_bound}")
         else:
-            res = self._compute(t, col)
+            res = self._compute(t2, col)
         self._cols[key] = res
         return res
 
-    def apply(self, t: Fraction, vec: Vec) -> Vec:
+    def apply(self, t2: int, vec: Vec) -> Vec:
+        if not isinstance(t2, int):
+            raise _not_half_units(t2)
         acc: Vec = {}
         for col, coeff in vec.items():
-            v_iadd(acc, self.apply_basis(t, col), coeff)
+            v_iadd(acc, self.apply_basis(t2, col), coeff)
         return acc
 
-    def _compute(self, t: Fraction, col: int) -> Vec:
+    def _compute(self, t2: int, col: int) -> Vec:
         raise NotImplementedError
 
 
@@ -78,24 +124,24 @@ class VacuumFamily(Family):
     """Y(1, x) = identity: the only nonzero mode is t = -1."""
 
     def __init__(self, engine):
-        super().__init__(engine, 0, 0, Fraction(0))
+        super().__init__(engine, 0, 0, 0)
 
-    def _compute(self, t, col):
-        if t == -1:
+    def _compute(self, t2, col):
+        if t2 == -2:
             return {col: ExactScalar(1)}
         return {}
 
 
 class GeneratorFamily(Family):
-    """Modes given directly by a callable (t, col) -> list[(index, scalar)]."""
+    """Modes given directly by a callable (t2, col) -> list[(index, scalar)]."""
 
-    def __init__(self, engine, weight, parity, mode_offset, action: Callable):
-        super().__init__(engine, weight, parity, mode_offset)
+    def __init__(self, engine, weight2, parity, off2, action: Callable):
+        super().__init__(engine, weight2, parity, off2)
         self._action = action
 
-    def _compute(self, t, col):
+    def _compute(self, t2, col):
         out: Vec = {}
-        for idx, coeff in self._action(t, col):
+        for idx, coeff in self._action(t2, col):
             v_iadd(out, {idx: ExactScalar.coerce(coeff)}, 1)
         return out
 
@@ -104,22 +150,22 @@ class LinearFamily(Family):
     """Linear combination of same-weight families."""
 
     def __init__(self, engine, parts: Sequence[Tuple[ExactScalar, Family]],
-                 mode_offset: Optional[Fraction] = None):
+                 off2: Optional[int] = None):
         parts = [(ExactScalar.coerce(c), f) for c, f in parts if not ExactScalar.coerce(c).is_zero()]
         if not parts:
             raise ValueError("empty linear family")
-        w = parts[0][1].weight
+        w2 = parts[0][1].weight2
         p = parts[0][1].parity
         for _, f in parts:
-            if f.weight != w or f.parity != p:
+            if f.weight2 != w2 or f.parity != p:
                 raise ValueError("linear family parts must share weight and parity")
-        super().__init__(engine, w, p, mode_offset)
+        super().__init__(engine, w2, p, off2)
         self.parts = parts
 
-    def _compute(self, t, col):
+    def _compute(self, t2, col):
         acc: Vec = {}
         for c, f in self.parts:
-            v_iadd(acc, f.apply_basis(t, col), c)
+            v_iadd(acc, f.apply_basis(t2, col), c)
         return acc
 
 
@@ -128,113 +174,115 @@ class CompositeFamily(Family):
 
     `corrections(i)` must return the Family of the state u_{l+i} w (or None
     when that state vanishes); it is consulted only when C(m, i) != 0.
+    u's modes live on Z + u_off2/2.
     """
 
-    def __init__(self, engine, u_fam: Family, w_fam: Family, ell: Fraction,
-                 u_offset: Fraction,
+    def __init__(self, engine, u_fam: Family, w_fam: Family, ell,
+                 u_off2: int,
                  corrections: Callable[[int], Optional[Family]],
-                 mode_offset: Optional[Fraction] = None):
+                 off2: Optional[int] = None):
         ell = Fraction(ell)
         if ell.denominator != 1:
             raise ValueError("the product index l must be an integer")
-        super().__init__(engine, u_fam.weight + w_fam.weight - ell - 1,
-                         u_fam.parity + w_fam.parity, mode_offset)
+        ell = int(ell)
+        super().__init__(engine, u_fam.weight2 + w_fam.weight2 - 2 * ell - 2,
+                         u_fam.parity + w_fam.parity, off2)
         self.u_fam = u_fam
         self.w_fam = w_fam
-        self.ell = int(ell)
-        self.u_offset = Fraction(u_offset) % 1
+        self.ell = ell
+        self.u_off2 = u_off2 % 2
         self.corrections = corrections
 
-    def _feasible(self, m: Fraction, t: Fraction, col_w: Fraction) -> bool:
-        bound = self.engine.weight_bound
-        int1 = col_w + self.w_fam.weight - (t - m) - 1
-        int2 = col_w + self.u_fam.weight - m - 1
-        return int1 < bound and int2 < bound
+    def _feasible(self, m2: int, t2: int, col_w2: int) -> bool:
+        bound2 = self.engine.bound2
+        return (col_w2 + self.w_fam.weight2 - (t2 - m2) - 2 < bound2
+                and col_w2 + self.u_fam.weight2 - m2 - 2 < bound2)
 
-    def _choose_m(self, t: Fraction, col_w: Fraction) -> Fraction:
-        prefs: List[Fraction] = []
-        if self.u_offset == 0:
-            prefs.append(Fraction(0))
-        else:
-            prefs.extend([Fraction(-1, 2), Fraction(1, 2)])
-        balanced = (t + self.u_fam.weight - self.w_fam.weight) / 2
-        snapped = self.u_offset + Fraction(round(balanced - self.u_offset))
+    def _snapped(self, t2: int) -> int:
+        """The point of u's lattice nearest balanced = (t + wt_u - wt_w)/2,
+        ties to even like round(): u_offset + round(balanced - u_offset)."""
+        q, r = divmod(t2 + self.u_fam.weight2 - self.w_fam.weight2 - 2 * self.u_off2, 4)
+        return self.u_off2 + 2 * (q + (r > 2 or (r == 2 and q % 2)))
+
+    def _choose_m(self, t2: int, col_w2: int) -> int:
+        prefs = [0] if self.u_off2 == 0 else [-1, 1]
         # the feasible m form an open interval centred on `balanced`, so if
         # its nearest lattice point is infeasible, every lattice point is
-        prefs.append(snapped)
-        for m in prefs:
-            if self._feasible(m, t, col_w):
-                return m
+        prefs.append(self._snapped(t2))
+        for m2 in prefs:
+            if self._feasible(m2, t2, col_w2):
+                return m2
+        col_w = self.engine.min_col_weight + Fraction(col_w2, 2)
         raise TruncationOverflow(
-            f"no admissible auxiliary index for mode {t} at column weight {col_w}")
+            f"no admissible auxiliary index for mode {Fraction(t2, 2)} at column weight {col_w}")
 
-    def _compute(self, t, col):
-        col_w = self.engine.col_weight(col)
-        return self.column(t, col, self._choose_m(t, col_w))
+    def _compute(self, t2, col):
+        return self.column(t2, col, self._choose_m(t2, self.engine.col_w2[col]))
 
-    def column(self, t: Fraction, col: int, m: Fraction) -> Vec:
-        """The column (u_l w)_t col computed with auxiliary index m; every
-        admissible m on u's lattice gives the same vector."""
-        ell = self.ell
-        acc = jacobi_left(self.u_fam, self.w_fam, ell, m, t - m, col,
-                          self.engine.col_weight(col))
-        # -sum_{i>=1} C(m,i) (u_{l+i} w)_{t-i}
-        i = 1
-        while self.u_fam.weight + self.w_fam.weight - (ell + i) - 1 >= 0:
-            cb = binomial(m, i)
+    def column(self, t2: int, col: int, m2: int) -> Vec:
+        """The column (u_l w)_t col computed with auxiliary index m = m2/2;
+        every admissible m on u's lattice gives the same vector."""
+        acc = jacobi_left(self.u_fam, self.w_fam, self.ell, m2, t2 - m2, col,
+                          self.engine.col_w2[col])
+        # -sum_{i>=1} C(m,i) (u_{l+i} w)_{t-i}; u_{l+i} w has weight wt - i,
+        # so it vanishes once that drops below 0
+        for i in range(1, self.weight2 // 2 + 1):
+            cb = binomial2(m2, i)
             if cb:
                 fam = self.corrections(i)
                 if fam is not None:
-                    res = fam.apply_basis(t - i, col)
+                    res = fam.apply_basis(t2 - 2 * i, col)
                     if res:
                         v_iadd(acc, res, ExactScalar(-cb))
-            i += 1
         return acc
 
 
-def jacobi_left(u_fam: Family, w_fam: Family, ell: int, m: Fraction,
-                n: Fraction, col: int, col_w: Fraction) -> Vec:
-    """The left side of the component identity on one basis column:
+def jacobi_left(u_fam: Family, w_fam: Family, ell: int, m2: int,
+                n2: int, col: int, col_w2: int) -> Vec:
+    """The left side of the component identity on one basis column, with
+    m = m2/2, n = n2/2 and col_w2 = engine.col_w2[col]:
 
         sum_i (-1)**i C(l,i) [u_{m+l-i} w_{n+i} - (-1)**l (-1)**|u||w| w_{n+l-i} u_{m+i}] col
 
-    Each sum stops once the inner mode annihilates every state of the column
-    weight col_w.
+    Each sum stops once the inner mode annihilates every state of the
+    column's weight.
     """
-    min_w = u_fam.engine.min_col_weight
     acc: Vec = {}
-    i = 0
-    while col_w + w_fam.weight - (n + i) - 1 >= min_w:
-        mid = w_fam.apply_basis(n + i, col)
+    for i in range((col_w2 + w_fam.weight2 - n2 - 2) // 2 + 1):
+        mid = w_fam.apply_basis(n2 + 2 * i, col)
         if mid:
-            res = u_fam.apply(m + ell - i, mid)
+            res = u_fam.apply(m2 + 2 * (ell - i), mid)
             if res:
-                v_iadd(acc, res, ExactScalar((-1) ** i * binomial(ell, i)))
-        i += 1
+                v_iadd(acc, res, ExactScalar((-1) ** i * binomial2(2 * ell, i)))
     sgn = -((-1) ** (ell % 2)) * ((-1) ** (u_fam.parity * w_fam.parity))
-    i = 0
-    while col_w + u_fam.weight - (m + i) - 1 >= min_w:
-        mid = u_fam.apply_basis(m + i, col)
+    for i in range((col_w2 + u_fam.weight2 - m2 - 2) // 2 + 1):
+        mid = u_fam.apply_basis(m2 + 2 * i, col)
         if mid:
-            res = w_fam.apply(n + ell - i, mid)
+            res = w_fam.apply(n2 + 2 * (ell - i), mid)
             if res:
-                v_iadd(acc, res, ExactScalar(sgn * (-1) ** i * binomial(ell, i)))
-        i += 1
+                v_iadd(acc, res, ExactScalar(sgn * (-1) ** i * binomial2(2 * ell, i)))
     return acc
 
 
 @dataclass
 class ModeHandle:
-    """A labeled tower such as L(n) = omega_{n+1}: family plus index shift."""
+    """A labeled tower such as L(n) = omega_{n+1}: family plus index shift.
+
+    Indices are taken as labelled (int or Fraction) and converted once to
+    the family's half units; an index off (1/2)Z raises ValueError.
+    """
 
     family: Family
     shift: Fraction
 
+    def __post_init__(self):
+        self._shift2 = twice(self.shift)
+
     def apply_basis(self, index, col) -> Vec:
-        return self.family.apply_basis(Fraction(index) + self.shift, col)
+        return self.family.apply_basis(twice(index) + self._shift2, col)
 
     def apply(self, index, vec: Vec) -> Vec:
-        return self.family.apply(Fraction(index) + self.shift, vec)
+        return self.family.apply(twice(index) + self._shift2, vec)
 
 
 class Engine:
@@ -260,9 +308,22 @@ class Engine:
     def min_col_weight(self) -> Fraction:
         return self.space.min_weight
 
+    @cached_property
+    def col_w2(self) -> Tuple[int, ...]:
+        """Each column's weight above min_col_weight, in half units."""
+        low = self.min_col_weight
+        return tuple(twice(self.col_weight(i) - low) for i in range(self.space.dim))
+
+    @cached_property
+    def bound2(self) -> int:
+        """The truncation in the units of col_w2: an output weight at or
+        above it overflows."""
+        return ceil(2 * (self.weight_bound - self.min_col_weight))
+
     def columns(self, max_col_weight) -> List[int]:
         """The basis columns of weight at most max_col_weight."""
-        return [i for i in range(self.space.dim) if self.col_weight(i) <= max_col_weight]
+        top2 = floor(2 * (max_col_weight - self.min_col_weight))
+        return [i for i, w2 in enumerate(self.col_w2) if w2 <= top2]
 
     def weight_of(self, vec: Vec) -> Fraction:
         ws = {self.col_weight(i) for i in vec}
@@ -293,14 +354,14 @@ class Engine:
         if len(items) == 1 and items[0][1] == ONE:
             return self._family_by_index(items[0][0])
         parts = [(c, self._family_by_index(i)) for i, c in items]
-        offs = {f.mode_offset for _, f in parts}
+        offs = {f.off2 for _, f in parts}
         return LinearFamily(self, parts, offs.pop() if len(offs) == 1 else None)
 
     def product(self, u_vec: Vec, m: Fraction, v_vec: Vec) -> Vec:
         """The algebra product state u_m v."""
         if not u_vec or not v_vec:
             return {}
-        return self.algebra.family(u_vec).apply(Fraction(m), v_vec)
+        return self.algebra.family(u_vec).apply(twice(m), v_vec)
 
     # the grading ------------------------------------------------------------
 

@@ -70,6 +70,11 @@ class ExactScalar:
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
+    def __reduce__(self):
+        # rebuild through the constructor: the default slot restore would
+        # go through the raising __setattr__
+        return (ExactScalar, (self.a, self.b, self.c, self.d))
+
     a = _part(0, "rational part")
     b = _part(1, "coefficient of i")
     c = _part(2, "coefficient of sqrt2")

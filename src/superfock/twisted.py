@@ -25,7 +25,15 @@ from typing import Dict, List, Optional, Tuple
 from .checks import CheckReport, TableReport, borcherds_check, bracket_table_check, tally
 from .delta import apply_delta
 from .fock import FockSpaceSpec, FockState, TruncatedSpace, character
-from .modes import CompositeFamily, Engine, Family, LinearFamily, ModeHandle, VacuumFamily
+from .modes import (
+    CompositeFamily,
+    Engine,
+    Family,
+    LinearFamily,
+    ModeHandle,
+    VacuumFamily,
+    twice,
+)
 from .operators import Vec, v_iadd, v_scale
 from .scalars import ExactScalar, ONE
 from .series import Series
@@ -39,7 +47,7 @@ class SigmaModule(FreeFieldEngine):
     """The parity-twisted V-module on B (x) F_R, truncated by level."""
 
     order = 2
-    fermion_offset = HALF
+    fermion_off2 = 1
 
     def __init__(self, V: Vosa, levels: int = 6):
         self.V = self.algebra = V
@@ -69,22 +77,19 @@ class _SlotFamily(Family):
 
     Built from the weight-halving expansion of v: the mode at t collects the
     twisted-sector modes of the lowered states at 2t + 1 - wt - d; slot 2
-    differs by the root-phase sign (-1)**(2t).
+    differs by the root-phase sign (-1)**(2t).  The terms hold (2d, family).
     """
 
     def __init__(self, mirror: "MirrorModule", v_state: FockState, slot: int):
-        h = v_state.level
-        super().__init__(mirror, h, v_state.parity, None)
+        super().__init__(mirror, twice(v_state.level), v_state.parity, None)
         self.slot = slot
-        self.h = h
         self.terms = mirror._delta_families(v_state)
 
-    def _compute(self, t, col):
+    def _compute(self, t2, col):
         acc: Vec = {}
-        for d, fam in self.terms:
-            s = 2 * t + 1 - self.h - d
-            v_iadd(acc, fam.apply_basis(s, col), 1)
-        if self.slot == 2 and (2 * t) % 2:
+        for d2, fam in self.terms:
+            v_iadd(acc, fam.apply_basis(2 * t2 + 2 - self.weight2 - d2, col), 1)
+        if self.slot == 2 and t2 % 2:
             acc = v_scale(acc, ExactScalar(-1))
         return acc
 
@@ -136,8 +141,7 @@ class MirrorModule(Engine):
         lh = V.L_handle()
         fams = []
         for exp, vec in apply_delta(h, V.vec_of(v_state), lh.apply):
-            d = -2 * exp - h
-            fams.append((d, self.sigma.family(vec)))
+            fams.append((twice(-2 * exp - h), self.sigma.family(vec)))
         self._delta_cache[v_state] = fams
         return fams
 
@@ -178,8 +182,7 @@ class MirrorModule(Engine):
         else:
             u_fam = LinearFamily(
                 self,
-                [(ONE, self.slot_family(si, 1)), (ONE, self.slot_family(si, 2))],
-                Fraction(0))
+                [(ONE, self.slot_family(si, 1)), (ONE, self.slot_family(si, 2))], 0)
             w_fam = self.slot_family(sj, 2)
             u_vec, v_vec = V.vec_of(si), V.vec_of(sj)
 
@@ -188,9 +191,8 @@ class MirrorModule(Engine):
                 vec = V.product(u_vec, k - 1, v_vec)
                 return self._slot_of_vec(vec, 2)
 
-            comp = CompositeFamily(self, u_fam, w_fam, Fraction(-1),
-                                   Fraction(0), corrections, None)
-            minus_vec = V.product(u_vec, Fraction(-1), v_vec)
+            comp = CompositeFamily(self, u_fam, w_fam, -1, 0, corrections, None)
+            minus_vec = V.product(u_vec, -1, v_vec)
             minus_fam = self._slot_of_vec(minus_vec, 2)
             if minus_fam is None:
                 fam = comp
@@ -239,14 +241,12 @@ class MirrorModule(Engine):
             ("J", self.family(self.n2.jvec), 1),
         ]
         for name, fam, j in towers:
-            # off-lattice modes must vanish identically
-            start = HALF if j == 0 else Fraction(0)
-            t = start - window
-            while t <= window:
+            # off-lattice modes must vanish identically: t2 = 2t runs over
+            # the odd integers for fixed vectors, the even ones for negated
+            for t2 in range(1 - j - 2 * window, 2 * window + 1, 2):
                 for col in cols:
-                    tally(rep, lambda: (fam.apply_basis(t, col), {}),
-                          lambda: {"tower": name, "mode": str(t), "col": col})
-                t += 1
+                    tally(rep, lambda: (fam.apply_basis(t2, col), {}),
+                          lambda: {"tower": name, "mode": str(Fraction(t2, 2)), "col": col})
         return rep
 
 
@@ -344,14 +344,12 @@ def mirror_equivariance_report(mirror: MirrorModule,
         vec = {k: ONE}
         fam = mirror.family(vec)
         kfam = mirror.family(tensor.kappa(vec))
-        t = Fraction(-window)
-        while t <= window:
-            sign = ExactScalar(-1 if (2 * t) % 2 else 1)
+        for t2 in range(-2 * window, 2 * window + 1):
+            sign = ExactScalar(-1 if t2 % 2 else 1)
             for col in cols:
-                tally(rep, lambda: (kfam.apply_basis(t, col),
-                                    v_scale(fam.apply_basis(t, col), sign)),
-                      lambda: {"state": k, "mode": str(t), "col": col})
-            t += HALF
+                tally(rep, lambda: (kfam.apply_basis(t2, col),
+                                    v_scale(fam.apply_basis(t2, col), sign)),
+                      lambda: {"state": k, "mode": str(Fraction(t2, 2)), "col": col})
     return rep
 
 

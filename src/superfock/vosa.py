@@ -25,6 +25,7 @@ from .modes import (
     GeneratorFamily,
     ModeHandle,
     VacuumFamily,
+    twice,
 )
 from .operators import Vec, v_iadd, v_scale
 from .scalars import ExactScalar, I, ONE
@@ -69,11 +70,11 @@ class FreeFieldEngine(Engine):
     The generators a(-1)|0> and psi(-1/2)|0> act as the free fields of the
     module's space; every other state's modes come out of the component
     recursion, peeling off the leading creation mode.  The fermion's modes
-    live on Z + fermion_offset (0 on V, 1/2 on the parity-twisted module),
-    and a composite state's on Z + parity * fermion_offset.
+    live on Z + fermion_off2/2 (Z on V, Z + 1/2 on the parity-twisted
+    module), and a composite state's on Z + parity * fermion_off2/2.
     """
 
-    fermion_offset = Fraction(0)
+    fermion_off2 = 0
 
     def _mode_action(self, field: str, index: Fraction, col: int):
         space = self.space
@@ -89,19 +90,21 @@ class FreeFieldEngine(Engine):
         if st == V.vac_state:
             fam = VacuumFamily(self)
         elif st == V.b_state:
-            fam = GeneratorFamily(self, Fraction(1), 0, Fraction(0),
-                                  lambda t, col: self._mode_action("a", t, col))
+            fam = GeneratorFamily(self, 2, 0, 0,
+                                  lambda t2, col: self._mode_action("a", Fraction(t2, 2), col))
         elif st == V.f_state:
-            fam = GeneratorFamily(self, HALF, 1, self.fermion_offset,
-                                  lambda t, col: self._mode_action("psi", t + HALF, col))
+            # mode t of psi(-1/2)|0> is psi(t + 1/2)
+            fam = GeneratorFamily(
+                self, 1, 1, self.fermion_off2,
+                lambda t2, col: self._mode_action("psi", Fraction(t2 + 1, 2), col))
         else:
             if st.bosons:
                 u_state = V.b_state
-                ell = Fraction(-st.bosons[0])
+                ell = -st.bosons[0]
                 rest = replace(st, bosons=st.bosons[1:])
             else:
                 u_state = V.f_state
-                ell = -st.fermions[0] - HALF
+                ell = -int(st.fermions[0] + HALF)
                 rest = replace(st, fermions=st.fermions[1:])
             u_fam = self.family_of_state(u_state)
             u_vec, rest_vec = V.vec_of(u_state), V.vec_of(rest)
@@ -111,8 +114,8 @@ class FreeFieldEngine(Engine):
                 return self.family(vec) if vec else None
 
             fam = CompositeFamily(self, u_fam, self.family_of_state(rest), ell,
-                                  u_fam.mode_offset, corrections,
-                                  st.parity * self.fermion_offset)
+                                  u_fam.off2, corrections,
+                                  st.parity * self.fermion_off2)
         self._fams[st] = fam
         return fam
 
@@ -159,7 +162,7 @@ class Vosa(FreeFieldEngine):
         return {self.space.index[FockState(bosons=(1,), fermions=(HALF,))]: ONE}
 
     def L(self, n: int, vec: Vec) -> Vec:
-        return self.family(self.omega_vec).apply(Fraction(n) + 1, vec)
+        return self.family(self.omega_vec).apply(twice(n) + 2, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,7 @@ def creation_report(V: Vosa, max_mode: int = 3) -> CheckReport:
     for i in range(V.space.dim):
         fam = V._family_by_index(i)
         for n in range(-1, max_mode + 1):
-            tally(rep, lambda: (fam.apply(Fraction(n), V.vacuum_vec),
+            tally(rep, lambda: (fam.apply(2 * n, V.vacuum_vec),
                                 {i: ONE} if n == -1 else {}),
                   lambda: {"state": str(V.space.states[i]), "mode": str(n)})
     return rep
@@ -205,8 +208,8 @@ def translation_report(V: Vosa, max_weight=Fraction(5, 2), window: int = 2) -> C
         vfam = V._family_by_index(i)
         for n in range(-window, window + 1):
             for col in cols:
-                tally(rep, lambda: (dfam.apply_basis(Fraction(n), col) if dfam else {},
-                                    v_scale(vfam.apply_basis(Fraction(n - 1), col),
+                tally(rep, lambda: (dfam.apply_basis(2 * n, col) if dfam else {},
+                                    v_scale(vfam.apply_basis(2 * n - 2, col),
                                             ExactScalar(-n))),
                       lambda: {"state": str(V.space.states[i]), "mode": str(n), "col": col})
     return rep
@@ -258,29 +261,26 @@ class _TensorMonoFamily(Family):
         V = engine.V
         wi, wj = V.space.weights[i], V.space.weights[j]
         pi, pj = V.space.parities[i], V.space.parities[j]
-        super().__init__(engine, wi + wj, pi + pj, Fraction(0))
+        super().__init__(engine, twice(wi + wj), pi + pj, 0)
         self.i, self.j = i, j
         self.fam_i = V.family_of_state(V.space.states[i])
         self.fam_j = V.family_of_state(V.space.states[j])
 
-    def _compute(self, t, col):
-        from math import ceil, floor
-
+    def _compute(self, t2, col):
         eng: TensorVosa = self.engine
         V = eng.V
         a, b = eng.space.states[col]
-        out_w = eng.col_weight(col) + self.weight - t - 1
-        wa = V.space.weights[a]
+        out_w2 = eng.col_w2[col] + self.weight2 - t2 - 2
+        # twice the left output weight wa + wt_i - p - 1 of the mode p = 0
+        top2 = V.col_w2[a] + self.fam_i.weight2 - 2
         sign = -1 if (self.fam_j.parity * V.space.parities[a]) % 2 else 1
         acc: Vec = {}
-        # integer p with left output weight wa + wt_i - p - 1 inside [0, out_w]
-        p_low = ceil(wa + self.fam_i.weight - 1 - out_w)
-        p_high = floor(wa + self.fam_i.weight - 1)
-        for p in range(p_low, p_high + 1):
-            lvec = self.fam_i.apply_basis(Fraction(p), a)
+        # integer p with left output weight inside [0, out_w]
+        for p in range(-((out_w2 - top2) // 2), top2 // 2 + 1):
+            lvec = self.fam_i.apply_basis(2 * p, a)
             if not lvec:
                 continue
-            rvec = self.fam_j.apply_basis(Fraction(t - 1 - p), b)
+            rvec = self.fam_j.apply_basis(t2 - 2 - 2 * p, b)
             if not rvec:
                 continue
             for ia, ca in lvec.items():
@@ -376,9 +376,8 @@ def kappa_automorphism_report(tensor: TensorVosa, max_state_weight=Fraction(2),
         kfam = tensor.family(tensor.kappa(v))
         for t in range(-window, window + 1):
             for col in cols:
-                tally(rep, lambda: (tensor.kappa(fam.apply(Fraction(t),
-                                                           tensor.kappa({col: ONE}))),
-                                    kfam.apply_basis(Fraction(t), col)),
+                tally(rep, lambda: (tensor.kappa(fam.apply(2 * t, tensor.kappa({col: ONE}))),
+                                    kfam.apply_basis(2 * t, col)),
                       lambda: {"state": k, "mode": t, "col": col})
     return rep
 
@@ -435,23 +434,24 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2,
     vac = tensor.vac
     central = ExactScalar(3)
 
+    # family modes are in half units: G(r) is tau's mode r + 1/2, t2 = 2r + 1
     f1 = tensor.family(tau1_raw)
     # lambda1: {G1(3/2), G1(-3/2)} on the vacuum = c1**2 * lambda1, target 2.
-    down = f1.apply_basis(Fraction(-1), vac)          # G(-3/2) = mode -1
-    up_then = f1.apply(Fraction(2), down)             # G(3/2) = mode 2
-    other = f1.apply_basis(Fraction(2), vac)
+    down = f1.apply_basis(-2, vac)                    # G(-3/2) = mode -1
+    up_then = f1.apply(4, down)                       # G(3/2) = mode 2
+    other = f1.apply_basis(4, vac)
     anti = dict(up_then)
     if other:
-        v_iadd(anti, f1.apply(Fraction(-1), other), 1)
+        v_iadd(anti, f1.apply(-2, other), 1)
     lam1 = anti.get(vac, ExactScalar(0))
     c1_roots = [r for r in _sqrt_in_field(ExactScalar(2) * lam1.inv())] if lam1 else []
 
     fj = tensor.family(j_raw)
-    jdown = fj.apply_basis(Fraction(-1), vac)
-    jcomm = fj.apply(Fraction(1), jdown)
-    jother = fj.apply_basis(Fraction(1), vac)
+    jdown = fj.apply_basis(-2, vac)
+    jcomm = fj.apply(2, jdown)
+    jother = fj.apply_basis(2, vac)
     if jother:
-        v_iadd(jcomm, fj.apply(Fraction(-1), jother), -1)
+        v_iadd(jcomm, fj.apply(-2, jother), -1)
     lamj = jcomm.get(vac, ExactScalar(0))
     cj_roots = [r for r in _sqrt_in_field(lamj.inv())] if lamj else []
 
@@ -461,13 +461,13 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2,
         for cJ in cj_roots:
             tried += 1
             # [J(-1), G1(-1/2)] vac = -i G2(-3/2) vac fixes c2 linearly.
-            g1m = f1.apply_basis(Fraction(0), vac)          # G1(-1/2)
-            lhs = fj.apply(Fraction(-1), g1m)
-            jm = fj.apply_basis(Fraction(-1), vac)
+            g1m = f1.apply_basis(0, vac)                  # G1(-1/2)
+            lhs = fj.apply(-2, g1m)
+            jm = fj.apply_basis(-2, vac)
             if jm:
-                v_iadd(lhs, f1.apply(Fraction(0), jm), -1)
+                v_iadd(lhs, f1.apply(0, jm), -1)
             lhs = v_scale(lhs, cJ * c1)
-            target = f2.apply_basis(Fraction(-1), vac)      # G2(-3/2) raw
+            target = f2.apply_basis(-2, vac)              # G2(-3/2) raw
             if not target:
                 continue
             coord = sorted(target)[0]

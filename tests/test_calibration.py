@@ -31,11 +31,11 @@ def test_j_current_bracket(tensor, n2):
     # [J(m), J(n)] = (1/3) m delta 3 = m delta on the vacuum line
     fam = tensor.family(n2.jvec)
     vac = tensor.vac
-    down = fam.apply_basis(Fraction(-1), vac)
-    comm = fam.apply(Fraction(1), down)
-    up = fam.apply_basis(Fraction(1), vac)
+    down = fam.apply_basis(-2, vac)  # family modes in half units: J(-1)
+    comm = fam.apply(2, down)
+    up = fam.apply_basis(2, vac)
     if up:
-        minus = fam.apply(Fraction(-1), up)
+        minus = fam.apply(-2, up)
         for k, c in minus.items():
             comm[k] = comm.get(k, ExactScalar(0)) - c
     assert comm == {vac: ONE}

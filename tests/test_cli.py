@@ -135,6 +135,9 @@ def test_all_json_determinism(capsys):
     # these two passed vacuously: only the central element, an empty range
     ("verify", "algebra", "--name", "n2-ns", "--window", "-1"),
     ("corollary2", "--trunc", "0"),
+    # a negative largest column level ran the whole suite and failed with checked=0
+    ("verify", "twisted", "--max-weight=-1"),
+    ("all", "--max-weight=-1"),
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code = main(list(argv))

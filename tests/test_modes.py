@@ -1,13 +1,18 @@
 """The component recursion defines a composite mode for every admissible
 auxiliary index m; recomputing a column with a second m must give the same
-vector, and the recursion gives up on a column only when no m is admissible."""
+vector, and the recursion gives up on a column only when no m is admissible.
+
+Families take mode indices, offsets and weights as ints in half units
+(t2 = 2t); `ModeHandle` converts labelled indices at the boundary."""
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, assume, given, reject, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
 
 from superfock.errors import TruncationOverflow
-from superfock.modes import CompositeFamily, Family
+from superfock.modes import CompositeFamily, Family, twice
+from superfock.scalars import ONE
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -19,13 +24,13 @@ def _same_column_for_second_index(engine, data):
         states[data.draw(st.integers(0, len(states) - 1), label="state")])
     assume(isinstance(fam, CompositeFamily))
     col = data.draw(st.integers(0, engine.space.dim - 1), label="col")
-    t = fam.mode_offset + data.draw(st.integers(-3, 3), label="t")
-    m = fam.u_offset + data.draw(st.integers(-3, 3), label="m")
-    col_w = engine.col_weight(col)
+    t2 = fam.off2 + 2 * data.draw(st.integers(-3, 3), label="t")
+    m2 = fam.u_off2 + 2 * data.draw(st.integers(-3, 3), label="m")
+    col_w2 = engine.col_w2[col]
     try:
-        assume(fam._feasible(m, t, col_w) and m != fam._choose_m(t, col_w))
-        want = fam.apply_basis(t, col)
-        got = fam.column(t, col, m)
+        assume(fam._feasible(m2, t2, col_w2) and m2 != fam._choose_m(t2, col_w2))
+        want = fam.apply_basis(t2, col)
+        got = fam.column(t2, col, m2)
     except TruncationOverflow:
         reject()
     assert got == want
@@ -44,28 +49,69 @@ def test_sigma_column_independent_of_auxiliary_index(sigma, data):
 
 
 class _Truncation:
-    def __init__(self, bound):
-        self.weight_bound = bound
+    min_col_weight = Fraction(0)
+
+    def __init__(self, bound2):
+        self.bound2 = bound2
 
 
-def _quarters(lo, hi):
-    return st.integers(lo, hi).map(lambda n: Fraction(n, 4))
+def _pair(engine, wu2, ww2, u_off2, ell=0):
+    return CompositeFamily(engine, Family(engine, wu2, 0), Family(engine, ww2, 0), ell,
+                           u_off2, lambda i: None)
 
 
 @settings(max_examples=300, deadline=None)
-@given(bound=_quarters(1, 40), wu=_quarters(0, 16), ww=_quarters(0, 16),
-       ell=st.integers(-4, 4), u_offset=st.sampled_from([Fraction(0), Fraction(1, 2)]),
-       t=_quarters(-40, 40), col_w=_quarters(0, 24))
+@given(bound2=st.integers(1, 20), wu2=st.integers(0, 8), ww2=st.integers(0, 8),
+       ell=st.integers(-4, 4), u_off2=st.sampled_from([0, 1]),
+       t2=st.integers(-20, 20), col_w2=st.integers(0, 12))
 def test_auxiliary_index_search_gives_up_only_when_none_is_feasible(
-        bound, wu, ww, ell, u_offset, t, col_w):
-    engine = _Truncation(bound)
-    fam = CompositeFamily(engine, Family(engine, wu, 0), Family(engine, ww, 0), ell,
-                          u_offset, lambda i: None)
+        bound2, wu2, ww2, ell, u_off2, t2, col_w2):
+    fam = _pair(_Truncation(bound2), wu2, ww2, u_off2, ell)
     try:
-        m = fam._choose_m(t, col_w)
+        m2 = fam._choose_m(t2, col_w2)
     except TruncationOverflow:
-        balanced = (t + wu - ww) / 2
-        snapped = u_offset + round(balanced - u_offset)
-        assert not any(fam._feasible(snapped + k, t, col_w) for k in range(-64, 65))
+        u_offset = Fraction(u_off2, 2)
+        balanced = Fraction(t2 + wu2 - ww2, 4)
+        snapped = twice(u_offset + round(balanced - u_offset))
+        assert not any(fam._feasible(snapped + 2 * k, t2, col_w2) for k in range(-64, 65))
     else:
-        assert (m - u_offset).denominator == 1 and fam._feasible(m, t, col_w)
+        assert (m2 - u_off2) % 2 == 0 and fam._feasible(m2, t2, col_w2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wu2=st.integers(0, 12), ww2=st.integers(0, 12), u_off2=st.sampled_from([0, 1]),
+       t2=st.integers(-40, 40))
+@example(wu2=0, ww2=0, u_off2=0, t2=2)   # balanced = 1/2: a tie, rounds to 0
+def test_integer_snapping_rounds_like_fraction_round(wu2, ww2, u_off2, t2):
+    # the lattice point nearest balanced = (t + wt_u - wt_w)/2, ties to even
+    fam = _pair(_Truncation(1), wu2, ww2, u_off2)
+    u_offset = Fraction(u_off2, 2)
+    balanced = (Fraction(t2, 2) + Fraction(wu2, 2) - Fraction(ww2, 2)) / 2
+    assert fam._snapped(t2) == twice(u_offset + round(balanced - u_offset))
+
+
+@pytest.mark.parametrize("index", [Fraction(1), Fraction(1, 2), 1.0, "1"])
+def test_family_rejects_an_index_that_is_not_an_int(V4, mirror, index):
+    # a mirror family has no lattice to test the index against
+    for fam in (V4.family(V4.tau_vec), mirror.family(mirror.tensor.omega_vec)):
+        with pytest.raises(TypeError):
+            fam.apply_basis(index, 0)
+        with pytest.raises(TypeError):
+            fam.apply(index, {0: ONE})
+
+
+@pytest.mark.parametrize("index", [Fraction(1, 4), Fraction(-3, 8), Fraction(1, 3)])
+def test_mode_handle_rejects_an_index_off_the_half_integers(mirror, index):
+    handle = mirror.handles()["L"]
+    with pytest.raises(ValueError):
+        handle.apply_basis(index, 0)
+    with pytest.raises(ValueError):
+        handle.apply(index, {0: ONE})
+
+
+def test_mode_handle_converts_labelled_indices(V4):
+    # G(r) = tau_{r+1/2}: G(-3/2)|0> = tau_{-1}|0> = tau, G(-1/2)|0> = tau_0|0> = 0
+    G = V4.G_handle()
+    assert G.apply(Fraction(-3, 2), V4.vacuum_vec) == V4.tau_vec
+    assert G.apply_basis(Fraction(-1, 2), V4.vac) == {}
+    assert twice(3) == 6 and twice(Fraction(-5, 2)) == -5 and twice("1/2") == 1

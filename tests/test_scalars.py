@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -51,6 +53,12 @@ def test_conjugations_are_ring_maps(a, b):
 @given(scalars)
 def test_json_roundtrip(a):
     assert ExactScalar.from_json(a.to_json()) == a
+
+
+@given(scalars)
+def test_pickle_and_copy_roundtrip(a):
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy([a])[0]):
+        assert type(b) is ExactScalar and b == a and hash(b) == hash(a)
 
 
 def test_pow_two():

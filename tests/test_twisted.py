@@ -96,15 +96,15 @@ def test_sigma_g0_squared(sigma):
 def test_sigma_vacuum_axiom(sigma):
     fam = sigma.family_of_state(sigma.V.vac_state)
     for col in (0, 1, min(5, sigma.space.dim - 1)):
-        assert fam.apply_basis(Fraction(-1), col) == {col: ONE}
-        assert fam.apply_basis(Fraction(0), col) == {}
+        assert fam.apply_basis(-2, col) == {col: ONE}  # half units: t = -1
+        assert fam.apply_basis(0, col) == {}
 
 
 def test_sigma_fermion_modes_are_integer_labelled(sigma):
     # f is parity odd: its twisted tower lives on Z + 1/2, so psi labels are Z
     fam = sigma.family_of_state(sigma.V.f_state)
-    assert fam.apply_basis(Fraction(0), 0) == {}
-    got = fam.apply_basis(-HALF, 0)
+    assert fam.apply_basis(0, 0) == {}
+    got = fam.apply_basis(-1, 0)  # half units: t = -1/2
     assert got  # psi(0) on a ground state
     (idx, coeff), = got.items()
     assert coeff * coeff == ExactScalar(HALF)
@@ -120,7 +120,7 @@ def test_truncation_axiom(sigma):
     # v_n w = 0 for n large: high modes annihilate any fixed column
     fam = sigma.family(sigma.V.omega_vec)
     for t in range(3, 8):
-        assert fam.apply_basis(Fraction(t), 0) == {}
+        assert fam.apply_basis(2 * t, 0) == {}
 
 
 # mirror-twisted sector ------------------------------------------------------
