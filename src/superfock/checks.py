@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InvalidAlgebra, TruncationOverflow
-from .modes import Family, ModeHandle, binomial2, jacobi_left
+from .modes import Family, ModeHandle, binomial2_scalar, jacobi_left
 from .operators import Vec, v_iadd
 from .scalars import ExactScalar
 from .superalgebra import PARITY, Element, Generator, Presentation, pair_bracket
@@ -105,13 +105,13 @@ def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
         acc = jacobi_left(fu, fv, ell, m2, n2, col, engine.col_w2[col])
         # minus the right side; u_{l+i} v has weight wt_u + wt_v - l - i - 1
         for i in range((fu.weight2 + fv.weight2) // 2 - ell):
-            cb = binomial2(m2, i)
-            if cb:
+            coeff = binomial2_scalar(m2, i, -1)
+            if coeff:
                 fam = composite(ell + i)
                 if fam is not None:
                     res = fam.apply_basis(m2 + n2 - 2 * i, col)
                     if res:
-                        v_iadd(acc, res, ExactScalar(-cb))
+                        v_iadd(acc, res, coeff)
         return acc, {}
 
     for ell in range(-window, window + 1):

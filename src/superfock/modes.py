@@ -50,17 +50,22 @@ def twice(x) -> int:
     return x.numerator * (2 // x.denominator)
 
 
-@lru_cache(maxsize=4096)
 def binomial2(m2: int, i: int) -> Fraction:
-    """C(m, i) for m = m2/2 in (1/2)Z and an integer i >= 0.
-
-    Cached: the recursion asks for the same few hundred (m2, i) pairs
-    thousands of times per run.
-    """
+    """C(m, i) for m = m2/2 in (1/2)Z and an integer i >= 0."""
     num = 1
     for z in range(i):
         num *= m2 - 2 * z
     return Fraction(num, 2 ** i * factorial(i))
+
+
+@lru_cache(maxsize=4096)
+def binomial2_scalar(m2: int, i: int, sign: int = 1) -> ExactScalar:
+    """sign * C(m2/2, i) as one shared (immutable) ExactScalar.
+
+    Cached: the recursion asks for the same few hundred values thousands of
+    times per run.
+    """
+    return ExactScalar(sign * binomial2(m2, i))
 
 
 def _not_half_units(t2) -> TypeError:
@@ -227,13 +232,13 @@ class CompositeFamily(Family):
         # -sum_{i>=1} C(m,i) (u_{l+i} w)_{t-i}; u_{l+i} w has weight wt - i,
         # so it vanishes once that drops below 0
         for i in range(1, self.weight2 // 2 + 1):
-            cb = binomial2(m2, i)
-            if cb:
+            coeff = binomial2_scalar(m2, i, -1)
+            if coeff:
                 fam = self.corrections(i)
                 if fam is not None:
                     res = fam.apply_basis(t2 - 2 * i, col)
                     if res:
-                        v_iadd(acc, res, ExactScalar(-cb))
+                        v_iadd(acc, res, coeff)
         return acc
 
 
@@ -253,14 +258,14 @@ def jacobi_left(u_fam: Family, w_fam: Family, ell: int, m2: int,
         if mid:
             res = u_fam.apply(m2 + 2 * (ell - i), mid)
             if res:
-                v_iadd(acc, res, ExactScalar((-1) ** i * binomial2(2 * ell, i)))
+                v_iadd(acc, res, binomial2_scalar(2 * ell, i, (-1) ** i))
     sgn = -((-1) ** (ell % 2)) * ((-1) ** (u_fam.parity * w_fam.parity))
     for i in range((col_w2 + u_fam.weight2 - m2 - 2) // 2 + 1):
         mid = u_fam.apply_basis(m2 + 2 * i, col)
         if mid:
             res = w_fam.apply(n2 + 2 * (ell - i), mid)
             if res:
-                v_iadd(acc, res, ExactScalar(sgn * (-1) ** i * binomial2(2 * ell, i)))
+                v_iadd(acc, res, binomial2_scalar(2 * ell, i, sgn * (-1) ** i))
     return acc
 
 

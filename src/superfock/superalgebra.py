@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import InvalidAlgebra, InvalidIndexLattice
+from .operators import Vec, v_iadd
 from .scalars import ExactScalar, format_rational
 
 HALF = Fraction(1, 2)
@@ -112,8 +113,6 @@ class Element:
         return [{"generator": g.to_json(), "coeff": c.to_json()}
                 for g, c in self.sorted_terms()]
 
-
-ZERO_ELEMENT = Element()
 
 # ---------------------------------------------------------------------------
 # Presentations
@@ -305,15 +304,16 @@ def pair_bracket(alg: Presentation, a: Generator, b: Generator) -> Element:
         return Element()
     if _RANK[a.family] <= _RANK[b.family]:
         rule = alg.rules.get((a.family, b.family))
-        if rule is None:
-            return Element()
-        terms = rule(a.index, b.index)
-        return Element([(Generator(f, i), c) for f, i, c in terms])
-    # reversed order through super-skew-symmetry
-    rev = pair_bracket(alg, b, a)
-    sign = -1 if (a.parity and b.parity) else 1
-    # [a,b] = -(-1)^{|a||b|} [b,a]
-    return rev.scale(-1) if sign == 1 else rev
+        flip = False
+    else:
+        # reversed order through super-skew-symmetry:
+        # [a,b] = -(-1)^{|a||b|} [b,a]
+        rule = alg.rules.get((b.family, a.family))
+        a, b = b, a
+        flip = not (a.parity and b.parity)
+    if rule is None:
+        return Element()
+    return Element([(Generator(f, i), -c if flip else c) for f, i, c in rule(a.index, b.index)])
 
 
 def bracket(alg: Presentation, a: Element, b: Element) -> Element:
@@ -383,6 +383,49 @@ class AlgebraReport:
         }
 
 
+class _BracketTable:
+    """One sweep's brackets on small ints.
+
+    Every generator the sweep meets is interned to an int id, the windowed
+    basis first, then each generator a bracket produces (such as L[8] at
+    window 4).  Calling the table on two ids gives their ``pair_bracket`` as
+    ``{id: ExactScalar}``, evaluated once per ordered pair on first use:
+    ``[y, x]`` is never derived from ``[x, y]``, so the skew check compares
+    two independent evaluations.
+    """
+
+    def __init__(self, alg: Presentation, basis: list):
+        self.alg = alg
+        self.gens: list = []
+        self.ids: dict = {}
+        self.rows: list = []
+        for g in basis:
+            self.intern(g)
+
+    def intern(self, g: Generator) -> int:
+        i = self.ids.get(g)
+        if i is None:
+            i = self.ids[g] = len(self.gens)
+            self.gens.append(g)
+            self.rows.append({})
+        return i
+
+    def vec(self, e: Element) -> Vec:
+        return {self.intern(g): c for g, c in e.terms.items()}
+
+    def __call__(self, x: int, y: int) -> Vec:
+        row = self.rows[x]
+        hit = row.get(y)
+        if hit is None:
+            gens = self.gens
+            hit = row[y] = self.vec(pair_bracket(self.alg, gens[x], gens[y]))
+        return hit
+
+    def element(self, vec: Vec) -> Element:
+        gens = self.gens
+        return Element({gens[i]: c for i, c in vec.items()})
+
+
 def verify_algebra(alg: Presentation, window: int) -> AlgebraReport:
     """Check super-skew-symmetry on all windowed pairs and the super-Jacobi
     identity on all windowed (sorted) triples.
@@ -392,73 +435,65 @@ def verify_algebra(alg: Presentation, window: int) -> AlgebraReport:
     """
     report = AlgebraReport(alg.name, window)
     basis = alg.basis(window)
+    br = _BracketTable(alg, basis)
+    ids = range(len(basis))
+    parity = [g.parity for g in basis]
 
-    cache: dict = {}
-
-    def br(x: Generator, y: Generator) -> dict:
-        key = (x, y)
-        hit = cache.get(key)
-        if hit is None:
-            hit = pair_bracket(alg, x, y).terms
-            cache[key] = hit
-        return hit
-
-    for a, b in itertools.product(basis, repeat=2):
-        sign = -1 if (a.parity and b.parity) else 1
+    for a, b in itertools.product(ids, repeat=2):
         residual = dict(br(a, b))
-        for g, c in br(b, a).items():
-            s = residual.get(g)
-            s = c * sign if s is None else s + c * sign
-            if s.is_zero():
-                residual.pop(g, None)
-            else:
-                residual[g] = s
+        v_iadd(residual, br(b, a), -1 if parity[a] and parity[b] else 1)
         report.pairs_checked += 1
         if residual:
-            report.violations.append(Violation("skew", (a, b), Element(residual)))
+            report.violations.append(
+                Violation("skew", (basis[a], basis[b]), br.element(residual)))
 
-    def nested(acc: dict, x: Generator, inner: dict, sign: int):
+    def nested(acc: Vec, x: int, inner: Vec, sign: int):
         # acc += sign * [x, inner]
         for g, c in inner.items():
-            cs = c if sign == 1 else -c
-            for g2, c2 in br(x, g).items():
-                s = acc.get(g2)
-                s = c2 * cs if s is None else s + c2 * cs
-                if s.is_zero():
-                    acc.pop(g2, None)
-                else:
-                    acc[g2] = s
+            v_iadd(acc, br(x, g), c if sign == 1 else -c)
 
-    for a, b, c in itertools.combinations_with_replacement(basis, 3):
-        pa, pb, pc = a.parity, b.parity, c.parity
-        residual = {}
+    for a, b, c in itertools.combinations_with_replacement(ids, 3):
+        pa, pb, pc = parity[a], parity[b], parity[c]
+        residual: Vec = {}
         nested(residual, a, br(b, c), -1 if pa * pc else 1)
         nested(residual, b, br(c, a), -1 if pb * pa else 1)
         nested(residual, c, br(a, b), -1 if pc * pb else 1)
         report.triples_checked += 1
         if residual:
-            report.violations.append(Violation("jacobi", (a, b, c), Element(residual)))
+            report.violations.append(
+                Violation("jacobi", (basis[a], basis[b], basis[c]), br.element(residual)))
     return report
 
 
 def verify_automorphism(alg: Presentation,
                         image: Callable[[Generator], Element],
                         window: int) -> AlgebraReport:
-    """Check image([a,b]) = [image(a), image(b)] on all windowed pairs."""
+    """Check image([a,b]) = [image(a), image(b)] on all windowed pairs.
+
+    The map is applied to every generator a bracket produces, not only to
+    the windowed basis, and evaluated once per generator.
+    """
     report = AlgebraReport(alg.name, window)
-
-    def extend(e: Element) -> Element:
-        out = Element()
-        for g, c in e.sorted_terms():
-            out = out + image(g).scale(c)
-        return out
-
     basis = alg.basis(window)
-    for a, b in itertools.product(basis, repeat=2):
-        lhs = extend(pair_bracket(alg, a, b))
-        rhs = bracket(alg, image(a), image(b))
-        residual = lhs - rhs
+    br = _BracketTable(alg, basis)
+    images: dict = {}
+
+    def im(x: int) -> Vec:
+        hit = images.get(x)
+        if hit is None:
+            hit = images[x] = br.vec(image(br.gens[x]))
+        return hit
+
+    for a, b in itertools.product(range(len(basis)), repeat=2):
+        residual: Vec = {}
+        for g, c in br(a, b).items():
+            v_iadd(residual, im(g), c)
+        ia, ib = im(a), im(b)
+        for ga, ca in ia.items():
+            for gb, cb in ib.items():
+                v_iadd(residual, br(ga, gb), -(ca * cb))
         report.pairs_checked += 1
-        if not residual.is_zero():
-            report.violations.append(Violation("automorphism", (a, b), residual))
+        if residual:
+            report.violations.append(
+                Violation("automorphism", (basis[a], basis[b]), br.element(residual)))
     return report

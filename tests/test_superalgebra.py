@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from superfock.superalgebra import (
     N2_RAMOND,
     PRESENTATIONS,
     VIRASORO,
+    Presentation,
+    Violation,
     bracket,
     corrupted_virasoro_quintic,
     gen,
@@ -152,3 +156,106 @@ def test_empty_report_does_not_pass():
     # a report that checked nothing must not count as a pass
     assert not AlgebraReport("virasoro", 0).passed
     assert verify_algebra(VIRASORO, 0).passed
+
+
+# fault injection into the sweeps ------------------------------------------------
+
+def test_symmetric_rule_fails_skew():
+    # [L_m, L_n] = (m + n) L_{m+n} is symmetric; only an independent
+    # evaluation of each ordered pair can see that it is not skew
+    def symmetric(m, n):
+        return [("L", m + n, ExactScalar(m + n))]
+
+    alg = Presentation("virasoro-symmetric", {"L": Fraction(0)}, {("L", "L"): symmetric})
+    report = verify_algebra(alg, 2)
+    # [L_1, L_2] + [L_2, L_1] = 6 L_3
+    assert Violation("skew", (gen("L", 1), gen("L", 2)),
+                     Element.of(gen("L", 3), 6)) in report.violations
+
+
+def test_perturbed_structure_constant_fails_jacobi():
+    def doubled_jg1(m, r):
+        return [("G2", m + r, ExactScalar(0, -2))]
+
+    alg = dataclasses.replace(N2_NS, name="n2-ns-perturbed",
+                              rules={**N2_NS.rules, ("J", "G1"): doubled_jg1})
+    report = verify_algebra(alg, 1)
+    # the reversed pair (G1, J) still follows from the rule, so skew holds
+    assert report.violations and {v.kind for v in report.violations} == {"jacobi"}
+
+
+def test_map_wrong_only_outside_the_window_fails():
+    window = 2
+
+    def doubled_outside(g):
+        e = Element.of(g)
+        return e.scale(2) if abs(g.index) > window else e
+
+    assert all(doubled_outside(g) == Element.of(g) for g in VIRASORO.basis(window))
+    report = verify_automorphism(VIRASORO, doubled_outside, window)
+    # image([L_2, L_1]) = 2 L_3 but [image(L_2), image(L_1)] = L_3
+    assert Violation("automorphism", (gen("L", 2), gen("L", 1)),
+                     Element.of(gen("L", 3))) in report.violations
+
+
+# the sweeps against plain Element arithmetic ----------------------------------------
+
+def _reference_verify_algebra(alg, window):
+    """verify_algebra with every bracket taken through Element arithmetic."""
+    report = AlgebraReport(alg.name, window)
+    basis = alg.basis(window)
+    for a, b in itertools.product(basis, repeat=2):
+        sign = -1 if a.parity and b.parity else 1
+        residual = pair_bracket(alg, a, b) + pair_bracket(alg, b, a).scale(sign)
+        report.pairs_checked += 1
+        if not residual.is_zero():
+            report.violations.append(Violation("skew", (a, b), residual))
+    for a, b, c in itertools.combinations_with_replacement(basis, 3):
+        residual = Element()
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            sign = -1 if x.parity and z.parity else 1
+            residual = residual + bracket(alg, Element.of(x), pair_bracket(alg, y, z)).scale(sign)
+        report.triples_checked += 1
+        if not residual.is_zero():
+            report.violations.append(Violation("jacobi", (a, b, c), residual))
+    return report
+
+
+def _reference_verify_automorphism(alg, image, window):
+    report = AlgebraReport(alg.name, window)
+    for a, b in itertools.product(alg.basis(window), repeat=2):
+        lhs = Element()
+        for g, c in pair_bracket(alg, a, b).sorted_terms():
+            lhs = lhs + image(g).scale(c)
+        residual = lhs - bracket(alg, image(a), image(b))
+        report.pairs_checked += 1
+        if not residual.is_zero():
+            report.violations.append(Violation("automorphism", (a, b), residual))
+    return report
+
+
+def _g1_flip(g):
+    e = Element.of(g)
+    return e.scale(-1) if g.family == "G1" else e
+
+
+ORACLE_CASES = [(name, alg, None) for name, alg in sorted(PRESENTATIONS.items())] + [
+    ("quintic", corrupted_virasoro_quintic(), None),
+    ("rescaled-11", rescaled_virasoro(11), None),
+    ("mirror-map", N2_NS, mirror_map_on_generator),
+    ("g1-flip", N2_NS, _g1_flip),
+]
+
+
+@pytest.mark.parametrize("window", range(4))
+@pytest.mark.parametrize("name, alg, image", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_sweep_matches_element_reference(name, alg, image, window):
+    if image is None:
+        got, want = verify_algebra(alg, window), _reference_verify_algebra(alg, window)
+    else:
+        got = verify_automorphism(alg, image, window)
+        want = _reference_verify_automorphism(alg, image, window)
+    assert got.to_json() == want.to_json()
+    # the negative controls compare their violation lists, not two empty ones
+    if (name, window) in (("quintic", 3), ("g1-flip", 1), ("g1-flip", 3)):
+        assert want.violations

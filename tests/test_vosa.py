@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from superfock.checks import borcherds_check
-from superfock.errors import NonHomogeneous
-from superfock.fock import FockState
+from superfock.errors import NonHomogeneous, TruncationOverflow
+from superfock.fock import FockState, mode_apply
 from superfock.operators import v_scale
 from superfock.scalars import ExactScalar, ONE
 from superfock.vosa import (
@@ -23,16 +23,18 @@ HALF = Fraction(1, 2)
 def test_generator_modes_are_free_field_actions(V4):
     # Y(a(-1)|0>, x) has the boson modes themselves as coefficients
     fam = V4.family_of_state(V4.b_state)
+    compared = 0
     for n in (-2, -1, 0, 1):
         for col in range(V4.space.dim):
             try:
                 got = fam.apply_basis(2 * n, col)
-            except Exception:
+            except TruncationOverflow:
                 continue
-            from superfock.fock import mode_apply
             want = {V4.space.index[s]: c for s, c in
                     mode_apply(V4.space, "a", Fraction(n), V4.space.states[col])}
             assert got == want
+            compared += 1
+    assert compared
 
 
 def test_creation_axiom(V4):
@@ -172,14 +174,17 @@ def test_kappa_vertex_compatibility(tensor):
 def test_mode_parity_grading(V4):
     # modes of an odd state exchange the two parity subspaces
     fam = V4.family(V4.tau_vec)
+    compared = 0
     for col in range(V4.space.dim):
         try:
             out = fam.apply_basis(0, col)
-        except Exception:
+        except TruncationOverflow:
             continue
         p = V4.space.parities[col]
         for k in out:
             assert V4.space.parities[k] == (p + 1) % 2
+            compared += 1
+    assert compared
 
 
 def test_twist_exponent_requires_eigenvectors(tensor):
