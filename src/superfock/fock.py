@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import ceil
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import NonDiagonal, TruncationOverflow
@@ -90,76 +91,91 @@ def _partitions_upto(limit: int) -> dict[int, list[Tuple[int, ...]]]:
     return {n: list(gen(n, n if n else 1)) for n in range(max(limit, 0) + 1)}
 
 
-def _distinct_parts(sector: str, bound: Fraction) -> list[Tuple[Fraction, ...]]:
-    """Strictly decreasing fermionic creation monomials of level < bound."""
-    first = HALF if sector == "ns" else Fraction(1)
-    parts: list[Fraction] = []
-    v = first
-    while v < bound:
-        parts.append(v)
-        v += 1
-    out: list[Tuple[Fraction, ...]] = []
+def _distinct_parts(first2: int, top2: int) -> list[Tuple[int, Tuple[int, ...]]]:
+    """(level2, monomial) for every strictly decreasing fermionic creation
+    monomial with parts first2, first2 + 2, ... in half units (2r) and
+    level2 = sum of the parts below top2."""
+    out: list[Tuple[int, Tuple[int, ...]]] = []
 
-    def rec(idx: int, total: Fraction, chosen: Tuple[Fraction, ...]):
-        out.append(chosen)
-        for i in range(idx, len(parts)):
-            p = parts[i]
-            if total + p >= bound:
-                continue
-            rec(i + 1, total + p, chosen + (p,))
+    def rec(part: int, total: int, chosen: Tuple[int, ...]):
+        out.append((total, chosen))
+        while total + part < top2:
+            rec(part + 2, total + part, (part,) + chosen)
+            part += 2
 
-    rec(0, Fraction(0), ())
-    # normalize to strictly decreasing storage
-    return [tuple(sorted(mono, reverse=True)) for mono in out]
+    rec(first2, 0, ())
+    out.sort()
+    return out
 
 
-def enumerate_basis(spec: FockSpaceSpec) -> List[FockState]:
+def _basis_codes(spec: FockSpaceSpec) -> list[Tuple[int, Tuple[int, ...], Tuple[int, ...], int]]:
+    """(level2, bosons, fermions2, ground rank) of each basis state in basis
+    order: twice the level, the boson magnitudes, the fermion magnitudes in
+    half units (2r) and the rank of the ground label (w- is 1)."""
     level_bound = spec.truncation - spec.ground_offset
     if level_bound <= 0:
         return []
-    grounds = ("+", "-") if spec.fermion_sector == "r" else ("0",)
+    # a level2 (an int) is below 2 * level_bound exactly when it is below top2
+    top2 = ceil(2 * level_bound)
+    ranks = (0, 1) if spec.fermion_sector == "r" else (0,)
 
-    boson_monos: list[Tuple[int, ...]] = [()]
+    boson_monos: list[Tuple[int, Tuple[int, ...]]] = [(0, ())]
     if spec.has_boson:
-        # largest integer strictly below level_bound
-        top = int(level_bound) - (1 if level_bound.denominator == 1 else 0)
-        table = _partitions_upto(top)
-        boson_monos = [m for n in sorted(table) for m in table[n]]
+        table = _partitions_upto((top2 - 1) // 2)
+        boson_monos = [(2 * n, m) for n in sorted(table) for m in table[n]]
 
-    fermion_monos: list[Tuple[Fraction, ...]] = [()]
+    fermion_monos: list[Tuple[int, Tuple[int, ...]]] = [(0, ())]
     if spec.fermion_sector is not None:
-        fermion_monos = _distinct_parts(spec.fermion_sector, level_bound)
+        fermion_monos = _distinct_parts(1 if spec.fermion_sector == "ns" else 2, top2)
 
-    states = []
-    for b in boson_monos:
-        lb = Fraction(sum(b))
-        if lb >= level_bound:
-            continue
-        for f in fermion_monos:
-            lf = sum(f, Fraction(0))
-            if lb + lf >= level_bound:
-                continue
-            for g in grounds:
-                states.append(FockState(b, f, g))
-    states.sort(key=FockState.sort_key)
-    return states
+    out = []
+    for lb2, b in boson_monos:
+        for lf2, f in fermion_monos:
+            if lb2 + lf2 >= top2:
+                break
+            for g in ranks:
+                out.append((lb2 + lf2, b, f, g))
+    out.sort()
+    return out
+
+
+def _states_of(spec: FockSpaceSpec, entries) -> List[FockState]:
+    """The FockStates of the `_basis_codes` entries of spec."""
+    labels = ("+", "-") if spec.fermion_sector == "r" else ("0",)
+    halves = {x: Fraction(x, 2) for _, _, f, _ in entries for x in f}
+    return [FockState(b, tuple(halves[x] for x in f), labels[g]) for _, b, f, g in entries]
+
+
+def enumerate_basis(spec: FockSpaceSpec) -> List[FockState]:
+    return _states_of(spec, _basis_codes(spec))
 
 
 class TruncatedSpace:
-    """Frozen ordered basis of a Fock model below a weight truncation."""
+    """Frozen ordered basis of a Fock model below a weight truncation.
+
+    Besides the `FockState`s, each state is held as ints in `codes`:
+    (bosons, fermions2, ground rank), with the fermion magnitudes in half
+    units (2r), both tuples in the states' decreasing order, and the ground
+    rank 1 for w- and 0 otherwise.  `code_index` maps a code to its column.
+    """
 
     def __init__(self, spec: FockSpaceSpec):
         self.spec = spec
-        self.states: Tuple[FockState, ...] = tuple(enumerate_basis(spec))
+        entries = _basis_codes(spec)
+        self.states: Tuple[FockState, ...] = tuple(_states_of(spec, entries))
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.weights: Tuple[Fraction, ...] = tuple(
-            s.level + spec.ground_offset for s in self.states)
-        self.parities: Tuple[int, ...] = tuple(s.parity for s in self.states)
+        offset = spec.ground_offset
+        weight_of = {lv2: offset + Fraction(lv2, 2) for lv2 in {e[0] for e in entries}}
+        self.weights: Tuple[Fraction, ...] = tuple(weight_of[e[0]] for e in entries)
+        self.parities: Tuple[int, ...] = tuple((len(f) + g) % 2 for _, _, f, g in entries)
         self.layers: dict[Fraction, list[int]] = {}
         for i, w in enumerate(self.weights):
             self.layers.setdefault(w, []).append(i)
         self.bound = spec.truncation
         self.min_weight = min(self.weights) if self.weights else Fraction(0)
+        self.codes: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = tuple(
+            (b, f, g) for _, b, f, g in entries)
+        self.code_index = {c: i for i, c in enumerate(self.codes)}
 
     @property
     def dim(self) -> int:
@@ -172,8 +188,8 @@ class TruncatedSpace:
         return [str(s) for s in self.states]
 
 
-def _sqrt_half_delta(psi_delta: Fraction) -> ExactScalar:
-    # sqrt(psi_delta / 2) for the zero-mode ground action
+def sqrt_half_delta(psi_delta: Fraction) -> ExactScalar:
+    """sqrt(psi_delta / 2): the Ramond zero mode's ground-state action."""
     if psi_delta == 1:
         return pow_two(Fraction(-1, 2))
     if psi_delta == 2:
@@ -219,7 +235,7 @@ def mode_apply(space: TruncatedSpace, family: str, index: Fraction,
             sign = -1 if len(state.fermions) % 2 else 1
             flipped = "+" if state.ground == "-" else "-"
             out.append((replace(state, ground=flipped),
-                        _sqrt_half_delta(psi_delta) * sign))
+                        sqrt_half_delta(psi_delta) * sign))
         elif index < 0:
             mag = -index
             if mag in state.fermions:

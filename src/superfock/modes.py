@@ -68,6 +68,10 @@ def binomial2_scalar(m2: int, i: int, sign: int = 1) -> ExactScalar:
     return ExactScalar(sign * binomial2(m2, i))
 
 
+# The one empty result every family returns; callers never mutate a result.
+EMPTY: Vec = {}
+
+
 def _not_half_units(t2) -> TypeError:
     return TypeError(f"mode index {t2!r} is not an int in half units (2t)")
 
@@ -94,7 +98,7 @@ class Family:
         if not isinstance(t2, int):
             raise _not_half_units(t2)
         if self.off2 is not None and (t2 - self.off2) % 2:
-            return {}
+            return EMPTY
         key = (t2, col)
         hit = self._cols.get(key)
         if hit is not None:
@@ -102,16 +106,20 @@ class Family:
         eng = self.engine
         out_w2 = eng.col_w2[col] + self.weight2 - t2 - 2
         if out_w2 < 0:
-            res: Vec = {}
+            res = EMPTY
         elif out_w2 >= eng.bound2:
-            raise TruncationOverflow(
-                f"mode {Fraction(t2, 2)} of weight-{Fraction(self.weight2, 2)} state: "
-                f"output weight {eng.min_col_weight + Fraction(out_w2, 2)} "
-                f">= bound {eng.weight_bound}")
+            raise self._overflow(t2, out_w2)
         else:
-            res = self._compute(t2, col)
+            res = self._compute(t2, col) or EMPTY
         self._cols[key] = res
         return res
+
+    def _overflow(self, t2: int, out_w2: int) -> TruncationOverflow:
+        eng = self.engine
+        return TruncationOverflow(
+            f"mode {Fraction(t2, 2)} of weight-{Fraction(self.weight2, 2)} state: "
+            f"output weight {eng.min_col_weight + Fraction(out_w2, 2)} "
+            f">= bound {eng.weight_bound}")
 
     def apply(self, t2: int, vec: Vec) -> Vec:
         if not isinstance(t2, int):
@@ -125,30 +133,47 @@ class Family:
         raise NotImplementedError
 
 
-class VacuumFamily(Family):
+class DirectFamily(Family):
+    """Base for modes the module gives directly rather than through the
+    recursion (the vacuum and the free-field generators).
+
+    The lattice test, the `TypeError` for a non-int index and the overflow
+    rule are those of `Family.apply_basis`; the memo is one list per mode
+    index t2, indexed by column and filled on first use.
+    """
+
+    def __init__(self, engine, weight2: int, parity: int, off2: int):
+        super().__init__(engine, weight2, parity, off2)
+        self._rows: dict = {}
+
+    def apply_basis(self, t2: int, col: int) -> Vec:
+        if not isinstance(t2, int):
+            raise _not_half_units(t2)
+        if (t2 - self.off2) % 2:
+            return EMPTY
+        eng = self.engine
+        out_w2 = eng.col_w2[col] + self.weight2 - t2 - 2
+        if out_w2 < 0:
+            return EMPTY
+        if out_w2 >= eng.bound2:
+            raise self._overflow(t2, out_w2)
+        row = self._rows.get(t2)
+        if row is None:
+            row = self._rows[t2] = [None] * eng.space.dim
+        res = row[col]
+        if res is None:
+            res = row[col] = self._compute(t2, col)
+        return res
+
+
+class VacuumFamily(DirectFamily):
     """Y(1, x) = identity: the only nonzero mode is t = -1."""
 
     def __init__(self, engine):
         super().__init__(engine, 0, 0, 0)
 
     def _compute(self, t2, col):
-        if t2 == -2:
-            return {col: ExactScalar(1)}
-        return {}
-
-
-class GeneratorFamily(Family):
-    """Modes given directly by a callable (t2, col) -> list[(index, scalar)]."""
-
-    def __init__(self, engine, weight2, parity, off2, action: Callable):
-        super().__init__(engine, weight2, parity, off2)
-        self._action = action
-
-    def _compute(self, t2, col):
-        out: Vec = {}
-        for idx, coeff in self._action(t2, col):
-            v_iadd(out, {idx: ExactScalar.coerce(coeff)}, 1)
-        return out
+        return {col: ONE} if t2 == -2 else EMPTY
 
 
 class LinearFamily(Family):
@@ -156,7 +181,8 @@ class LinearFamily(Family):
 
     def __init__(self, engine, parts: Sequence[Tuple[ExactScalar, Family]],
                  off2: Optional[int] = None):
-        parts = [(ExactScalar.coerce(c), f) for c, f in parts if not ExactScalar.coerce(c).is_zero()]
+        parts = [(c, f) for c, f in ((ExactScalar.coerce(c), f) for c, f in parts)
+                 if not c.is_zero()]
         if not parts:
             raise ValueError("empty linear family")
         w2 = parts[0][1].weight2

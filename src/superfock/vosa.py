@@ -13,16 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import ceil
 from typing import Dict, List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, bracket_table_check, tally
 from .errors import NoCalibration, TruncationOverflow
-from .fock import FockSpaceSpec, FockState, TruncatedSpace, mode_apply
+from .fock import FockSpaceSpec, FockState, TruncatedSpace, sqrt_half_delta
 from .modes import (
+    EMPTY,
     CompositeFamily,
+    DirectFamily,
     Engine,
     Family,
-    GeneratorFamily,
     ModeHandle,
     VacuumFamily,
     twice,
@@ -64,23 +66,87 @@ def _isqrt_exact(n: int) -> Optional[int]:
     return s if s * s == n else None
 
 
+def _insertion_point(parts: Tuple[int, ...], mag: int) -> int:
+    """How many entries of the decreasing tuple `parts` exceed mag."""
+    i = 0
+    for p in parts:
+        if p <= mag:
+            break
+        i += 1
+    return i
+
+
+class _BosonModes(DirectFamily):
+    """Y(a(-1)|0>, x): mode t is a(t), acting on the space's int-coded
+    states (`TruncatedSpace.codes`)."""
+
+    def __init__(self, engine: "FreeFieldEngine"):
+        super().__init__(engine, 2, 0, 0)
+        self._codes = engine.space.codes
+        self._index = engine.space.code_index
+        # a(n) removes one of `mult` equal parts n with coefficient n * mult,
+        # at most the boson level of a column, which stays below bound2 / 2
+        self._counts = tuple(ExactScalar(k) for k in range(engine.bound2 // 2 + 1))
+
+    def _compute(self, t2, col):
+        n = t2 // 2
+        if n == 0:
+            return EMPTY
+        bos, fer, ground = self._codes[col]
+        if n < 0:
+            i = _insertion_point(bos, -n)
+            return {self._index[(bos[:i] + (-n,) + bos[i:], fer, ground)]: ONE}
+        mult = bos.count(n)
+        if not mult:
+            return EMPTY
+        i = bos.index(n)
+        return {self._index[(bos[:i] + bos[i + 1:], fer, ground)]: self._counts[n * mult]}
+
+
+class _FermionModes(DirectFamily):
+    """Y(psi(-1/2)|0>, x): mode t is psi(t + 1/2), acting on int-coded
+    states.  The Ramond zero mode psi(0) flips the ground state."""
+
+    def __init__(self, engine: "FreeFieldEngine"):
+        super().__init__(engine, 1, 1, engine.fermion_off2)
+        self._codes = engine.space.codes
+        self._index = engine.space.code_index
+        delta = engine.algebra.psi_delta
+        # each pair is indexed by the parity of the fermions the mode passes
+        self._create = (ONE, -ONE)
+        self._kill = (ExactScalar(delta), ExactScalar(-delta))
+        if engine.space.spec.fermion_sector == "r":  # psi(0) is on the lattice
+            root = sqrt_half_delta(delta)
+            self._flip = (root, -root)
+
+    def _compute(self, t2, col):
+        r2 = t2 + 1
+        bos, fer, ground = self._codes[col]
+        if r2 < 0:
+            if -r2 in fer:
+                return EMPTY
+            i = _insertion_point(fer, -r2)
+            return {self._index[(bos, fer[:i] + (-r2,) + fer[i:], ground)]: self._create[i % 2]}
+        if r2 == 0:
+            return {self._index[(bos, fer, 1 - ground)]: self._flip[len(fer) % 2]}
+        if r2 not in fer:
+            return EMPTY
+        i = fer.index(r2)
+        return {self._index[(bos, fer[:i] + fer[i + 1:], ground)]: self._kill[i % 2]}
+
+
 class FreeFieldEngine(Engine):
     """Modes of the states of V on a boson-fermion Fock module.
 
     The generators a(-1)|0> and psi(-1/2)|0> act as the free fields of the
-    module's space; every other state's modes come out of the component
-    recursion, peeling off the leading creation mode.  The fermion's modes
-    live on Z + fermion_off2/2 (Z on V, Z + 1/2 on the parity-twisted
-    module), and a composite state's on Z + parity * fermion_off2/2.
+    module's space, on its int-coded states; every other state's modes come
+    out of the component recursion, peeling off the leading creation mode.
+    The fermion's modes live on Z + fermion_off2/2 (Z on V, Z + 1/2 on the
+    parity-twisted module), and a composite state's on
+    Z + parity * fermion_off2/2.
     """
 
     fermion_off2 = 0
-
-    def _mode_action(self, field: str, index: Fraction, col: int):
-        space = self.space
-        return [(space.index[st], c) for st, c in
-                mode_apply(space, field, index, space.states[col],
-                           self.algebra.psi_delta)]
 
     def family_of_state(self, st: FockState) -> Family:
         fam = self._fams.get(st)
@@ -90,13 +156,9 @@ class FreeFieldEngine(Engine):
         if st == V.vac_state:
             fam = VacuumFamily(self)
         elif st == V.b_state:
-            fam = GeneratorFamily(self, 2, 0, 0,
-                                  lambda t2, col: self._mode_action("a", Fraction(t2, 2), col))
+            fam = _BosonModes(self)
         elif st == V.f_state:
-            # mode t of psi(-1/2)|0> is psi(t + 1/2)
-            fam = GeneratorFamily(
-                self, 1, 1, self.fermion_off2,
-                lambda t2, col: self._mode_action("psi", Fraction(t2 + 1, 2), col))
+            fam = _FermionModes(self)
         else:
             if st.bosons:
                 u_state = V.b_state
@@ -236,15 +298,15 @@ class PairSpace:
 
     def __init__(self, V: Vosa, bound: Fraction):
         self.bound = Fraction(bound)
-        pairs = []
-        for i, wi in enumerate(V.space.weights):
-            for j, wj in enumerate(V.space.weights):
-                if wi + wj < self.bound:
-                    pairs.append((wi + wj, i, j))
-        pairs.sort()
+        # V's weights in half units; an int sum is below 2 * bound exactly
+        # when it is below top2
+        w2, top2 = V.col_w2, ceil(2 * self.bound)
+        pairs = sorted((wi + wj, i, j) for i, wi in enumerate(w2)
+                       for j, wj in enumerate(w2) if wi + wj < top2)
         self.states: Tuple[Tuple[int, int], ...] = tuple((i, j) for _, i, j in pairs)
         self.index = {p: k for k, p in enumerate(self.states)}
-        self.weights = tuple(w for w, _, _ in pairs)
+        halves = [Fraction(k, 2) for k in range(max(top2, 0))]
+        self.weights = tuple(halves[k] for k, _, _ in pairs)
         self.parities = tuple((V.space.parities[i] + V.space.parities[j]) % 2
                               for i, j in self.states)
         self.min_weight = Fraction(0)

@@ -1,6 +1,8 @@
 """Source hygiene that needs no linter: every top-level import of a package
-module is used in that module, and no handler under src/ or tests/ catches
-every exception (a swallowed error must not let a check pass)."""
+module is used in that module, no handler under src/ or tests/ catches
+every exception (a swallowed error must not let a check pass), and the
+reference mode action `fock.mode_apply` is used by no engine, so the tests
+that compare the engines with it compare two independent computations."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,7 @@ PACKAGE = ROOT / "src" / "superfock"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
+ORACLE = "mode_apply"
 
 
 def _imported_names(tree: ast.Module):
@@ -76,3 +79,30 @@ def test_catch_all_detector_sees_each_form():
            "try:\n    pass\nexcept (ValueError, BaseException):\n    pass\n"
            "try:\n    pass\nexcept ValueError:\n    pass\n")
     assert list(_catch_all_handlers(ast.parse(src))) == [3, 7, 11]
+
+
+def _oracle_references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == ORACLE
+                or isinstance(node, ast.Attribute) and node.attr == ORACLE
+                or isinstance(node, ast.alias) and node.name == ORACLE
+                or isinstance(node, ast.Constant) and node.value == ORACLE):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fock.py"],
+                         ids=lambda p: p.name)
+def test_no_engine_refers_to_the_reference_mode_action(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(_oracle_references(tree))
+    assert not lines, f"{path.name} refers to {ORACLE} at lines {lines}"
+
+
+def test_oracle_detector_sees_each_form():
+    src = ("from .fock import mode_apply\n"
+           "import superfock.fock as fock\n"
+           "fock.mode_apply(space, 'a', 1, st)\n"
+           "f = getattr(fock, 'mode_apply')\n"
+           "g = mode_apply\n"
+           "mode_apply_calls = 'mode_apply_calls'\n")
+    assert sorted(_oracle_references(ast.parse(src))) == [1, 3, 4, 5]

@@ -91,9 +91,14 @@ def test_integer_snapping_rounds_like_fraction_round(wu2, ww2, u_off2, t2):
 
 
 @pytest.mark.parametrize("index", [Fraction(1), Fraction(1, 2), 1.0, "1"])
-def test_family_rejects_an_index_that_is_not_an_int(V4, mirror, index):
-    # a mirror family has no lattice to test the index against
-    for fam in (V4.family(V4.tau_vec), mirror.family(mirror.tensor.omega_vec)):
+def test_family_rejects_an_index_that_is_not_an_int(V4, sigma, mirror, index):
+    # a mirror family has no lattice to test the index against; the vacuum
+    # and generator families have their own apply_basis
+    fams = [V4.family(V4.tau_vec), mirror.family(mirror.tensor.omega_vec)]
+    for engine in (V4, sigma):
+        V = engine.algebra
+        fams += [engine.family_of_state(s) for s in (V.vac_state, V.b_state, V.f_state)]
+    for fam in fams:
         with pytest.raises(TypeError):
             fam.apply_basis(index, 0)
         with pytest.raises(TypeError):

@@ -10,6 +10,7 @@ from superfock.scalars import ExactScalar, ONE
 from superfock.superalgebra import N1_NS, N1_RAMOND, VIRASORO, corrupted_virasoro_quintic
 from superfock.twisted import (
     MirrorModule,
+    SigmaModule,
     corollary2_check,
     mirror_equivariance_report,
     mirror_subalgebra_reports,
@@ -66,9 +67,8 @@ def test_restrict_refuses_a_view_of_another_algebra(sigma, mirror_deep):
             "g2-ns", N1_NS, {"L": "L", "G2": "G"})
 
 
-def test_sigma_character_matches_product_formula(sigma):
-    """dim_q of the parity-twisted module is 2 prod_n (1+q^n)/(1-q^n)."""
-    terms = 6
+def _assert_product_formula(series, terms):
+    """series matches 2 prod_n (1+q^n)/(1-q^n) through q^(terms-1)."""
     want = [2] + [0] * (terms - 1)
     for n in range(1, terms):
         times = want[:]                      # times (1 + q^n)
@@ -77,10 +77,14 @@ def test_sigma_character_matches_product_formula(sigma):
         for e in range(n, terms):            # times 1/(1 - q^n) = sum_k q^(nk)
             times[e] += times[e - n]
         want = times
-    series = sigma.graded_dimension()
     assert series.truncation >= terms
     assert [series.coefficient(Fraction(e)) for e in range(terms)] == [
         ExactScalar(c) for c in want]
+
+
+def test_sigma_character_matches_product_formula(sigma):
+    """dim_q of the parity-twisted module is 2 prod_n (1+q^n)/(1-q^n)."""
+    _assert_product_formula(sigma.graded_dimension(), 6)
 
 
 def test_sigma_g0_squared(sigma):
@@ -289,6 +293,14 @@ def test_corollary2(mirror):
         assert result.sigma_series.coefficient(Fraction(n)) == ExactScalar(c)
     for k, c in zip(range(6), (2, 4, 8, 16, 28, 48)):
         assert result.mirror_series.coefficient(Fraction(k, 2)) == ExactScalar(c)
+
+
+def test_corollary2_at_fourteen_levels_matches_product_formula(V5, tensor, n2):
+    # the stack and range of `corollary2 --trunc 7`: q^0 to q^13
+    mirror = MirrorModule(SigmaModule(V5, levels=14), tensor, n2)
+    result = corollary2_check(mirror, Fraction(14))
+    assert result.matches
+    _assert_product_formula(result.sigma_series, 14)
 
 
 def test_corollary2_coefficientwise_equality(mirror):

@@ -7,6 +7,7 @@ from superfock.errors import NonHomogeneous, TruncationOverflow
 from superfock.fock import FockState, mode_apply
 from superfock.operators import v_scale
 from superfock.scalars import ExactScalar, ONE
+from superfock.twisted import SigmaModule
 from superfock.vosa import (
     TensorVosa,
     Vosa,
@@ -20,21 +21,48 @@ from superfock.vosa import (
 HALF = Fraction(1, 2)
 
 
-def test_generator_modes_are_free_field_actions(V4):
-    # Y(a(-1)|0>, x) has the boson modes themselves as coefficients
-    fam = V4.family_of_state(V4.b_state)
-    compared = 0
-    for n in (-2, -1, 0, 1):
-        for col in range(V4.space.dim):
-            try:
-                got = fam.apply_basis(2 * n, col)
-            except TruncationOverflow:
-                continue
-            want = {V4.space.index[s]: c for s, c in
-                    mode_apply(V4.space, "a", Fraction(n), V4.space.states[col])}
-            assert got == want
-            compared += 1
-    assert compared
+def _generator_sweep(engine):
+    """Compare both generator families with `fock.mode_apply` on every
+    column: equal wherever the output weight is below the bound (down to a
+    few steps below 0), an overflow on the first indices that reach the
+    bound, {} off the mode lattice.
+
+    Returns (compared, nonzero, ground flips) counts.
+    """
+    V, space = engine.algebra, engine.space
+    psi_delta = V.psi_delta
+    compared = nonzero = flips = 0
+    # Y(a(-1)|0>, x) has mode t = a(t); Y(psi(-1/2)|0>, x) has t = psi(t + 1/2)
+    for state, field, shift2 in ((V.b_state, "a", 0), (V.f_state, "psi", 1)):
+        fam = engine.family_of_state(state)
+        for col in range(space.dim):
+            top = engine.col_w2[col] + fam.weight2 - 2     # t2 with output weight 0
+            for t2 in range(top - engine.bound2 - 4, top + 5):
+                if (t2 - fam.off2) % 2:
+                    assert fam.apply_basis(t2, col) == {}
+                    continue
+                if top - t2 >= engine.bound2:
+                    with pytest.raises(TruncationOverflow):
+                        fam.apply_basis(t2, col)
+                    continue
+                index = Fraction(t2 + shift2, 2)
+                want = {space.index[s]: c for s, c in
+                        mode_apply(space, field, index, space.states[col], psi_delta)}
+                got = fam.apply_basis(t2, col)
+                assert got == want, (field, index, space.states[col])
+                compared += 1
+                nonzero += bool(got)
+                flips += bool(got) and index == 0
+    return compared, nonzero, flips
+
+
+def test_generator_modes_are_free_field_actions(V4, V5):
+    for engine in (V4, Vosa(4, psi_delta=2)):
+        compared, nonzero, flips = _generator_sweep(engine)
+        assert nonzero and compared > nonzero and not flips
+    # the Ramond sector adds the fermion zero mode, which flips the ground
+    compared, nonzero, flips = _generator_sweep(SigmaModule(V5, levels=4))
+    assert nonzero and compared > nonzero and flips
 
 
 def test_creation_axiom(V4):
