@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .errors import InvalidAlgebra, TruncationOverflow
 from .modes import Family, ModeHandle, binomial2_scalar, jacobi_left
 from .operators import Vec, v_iadd
-from .scalars import ExactScalar
+from .scalars import ZERO, ExactScalar
 from .superalgebra import PARITY, Element, Generator, Presentation, pair_bracket
 
 
@@ -248,23 +248,30 @@ def bracket_table_check(name: str,
                 pr.checked += len(columns)
                 report.pairs.append(pr)
                 continue
+            # the central term is -c * central_value on the column itself
+            central = ZERO
+            terms = []
+            for g, coeff in expected.sorted_terms():
+                if g.family == "C":
+                    central = central - coeff * central_value
+                else:
+                    terms.append((g, -coeff))
             for col in columns:
                 try:
-                    lhs = ha.apply(a.index, hb.apply_basis(b.index, col))
-                    v_iadd(lhs, hb.apply(b.index, ha.apply_basis(a.index, col)),
-                           ExactScalar(-sign))
-                    residual = lhs
-                    for g, coeff in expected.sorted_terms():
-                        if g.family == "C":
-                            v_iadd(residual, {col: ExactScalar(1)},
-                                   -(coeff * central_value))
-                        else:
-                            v_iadd(residual,
-                                   handles[g.family].apply_basis(g.index, col),
-                                   -coeff)
+                    # ha.apply returns a fresh dict, so it can take the sum
+                    residual = ha.apply(a.index, hb.apply_basis(b.index, col))
+                    v_iadd(residual, hb.apply(b.index, ha.apply_basis(a.index, col)),
+                           -sign)
+                    for g, coeff in terms:
+                        v_iadd(residual,
+                               handles[g.family].apply_basis(g.index, col), coeff)
                 except TruncationOverflow:
                     pr.filtered += 1
                     continue
+                if central:
+                    s = residual.pop(col, ZERO) + central
+                    if s:
+                        residual[col] = s
                 pr.checked += 1
                 if residual:
                     pr.violations += 1

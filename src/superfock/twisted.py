@@ -86,11 +86,10 @@ class _SlotFamily(Family):
         self.terms = mirror._delta_families(v_state)
 
     def _compute(self, t2, col):
+        sign = -1 if self.slot == 2 and t2 % 2 else 1
         acc: Vec = {}
         for d2, fam in self.terms:
-            v_iadd(acc, fam.apply_basis(2 * t2 + 2 - self.weight2 - d2, col), 1)
-        if self.slot == 2 and t2 % 2:
-            acc = v_scale(acc, ExactScalar(-1))
+            v_iadd(acc, fam.apply_basis(2 * t2 + 2 - self.weight2 - d2, col), sign)
         return acc
 
 

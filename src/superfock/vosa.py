@@ -336,6 +336,7 @@ class _TensorMonoFamily(Family):
         # twice the left output weight wa + wt_i - p - 1 of the mode p = 0
         top2 = V.col_w2[a] + self.fam_i.weight2 - 2
         sign = -1 if (self.fam_j.parity * V.space.parities[a]) % 2 else 1
+        index = eng.space.index
         acc: Vec = {}
         # integer p with left output weight inside [0, out_w]
         for p in range(-((out_w2 - top2) // 2), top2 // 2 + 1):
@@ -345,10 +346,10 @@ class _TensorMonoFamily(Family):
             rvec = self.fam_j.apply_basis(t2 - 2 - 2 * p, b)
             if not rvec:
                 continue
-            for ia, ca in lvec.items():
-                for jb, cb in rvec.items():
-                    idx = eng.space.index[(ia, jb)]
-                    v_iadd(acc, {idx: ca * cb}, sign)
+            # distinct (ia, jb) are distinct basis pairs, and a product of
+            # nonzero scalars is nonzero: one term per pair, no zeros
+            v_iadd(acc, {index[(ia, jb)]: ca * cb
+                         for ia, ca in lvec.items() for jb, cb in rvec.items()}, sign)
         return acc
 
 
@@ -374,11 +375,9 @@ class TensorVosa(Engine):
 
     def pair_vec(self, left: Vec, right: Vec) -> Vec:
         """The decomposable vector (sum left_i s_i) (x) (sum right_j t_j)."""
-        out: Vec = {}
-        for i, ci in left.items():
-            for j, cj in right.items():
-                v_iadd(out, {self.space.index[(i, j)]: ci * cj}, 1)
-        return out
+        index = self.space.index
+        return {index[(i, j)]: ci * cj
+                for i, ci in left.items() if ci for j, cj in right.items() if cj}
 
     def slot(self, v_vec: Vec, slot: int) -> Vec:
         if slot == 1:
@@ -394,13 +393,13 @@ class TensorVosa(Engine):
 
     def kappa(self, vec: Vec) -> Vec:
         """Signed transposition: u (x) v -> (-1)**(|u||v|) v (x) u."""
-        V = self.V
+        parities, states, index = self.V.space.parities, self.space.states, self.space.index
         out: Vec = {}
+        # the transposition is a bijection of basis pairs: no two terms meet
         for k, c in vec.items():
-            i, j = self.space.states[k]
-            if (V.space.parities[i] * V.space.parities[j]) % 2:
-                c = -c
-            v_iadd(out, {self.space.index[(j, i)]: c}, 1)
+            if c:
+                i, j = states[k]
+                out[index[(j, i)]] = -c if parities[i] * parities[j] else c
         return out
 
     twist = kappa

@@ -1,8 +1,11 @@
 """Source hygiene that needs no linter: every top-level import of a package
 module is used in that module, no handler under src/ or tests/ catches
-every exception (a swallowed error must not let a check pass), and the
+every exception (a swallowed error must not let a check pass), the
 reference mode action `fock.mode_apply` is used by no engine, so the tests
-that compare the engines with it compare two independent computations."""
+that compare the engines with it compare two independent computations, and
+no code under src/ hands the accumulate kernel `operators.v_iadd` a
+one-entry dict literal (a dict and a kernel call per term, where the term
+can be stored or the terms gathered into one dict)."""
 
 import ast
 from pathlib import Path
@@ -15,6 +18,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
 ORACLE = "mode_apply"
+KERNEL = "v_iadd"
 
 
 def _imported_names(tree: ast.Module):
@@ -106,3 +110,36 @@ def test_oracle_detector_sees_each_form():
            "g = mode_apply\n"
            "mode_apply_calls = 'mode_apply_calls'\n")
     assert sorted(_oracle_references(ast.parse(src))) == [1, 3, 4, 5]
+
+
+def _one_entry_dicts_to_kernel(tree: ast.Module):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != KERNEL:
+            continue
+        args = list(node.args) + [kw.value for kw in node.keywords]
+        if any(isinstance(a, ast.Dict) and len(a.keys) == 1 and a.keys[0] is not None
+               for a in args):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_one_entry_dict_goes_to_the_kernel(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = list(_one_entry_dicts_to_kernel(tree))
+    assert not lines, f"{path.name} passes {KERNEL} a one-entry dict at lines {lines}"
+
+
+def test_one_entry_dict_detector_sees_each_form():
+    src = ("v_iadd(acc, {i: c}, 1)\n"
+           "operators.v_iadd(acc, vec={i: c})\n"
+           "v_iadd(acc, {i: c, j: d})\n"
+           "v_iadd(acc, {**other})\n"
+           "v_iadd(acc, {i: c for i, c in pairs})\n"
+           "v_scale({i: c}, 2)\n"
+           "v_iadd(acc, v_scale({i: c}, 2))\n")
+    assert list(_one_entry_dicts_to_kernel(ast.parse(src))) == [1, 2]

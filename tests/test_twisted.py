@@ -5,9 +5,17 @@ import pytest
 from superfock.checks import borcherds_check, bracket_table_check
 from superfock.errors import InvalidAlgebra, TruncationOverflow
 from superfock.fock import FockState
+from superfock.modes import ModeHandle
 from superfock.operators import v_iadd, v_scale
 from superfock.scalars import ExactScalar, ONE
-from superfock.superalgebra import N1_NS, N1_RAMOND, VIRASORO, corrupted_virasoro_quintic
+from superfock.superalgebra import (
+    N1_NS,
+    N1_RAMOND,
+    N2_MIRROR_TWISTED,
+    N2_NS,
+    VIRASORO,
+    corrupted_virasoro_quintic,
+)
 from superfock.twisted import (
     MirrorModule,
     SigmaModule,
@@ -20,6 +28,7 @@ from superfock.twisted import (
     sigma_twisted_jacobi_report,
     sigma_virasoro_report,
 )
+from superfock.vosa import TensorVosa, Vosa, calibrate_n2
 
 HALF = Fraction(1, 2)
 
@@ -314,3 +323,68 @@ def test_corollary2_empty_range_does_not_match(mirror):
     result = corollary2_check(mirror, Fraction(0))
     assert result.sigma_series.is_zero() and result.substituted.is_zero()
     assert not result.matches
+
+
+# shared values -----------------------------------------------------------------
+
+def _stack(n2=None):
+    """Vosa(4) and the level-4 twisted stack over Vosa(5), each engine with
+    the handles of its bracket table (the tensor square is calibrated when
+    no n2 is given)."""
+    V4, V = Vosa(4), Vosa(5)
+    tensor = TensorVosa(V, 5)
+    if n2 is None:
+        n2 = calibrate_n2(tensor)
+    sigma = SigmaModule(V, levels=4)
+    mirror = MirrorModule(sigma, tensor, n2)
+    c = V.central_charge
+    tables = [
+        (V4, N1_NS, c, {"L": V4.L_handle(), "G": V4.G_handle()}),
+        (tensor, N2_NS, 2 * c, {"L": tensor.L_handle(),
+                                "J": ModeHandle(tensor.family(n2.jvec), Fraction(0)),
+                                "G1": ModeHandle(tensor.family(n2.tau1), HALF),
+                                "G2": ModeHandle(tensor.family(n2.tau2), HALF)}),
+        (sigma, N1_RAMOND, c, {"L": sigma.L_handle(), "G": sigma.G_handle()}),
+        (mirror, N2_MIRROR_TWISTED, 2 * c, mirror.handles()),
+    ]
+    return n2, V4, V, tensor, sigma, mirror, tables
+
+
+def _memo_columns(fam):
+    """(t2, col, vec) for every column a family holds in its memo."""
+    for (t2, col), vec in fam._cols.items():
+        yield t2, col, vec
+    for t2, row in getattr(fam, "_rows", {}).items():
+        for col, vec in enumerate(row):
+            if vec is not None:
+                yield t2, col, vec
+
+
+def test_memoized_columns_are_zero_free_and_unmutated():
+    """Vectors share their (immutable) scalars, and callers of a family
+    never mutate the columns it memoizes: after a bracket table has run on
+    every engine, each memoized column is zero-free and equals the column
+    a freshly built engine computes."""
+    n2, V4, V, tensor, sigma, mirror, tables = _stack()
+    for engine, pres, central, handles in tables:
+        report = bracket_table_check("shared", pres, central, handles, 1,
+                                     engine.columns(engine.min_col_weight + 1), engine)
+        assert sum(p.checked for p in report.pairs) and report.violations == 0
+    _, V4b, Vb, tensor_b, sigma_b, mirror_b, tables_b = _stack(n2)
+    pairs = [(f, V4b.family_of_state(k)) for k, f in V4._fams.items()]
+    pairs += [(f, Vb.family_of_state(k)) for k, f in V._fams.items()]
+    pairs += [(f, tensor_b.family_of_pair(*k)) for k, f in tensor._fams.items()]
+    pairs += [(f, sigma_b.family_of_state(k)) for k, f in sigma._fams.items()]
+    pairs += [(f, mirror_b.family_of_pair(*k)) for k, f in mirror._pair_fams.items()]
+    pairs += [(f, mirror_b.slot_family(*k)) for k, f in mirror._slot_fams.items()]
+    for st, terms in mirror._delta_cache.items():
+        pairs += [(f, g) for (_, f), (_, g) in zip(terms, mirror_b._delta_families(st))]
+    for (*_, handles), (*_, fresh) in zip(tables, tables_b):
+        pairs += [(handles[k].family, fresh[k].family) for k in handles]
+    compared = 0
+    for old, new in pairs:
+        for t2, col, vec in _memo_columns(old):
+            assert all(type(c) is ExactScalar and c for c in vec.values())
+            assert vec == new.apply_basis(t2, col), (old, t2, col)
+            compared += 1
+    assert compared > 5000
