@@ -43,8 +43,6 @@ def twice(x) -> int:
 
     Raises ValueError for x off (1/2)Z.
     """
-    if type(x) is int:
-        return 2 * x
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     if x.denominator > 2:
@@ -128,9 +126,7 @@ class Family:
             raise _not_half_units(t2)
         acc: Vec = {}
         for col, coeff in vec.items():
-            res = self.apply_basis(t2, col)
-            if res:
-                v_iadd(acc, res, coeff)
+            v_iadd(acc, self.apply_basis(t2, col), coeff)
         return acc
 
     def _compute(self, t2: int, col: int) -> Vec:

@@ -70,8 +70,6 @@ def v_iadd(acc: Vec, vec: Vec, coeff=1) -> Vec:
             else:
                 a, b, c, d = a * ca, a * cb, a * cc, a * cd
             q *= cq
-        elif cq == 1:
-            a, b, c, d = a * ca, b * ca, c * ca, d * ca
         else:
             a, b, c, d, q = a * ca, b * ca, c * ca, d * ca, q * cq
         if s is not None:
