@@ -204,7 +204,8 @@ class CompositeFamily(Family):
     """Modes of u_l w defined through the component identity above.
 
     `corrections(i)` must return the Family of the state u_{l+i} w (or None
-    when that state vanishes); it is consulted only when C(m, i) != 0.
+    when that state vanishes); it is consulted only when C(m, i) != 0, on
+    every such column, so the engines memoize it per i.
     u's modes live on Z + u_off2/2.
     """
 
@@ -300,20 +301,22 @@ class ModeHandle:
     """A labeled tower such as L(n) = omega_{n+1}: family plus index shift.
 
     Indices are taken as labelled (int or Fraction) and converted once to
-    the family's half units; an index off (1/2)Z raises ValueError.
+    the family's half units; an index off (1/2)Z raises ValueError.  A
+    caller that already holds the label in half units, l2 = 2 * label,
+    calls ``family.apply_basis(l2 + shift2, col)`` directly.
     """
 
     family: Family
     shift: Fraction
 
     def __post_init__(self):
-        self._shift2 = twice(self.shift)
+        self.shift2 = twice(self.shift)
 
     def apply_basis(self, index, col) -> Vec:
-        return self.family.apply_basis(twice(index) + self._shift2, col)
+        return self.family.apply_basis(twice(index) + self.shift2, col)
 
     def apply(self, index, vec: Vec) -> Vec:
-        return self.family.apply(twice(index) + self._shift2, vec)
+        return self.family.apply(twice(index) + self.shift2, vec)
 
 
 class Engine:

@@ -8,16 +8,30 @@ every central charge; representation modules substitute a scalar later.
 
 The super-bracket is one total function: for two odd generators it is the
 anticommutator-type bracket, callers never pick commutator vs anticommutator.
+
+Every presentation rule is written once, in half units.  A `PairRule` takes
+the two indices doubled, as ints (m2 = 2m, n2 = 2n), and returns
+``[(family, t2, ExactScalar)]``: the output generators' families, their
+doubled indices and shared, cached coefficients built from ints.  A
+user-supplied central term keeps its ``Fraction -> Fraction`` signature and
+is called only when m2 + n2 == 0.  The sweeps intern every generator they
+meet by ``(family, t2)`` and check its family and lattice once, when it is
+interned; each bracket is then a direct call of the rule.  `pair_bracket`
+is the ``Fraction`` boundary: it validates two `Generator`s, converts their
+indices to half units, calls the same rule and returns an `Element`.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .errors import InvalidAlgebra, InvalidIndexLattice
+from .modes import twice
 from .operators import Vec, v_iadd
 from .scalars import ExactScalar, format_rational
 
@@ -118,11 +132,24 @@ class Element:
 # Presentations
 # ---------------------------------------------------------------------------
 
-# A pair rule takes the two indices and returns [(family, index, scalar)];
-# rules are stored for pairs in canonical family order (L, J, G, G1, G2, C)
-# and the reversed order is derived through super-skew-symmetry.
+# A pair rule takes the two indices in half units and returns
+# [(family, t2, ExactScalar)]; rules are stored for pairs in canonical family
+# order (L, J, G, G1, G2, C) and the reversed order is derived through
+# super-skew-symmetry.
 
-PairRule = Callable[[Fraction, Fraction], list]
+PairRule = Callable[[int, int], list]
+
+
+@lru_cache(maxsize=4096)
+def _rational(num: int, den: int) -> ExactScalar:
+    """num/den as one shared (immutable) ExactScalar."""
+    return ExactScalar(Fraction(num, den))
+
+
+@lru_cache(maxsize=4096)
+def _imaginary(num: int, den: int) -> ExactScalar:
+    """i * num/den as one shared (immutable) ExactScalar."""
+    return ExactScalar(0, Fraction(num, den))
 
 
 def _virasoro_cocycle(m: Fraction) -> Fraction:
@@ -130,59 +157,66 @@ def _virasoro_cocycle(m: Fraction) -> Fraction:
 
 
 def _rule_LL(central: Callable[[Fraction], Fraction]) -> PairRule:
-    def rule(m, n):
-        out = [("L", m + n, ExactScalar(m - n))]
-        if m + n == 0:
-            out.append(("C", Fraction(0), ExactScalar(central(m))))
+    # [L_m, L_n] = (m - n) L_{m+n} + central(m) delta_{m+n,0} C
+    def rule(m2, n2):
+        out = [("L", m2 + n2, _rational(m2 - n2, 2))]
+        if m2 + n2 == 0:
+            out.append(("C", 0, ExactScalar(central(Fraction(m2, 2)))))
         return out
     return rule
 
 
 def _rule_LG(gfam: str) -> PairRule:
-    def rule(m, r):
-        return [(gfam, m + r, ExactScalar(m / 2 - r))]
+    # [L_m, G_r] = (m/2 - r) G_{m+r}
+    def rule(m2, r2):
+        return [(gfam, m2 + r2, _rational(m2 - 2 * r2, 4))]
     return rule
 
 
 def _rule_GG() -> PairRule:
-    def rule(r, s):
-        out = [("L", r + s, ExactScalar(2))]
-        if r + s == 0:
-            out.append(("C", Fraction(0), ExactScalar(Fraction(1, 3) * (r * r - Fraction(1, 4)))))
+    # [G_r, G_s] = 2 L_{r+s} + (r^2 - 1/4)/3 delta_{r+s,0} C
+    def rule(r2, s2):
+        out = [("L", r2 + s2, _rational(2, 1))]
+        if r2 + s2 == 0:
+            out.append(("C", 0, _rational(r2 * r2 - 1, 12)))
         return out
     return rule
 
 
 def _rule_LJ() -> PairRule:
-    def rule(m, n):
-        return [("J", m + n, ExactScalar(-n))]
+    # [L_m, J_n] = -n J_{m+n}
+    def rule(m2, n2):
+        return [("J", m2 + n2, _rational(-n2, 2))]
     return rule
 
 
 def _rule_JJ() -> PairRule:
-    def rule(m, n):
-        if m + n == 0:
-            return [("C", Fraction(0), ExactScalar(Fraction(m, 3)))]
+    # [J_m, J_n] = (m/3) delta_{m+n,0} C
+    def rule(m2, n2):
+        if m2 + n2 == 0:
+            return [("C", 0, _rational(m2, 6))]
         return []
     return rule
 
 
 def _rule_JG1() -> PairRule:
-    def rule(m, r):
-        return [("G2", m + r, ExactScalar(0, -1))]
+    # [J_m, G1_r] = -i G2_{m+r}
+    def rule(m2, r2):
+        return [("G2", m2 + r2, _imaginary(-1, 1))]
     return rule
 
 
 def _rule_JG2() -> PairRule:
-    def rule(m, r):
-        return [("G1", m + r, ExactScalar(0, 1))]
+    # [J_m, G2_r] = i G1_{m+r}
+    def rule(m2, r2):
+        return [("G1", m2 + r2, _imaginary(1, 1))]
     return rule
 
 
 def _rule_G1G2() -> PairRule:
     # [G1_r, G2_s] = i (s - r) J_{r+s}; equivalently -i (r - s) J_{r+s}.
-    def rule(r, s):
-        return [("J", r + s, ExactScalar(0, s - r))]
+    def rule(r2, s2):
+        return [("J", r2 + s2, _imaginary(s2 - r2, 2))]
     return rule
 
 
@@ -209,15 +243,46 @@ class Presentation:
         if not self.valid_index(g):
             raise InvalidIndexLattice(f"{g} violates the index lattice of {self.name}")
 
+    def index2(self, g: Generator) -> int:
+        """g's index in half units (2 * index), after check_generator(g)."""
+        self.check_generator(g)
+        return twice(g.index)
+
+    def bracket2(self, fa: str, m2: int, fb: str, n2: int) -> dict:
+        """[fa[m2/2], fb[n2/2]] as {(family, t2): ExactScalar} without zero
+        entries, straight from the rule in half units.  The indices are not
+        validated: callers check each generator once.
+        """
+        out: dict = {}
+        if fa == "C" or fb == "C":
+            return out
+        if _RANK[fa] <= _RANK[fb]:
+            rule = self.rules.get((fa, fb))
+            flip = False
+        else:
+            # reversed order through super-skew-symmetry:
+            # [a,b] = -(-1)^{|a||b|} [b,a]
+            rule = self.rules.get((fb, fa))
+            m2, n2 = n2, m2
+            flip = not (PARITY[fa] and PARITY[fb])
+        if rule is not None:
+            for f, t2, c in rule(m2, n2):
+                if flip:
+                    c = -c
+                key = (f, t2)
+                if key in out:
+                    c = out.pop(key) + c
+                if c:
+                    out[key] = c
+        return out
+
     def basis(self, window: int) -> list[Generator]:
         """All generators with |index| <= window, plus the central element."""
         out = []
         for fam in sorted(self.lattices, key=_RANK.get):
-            off = self.lattices[fam]
-            idx = -window + ((off - (-window)) % 1)
-            while idx <= window:
-                out.append(Generator(fam, Fraction(idx)))
-                idx += 1
+            off2 = twice(self.lattices[fam]) % 2
+            out.extend(Generator(fam, Fraction(t2, 2))
+                       for t2 in range(off2 - 2 * window, 2 * window + 1, 2))
         out.append(gen("C"))
         return out
 
@@ -298,22 +363,8 @@ def rescaled_virasoro(denominator: int = 11) -> Presentation:
 # ---------------------------------------------------------------------------
 
 def pair_bracket(alg: Presentation, a: Generator, b: Generator) -> Element:
-    alg.check_generator(a)
-    alg.check_generator(b)
-    if a.family == "C" or b.family == "C":
-        return Element()
-    if _RANK[a.family] <= _RANK[b.family]:
-        rule = alg.rules.get((a.family, b.family))
-        flip = False
-    else:
-        # reversed order through super-skew-symmetry:
-        # [a,b] = -(-1)^{|a||b|} [b,a]
-        rule = alg.rules.get((b.family, a.family))
-        a, b = b, a
-        flip = not (a.parity and b.parity)
-    if rule is None:
-        return Element()
-    return Element([(Generator(f, i), -c if flip else c) for f, i, c in rule(a.index, b.index)])
+    terms = alg.bracket2(a.family, alg.index2(a), b.family, alg.index2(b))
+    return Element([(Generator(f, Fraction(t2, 2)), c) for (f, t2), c in terms.items()])
 
 
 def bracket(alg: Presentation, a: Element, b: Element) -> Element:
@@ -383,43 +434,68 @@ class AlgebraReport:
         }
 
 
+class _Row(dict):
+    """The brackets [x, y] of one interned generator x, keyed by y and
+    evaluated on the first lookup of each y.
+
+    The row reaches its table through a weak proxy: a strong reference
+    would close a cycle (table -> rows -> row -> table) that keeps every
+    finished sweep's table alive until the cyclic collector runs.
+    """
+
+    __slots__ = ("table", "x")
+
+    def __init__(self, table: "_BracketTable", x: int):
+        super().__init__()
+        self.table = weakref.proxy(table)
+        self.x = x
+
+    def __missing__(self, y: int) -> Vec:
+        hit = self[y] = self.table.evaluate(self.x, y)
+        return hit
+
+
 class _BracketTable:
     """One sweep's brackets on small ints.
 
-    Every generator the sweep meets is interned to an int id, the windowed
-    basis first, then each generator a bracket produces (such as L[8] at
-    window 4).  Calling the table on two ids gives their ``pair_bracket`` as
-    ``{id: ExactScalar}``, evaluated once per ordered pair on first use:
-    ``[y, x]`` is never derived from ``[x, y]``, so the skew check compares
-    two independent evaluations.
+    Every generator the sweep meets is interned to an int id keyed on
+    ``(family, t2)``, the windowed basis first, then each generator a
+    bracket produces (such as L[8] at window 4); its family and lattice are
+    checked then, once, and its `Generator` is built only for reports.
+    ``rows[x][y]`` is the bracket of ids x and y as ``{id: ExactScalar}``,
+    evaluated by the presentation's half-unit rule once per ordered pair on
+    first lookup: ``[y, x]`` is never derived from ``[x, y]``, so the skew
+    check compares two independent evaluations.
     """
 
     def __init__(self, alg: Presentation, basis: list):
         self.alg = alg
         self.gens: list = []
+        self.keys: list = []
         self.ids: dict = {}
         self.rows: list = []
         for g in basis:
-            self.intern(g)
+            self.intern(g.family, alg.index2(g))
 
-    def intern(self, g: Generator) -> int:
-        i = self.ids.get(g)
+    def intern(self, family: str, t2: int) -> int:
+        key = (family, t2)
+        i = self.ids.get(key)
         if i is None:
-            i = self.ids[g] = len(self.gens)
+            g = Generator(family, Fraction(t2, 2))
+            self.alg.check_generator(g)
+            i = self.ids[key] = len(self.gens)
             self.gens.append(g)
-            self.rows.append({})
+            self.keys.append(key)
+            self.rows.append(_Row(self, i))
         return i
 
     def vec(self, e: Element) -> Vec:
-        return {self.intern(g): c for g, c in e.terms.items()}
+        return {self.intern(g.family, self.alg.index2(g)): c for g, c in e.terms.items()}
 
-    def __call__(self, x: int, y: int) -> Vec:
-        row = self.rows[x]
-        hit = row.get(y)
-        if hit is None:
-            gens = self.gens
-            hit = row[y] = self.vec(pair_bracket(self.alg, gens[x], gens[y]))
-        return hit
+    def evaluate(self, x: int, y: int) -> Vec:
+        (fx, mx), (fy, my) = self.keys[x], self.keys[y]
+        intern = self.intern
+        return {intern(f, t2): c for (f, t2), c in self.alg.bracket2(fx, mx, fy, my).items()}
 
     def element(self, vec: Vec) -> Element:
         gens = self.gens
@@ -436,12 +512,13 @@ def verify_algebra(alg: Presentation, window: int) -> AlgebraReport:
     report = AlgebraReport(alg.name, window)
     basis = alg.basis(window)
     br = _BracketTable(alg, basis)
+    rows = br.rows
     ids = range(len(basis))
     parity = [g.parity for g in basis]
 
     for a, b in itertools.product(ids, repeat=2):
-        residual = dict(br(a, b))
-        v_iadd(residual, br(b, a), -1 if parity[a] and parity[b] else 1)
+        residual = dict(rows[a][b])
+        v_iadd(residual, rows[b][a], -1 if parity[a] and parity[b] else 1)
         report.pairs_checked += 1
         if residual:
             report.violations.append(
@@ -449,15 +526,16 @@ def verify_algebra(alg: Presentation, window: int) -> AlgebraReport:
 
     def nested(acc: Vec, x: int, inner: Vec, sign: int):
         # acc += sign * [x, inner]
+        row = rows[x]
         for g, c in inner.items():
-            v_iadd(acc, br(x, g), c if sign == 1 else -c)
+            v_iadd(acc, row[g], c if sign == 1 else -c)
 
     for a, b, c in itertools.combinations_with_replacement(ids, 3):
         pa, pb, pc = parity[a], parity[b], parity[c]
         residual: Vec = {}
-        nested(residual, a, br(b, c), -1 if pa * pc else 1)
-        nested(residual, b, br(c, a), -1 if pb * pa else 1)
-        nested(residual, c, br(a, b), -1 if pc * pb else 1)
+        nested(residual, a, rows[b][c], -1 if pa * pc else 1)
+        nested(residual, b, rows[c][a], -1 if pb * pa else 1)
+        nested(residual, c, rows[a][b], -1 if pc * pb else 1)
         report.triples_checked += 1
         if residual:
             report.violations.append(
@@ -484,14 +562,16 @@ def verify_automorphism(alg: Presentation,
             hit = images[x] = br.vec(image(br.gens[x]))
         return hit
 
+    rows = br.rows
     for a, b in itertools.product(range(len(basis)), repeat=2):
         residual: Vec = {}
-        for g, c in br(a, b).items():
+        for g, c in rows[a][b].items():
             v_iadd(residual, im(g), c)
         ia, ib = im(a), im(b)
         for ga, ca in ia.items():
+            row = rows[ga]
             for gb, cb in ib.items():
-                v_iadd(residual, br(ga, gb), -(ca * cb))
+                v_iadd(residual, row[gb], -(ca * cb))
         report.pairs_checked += 1
         if residual:
             report.violations.append(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, borcherds_check, bracket_table_check, tally
@@ -185,7 +186,8 @@ class MirrorModule(Engine):
             w_fam = self.slot_family(sj, 2)
             u_vec, v_vec = V.vec_of(si), V.vec_of(sj)
 
-            def corrections(k: int, u_vec=u_vec, v_vec=v_vec):
+            @cache
+            def corrections(k: int):
                 # (s^1 + s^2)_{-1+k} (1 (x) t) = 1 (x) (s_{k-1} t) for k >= 1
                 vec = V.product(u_vec, k - 1, v_vec)
                 return self._slot_of_vec(vec, 2)

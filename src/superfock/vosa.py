@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import ceil
 from typing import Dict, List, Optional, Tuple
 
@@ -171,6 +172,7 @@ class FreeFieldEngine(Engine):
             u_fam = self.family_of_state(u_state)
             u_vec, rest_vec = V.vec_of(u_state), V.vec_of(rest)
 
+            @cache
             def corrections(i: int):
                 vec = V.product(u_vec, ell + i, rest_vec)
                 return self.family(vec) if vec else None

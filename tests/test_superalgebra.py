@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superfock.errors import InvalidAlgebra, InvalidIndexLattice
 from superfock.scalars import ExactScalar
@@ -63,6 +65,77 @@ def test_lattice_validation():
         pair_bracket(N2_MIRROR_TWISTED, gen("J", 1), gen("J", HALF))
     with pytest.raises(InvalidAlgebra):
         pair_bracket(VIRASORO, gen("G", HALF), gen("L", 0))
+
+
+# the paper's structure constants, written out here on their own --------------------
+
+def _paper_bracket(a, b) -> Element:
+    """[a, b] from the paper's structure constants, with C standing for the
+    central charge; every ordered family pair is written out separately,
+    the reversed ones included, in plain Fractions."""
+    fa, m = a.family, a.index
+    fb, n = b.family, b.index
+    central = m + n == 0
+    odd = ("G", "G1", "G2")
+    terms = []
+    if "C" in (fa, fb):
+        pass
+    elif fa == fb == "L":
+        terms = [(gen("L", m + n), m - n)]
+        if central:
+            terms.append((gen("C"), (m ** 3 - m) / 12))
+    elif fa == "L" and fb in odd:
+        terms = [(gen(fb, m + n), m / 2 - n)]
+    elif fa in odd and fb == "L":
+        terms = [(gen(fa, m + n), m - n / 2)]
+    elif (fa, fb) == ("L", "J"):
+        terms = [(gen("J", m + n), -n)]
+    elif (fa, fb) == ("J", "L"):
+        terms = [(gen("J", m + n), m)]
+    elif fa == fb == "J":
+        if central:
+            terms = [(gen("C"), m / 3)]
+    elif fa == fb:
+        terms = [(gen("L", m + n), 2)]
+        if central:
+            terms.append((gen("C"), (m * m - Fraction(1, 4)) / 3))
+    elif (fa, fb) == ("J", "G1"):
+        terms = [(gen("G2", m + n), ExactScalar(0, -1))]
+    elif (fa, fb) == ("G1", "J"):
+        terms = [(gen("G2", m + n), ExactScalar(0, 1))]
+    elif (fa, fb) == ("J", "G2"):
+        terms = [(gen("G1", m + n), ExactScalar(0, 1))]
+    elif (fa, fb) == ("G2", "J"):
+        terms = [(gen("G1", m + n), ExactScalar(0, -1))]
+    elif (fa, fb) == ("G1", "G2"):
+        terms = [(gen("J", m + n), ExactScalar(0, n - m))]
+    elif (fa, fb) == ("G2", "G1"):
+        terms = [(gen("J", m + n), ExactScalar(0, m - n))]
+    else:
+        raise AssertionError(f"no structure constant for [{a}, {b}]")
+    return Element(terms)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(-6, 6), n=st.integers(-6, 6), opposite=st.booleans())
+@example(m=1, n=0, opposite=True)
+def test_pair_bracket_matches_paper_constants(name, m, n, opposite):
+    # every ordered family pair, at indices drawn from each lattice; with
+    # `opposite` the second index is minus the first where the lattices
+    # allow it, so the central terms come into play
+    alg = PRESENTATIONS[name]
+    families = alg.families() + ("C",)
+    offset = {**alg.lattices, "C": None}
+    for fa, fb in itertools.product(families, repeat=2):
+        a = gen(fa) if fa == "C" else gen(fa, m + offset[fa])
+        if fb == "C":
+            b = gen(fb)
+        elif opposite and offset[fa] == offset[fb]:
+            b = gen(fb, -a.index)
+        else:
+            b = gen(fb, n + offset[fb])
+        assert pair_bracket(alg, a, b) == _paper_bracket(a, b), (name, a, b)
 
 
 def test_bracket_outputs_respect_lattices():
@@ -137,6 +210,19 @@ def test_verify_automorphism():
     assert not report.passed
 
 
+def test_sweeps_leave_no_reference_cycle():
+    # a finished sweep's bracket table is freed by reference counting; a
+    # cycle would hold every table until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        verify_algebra(N2_NS, 2)
+        verify_automorphism(N2_NS, mirror_map_on_generator, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_ramond_lattices_differ_from_ns():
     # the structural half-integer/integer asymmetry of the hybrid algebra
     assert N2_NS.lattices["J"] == 0 and N2_MIRROR_TWISTED.lattices["J"] == HALF
@@ -163,8 +249,8 @@ def test_empty_report_does_not_pass():
 def test_symmetric_rule_fails_skew():
     # [L_m, L_n] = (m + n) L_{m+n} is symmetric; only an independent
     # evaluation of each ordered pair can see that it is not skew
-    def symmetric(m, n):
-        return [("L", m + n, ExactScalar(m + n))]
+    def symmetric(m2, n2):
+        return [("L", m2 + n2, ExactScalar(Fraction(m2 + n2, 2)))]
 
     alg = Presentation("virasoro-symmetric", {"L": Fraction(0)}, {("L", "L"): symmetric})
     report = verify_algebra(alg, 2)
@@ -174,14 +260,36 @@ def test_symmetric_rule_fails_skew():
 
 
 def test_perturbed_structure_constant_fails_jacobi():
-    def doubled_jg1(m, r):
-        return [("G2", m + r, ExactScalar(0, -2))]
+    def doubled_jg1(m2, r2):
+        return [("G2", m2 + r2, ExactScalar(0, -2))]
 
     alg = dataclasses.replace(N2_NS, name="n2-ns-perturbed",
                               rules={**N2_NS.rules, ("J", "G1"): doubled_jg1})
     report = verify_algebra(alg, 1)
     # the reversed pair (G1, J) still follows from the rule, so skew holds
     assert report.violations and {v.kind for v in report.violations} == {"jacobi"}
+
+
+def test_off_lattice_rule_output_fails_at_intern():
+    # an L-G rule that lands G on the wrong lattice: G[m + r + 1/2]
+    def off_lattice_lg(m2, r2):
+        return [("G", m2 + r2 + 1, ExactScalar(Fraction(m2 - 2 * r2, 4)))]
+
+    alg = dataclasses.replace(N1_NS, name="n1-ns-off-lattice",
+                              rules={**N1_NS.rules, ("L", "G"): off_lattice_lg})
+    with pytest.raises(InvalidIndexLattice):
+        verify_algebra(alg, 1)
+
+
+def test_foreign_family_rule_output_fails_at_intern():
+    # an L-G rule of the N=1 algebra that names G2, which it does not have
+    def foreign_lg(m2, r2):
+        return [("G2", m2 + r2, ExactScalar(Fraction(m2 - 2 * r2, 4)))]
+
+    alg = dataclasses.replace(N1_NS, name="n1-ns-foreign",
+                              rules={**N1_NS.rules, ("L", "G"): foreign_lg})
+    with pytest.raises(InvalidAlgebra):
+        verify_algebra(alg, 1)
 
 
 def test_map_wrong_only_outside_the_window_fails():
