@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InvalidAlgebra, TruncationOverflow
-from .modes import Family, ModeHandle, binomial2_scalar, jacobi_left, twice
+from .modes import Family, ModeHandle, jacobi_left, jacobi_right, twice
 from .operators import Vec, v_iadd
 from .scalars import ZERO, ExactScalar
 from .superalgebra import PARITY, Generator, Presentation
@@ -103,16 +103,8 @@ def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
 
     def residual(ell, m2, n2, col):
         acc = jacobi_left(fu, fv, ell, m2, n2, col, engine.col_w2[col])
-        # minus the right side; u_{l+i} v has weight wt_u + wt_v - l - i - 1
-        for i in range((fu.weight2 + fv.weight2) // 2 - ell):
-            coeff = binomial2_scalar(m2, i, -1)
-            if coeff:
-                fam = composite(ell + i)
-                if fam is not None:
-                    res = fam.apply_basis(m2 + n2 - 2 * i, col)
-                    if res:
-                        v_iadd(acc, res, coeff)
-        return acc, {}
+        return jacobi_right(acc, fu, fv, ell, m2, m2 + n2, col, 0,
+                            lambda i: composite(ell + i)), {}
 
     for ell in range(-window, window + 1):
         for m2 in range(off_u2 - 2 * window, 2 * window + 1, 2):

@@ -297,10 +297,6 @@ def cmd_verify_twisted(args) -> int:
     return 0 if payload["pass"] else 1
 
 
-def cmd_verify(args) -> int:
-    return args.verify_func(args)
-
-
 # ---------------------------------------------------------------------------
 # calibrate n2
 # ---------------------------------------------------------------------------

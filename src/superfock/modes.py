@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, factorial, floor
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonDiagonal, NonHomogeneous, TruncationOverflow
 from .operators import Vec, v_iadd, v_scale
@@ -256,17 +256,9 @@ class CompositeFamily(Family):
         every admissible m on u's lattice gives the same vector."""
         acc = jacobi_left(self.u_fam, self.w_fam, self.ell, m2, t2 - m2, col,
                           self.engine.col_w2[col])
-        # -sum_{i>=1} C(m,i) (u_{l+i} w)_{t-i}; u_{l+i} w has weight wt - i,
-        # so it vanishes once that drops below 0
-        for i in range(1, self.weight2 // 2 + 1):
-            coeff = binomial2_scalar(m2, i, -1)
-            if coeff:
-                fam = self.corrections(i)
-                if fam is not None:
-                    res = fam.apply_basis(t2 - 2 * i, col)
-                    if res:
-                        v_iadd(acc, res, coeff)
-        return acc
+        # the i = 0 term of the right side is the column being defined
+        return jacobi_right(acc, self.u_fam, self.w_fam, self.ell, m2, t2, col,
+                            1, self.corrections)
 
 
 def jacobi_left(u_fam: Family, w_fam: Family, ell: int, m2: int,
@@ -293,6 +285,26 @@ def jacobi_left(u_fam: Family, w_fam: Family, ell: int, m2: int,
             res = w_fam.apply(n2 + 2 * (ell - i), mid)
             if res:
                 v_iadd(acc, res, binomial2_scalar(2 * ell, i, sgn * (-1) ** i))
+    return acc
+
+
+def jacobi_right(acc: Vec, u_fam: Family, w_fam: Family, ell: int, m2: int,
+                 t2: int, col: int, first: int,
+                 products: Callable[[int], Optional[Family]]) -> Vec:
+    """Subtract sum_{i >= first} C(m, i) (u_{l+i} w)_{t-i} col, the right
+    side of the component identity with m = m2/2 and t = m + n = t2/2, from
+    acc.  `products(i)` is the family of u_{l+i} w, or None when that state
+    vanishes; it is consulted only when C(m, i) != 0.  u_{l+i} w has weight
+    wt_u + wt_w - l - i - 1, so the sum stops once that drops below 0.
+    """
+    for i in range(first, (u_fam.weight2 + w_fam.weight2) // 2 - ell):
+        coeff = binomial2_scalar(m2, i, -1)
+        if coeff:
+            fam = products(i)
+            if fam is not None:
+                res = fam.apply_basis(t2 - 2 * i, col)
+                if res:
+                    v_iadd(acc, res, coeff)
     return acc
 
 
@@ -325,8 +337,10 @@ class Engine:
     A subclass sets `space` (the module's ordered basis: `states`, `weights`,
     `bound`, `min_weight`, `dim`), `algebra` (the vertex algebra whose states
     label the families: the engine itself for an algebra acting on itself)
-    and implements `_family_by_index`.  Twisted engines set `order = 2` and a
-    `twist`, the order-two automorphism whose eigenvalues fix mode lattices.
+    and implements `_build_family(i)`, which builds the family of the
+    algebra's basis vector i once for `_family_by_index`.  Twisted engines
+    set `order = 2` and a `twist`, the order-two automorphism whose
+    eigenvalues fix mode lattices.
     """
 
     order = 1
@@ -379,14 +393,28 @@ class Engine:
 
     # families -------------------------------------------------------------
 
-    def _family_by_index(self, i: int) -> Family:
+    @cached_property
+    def _fams(self) -> Dict[int, Family]:
+        """The family of each algebra basis index built so far."""
+        return {}
+
+    def _build_family(self, i: int) -> Family:
         raise NotImplementedError
+
+    def _family_by_index(self, i: int) -> Family:
+        """The family of the algebra's basis vector i, built on first use."""
+        fam = self._fams.get(i)
+        if fam is None:
+            fam = self._fams[i] = self._build_family(i)
+        return fam
 
     def family(self, vec: Vec) -> Family:
         """The modes of an algebra vector, given in the algebra's basis."""
         items = sorted(vec.items())
         if len(items) == 1 and items[0][1] == ONE:
             return self._family_by_index(items[0][0])
+        # rebuilt on each call: kept, every transient combination and its
+        # column memo would live as long as the engine (peak memory +5-6%)
         parts = [(c, self._family_by_index(i)) for i, c in items]
         offs = {f.off2 for _, f in parts}
         return LinearFamily(self, parts, offs.pop() if len(offs) == 1 else None)

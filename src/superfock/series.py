@@ -47,10 +47,6 @@ class Series:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, variable: str, truncation: ExpLike) -> "Series":
-        return cls(variable, truncation)
-
-    @classmethod
     def monomial(cls, variable: str, exponent: ExpLike, coeff, truncation: ExpLike) -> "Series":
         return cls(variable, truncation, [(Fraction(exponent), ExactScalar.coerce(coeff))])
 
@@ -127,12 +123,6 @@ class Series:
             return Series(self.variable, self.truncation)
         return Series(self.variable, self.truncation,
                       {e: c * s for e, c in self.terms.items()})
-
-    def shift(self, delta: ExpLike) -> "Series":
-        """Multiply by variable**delta (truncation shifts along)."""
-        d = Fraction(delta)
-        return Series(self.variable, self.truncation + d,
-                      {e + d: c for e, c in self.terms.items()})
 
     def truncate(self, bound: ExpLike) -> "Series":
         b = Fraction(bound)

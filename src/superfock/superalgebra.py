@@ -226,6 +226,18 @@ class Presentation:
     lattices: dict  # family -> index offset mod 1 (Fraction 0 or 1/2)
     rules: dict     # (famA, famB) in canonical order -> PairRule
 
+    def __post_init__(self):
+        # bracket2 reads a rule under the canonical key only: any other key
+        # would be silently ignored, so it is refused here
+        for key in self.rules:
+            fa, fb = key
+            if fa not in self.lattices or fb not in self.lattices:
+                raise InvalidAlgebra(f"{self.name}: rule key {key} names a family "
+                                     f"outside {self.families()}")
+            if _RANK[fa] > _RANK[fb]:
+                raise InvalidAlgebra(f"{self.name}: rule key {key} breaks the "
+                                     f"canonical order; key it as {(fb, fa)}")
+
     def families(self):
         return tuple(self.lattices)
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, borcherds_check, bracket_table_check, tally
 from .delta import apply_delta
-from .fock import FockSpaceSpec, FockState, TruncatedSpace, character
+from .fock import FockSpaceSpec, TruncatedSpace, character
 from .modes import (
     CompositeFamily,
     Engine,
@@ -55,7 +55,6 @@ class SigmaModule(FreeFieldEngine):
         self.levels = levels
         offset = Fraction(1, 16)
         self.space = TruncatedSpace(FockSpaceSpec("sigma", offset + levels))
-        self._fams: Dict[FockState, Family] = {}
         self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     def twist(self, vec: Vec) -> Vec:
@@ -79,12 +78,14 @@ class _SlotFamily(Family):
     Built from the weight-halving expansion of v: the mode at t collects the
     twisted-sector modes of the lowered states at 2t + 1 - wt - d; slot 2
     differs by the root-phase sign (-1)**(2t).  The terms hold (2d, family).
+    v is V's basis vector i.
     """
 
-    def __init__(self, mirror: "MirrorModule", v_state: FockState, slot: int):
-        super().__init__(mirror, twice(v_state.level), v_state.parity, None)
+    def __init__(self, mirror: "MirrorModule", i: int, slot: int):
+        V = mirror.V
+        super().__init__(mirror, twice(V.space.weights[i]), V.space.parities[i], None)
         self.slot = slot
-        self.terms = mirror._delta_families(v_state)
+        self.terms = mirror._delta_families(i)
 
     def _compute(self, t2, col):
         sign = -1 if self.slot == 2 and t2 % 2 else 1
@@ -109,9 +110,7 @@ class MirrorModule(Engine):
         self.n2 = n2
         self.space = sigma.space  # the construction reuses the space on the nose
         self._offset = Fraction(1, 16)
-        self._pair_fams: Dict[Tuple[int, int], Family] = {}
-        self._slot_fams: Dict[Tuple[FockState, int], Family] = {}
-        self._delta_cache: Dict[FockState, list] = {}
+        self._delta_cache: Dict[int, list] = {}
         self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     # engine interface: weights in units of the twisted conformal grading
@@ -130,80 +129,48 @@ class MirrorModule(Engine):
     def twist(self, vec: Vec) -> Vec:
         return self.tensor.kappa(vec)
 
-    # slot vectors ---------------------------------------------------------
+    # families -----------------------------------------------------------
 
-    def _delta_families(self, v_state: FockState):
-        cached = self._delta_cache.get(v_state)
-        if cached is not None:
-            return cached
-        V = self.V
-        h = v_state.level
-        lh = V.L_handle()
-        fams = []
-        for exp, vec in apply_delta(h, V.vec_of(v_state), lh.apply):
-            fams.append((twice(-2 * exp - h), self.sigma.family(vec)))
-        self._delta_cache[v_state] = fams
+    def _delta_families(self, i: int):
+        """(2d, sigma family) for each term of the weight-halving expansion
+        of V's basis vector i, shared by its two slots."""
+        fams = self._delta_cache.get(i)
+        if fams is None:
+            V = self.V
+            h = V.space.weights[i]
+            lh = V.L_handle()
+            fams = self._delta_cache[i] = [
+                (twice(-2 * exp - h), self.sigma.family(vec))
+                for exp, vec in apply_delta(h, {i: ONE}, lh.apply)]
         return fams
 
-    def slot_family(self, v_state: FockState, slot: int) -> Family:
-        key = (v_state, slot)
-        fam = self._slot_fams.get(key)
-        if fam is None:
-            if v_state == self.V.vac_state:
-                fam = VacuumFamily(self)
-            else:
-                fam = _SlotFamily(self, v_state, slot)
-            self._slot_fams[key] = fam
-        return fam
+    def _build_family(self, k: int) -> Family:
+        V, tensor = self.V, self.tensor
+        i, j = tensor.space.states[k]
+        if k == tensor.vac:
+            return VacuumFamily(self)
+        if j == V.vac:
+            return _SlotFamily(self, i, 1)
+        if i == V.vac:
+            return _SlotFamily(self, j, 2)
+        # s (x) t = (s^1 + s^2)_{-1} (1 (x) t) - 1 (x) (s_{-1} t)
+        u_vec, v_vec = {i: ONE}, {j: ONE}
+        u_fam = LinearFamily(self, [(ONE, self.family(tensor.slot(u_vec, 1))),
+                                    (ONE, self.family(tensor.slot(u_vec, 2)))], 0)
 
-    def _slot_of_vec(self, vec: Vec, slot: int) -> Optional[Family]:
-        if not vec:
-            return None
-        items = sorted(vec.items())
-        parts = [(c, self.slot_family(self.V.space.states[i], slot))
-                 for i, c in items]
-        if len(parts) == 1 and parts[0][0] == ONE:
-            return parts[0][1]
-        return LinearFamily(self, parts, None)
+        def slot2(vec: Vec) -> Optional[Family]:
+            return self.family(tensor.slot(vec, 2)) if vec else None
 
-    # pair vectors ------------------------------------------------------------
+        @cache
+        def corrections(n: int):
+            # (s^1 + s^2)_{-1+n} (1 (x) t) = 1 (x) (s_{n-1} t) for n >= 1
+            return slot2(V.product(u_vec, n - 1, v_vec))
 
-    def family_of_pair(self, i: int, j: int) -> Family:
-        key = (i, j)
-        fam = self._pair_fams.get(key)
-        if fam is not None:
-            return fam
-        V = self.V
-        si, sj = V.space.states[i], V.space.states[j]
-        if si == V.vac_state:
-            fam = self.slot_family(sj, 2)
-        elif sj == V.vac_state:
-            fam = self.slot_family(si, 1)
-        else:
-            u_fam = LinearFamily(
-                self,
-                [(ONE, self.slot_family(si, 1)), (ONE, self.slot_family(si, 2))], 0)
-            w_fam = self.slot_family(sj, 2)
-            u_vec, v_vec = V.vec_of(si), V.vec_of(sj)
-
-            @cache
-            def corrections(k: int):
-                # (s^1 + s^2)_{-1+k} (1 (x) t) = 1 (x) (s_{k-1} t) for k >= 1
-                vec = V.product(u_vec, k - 1, v_vec)
-                return self._slot_of_vec(vec, 2)
-
-            comp = CompositeFamily(self, u_fam, w_fam, -1, 0, corrections, None)
-            minus_vec = V.product(u_vec, -1, v_vec)
-            minus_fam = self._slot_of_vec(minus_vec, 2)
-            if minus_fam is None:
-                fam = comp
-            else:
-                fam = LinearFamily(self, [(ONE, comp), (-ONE, minus_fam)], None)
-        self._pair_fams[key] = fam
-        return fam
-
-    def _family_by_index(self, k: int) -> Family:
-        return self.family_of_pair(*self.tensor.space.states[k])
+        comp = CompositeFamily(self, u_fam, slot2(v_vec), -1, 0, corrections, None)
+        minus_fam = slot2(V.product(u_vec, -1, v_vec))
+        if minus_fam is None:
+            return comp
+        return LinearFamily(self, [(ONE, comp), (-ONE, minus_fam)], None)
 
     # constructed towers ---------------------------------------------------------
 

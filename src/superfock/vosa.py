@@ -11,11 +11,11 @@ V (x) V are calibrated by solving for their scalars, never transcribed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, bracket_table_check, tally
 from .errors import NoCalibration, TruncationOverflow
@@ -28,7 +28,6 @@ from .modes import (
     Family,
     ModeHandle,
     VacuumFamily,
-    twice,
 )
 from .operators import Vec, v_iadd, v_scale
 from .scalars import ExactScalar, I, ONE
@@ -149,42 +148,30 @@ class FreeFieldEngine(Engine):
 
     fermion_off2 = 0
 
-    def family_of_state(self, st: FockState) -> Family:
-        fam = self._fams.get(st)
-        if fam is not None:
-            return fam
+    def _build_family(self, k: int) -> Family:
         V = self.algebra
-        if st == V.vac_state:
-            fam = VacuumFamily(self)
-        elif st == V.b_state:
-            fam = _BosonModes(self)
-        elif st == V.f_state:
-            fam = _FermionModes(self)
+        bos, fer, ground = V.space.codes[k]
+        # peel the leading creation mode: state k is u_l rest, u = b or f
+        if bos:
+            u_state, ell, rest = V.b_state, -bos[0], (bos[1:], fer, ground)
+        elif fer:
+            u_state, ell, rest = V.f_state, -(fer[0] + 1) // 2, (bos, fer[1:], ground)
         else:
-            if st.bosons:
-                u_state = V.b_state
-                ell = -st.bosons[0]
-                rest = replace(st, bosons=st.bosons[1:])
-            else:
-                u_state = V.f_state
-                ell = -int(st.fermions[0] + HALF)
-                rest = replace(st, fermions=st.fermions[1:])
-            u_fam = self.family_of_state(u_state)
-            u_vec, rest_vec = V.vec_of(u_state), V.vec_of(rest)
+            return VacuumFamily(self)
+        rest = V.space.code_index[rest]
+        if ell == -1 and rest == V.vac:  # the generator u = u_{-1} vac
+            return _BosonModes(self) if bos else _FermionModes(self)
+        u_vec, rest_vec = V.vec_of(u_state), {rest: ONE}
+        u_fam = self.family(u_vec)
 
-            @cache
-            def corrections(i: int):
-                vec = V.product(u_vec, ell + i, rest_vec)
-                return self.family(vec) if vec else None
+        @cache
+        def corrections(i: int):
+            vec = V.product(u_vec, ell + i, rest_vec)
+            return self.family(vec) if vec else None
 
-            fam = CompositeFamily(self, u_fam, self.family_of_state(rest), ell,
-                                  u_fam.off2, corrections,
-                                  st.parity * self.fermion_off2)
-        self._fams[st] = fam
-        return fam
-
-    def _family_by_index(self, i: int) -> Family:
-        return self.family_of_state(self.algebra.space.states[i])
+        return CompositeFamily(self, u_fam, self._family_by_index(rest), ell,
+                               u_fam.off2, corrections,
+                               V.space.parities[k] * self.fermion_off2)
 
     def G_handle(self) -> ModeHandle:
         return ModeHandle(self.family(self.algebra.tau_vec), HALF)
@@ -201,7 +188,6 @@ class Vosa(FreeFieldEngine):
         self.b_state = FockState(bosons=(1,))
         self.f_state = FockState(fermions=(HALF,))
         self.vac = self.space.index[self.vac_state]
-        self._fams: Dict[FockState, Family] = {}
         self.central_charge = Fraction(3, 2)
 
     # states -----------------------------------------------------------
@@ -224,9 +210,6 @@ class Vosa(FreeFieldEngine):
     @property
     def tau_vec(self) -> Vec:
         return {self.space.index[FockState(bosons=(1,), fermions=(HALF,))]: ONE}
-
-    def L(self, n: int, vec: Vec) -> Vec:
-        return self.family(self.omega_vec).apply(twice(n) + 2, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +305,10 @@ class _TensorMonoFamily(Family):
     """Modes of s (x) t through the Koszul-signed factorization of Y."""
 
     def __init__(self, engine: "TensorVosa", i: int, j: int):
-        V = engine.V
-        wi, wj = V.space.weights[i], V.space.weights[j]
-        pi, pj = V.space.parities[i], V.space.parities[j]
-        super().__init__(engine, twice(wi + wj), pi + pj, 0)
-        self.i, self.j = i, j
-        self.fam_i = V.family_of_state(V.space.states[i])
-        self.fam_j = V.family_of_state(V.space.states[j])
+        self.fam_i = engine.V._family_by_index(i)
+        self.fam_j = engine.V._family_by_index(j)
+        super().__init__(engine, self.fam_i.weight2 + self.fam_j.weight2,
+                         self.fam_i.parity + self.fam_j.parity, 0)
 
     def _compute(self, t2, col):
         eng: TensorVosa = self.engine
@@ -365,7 +345,6 @@ class TensorVosa(Engine):
             raise ValueError("tensor truncation cannot exceed the factor truncation")
         self.space = PairSpace(V, bound)
         self.algebra = self
-        self._fams: Dict[Tuple[int, int], Family] = {}
         self.vac = self.space.index[(V.vac, V.vac)]
         self.central_charge = 2 * V.central_charge
 
@@ -412,19 +391,10 @@ class TensorVosa(Engine):
 
     # families -------------------------------------------------------------
 
-    def family_of_pair(self, i: int, j: int) -> Family:
-        key = (i, j)
-        fam = self._fams.get(key)
-        if fam is None:
-            if i == self.V.vac and j == self.V.vac:
-                fam = VacuumFamily(self)
-            else:
-                fam = _TensorMonoFamily(self, i, j)
-            self._fams[key] = fam
-        return fam
-
-    def _family_by_index(self, k: int) -> Family:
-        return self.family_of_pair(*self.space.states[k])
+    def _build_family(self, k: int) -> Family:
+        if k == self.vac:
+            return VacuumFamily(self)
+        return _TensorMonoFamily(self, *self.space.states[k])
 
 
 def kappa_automorphism_report(tensor: TensorVosa, max_state_weight=Fraction(2),

@@ -19,9 +19,8 @@ PROPERTY = settings(max_examples=60, deadline=None,
 
 
 def _same_column_for_second_index(engine, data):
-    states = engine.algebra.space.states
-    fam = engine.family_of_state(
-        states[data.draw(st.integers(0, len(states) - 1), label="state")])
+    dim = engine.algebra.space.dim
+    fam = engine._family_by_index(data.draw(st.integers(0, dim - 1), label="state"))
     assume(isinstance(fam, CompositeFamily))
     col = data.draw(st.integers(0, engine.space.dim - 1), label="col")
     t2 = fam.off2 + 2 * data.draw(st.integers(-3, 3), label="t")
@@ -97,7 +96,7 @@ def test_family_rejects_an_index_that_is_not_an_int(V4, sigma, mirror, index):
     fams = [V4.family(V4.tau_vec), mirror.family(mirror.tensor.omega_vec)]
     for engine in (V4, sigma):
         V = engine.algebra
-        fams += [engine.family_of_state(s) for s in (V.vac_state, V.b_state, V.f_state)]
+        fams += [engine.family(V.vec_of(s)) for s in (V.vac_state, V.b_state, V.f_state)]
     for fam in fams:
         with pytest.raises(TypeError):
             fam.apply_basis(index, 0)

@@ -292,6 +292,19 @@ def test_foreign_family_rule_output_fails_at_intern():
         verify_algebra(alg, 1)
 
 
+def test_misordered_rule_key_fails_at_construction():
+    rules = dict(N1_NS.rules)
+    rules[("G", "L")] = rules.pop(("L", "G"))
+    with pytest.raises(InvalidAlgebra, match=r"\('G', 'L'\)"):
+        dataclasses.replace(N1_NS, name="n1-ns-misordered", rules=rules)
+
+
+def test_foreign_rule_key_fails_at_construction():
+    with pytest.raises(InvalidAlgebra, match=r"\('L', 'G2'\)"):
+        dataclasses.replace(N1_NS, name="n1-ns-foreign-key",
+                            rules={**N1_NS.rules, ("L", "G2"): N1_NS.rules[("L", "G")]})
+
+
 def test_map_wrong_only_outside_the_window_fails():
     window = 2
 

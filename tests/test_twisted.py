@@ -5,7 +5,7 @@ import pytest
 from superfock.checks import borcherds_check, bracket_table_check
 from superfock.errors import InvalidAlgebra, TruncationOverflow
 from superfock.fock import FockState
-from superfock.modes import ModeHandle
+from superfock.modes import ModeHandle, twice
 from superfock.operators import v_iadd, v_scale
 from superfock.scalars import ExactScalar, ONE
 from superfock.superalgebra import (
@@ -107,7 +107,7 @@ def test_sigma_g0_squared(sigma):
 
 
 def test_sigma_vacuum_axiom(sigma):
-    fam = sigma.family_of_state(sigma.V.vac_state)
+    fam = sigma.family(sigma.V.vacuum_vec)
     for col in (0, 1, min(5, sigma.space.dim - 1)):
         assert fam.apply_basis(-2, col) == {col: ONE}  # half units: t = -1
         assert fam.apply_basis(0, col) == {}
@@ -115,7 +115,7 @@ def test_sigma_vacuum_axiom(sigma):
 
 def test_sigma_fermion_modes_are_integer_labelled(sigma):
     # f is parity odd: its twisted tower lives on Z + 1/2, so psi labels are Z
-    fam = sigma.family_of_state(sigma.V.f_state)
+    fam = sigma.family(sigma.V.vec_of(sigma.V.f_state))
     assert fam.apply_basis(0, 0) == {}
     got = fam.apply_basis(-1, 0)  # half units: t = -1/2
     assert got  # psi(0) on a ground state
@@ -350,6 +350,23 @@ def _stack(n2=None):
     return n2, V4, V, tensor, sigma, mirror, tables
 
 
+def test_one_family_per_basis_index():
+    """Each engine keeps one family per basis index of its algebra, with the
+    weight and parity of the algebra's state; a combination of basis
+    vectors is rebuilt on each call."""
+    _, V4, V, tensor, sigma, mirror, _ = _stack()
+    for engine in (V4, V, tensor, sigma, mirror):
+        space = engine.algebra.space
+        for k in range(space.dim):
+            fam = engine._family_by_index(k)
+            assert engine.family({k: ONE}) is fam
+            assert fam.weight2 == twice(space.weights[k])
+            assert fam.parity == space.parities[k]
+        assert len(engine._fams) == space.dim
+        omega = engine.algebra.omega_vec
+        assert engine.family(omega) is not engine.family(omega)
+
+
 def _memo_columns(fam):
     """(t2, col, vec) for every column a family holds in its memo."""
     for (t2, col), vec in fam._cols.items():
@@ -371,14 +388,12 @@ def test_memoized_columns_are_zero_free_and_unmutated():
                                      engine.columns(engine.min_col_weight + 1), engine)
         assert sum(p.checked for p in report.pairs) and report.violations == 0
     _, V4b, Vb, tensor_b, sigma_b, mirror_b, tables_b = _stack(n2)
-    pairs = [(f, V4b.family_of_state(k)) for k, f in V4._fams.items()]
-    pairs += [(f, Vb.family_of_state(k)) for k, f in V._fams.items()]
-    pairs += [(f, tensor_b.family_of_pair(*k)) for k, f in tensor._fams.items()]
-    pairs += [(f, sigma_b.family_of_state(k)) for k, f in sigma._fams.items()]
-    pairs += [(f, mirror_b.family_of_pair(*k)) for k, f in mirror._pair_fams.items()]
-    pairs += [(f, mirror_b.slot_family(*k)) for k, f in mirror._slot_fams.items()]
-    for st, terms in mirror._delta_cache.items():
-        pairs += [(f, g) for (_, f), (_, g) in zip(terms, mirror_b._delta_families(st))]
+    pairs = []
+    for old, new in ((V4, V4b), (V, Vb), (tensor, tensor_b), (sigma, sigma_b),
+                     (mirror, mirror_b)):
+        pairs += [(f, new._family_by_index(k)) for k, f in old._fams.items()]
+    for i, terms in mirror._delta_cache.items():
+        pairs += [(f, g) for (_, f), (_, g) in zip(terms, mirror_b._delta_families(i))]
     for (*_, handles), (*_, fresh) in zip(tables, tables_b):
         pairs += [(handles[k].family, fresh[k].family) for k in handles]
     compared = 0

@@ -34,7 +34,7 @@ def _generator_sweep(engine):
     compared = nonzero = flips = 0
     # Y(a(-1)|0>, x) has mode t = a(t); Y(psi(-1/2)|0>, x) has t = psi(t + 1/2)
     for state, field, shift2 in ((V.b_state, "a", 0), (V.f_state, "psi", 1)):
-        fam = engine.family_of_state(state)
+        fam = engine.family(V.vec_of(state))
         for col in range(space.dim):
             top = engine.col_w2[col] + fam.weight2 - 2     # t2 with output weight 0
             for t2 in range(top - engine.bound2 - 4, top + 5):
