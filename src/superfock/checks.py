@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InvalidAlgebra, TruncationOverflow
-from .modes import Family, ModeHandle, jacobi_left, jacobi_right, twice
+from .modes import Family, jacobi_left, jacobi_right, twice
 from .operators import Vec, v_iadd
 from .scalars import ZERO, ExactScalar
 from .superalgebra import PARITY, Generator, Presentation
@@ -34,7 +34,6 @@ class CheckReport:
     checked: int = 0
     filtered: int = 0
     violations: List[CheckViolation] = field(default_factory=list)
-    detail: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -52,7 +51,6 @@ class CheckReport:
             "filtered": self.filtered,
             "violations": [v.to_json() for v in self.violations],
             "pass": self.passed,
-            **({"detail": self.detail} if self.detail else {}),
         }
 
 
@@ -214,19 +212,24 @@ class TableReport:
 def bracket_table_check(name: str,
                         presentation: Presentation,
                         central_value,
-                        handles: Dict[str, ModeHandle],
+                        families: Dict[str, Family],
                         window: int,
-                        columns: List[int],
-                        engine) -> TableReport:
+                        columns: List[int]) -> TableReport:
     """Compare constructed super-brackets of module operators against the
     structure constants of a presentation, with the central element sent to
     a scalar.
+
+    `families` holds the family of the state x realizing each presentation
+    family X in the table (`{"L": Family, "G": Family}`).  The labelled mode
+    X(n) is x_{n+wt-1}, so X's index n2 = 2n sits at n2 + weight2 - 2 in
+    the family's half units.
     """
     central_value = ExactScalar.coerce(central_value)
     report = TableReport(name, presentation.name, window, central_value,
                          source=presentation)
+    shift2 = {f: fam.weight2 - 2 for f, fam in families.items()}
     symbols = [(g, presentation.index2(g)) for g in presentation.basis(window)
-               if g.family != "C" and g.family in handles]
+               if g.family != "C" and g.family in families]
     for ai in range(len(symbols)):
         for bi in range(ai, len(symbols)):
             (a, a2), (b, b2) = symbols[ai], symbols[bi]
@@ -242,10 +245,8 @@ def bracket_table_check(name: str,
                 pr.checked += len(columns)
                 report.pairs.append(pr)
                 continue
-            # each handle's index in its family's half units, once per pair
-            ha, hb = handles[a.family], handles[b.family]
-            fa, ta = ha.family, a2 + ha.shift2
-            fb, tb = hb.family, b2 + hb.shift2
+            fa, ta = families[a.family], a2 + shift2[a.family]
+            fb, tb = families[b.family], b2 + shift2[b.family]
             # the central term is -c * central_value on the column itself
             central = ZERO
             terms = []
@@ -253,8 +254,7 @@ def bracket_table_check(name: str,
                 if f == "C":
                     central = central - coeff * central_value
                 else:
-                    h = handles[f]
-                    terms.append((h.family, t2 + h.shift2, -coeff))
+                    terms.append((families[f], t2 + shift2[f], -coeff))
             for col in columns:
                 try:
                     # fa.apply returns a fresh dict, so it can take the sum

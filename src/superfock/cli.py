@@ -55,7 +55,6 @@ from .vosa import (
 )
 
 SCHEMA = 1
-HALF = Fraction(1, 2)
 
 
 def _require(ok: bool, message: str) -> None:

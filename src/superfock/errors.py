@@ -53,6 +53,3 @@ class NoCalibration(SuperfockError):
 class NonDiagonal(SuperfockError):
     pass
 
-
-class RelationFailure(SuperfockError):
-    pass

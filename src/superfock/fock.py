@@ -5,9 +5,9 @@ Basis states are creation-mode monomials on a vacuum.  The Ramond fermion
 has a two-dimensional ground space spanned by an even vector w+ and an odd
 vector w-: the zero mode is parity odd, squares to 1/2, and therefore must
 exchange two ground states of opposite parity.  The Ramond ground weight
-offset 1/16 is carried here as configured data; the twisted-construction
-computation of the twisted conformal weight reproduces it independently and
-the tests cross-check the two.
+offset 1/16 is carried here as the constant `RAMOND_OFFSET`; the
+twisted-construction computation of the twisted conformal weight reproduces
+it independently and the tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -21,25 +21,25 @@ from .errors import NonDiagonal, TruncationOverflow
 from .scalars import ExactScalar, pow_two
 from .series import Series
 
-HALF = Fraction(1, 2)
-
 KINDS = ("boson", "ns-fermion", "ramond-fermion", "vosa", "sigma")
 _HAS_BOSON = {"boson", "vosa", "sigma"}
 _FERMION_SECTOR = {"ns-fermion": "ns", "vosa": "ns", "ramond-fermion": "r", "sigma": "r"}
 _GROUND_RANK = {"0": 0, "+": 0, "-": 1}
 
 
+# the weight of the Ramond ground states above the Neveu-Schwarz vacuum
+RAMOND_OFFSET = Fraction(1, 16)
+
+
 @dataclass(frozen=True)
 class FockSpaceSpec:
     kind: str
     truncation: Fraction
-    ramond_offset: Fraction = Fraction(1, 16)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
         object.__setattr__(self, "truncation", Fraction(self.truncation))
-        object.__setattr__(self, "ramond_offset", Fraction(self.ramond_offset))
 
     @property
     def fermion_sector(self) -> Optional[str]:
@@ -51,7 +51,7 @@ class FockSpaceSpec:
 
     @property
     def ground_offset(self) -> Fraction:
-        return self.ramond_offset if self.fermion_sector == "r" else Fraction(0)
+        return RAMOND_OFFSET if self.fermion_sector == "r" else Fraction(0)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ order-two twisted modules; only lattices and weight units differ.
 Every mode index, lattice offset and weight inside the recursion is an int
 in half units (t2 = 2t, see `twice`), and column weights are measured above
 the engine's lowest one (`Engine.col_w2`), so the index arithmetic is int
-arithmetic.  `ModeHandle` converts labelled indices at the boundary.
+arithmetic.  A labelled mode X(n) of a state x of weight wt is x_{n+wt-1},
+so its family index is 2n + weight2 - 2: L(n) = omega_{n+1}, G(r) =
+tau_{r+1/2}, J(n) = j_n.
 
 Engines derive from `Engine`, which holds the interface every family and
 verifier relies on.
@@ -26,7 +28,6 @@ verifier relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, factorial, floor
@@ -308,29 +309,6 @@ def jacobi_right(acc: Vec, u_fam: Family, w_fam: Family, ell: int, m2: int,
     return acc
 
 
-@dataclass
-class ModeHandle:
-    """A labeled tower such as L(n) = omega_{n+1}: family plus index shift.
-
-    Indices are taken as labelled (int or Fraction) and converted once to
-    the family's half units; an index off (1/2)Z raises ValueError.  A
-    caller that already holds the label in half units, l2 = 2 * label,
-    calls ``family.apply_basis(l2 + shift2, col)`` directly.
-    """
-
-    family: Family
-    shift: Fraction
-
-    def __post_init__(self):
-        self.shift2 = twice(self.shift)
-
-    def apply_basis(self, index, col) -> Vec:
-        return self.family.apply_basis(twice(index) + self.shift2, col)
-
-    def apply(self, index, vec: Vec) -> Vec:
-        return self.family.apply(twice(index) + self.shift2, vec)
-
-
 class Engine:
     """What the families and the verifiers need from a mode engine.
 
@@ -427,15 +405,17 @@ class Engine:
 
     # the grading ------------------------------------------------------------
 
-    def L_handle(self) -> ModeHandle:
-        return ModeHandle(self.family(self.algebra.omega_vec), Fraction(1))
+    def L(self) -> Family:
+        """The modes of the conformal vector, L(n) = omega_{n+1} at index
+        2n + 2, built on each call like every combination."""
+        return self.family(self.algebra.omega_vec)
 
     def l0_eigenvalues(self) -> List[Fraction]:
         """The diagonal of L(0); raises NonDiagonal if it mixes basis states."""
-        lh = self.L_handle()
+        L = self.L()
         out = []
         for col in range(self.space.dim):
-            vec = lh.apply_basis(0, col)
+            vec = L.apply_basis(2, col)
             if set(vec) - {col}:
                 raise NonDiagonal(f"operator mixes basis state {col}")
             coeff = vec.get(col, ExactScalar(0))
@@ -447,12 +427,12 @@ class Engine:
     def ground_eigenvalue(self) -> Fraction:
         """The L(0) eigenvalue on the Fock ground states, computed from the
         constructed modes (this is where a twisted ground weight emerges)."""
-        lh = self.L_handle()
+        L = self.L()
         ground_cols = [i for i, s in enumerate(self.space.states)
                        if not s.bosons and not s.fermions]
         values = set()
         for col in ground_cols:
-            got = lh.apply_basis(0, col)
+            got = L.apply_basis(2, col)
             if set(got) - {col}:
                 raise NonHomogeneous("L(0) mixes ground states")
             values.add(got.get(col, ExactScalar(0)).as_rational())

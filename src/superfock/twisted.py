@@ -25,13 +25,12 @@ from typing import Dict, List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, borcherds_check, bracket_table_check, tally
 from .delta import apply_delta
-from .fock import FockSpaceSpec, TruncatedSpace, character
+from .fock import RAMOND_OFFSET, FockSpaceSpec, TruncatedSpace, character
 from .modes import (
     CompositeFamily,
     Engine,
     Family,
     LinearFamily,
-    ModeHandle,
     VacuumFamily,
     twice,
 )
@@ -40,8 +39,6 @@ from .scalars import ExactScalar, ONE
 from .series import Series
 from .superalgebra import N1_RAMOND, N2_MIRROR_TWISTED, N1_NS, VIRASORO
 from .vosa import FreeFieldEngine, N2Data, TensorVosa, Vosa
-
-HALF = Fraction(1, 2)
 
 
 class SigmaModule(FreeFieldEngine):
@@ -53,8 +50,7 @@ class SigmaModule(FreeFieldEngine):
     def __init__(self, V: Vosa, levels: int = 6):
         self.V = self.algebra = V
         self.levels = levels
-        offset = Fraction(1, 16)
-        self.space = TruncatedSpace(FockSpaceSpec("sigma", offset + levels))
+        self.space = TruncatedSpace(FockSpaceSpec("sigma", RAMOND_OFFSET + levels))
         self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     def twist(self, vec: Vec) -> Vec:
@@ -109,18 +105,19 @@ class MirrorModule(Engine):
         self.V = sigma.V
         self.n2 = n2
         self.space = sigma.space  # the construction reuses the space on the nose
-        self._offset = Fraction(1, 16)
         self._delta_cache: Dict[int, list] = {}
         self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     # engine interface: weights in units of the twisted conformal grading
 
     def col_weight(self, i: int) -> Fraction:
-        return (self.sigma.space.weights[i] - self._offset) / 2
+        space = self.sigma.space
+        return (space.weights[i] - space.spec.ground_offset) / 2
 
     @property
     def weight_bound(self) -> Fraction:
-        return (self.sigma.space.bound - self._offset) / 2
+        space = self.sigma.space
+        return (space.bound - space.spec.ground_offset) / 2
 
     @property
     def min_col_weight(self) -> Fraction:
@@ -138,10 +135,10 @@ class MirrorModule(Engine):
         if fams is None:
             V = self.V
             h = V.space.weights[i]
-            lh = V.L_handle()
+            L = V.L()  # L(j) is omega's mode at index 2j + 2
+            terms = apply_delta(h, {i: ONE}, lambda j, v: L.apply(2 * j + 2, v))
             fams = self._delta_cache[i] = [
-                (twice(-2 * exp - h), self.sigma.family(vec))
-                for exp, vec in apply_delta(h, {i: ONE}, lh.apply)]
+                (twice(-2 * exp - h), self.sigma.family(vec)) for exp, vec in terms]
         return fams
 
     def _build_family(self, k: int) -> Family:
@@ -174,18 +171,12 @@ class MirrorModule(Engine):
 
     # constructed towers ---------------------------------------------------------
 
-    def G1_handle(self) -> ModeHandle:
-        return ModeHandle(self.family(self.n2.tau1), HALF)
-
-    def G2_handle(self) -> ModeHandle:
-        return ModeHandle(self.family(self.n2.tau2), HALF)
-
-    def J_handle(self) -> ModeHandle:
-        return ModeHandle(self.family(self.n2.jvec), Fraction(0))
-
-    def handles(self) -> Dict[str, ModeHandle]:
-        return {"L": self.L_handle(), "J": self.J_handle(),
-                "G1": self.G1_handle(), "G2": self.G2_handle()}
+    def n2_families(self) -> Dict[str, Family]:
+        """The four towers of the mirror-twisted N=2 table, each the family
+        of the state realizing it."""
+        n2 = self.n2
+        return {"L": self.L(), "G1": self.family(n2.tau1),
+                "G2": self.family(n2.tau2), "J": self.family(n2.jvec)}
 
     def graded_dimension(self) -> Series:
         """tr q**(-2c/24 + L(0)) with c the central charge of V."""
@@ -202,15 +193,11 @@ class MirrorModule(Engine):
         if max_col_weight is None:
             max_col_weight = self.weight_bound - 1
         cols = self.columns(max_col_weight)
-        towers = [
-            ("omega", self.family(self.tensor.omega_vec), 0),
-            ("tau1", self.family(self.n2.tau1), 0),
-            ("tau2", self.family(self.n2.tau2), 1),
-            ("J", self.family(self.n2.jvec), 1),
-        ]
-        for name, fam, j in towers:
-            # off-lattice modes must vanish identically: t2 = 2t runs over
-            # the odd integers for fixed vectors, the even ones for negated
+        for name, fam in self.n2_families().items():
+            # X(n) = x_{n+wt-1} with n on the presentation's lattice, so x's
+            # modes live on Z + j/2 and the ones off it must vanish: t2 = 2t
+            # runs over the odd integers for j = 0, the even ones for j = 1
+            j = (twice(N2_MIRROR_TWISTED.lattices[name]) + fam.weight2 - 2) % 2
             for t2 in range(1 - j - 2 * window, 2 * window + 1, 2):
                 for col in cols:
                     tally(rep, lambda: (fam.apply_basis(t2, col), {}),
@@ -235,10 +222,10 @@ def sigma_ramond_report(sigma: SigmaModule, window: int = 2,
     ground states, computed once per (window, max_col_level)."""
     key = (window, Fraction(max_col_level))
     if key not in sigma._tables:
-        handles = {"L": sigma.L_handle(), "G": sigma.G_handle()}
+        families = {"L": sigma.L(), "G": sigma.family(sigma.V.tau_vec)}
         sigma._tables[key] = bracket_table_check(
-            "sigma-n1-ramond", N1_RAMOND, sigma.V.central_charge, handles, window,
-            sigma.columns(sigma.min_col_weight + max_col_level), sigma)
+            "sigma-n1-ramond", N1_RAMOND, sigma.V.central_charge, families, window,
+            sigma.columns(sigma.min_col_weight + max_col_level))
     return sigma._tables[key]
 
 
@@ -264,7 +251,7 @@ def mirror_table_report(mirror: MirrorModule, window: int = 2,
     if key not in mirror._tables:
         mirror._tables[key] = bracket_table_check(
             "mirror-twisted-n2", N2_MIRROR_TWISTED, 2 * mirror.V.central_charge,
-            mirror.handles(), window, mirror.columns(Fraction(max_col_level, 2)), mirror)
+            mirror.n2_families(), window, mirror.columns(Fraction(max_col_level, 2)))
     return mirror._tables[key]
 
 

@@ -26,7 +26,6 @@ from .modes import (
     DirectFamily,
     Engine,
     Family,
-    ModeHandle,
     VacuumFamily,
 )
 from .operators import Vec, v_iadd, v_scale
@@ -173,9 +172,6 @@ class FreeFieldEngine(Engine):
                                u_fam.off2, corrections,
                                V.space.parities[k] * self.fermion_off2)
 
-    def G_handle(self) -> ModeHandle:
-        return ModeHandle(self.family(self.algebra.tau_vec), HALF)
-
 
 class Vosa(FreeFieldEngine):
     """The N=1 free-field model: one boson and one fermion, truncated by weight."""
@@ -231,10 +227,10 @@ def creation_report(V: Vosa, max_mode: int = 3) -> CheckReport:
 def grading_report(V: Vosa) -> CheckReport:
     """L(0) built from the conformal vector acts as the weight on every state."""
     rep = CheckReport("l0-grading")
-    lh = V.L_handle()
+    L = V.L()
     for i in range(V.space.dim):
         want = {i: ExactScalar(V.col_weight(i))} if V.col_weight(i) else {}
-        tally(rep, lambda: (lh.apply_basis(0, i), want),
+        tally(rep, lambda: (L.apply_basis(2, i), want),
               lambda: {"state": str(V.space.states[i])})
     return rep
 
@@ -242,11 +238,11 @@ def grading_report(V: Vosa) -> CheckReport:
 def translation_report(V: Vosa, max_weight=Fraction(5, 2), window: int = 2) -> CheckReport:
     """(L(-1)v)_n = -n v_{n-1} on a spanning set, as exact operators."""
     rep = CheckReport("translation-axiom")
-    lh = V.L_handle()
+    L = V.L()
     cols = V.columns(max_weight)
     for i in cols:
         try:
-            dv = lh.apply(-1, {i: ONE})
+            dv = L.apply(0, {i: ONE})  # L(-1)
         except TruncationOverflow:
             # L(-1)v lies beyond the truncation: none of v's checks can run
             rep.filtered += (2 * window + 1) * len(cols)
@@ -269,9 +265,9 @@ def n1_table_report(V: Vosa, window: int = 2,
 
     if max_col_weight is None:
         max_col_weight = V.space.bound - 1
-    handles = {"L": V.L_handle(), "G": V.G_handle()}
+    families = {"L": V.L(), "G": V.family(V.tau_vec)}
     return bracket_table_check("n1-free-field", N1_NS, V.central_charge,
-                               handles, window, V.columns(max_col_weight), V)
+                               families, window, V.columns(max_col_weight))
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +508,10 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2,
             tau1 = v_scale(tau1_raw, c1)
             tau2 = v_scale(tau2_raw, c2)
             jvec = v_scale(j_raw, cJ)
-            handles = {
-                "L": tensor.L_handle(),
-                "J": ModeHandle(tensor.family(jvec), Fraction(0)),
-                "G1": ModeHandle(tensor.family(tau1), HALF),
-                "G2": ModeHandle(tensor.family(tau2), HALF),
-            }
-            table = bracket_table_check("n2-calibrated", N2_NS, central, handles,
-                                        window, tensor.columns(max_col_weight), tensor)
+            families = {"L": tensor.L(), "J": tensor.family(jvec),
+                        "G1": tensor.family(tau1), "G2": tensor.family(tau2)}
+            table = bracket_table_check("n2-calibrated", N2_NS, central, families,
+                                        window, tensor.columns(max_col_weight))
             if table.passed:
                 return N2Data(c1, c2, cJ, tau1, tau2, jvec, table, tried)
     raise NoCalibration(

@@ -2,8 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from superfock.modes import twice
 from superfock.twisted import MirrorModule, SigmaModule
 from superfock.vosa import TensorVosa, Vosa, calibrate_n2
+
+
+def mode2(fam, n) -> int:
+    """The index of the labelled mode X(n) = x_{n+wt-1} in the half units
+    of x's family: L(n) = omega_{n+1}, G(r) = tau_{r+1/2}, J(n) = j_n."""
+    return twice(n) + fam.weight2 - 2
 
 
 @pytest.fixture(scope="session")

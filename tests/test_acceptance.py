@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mode2
 from superfock.cli import main
 from superfock.checks import borcherds_check
 from superfock.delta import delta_coefficients, verify_delta_equation
@@ -89,8 +90,8 @@ def test_criterion_4_free_field_n1():
         borcherds_check(V, u, v, 3, Fraction(2), f"{nu}{nv}").passed
         for nu, u in gens.items() for nv, v in gens.items())
     table = n1_table_report(V, 2, Fraction(2))
-    G = V.G_handle()
-    anti = G.apply(Fraction(3, 2), G.apply_basis(Fraction(-3, 2), V.vac))
+    G = V.family(V.tau_vec)
+    anti = G.apply(mode2(G, Fraction(3, 2)), G.apply_basis(mode2(G, Fraction(-3, 2)), V.vac))
     vacuum_line_ok = anti == {V.vac: ONE}
     elapsed = time.monotonic() - start
     _report(4, jacobi_ok and table.passed and vacuum_line_ok and elapsed < 60.0,

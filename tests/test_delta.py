@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mode2
 from superfock.delta import (
     apply_delta,
     delta_coefficients,
@@ -102,14 +103,14 @@ def test_non_lowering_operator_is_an_error():
 
 
 def test_vacuum_is_fixed(V4):
-    lh = V4.L_handle()
-    out = _expand(0, V4.vacuum_vec, lambda j, v: lh.apply(j, v))
+    L = V4.L()
+    out = _expand(0, V4.vacuum_vec, lambda j, v: L.apply(mode2(L, j), v))
     assert out == [(Fraction(0), V4.vacuum_vec)]
 
 
 def test_conformal_vector_expansion(V4):
-    lh = V4.L_handle()
-    out = _expand(2, V4.omega_vec, lambda j, v: lh.apply(j, v))
+    L = V4.L()
+    out = _expand(2, V4.omega_vec, lambda j, v: L.apply(mode2(L, j), v))
     terms = dict(out)
     assert set(terms) == {Fraction(-1), Fraction(-2)}
     quarter_omega = v_scale(V4.omega_vec, ExactScalar(Fraction(1, 4)))
@@ -119,8 +120,8 @@ def test_conformal_vector_expansion(V4):
 
 
 def test_superconformal_vector_expansion(V4):
-    lh = V4.L_handle()
-    out = _expand(Fraction(3, 2), V4.tau_vec, lambda j, v: lh.apply(j, v))
+    L = V4.L()
+    out = _expand(Fraction(3, 2), V4.tau_vec, lambda j, v: L.apply(mode2(L, j), v))
     assert len(out) == 1
     exp, vec = out[0]
     assert exp == Fraction(-3, 4)
@@ -128,8 +129,8 @@ def test_superconformal_vector_expansion(V4):
 
 
 def test_k1_is_identity(V4):
-    lh = V4.L_handle()
-    out = _expand(2, V4.omega_vec, lambda j, v: lh.apply(j, v), k=1)
+    L = V4.L()
+    out = _expand(2, V4.omega_vec, lambda j, v: L.apply(mode2(L, j), v), k=1)
     assert out == [(Fraction(0), V4.omega_vec)]
 
 
@@ -137,9 +138,9 @@ def test_single_lowering_step(V4):
     # a(-2)|0> has one nonvanishing lowering: L(1) a(-2)|0> = 2 a(-1)|0>
     from superfock.fock import FockState
 
-    lh = V4.L_handle()
+    L = V4.L()
     state = V4.vec_of(FockState(bosons=(2,)))
-    out = _expand(2, state, lambda j, v: lh.apply(j, v))
+    out = _expand(2, state, lambda j, v: L.apply(mode2(L, j), v))
     assert sorted(e for e, _ in out) == [Fraction(-3, 2), Fraction(-1)]
     terms = dict(out)
     assert terms[Fraction(-1)] == v_scale(state, ExactScalar(Fraction(1, 4)))

@@ -5,7 +5,8 @@ reference mode action `fock.mode_apply` is used by no engine, so the tests
 that compare the engines with it compare two independent computations, and
 no code under src/ hands the accumulate kernel `operators.v_iadd` a
 one-entry dict literal (a dict and a kernel call per term, where the term
-can be stored or the terms gathered into one dict)."""
+can be stored or the terms gathered into one dict), and every exception
+type in `errors` but the base class is raised somewhere under src/."""
 
 import ast
 from pathlib import Path
@@ -19,6 +20,7 @@ SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("
 CATCH_ALL = {"Exception", "BaseException"}
 ORACLE = "mode_apply"
 KERNEL = "v_iadd"
+ERROR_BASE = "SuperfockError"
 
 
 def _imported_names(tree: ast.Module):
@@ -143,3 +145,36 @@ def test_one_entry_dict_detector_sees_each_form():
            "v_scale({i: c}, 2)\n"
            "v_iadd(acc, v_scale({i: c}, 2))\n")
     assert list(_one_entry_dicts_to_kernel(ast.parse(src))) == [1, 2]
+
+
+def _raised_names(tree: ast.Module):
+    """The name of each exception a raise statement raises, as `raise X`,
+    `raise X(...)` or `raise mod.X(...)`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_every_error_type_is_raised():
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = [node.name for node in errors.body
+               if isinstance(node, ast.ClassDef) and node.name != ERROR_BASE]
+    raised = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        raised.update(_raised_names(ast.parse(path.read_text(), filename=str(path))))
+    unraised = [name for name in defined if name not in raised]
+    assert not unraised, f"errors.py defines types nothing raises: {unraised}"
+
+
+def test_raise_detector_sees_each_form():
+    src = ("raise NoCalibration('x')\n"
+           "raise errors.InvalidAlgebra('x')\n"
+           "raise NonDiagonal\n"
+           "raise\n"
+           "err = UnsupportedK('x')\n")
+    assert list(_raised_names(ast.parse(src))) == ["NoCalibration", "InvalidAlgebra",
+                                                   "NonDiagonal"]

@@ -3,13 +3,16 @@ auxiliary index m; recomputing a column with a second m must give the same
 vector, and the recursion gives up on a column only when no m is admissible.
 
 Families take mode indices, offsets and weights as ints in half units
-(t2 = 2t); `ModeHandle` converts labelled indices at the boundary."""
+(t2 = 2t); a labelled mode X(n) = x_{n+wt-1} sits at `mode2(fam, n)`
+= 2n + weight2 - 2 in the family of x, and `twice` rejects an index off
+(1/2)Z."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
 
+from conftest import mode2
 from superfock.errors import TruncationOverflow
 from superfock.modes import CompositeFamily, Family, twice
 from superfock.scalars import ONE
@@ -106,16 +109,16 @@ def test_family_rejects_an_index_that_is_not_an_int(V4, sigma, mirror, index):
 
 @pytest.mark.parametrize("index", [Fraction(1, 4), Fraction(-3, 8), Fraction(1, 3)])
 def test_mode_handle_rejects_an_index_off_the_half_integers(mirror, index):
-    handle = mirror.handles()["L"]
     with pytest.raises(ValueError):
-        handle.apply_basis(index, 0)
+        twice(index)
     with pytest.raises(ValueError):
-        handle.apply(index, {0: ONE})
+        mode2(mirror.L(), index)
 
 
 def test_mode_handle_converts_labelled_indices(V4):
     # G(r) = tau_{r+1/2}: G(-3/2)|0> = tau_{-1}|0> = tau, G(-1/2)|0> = tau_0|0> = 0
-    G = V4.G_handle()
-    assert G.apply(Fraction(-3, 2), V4.vacuum_vec) == V4.tau_vec
-    assert G.apply_basis(Fraction(-1, 2), V4.vac) == {}
+    G = V4.family(V4.tau_vec)
+    assert mode2(G, Fraction(-3, 2)) == -2 and mode2(G, Fraction(-1, 2)) == 0
+    assert G.apply(mode2(G, Fraction(-3, 2)), V4.vacuum_vec) == V4.tau_vec
+    assert G.apply_basis(mode2(G, Fraction(-1, 2)), V4.vac) == {}
     assert twice(3) == 6 and twice(Fraction(-5, 2)) == -5 and twice("1/2") == 1

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mode2
 from superfock.checks import borcherds_check, bracket_table_check
 from superfock.errors import InvalidAlgebra, TruncationOverflow
 from superfock.fock import FockState
-from superfock.modes import ModeHandle, twice
+from superfock.modes import twice
 from superfock.operators import v_iadd, v_scale
 from superfock.scalars import ExactScalar, ONE
 from superfock.superalgebra import (
@@ -39,7 +40,7 @@ def test_ground_weight_emerges(sigma):
     # computed from the twisted recursion, never inserted
     assert sigma.ground_eigenvalue() == Fraction(1, 16)
     # and it agrees with the offset the Fock layer carries as configured data
-    assert sigma.space.spec.ramond_offset == Fraction(1, 16)
+    assert sigma.space.spec.ground_offset == Fraction(1, 16)
 
 
 def test_sigma_l0_spectrum_is_offset_levels(sigma):
@@ -61,7 +62,7 @@ def test_sigma_ramond_table(sigma):
 def test_sigma_virasoro_is_the_standalone_table(sigma):
     cols = sigma.columns(sigma.min_col_weight + 2)
     alone = bracket_table_check("sigma-virasoro", VIRASORO, sigma.V.central_charge,
-                                {"L": sigma.L_handle()}, 2, cols, sigma)
+                                {"L": sigma.L()}, 2, cols)
     assert sigma_virasoro_report(sigma, 2, Fraction(2)).to_json() == alone.to_json()
 
 
@@ -98,11 +99,12 @@ def test_sigma_character_matches_product_formula(sigma):
 
 def test_sigma_g0_squared(sigma):
     # [G(0), G(0)] = 2 L(0) - c/12 vanishes on the ground states
-    G = sigma.G_handle()
+    G = sigma.family(sigma.V.tau_vec)
+    g0 = mode2(G, 0)
     ground = [i for i, s in enumerate(sigma.space.states)
               if not s.bosons and not s.fermions]
     for col in ground:
-        sq = G.apply(0, G.apply_basis(0, col))
+        sq = G.apply(g0, G.apply_basis(g0, col))
         assert v_scale(sq, 2) == {}
 
 
@@ -179,14 +181,13 @@ def test_mirror_subalgebras(mirror_deep):
 def test_mirror_subalgebras_are_the_standalone_tables(mirror_deep):
     cols = mirror_deep.columns(1)
     central = 2 * mirror_deep.V.central_charge
-    h = mirror_deep.handles()
+    h = mirror_deep.n2_families()
     alone = [
-        bracket_table_check("mirror-virasoro", VIRASORO, central, {"L": h["L"]}, 2,
-                            cols, mirror_deep),
+        bracket_table_check("mirror-virasoro", VIRASORO, central, {"L": h["L"]}, 2, cols),
         bracket_table_check("mirror-g1-ns", N1_NS, central, {"L": h["L"], "G": h["G1"]},
-                            2, cols, mirror_deep),
+                            2, cols),
         bracket_table_check("mirror-g2-ramond", N1_RAMOND, central,
-                            {"L": h["L"], "G": h["G2"]}, 2, cols, mirror_deep),
+                            {"L": h["L"], "G": h["G2"]}, 2, cols),
     ]
     views = mirror_subalgebra_reports(mirror_deep, 2, Fraction(2))
     assert [v.to_json() for v in views] == [a.to_json() for a in alone]
@@ -194,30 +195,32 @@ def test_mirror_subalgebras_are_the_standalone_tables(mirror_deep):
 
 def test_specific_mirror_brackets(mirror):
     """[G1(1/2), G2(0)] = -(i/2) J(1/2) and [L(1), J(-1/2)] = (1/2) J(1/2)."""
-    h = mirror.handles()
+    h = mirror.n2_families()
+    L, J, G1, G2 = h["L"], h["J"], h["G1"], h["G2"]
     cols = [i for i in range(mirror.space.dim)
             if mirror.sigma.space.weights[i] <= Fraction(1, 16) + 2]
     for col in cols:
-        lhs = h["G1"].apply(HALF, h["G2"].apply_basis(0, col))
-        v_iadd(lhs, h["G2"].apply(0, h["G1"].apply_basis(HALF, col)), 1)
-        want = v_scale(h["J"].apply_basis(HALF, col),
+        lhs = G1.apply(mode2(G1, HALF), G2.apply_basis(mode2(G2, 0), col))
+        v_iadd(lhs, G2.apply(mode2(G2, 0), G1.apply_basis(mode2(G1, HALF), col)), 1)
+        want = v_scale(J.apply_basis(mode2(J, HALF), col),
                        ExactScalar(0, -HALF))
         assert lhs == want
     for col in cols:
-        lhs = h["L"].apply(1, h["J"].apply_basis(-HALF, col))
-        v_iadd(lhs, h["J"].apply(-HALF, h["L"].apply_basis(1, col)), -1)
-        want = v_scale(h["J"].apply_basis(HALF, col), ExactScalar(HALF))
+        lhs = L.apply(mode2(L, 1), J.apply_basis(mode2(J, -HALF), col))
+        v_iadd(lhs, J.apply(mode2(J, -HALF), L.apply_basis(mode2(L, 1), col)), -1)
+        want = v_scale(J.apply_basis(mode2(J, HALF), col), ExactScalar(HALF))
         assert lhs == want
 
 
 def test_g2_ramond_central_value(mirror):
     # [G2(1), G2(-1)] = 2 L(0) + (1/3)(1 - 1/4) * 3 = 2 L(0) + 3/4 on grounds
-    h = mirror.handles()
+    G2 = mirror.n2_families()["G2"]
+    up, down = mode2(G2, 1), mode2(G2, -1)
     ground = [i for i, s in enumerate(mirror.space.states)
               if not s.bosons and not s.fermions]
     for col in ground:
-        anti = h["G2"].apply(1, h["G2"].apply_basis(-1, col))
-        v_iadd(anti, h["G2"].apply(-1, h["G2"].apply_basis(1, col)), 1)
+        anti = G2.apply(up, G2.apply_basis(down, col))
+        v_iadd(anti, G2.apply(down, G2.apply_basis(up, col)), 1)
         want = {col: ExactScalar(2 * Fraction(1, 8) + Fraction(3, 4))}
         assert anti == want
 
@@ -241,6 +244,8 @@ def test_mirror_equivariance(mirror):
 
 
 class _BrokenFamily:
+    weight2 = 2  # a family's weight fixes its label shift; any int will do
+
     def apply_basis(self, t, col):
         raise KeyError(col)
 
@@ -259,14 +264,14 @@ def test_functor_rebuild_is_identical(sigma, tensor, n2, mirror):
     again = MirrorModule(sigma, tensor, n2)
     assert again.space is mirror.space
     compared = 0
-    for handle_name in ("L_handle", "G1_handle", "G2_handle", "J_handle"):
-        h1 = getattr(mirror, handle_name)()
-        h2 = getattr(again, handle_name)()
+    fresh = again.n2_families()
+    for name, f1 in mirror.n2_families().items():
+        f2 = fresh[name]
         for idx in (Fraction(0), Fraction(1), -HALF):
             for col in range(0, mirror.space.dim, 17):
                 try:
-                    a = h1.apply_basis(idx, col)
-                    b = h2.apply_basis(idx, col)
+                    a = f1.apply_basis(mode2(f1, idx), col)
+                    b = f2.apply_basis(mode2(f2, idx), col)
                 except TruncationOverflow:
                     continue
                 assert a == b
@@ -277,12 +282,12 @@ def test_functor_rebuild_is_identical(sigma, tensor, n2, mirror):
 def test_mirror_grading_shift(mirror):
     # modes shift the computed twisted L(0) eigenvalue by exactly -n
     lam = mirror.l0_eigenvalues()
-    h = mirror.handles()
+    h = mirror.n2_families()
     compared = 0
     for name, idx in (("G1", -HALF), ("J", HALF), ("G2", -1), ("L", 1)):
         for col in range(0, mirror.space.dim, 13):
             try:
-                out = h[name].apply_basis(idx, col)
+                out = h[name].apply_basis(mode2(h[name], idx), col)
             except TruncationOverflow:
                 continue
             for k in out:
@@ -329,7 +334,7 @@ def test_corollary2_empty_range_does_not_match(mirror):
 
 def _stack(n2=None):
     """Vosa(4) and the level-4 twisted stack over Vosa(5), each engine with
-    the handles of its bracket table (the tensor square is calibrated when
+    the families of its bracket table (the tensor square is calibrated when
     no n2 is given)."""
     V4, V = Vosa(4), Vosa(5)
     tensor = TensorVosa(V, 5)
@@ -339,15 +344,24 @@ def _stack(n2=None):
     mirror = MirrorModule(sigma, tensor, n2)
     c = V.central_charge
     tables = [
-        (V4, N1_NS, c, {"L": V4.L_handle(), "G": V4.G_handle()}),
-        (tensor, N2_NS, 2 * c, {"L": tensor.L_handle(),
-                                "J": ModeHandle(tensor.family(n2.jvec), Fraction(0)),
-                                "G1": ModeHandle(tensor.family(n2.tau1), HALF),
-                                "G2": ModeHandle(tensor.family(n2.tau2), HALF)}),
-        (sigma, N1_RAMOND, c, {"L": sigma.L_handle(), "G": sigma.G_handle()}),
-        (mirror, N2_MIRROR_TWISTED, 2 * c, mirror.handles()),
+        (V4, N1_NS, c, {"L": V4.L(), "G": V4.family(V4.tau_vec)}),
+        (tensor, N2_NS, 2 * c, {"L": tensor.L(), "J": tensor.family(n2.jvec),
+                                "G1": tensor.family(n2.tau1),
+                                "G2": tensor.family(n2.tau2)}),
+        (sigma, N1_RAMOND, c, {"L": sigma.L(), "G": sigma.family(V.tau_vec)}),
+        (mirror, N2_MIRROR_TWISTED, 2 * c, mirror.n2_families()),
     ]
     return n2, V4, V, tensor, sigma, mirror, tables
+
+
+def test_label_shifts_follow_the_paper(n2):
+    """Each table family's derived shift weight2 - 2 is the paper's
+    labelling: L(n) = omega_{n+1}, G(r) = tau_{r+1/2}, J(n) = j_n."""
+    *_, tables = _stack(n2)
+    want = {"L": 2, "G": 1, "G1": 1, "G2": 1, "J": 0}
+    for _, _, _, families in tables:
+        assert {f: fam.weight2 - 2 for f, fam in families.items()} == {
+            f: want[f] for f in families}
 
 
 def test_one_family_per_basis_index():
@@ -383,9 +397,9 @@ def test_memoized_columns_are_zero_free_and_unmutated():
     every engine, each memoized column is zero-free and equals the column
     a freshly built engine computes."""
     n2, V4, V, tensor, sigma, mirror, tables = _stack()
-    for engine, pres, central, handles in tables:
-        report = bracket_table_check("shared", pres, central, handles, 1,
-                                     engine.columns(engine.min_col_weight + 1), engine)
+    for engine, pres, central, families in tables:
+        report = bracket_table_check("shared", pres, central, families, 1,
+                                     engine.columns(engine.min_col_weight + 1))
         assert sum(p.checked for p in report.pairs) and report.violations == 0
     _, V4b, Vb, tensor_b, sigma_b, mirror_b, tables_b = _stack(n2)
     pairs = []
@@ -394,8 +408,8 @@ def test_memoized_columns_are_zero_free_and_unmutated():
         pairs += [(f, new._family_by_index(k)) for k, f in old._fams.items()]
     for i, terms in mirror._delta_cache.items():
         pairs += [(f, g) for (_, f), (_, g) in zip(terms, mirror_b._delta_families(i))]
-    for (*_, handles), (*_, fresh) in zip(tables, tables_b):
-        pairs += [(handles[k].family, fresh[k].family) for k in handles]
+    for (*_, families), (*_, fresh) in zip(tables, tables_b):
+        pairs += [(families[k], fresh[k]) for k in families]
     compared = 0
     for old, new in pairs:
         for t2, col, vec in _memo_columns(old):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mode2
 from superfock.checks import borcherds_check
 from superfock.errors import NonHomogeneous, TruncationOverflow
 from superfock.fock import FockState, mode_apply
@@ -75,8 +76,8 @@ def test_l0_grading(V4):
 
 
 def test_l0_eigenvalue_on_tau(V4):
-    lh = V4.L_handle()
-    got = lh.apply(0, V4.tau_vec)
+    L = V4.L()
+    got = L.apply(mode2(L, 0), V4.tau_vec)
     assert got == v_scale(V4.tau_vec, ExactScalar(Fraction(3, 2)))
 
 
@@ -112,14 +113,14 @@ def test_n1_table(V4):
 
 
 def test_n1_g_bracket_values(V4):
-    G, L = V4.G_handle(), V4.L_handle()
+    G = V4.family(V4.tau_vec)
     vac = V4.vac
     # {G(1/2), G(-1/2)} = 2 L(0) on low layers
     for col in range(V4.space.dim):
         if V4.col_weight(col) > 2:
             continue
-        lhs = G.apply(HALF, G.apply_basis(-HALF, col))
-        second = G.apply(-HALF, G.apply_basis(HALF, col))
+        lhs = G.apply(mode2(G, HALF), G.apply_basis(mode2(G, -HALF), col))
+        second = G.apply(mode2(G, -HALF), G.apply_basis(mode2(G, HALF), col))
         for k, c in second.items():
             lhs[k] = lhs.get(k, ExactScalar(0)) + c
             if lhs[k].is_zero():
@@ -127,7 +128,7 @@ def test_n1_g_bracket_values(V4):
         want = {col: ExactScalar(2 * V4.col_weight(col))} if V4.col_weight(col) else {}
         assert lhs == want
     # {G(3/2), G(-3/2)} - 2L(0) = id on the vacuum line (central (2/3)*(3/2))
-    anti = G.apply(Fraction(3, 2), G.apply_basis(Fraction(-3, 2), vac))
+    anti = G.apply(mode2(G, Fraction(3, 2)), G.apply_basis(mode2(G, Fraction(-3, 2)), vac))
     assert anti == {vac: ONE}
 
 
@@ -178,9 +179,9 @@ def test_sigma_parity_map(tensor):
 
 
 def test_tensor_vacuum_and_grading(tensor):
-    lh = tensor.L_handle()
+    L = tensor.L()
     for col in range(0, tensor.space.dim, 11):
-        got = lh.apply_basis(0, col)
+        got = L.apply_basis(mode2(L, 0), col)
         w = tensor.col_weight(col)
         want = {col: ExactScalar(w)} if w else {}
         assert got == want
