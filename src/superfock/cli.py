@@ -326,6 +326,8 @@ def cmd_character(args) -> int:
     if args.space in ("ramond", "twisted"):
         _require(trunc.denominator == 1,
                  "--trunc counts levels for twisted sectors and must be an integer")
+        _require(not args.dump_basis,
+                 "--dump-basis is only available for untwisted spaces")
     if args.space == "vosa":
         space = TruncatedSpace(FockSpaceSpec("vosa", trunc))
         series = character(space, Fraction(3, 2))
@@ -344,13 +346,8 @@ def cmd_character(args) -> int:
                "series": series.to_json()}
     _emit(args, payload, [f"character of {args.space}: {series!r}"])
     if args.dump_basis:
-        if args.space in ("vosa", "ns-fermion"):
-            for line in space.basis_dump():
-                print(line)
-        else:
-            print("basis dump is only available for untwisted spaces",
-                  file=sys.stderr)
-            return 2
+        for line in space.basis_dump():
+            print(line)
     return 0
 
 

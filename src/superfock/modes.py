@@ -1,9 +1,9 @@
 """Mode families: lazy, memoized actions of vertex-operator modes.
 
 A Family represents the whole tower of modes of one state acting on one
-module.  Generator modes act directly on Fock monomials; modes of composite
-states are computed from the component form of the (twisted) Jacobi
-identity,
+module, and every family memoizes its columns the same way (`Family`).
+Generator modes act directly on Fock monomials; modes of composite states
+are computed from the component form of the (twisted) Jacobi identity,
 
     sum_i (-1)**i C(l,i) [u_{m+l-i} v_{n+i} - (-1)**l (-1)**|u||v| v_{n+l-i} u_{m+i}]
         = sum_i C(m,i) (u_{l+i} v)_{m+n-i},
@@ -82,7 +82,9 @@ class Family:
 
     The weight, the lattice offset and every mode index are ints in half
     units: `weight2` is twice the state's weight and `apply_basis(t2, col)`
-    applies the mode t = t2/2.
+    applies the mode t = t2/2.  A subclass supplies `_compute(t2, col)`;
+    `apply_basis` memoizes its columns in one list per mode index t2,
+    indexed by column and filled on first use.
     """
 
     def __init__(self, engine, weight2: int, parity: int,
@@ -93,34 +95,29 @@ class Family:
         # off2: the lattice Z + off2/2 carrying all nonzero modes (off2 is 0
         # or 1), or None when both half-integer lattices can occur.
         self.off2 = off2
-        self._cols: dict = {}
+        self._cols: Dict[int, List[Optional[Vec]]] = {}
 
     def apply_basis(self, t2: int, col: int) -> Vec:
         if not isinstance(t2, int):
             raise _not_half_units(t2)
         if self.off2 is not None and (t2 - self.off2) % 2:
             return EMPTY
-        key = (t2, col)
-        hit = self._cols.get(key)
-        if hit is not None:
-            return hit
         eng = self.engine
         out_w2 = eng.col_w2[col] + self.weight2 - t2 - 2
         if out_w2 < 0:
-            res = EMPTY
-        elif out_w2 >= eng.bound2:
-            raise self._overflow(t2, out_w2)
-        else:
-            res = self._compute(t2, col) or EMPTY
-        self._cols[key] = res
+            return EMPTY
+        if out_w2 >= eng.bound2:
+            raise TruncationOverflow(
+                f"mode {Fraction(t2, 2)} of weight-{Fraction(self.weight2, 2)} state: "
+                f"output weight {eng.min_col_weight + Fraction(out_w2, 2)} "
+                f">= bound {eng.weight_bound}")
+        row = self._cols.get(t2)
+        if row is None:
+            row = self._cols[t2] = [None] * eng.space.dim
+        res = row[col]
+        if res is None:
+            res = row[col] = self._compute(t2, col) or EMPTY
         return res
-
-    def _overflow(self, t2: int, out_w2: int) -> TruncationOverflow:
-        eng = self.engine
-        return TruncationOverflow(
-            f"mode {Fraction(t2, 2)} of weight-{Fraction(self.weight2, 2)} state: "
-            f"output weight {eng.min_col_weight + Fraction(out_w2, 2)} "
-            f">= bound {eng.weight_bound}")
 
     def apply(self, t2: int, vec: Vec) -> Vec:
         if not isinstance(t2, int):
@@ -134,40 +131,7 @@ class Family:
         raise NotImplementedError
 
 
-class DirectFamily(Family):
-    """Base for modes the module gives directly rather than through the
-    recursion (the vacuum and the free-field generators).
-
-    The lattice test, the `TypeError` for a non-int index and the overflow
-    rule are those of `Family.apply_basis`; the memo is one list per mode
-    index t2, indexed by column and filled on first use.
-    """
-
-    def __init__(self, engine, weight2: int, parity: int, off2: int):
-        super().__init__(engine, weight2, parity, off2)
-        self._rows: dict = {}
-
-    def apply_basis(self, t2: int, col: int) -> Vec:
-        if not isinstance(t2, int):
-            raise _not_half_units(t2)
-        if (t2 - self.off2) % 2:
-            return EMPTY
-        eng = self.engine
-        out_w2 = eng.col_w2[col] + self.weight2 - t2 - 2
-        if out_w2 < 0:
-            return EMPTY
-        if out_w2 >= eng.bound2:
-            raise self._overflow(t2, out_w2)
-        row = self._rows.get(t2)
-        if row is None:
-            row = self._rows[t2] = [None] * eng.space.dim
-        res = row[col]
-        if res is None:
-            res = row[col] = self._compute(t2, col)
-        return res
-
-
-class VacuumFamily(DirectFamily):
+class VacuumFamily(Family):
     """Y(1, x) = identity: the only nonzero mode is t = -1."""
 
     def __init__(self, engine):
@@ -214,10 +178,8 @@ class CompositeFamily(Family):
                  u_off2: int,
                  corrections: Callable[[int], Optional[Family]],
                  off2: Optional[int] = None):
-        ell = Fraction(ell)
-        if ell.denominator != 1:
-            raise ValueError("the product index l must be an integer")
-        ell = int(ell)
+        if not isinstance(ell, int):
+            raise TypeError(f"the product index l = {ell!r} is not an int")
         super().__init__(engine, u_fam.weight2 + w_fam.weight2 - 2 * ell - 2,
                          u_fam.parity + w_fam.parity, off2)
         self.u_fam = u_fam
@@ -397,11 +359,11 @@ class Engine:
         offs = {f.off2 for _, f in parts}
         return LinearFamily(self, parts, offs.pop() if len(offs) == 1 else None)
 
-    def product(self, u_vec: Vec, m: Fraction, v_vec: Vec) -> Vec:
-        """The algebra product state u_m v."""
+    def product(self, u_vec: Vec, ell: int, v_vec: Vec) -> Vec:
+        """The algebra product state u_l v, for an int l."""
         if not u_vec or not v_vec:
             return {}
-        return self.algebra.family(u_vec).apply(twice(m), v_vec)
+        return self.algebra.family(u_vec).apply(2 * ell, v_vec)
 
     # the grading ------------------------------------------------------------
 

@@ -49,7 +49,6 @@ class SigmaModule(FreeFieldEngine):
 
     def __init__(self, V: Vosa, levels: int = 6):
         self.V = self.algebra = V
-        self.levels = levels
         self.space = TruncatedSpace(FockSpaceSpec("sigma", RAMOND_OFFSET + levels))
         self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 

@@ -23,7 +23,6 @@ from .fock import FockSpaceSpec, FockState, TruncatedSpace, sqrt_half_delta
 from .modes import (
     EMPTY,
     CompositeFamily,
-    DirectFamily,
     Engine,
     Family,
     VacuumFamily,
@@ -75,7 +74,7 @@ def _insertion_point(parts: Tuple[int, ...], mag: int) -> int:
     return i
 
 
-class _BosonModes(DirectFamily):
+class _BosonModes(Family):
     """Y(a(-1)|0>, x): mode t is a(t), acting on the space's int-coded
     states (`TruncatedSpace.codes`)."""
 
@@ -102,7 +101,7 @@ class _BosonModes(DirectFamily):
         return {self._index[(bos[:i] + bos[i + 1:], fer, ground)]: self._counts[n * mult]}
 
 
-class _FermionModes(DirectFamily):
+class _FermionModes(Family):
     """Y(psi(-1/2)|0>, x): mode t is psi(t + 1/2), acting on int-coded
     states.  The Ramond zero mode psi(0) flips the ground state."""
 

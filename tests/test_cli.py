@@ -132,6 +132,9 @@ def test_all_json_determinism(capsys):
     ("delta", "--k", "0", "--terms", "2"),
     ("verify", "vosa", "--max-weight", "1.5", "--window", "1"),
     ("character", "--space", "ramond", "--trunc", "x"),
+    # a basis dump of a twisted space was refused only after the series printed
+    ("character", "--space", "ramond", "--trunc", "2", "--dump-basis"),
+    ("character", "--space", "twisted", "--trunc", "2", "--dump-basis"),
     # these two passed vacuously: only the central element, an empty range
     ("verify", "algebra", "--name", "n2-ns", "--window", "-1"),
     ("corollary2", "--trunc", "0"),

@@ -2,11 +2,13 @@
 module is used in that module, no handler under src/ or tests/ catches
 every exception (a swallowed error must not let a check pass), the
 reference mode action `fock.mode_apply` is used by no engine, so the tests
-that compare the engines with it compare two independent computations, and
+that compare the engines with it compare two independent computations,
 no code under src/ hands the accumulate kernel `operators.v_iadd` a
 one-entry dict literal (a dict and a kernel call per term, where the term
-can be stored or the terms gathered into one dict), and every exception
-type in `errors` but the base class is raised somewhere under src/."""
+can be stored or the terms gathered into one dict), every exception
+type in `errors` but the base class is raised somewhere under src/, and
+`modes.Family` is the one class that defines `apply_basis`, so every mode
+family shares one column memo."""
 
 import ast
 from pathlib import Path
@@ -178,3 +180,25 @@ def test_raise_detector_sees_each_form():
            "err = UnsupportedK('x')\n")
     assert list(_raised_names(ast.parse(src))) == ["NoCalibration", "InvalidAlgebra",
                                                    "NonDiagonal"]
+
+
+def _apply_basis_owners(tree: ast.Module):
+    """The name of each class whose body defines `apply_basis`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "apply_basis"
+                for item in node.body):
+            yield node.name
+
+
+def test_only_the_family_base_defines_apply_basis():
+    owners = [(path.name, name) for path in MODULES
+              for name in _apply_basis_owners(ast.parse(path.read_text(), filename=str(path)))]
+    assert owners == [("modes.py", "Family")], owners
+
+
+def test_apply_basis_detector_sees_each_form():
+    src = ("class A:\n    def apply_basis(self, t2, col):\n        pass\n"
+           "class B(A):\n    def apply(self, t2, vec):\n        return self.apply_basis(t2, 0)\n"
+           "def apply_basis(t2, col):\n    pass\n")
+    assert list(_apply_basis_owners(ast.parse(src))) == ["A"]

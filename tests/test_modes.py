@@ -62,6 +62,13 @@ def _pair(engine, wu2, ww2, u_off2, ell=0):
                            u_off2, lambda i: None)
 
 
+def test_product_index_must_be_an_int(V4):
+    with pytest.raises(TypeError):
+        V4.product(V4.tau_vec, Fraction(-1), V4.vacuum_vec)
+    with pytest.raises(TypeError):
+        _pair(_Truncation(8), 2, 2, 0, Fraction(-1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(bound2=st.integers(1, 20), wu2=st.integers(0, 8), ww2=st.integers(0, 8),
        ell=st.integers(-4, 4), u_off2=st.sampled_from([0, 1]),
@@ -95,7 +102,7 @@ def test_integer_snapping_rounds_like_fraction_round(wu2, ww2, u_off2, t2):
 @pytest.mark.parametrize("index", [Fraction(1), Fraction(1, 2), 1.0, "1"])
 def test_family_rejects_an_index_that_is_not_an_int(V4, sigma, mirror, index):
     # a mirror family has no lattice to test the index against; the vacuum
-    # and generator families have their own apply_basis
+    # and generator families are checked like every other family
     fams = [V4.family(V4.tau_vec), mirror.family(mirror.tensor.omega_vec)]
     for engine in (V4, sigma):
         V = engine.algebra

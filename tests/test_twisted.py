@@ -383,9 +383,7 @@ def test_one_family_per_basis_index():
 
 def _memo_columns(fam):
     """(t2, col, vec) for every column a family holds in its memo."""
-    for (t2, col), vec in fam._cols.items():
-        yield t2, col, vec
-    for t2, row in getattr(fam, "_rows", {}).items():
+    for t2, row in fam._cols.items():
         for col, vec in enumerate(row):
             if vec is not None:
                 yield t2, col, vec
