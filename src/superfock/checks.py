@@ -75,21 +75,22 @@ def tally(report: CheckReport, compare: Callable[[], Tuple[Vec, Vec]],
 
 
 def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
-                    max_col_weight, name: str) -> CheckReport:
+                    max_col_level, name: str) -> CheckReport:
     """Verify the component (twisted) Jacobi identity for one pair of states.
 
     For order-two engines the right side's delta-function kernel reduces,
     after residue extraction, to the lattice constraint on m together with
     the C(m, i) coefficients; u must be an eigenvector of the twisting map.
+    An untwisted engine's twist is the identity, so its exponents are 0.
+    The columns are those up to max_col_level above the lowest one.
     """
     report = CheckReport(name)
     fu = engine.family(u_vec)
     fv = engine.family(v_vec)
-    # on an order-two module u's modes live on Z + j/2 when twist(u) = (-1)**j u
-    twisted = engine.order == 2
-    off_u2 = engine.twist_exponent(u_vec) if twisted else 0
-    off_v2 = engine.twist_exponent(v_vec) if twisted else 0
-    cols = engine.columns(max_col_weight)
+    # u's modes live on Z + j/2 when twist(u) = (-1)**j u
+    off_u2 = engine.twist_exponent(u_vec)
+    off_v2 = engine.twist_exponent(v_vec)
+    cols = engine.columns(max_col_level)
 
     comp_cache: Dict[int, Optional[Family]] = {}
 

@@ -217,25 +217,22 @@ def cmd_verify_vosa(args) -> int:
 
 # The calibration and the tower are cached per process: everything is
 # deterministic and immutable after construction, so reuse across suites
-# changes no output.
-_calibrations: dict = {}
-
-
-def _calibrated(window: int = 2):
-    """V, its tensor square and the N=2 calibration at a bracket window."""
-    if window not in _calibrations:
-        V = Vosa(5)
-        tensor = TensorVosa(V, 5)
-        _calibrations[window] = (V, tensor, calibrate_n2(tensor, window=window))
-    return _calibrations[window]
+# changes no output.  The suites calibrate at the default window 2, passed
+# explicitly so that every call shares one cache key.
+@lru_cache(maxsize=None)
+def _calibrated(window: int):
+    """The tensor square of V = Vosa(5) and its N=2 calibration at a
+    bracket window."""
+    tensor = TensorVosa(Vosa(5), 5)
+    return tensor, calibrate_n2(tensor, window=window)
 
 
 @lru_cache(maxsize=None)
-def _build_stack(levels: int):
-    """Shared tower (V, tensor square, calibration, twisted sectors)."""
-    V, tensor, n2 = _calibrated()
-    sigma = SigmaModule(V, levels=levels)
-    return V, tensor, n2, sigma, MirrorModule(sigma, tensor, n2)
+def _build_stack(levels: int) -> MirrorModule:
+    """The mirror-twisted module of the shared calibration on a
+    parity-twisted module of `levels` levels (its `sigma`)."""
+    tensor, n2 = _calibrated(2)
+    return MirrorModule(SigmaModule(tensor.V, levels=levels), tensor, n2)
 
 
 def _mirror_signs(tensor: TensorVosa, n2) -> bool:
@@ -246,7 +243,8 @@ def _mirror_signs(tensor: TensorVosa, n2) -> bool:
 
 
 def _twisted_suite(window: int, max_level: Fraction, levels: int) -> list[Check]:
-    V, tensor, n2, sigma, mirror = _build_stack(levels)
+    mirror = _build_stack(levels)
+    sigma = mirror.sigma
     checks = []
     ground = sigma.ground_eigenvalue()
     checks.append(Check("sigma-ground-weight-1/16", ground == Fraction(1, 16),
@@ -301,7 +299,7 @@ def cmd_verify_twisted(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    _, tensor, n2 = _calibrated(args.window)
+    tensor, n2 = _calibrated(args.window)
     sign_ok = _mirror_signs(tensor, n2)
     payload = {"schema": SCHEMA, "command": "calibrate-n2",
                **n2.to_json(), "mirror_signs": sign_ok}
@@ -335,13 +333,9 @@ def cmd_character(args) -> int:
         space = TruncatedSpace(FockSpaceSpec("ns-fermion", trunc))
         series = character(space, Fraction(1, 2))
     elif args.space == "ramond":
-        levels = int(trunc)
-        sigma = SigmaModule(Vosa(5), levels=levels)
-        series = sigma.graded_dimension()
+        series = SigmaModule(Vosa(5), levels=int(trunc)).graded_dimension()
     else:  # twisted
-        levels = int(trunc)
-        _, _, _, _, mirror = _build_stack(levels)
-        series = mirror.graded_dimension()
+        series = _build_stack(int(trunc)).graded_dimension()
     payload = {"schema": SCHEMA, "command": "character", "space": args.space,
                "series": series.to_json()}
     _emit(args, payload, [f"character of {args.space}: {series!r}"])
@@ -354,8 +348,7 @@ def cmd_character(args) -> int:
 def cmd_corollary2(args) -> int:
     _require(args.trunc >= 1, "--trunc must be >= 1")
     levels = 2 * int(args.trunc)
-    _, _, _, _, mirror = _build_stack(max(levels, 4))
-    result = corollary2_check(mirror, Fraction(args.trunc) * 2)
+    result = corollary2_check(_build_stack(max(levels, 4)), Fraction(args.trunc) * 2)
     payload = {"schema": SCHEMA, "command": "corollary2", **result.to_json()}
     _emit(args, payload, [
         f"dim_q (parity-twisted): {result.sigma_series!r}",
@@ -446,7 +439,7 @@ def _algebra_suite(window: int) -> list[Check]:
 
 
 def _calibration_suite() -> list[Check]:
-    _, tensor, n2 = _calibrated()
+    tensor, n2 = _calibrated(2)
     ka = kappa_automorphism_report(tensor)
     return [
         Check("kappa-vertex-compatibility", ka.passed, checked=ka.checked),
@@ -457,8 +450,7 @@ def _calibration_suite() -> list[Check]:
 
 
 def _corollary2_suite(levels: int) -> list[Check]:
-    _, _, _, _, mirror = _build_stack(levels)
-    result = corollary2_check(mirror)
+    result = corollary2_check(_build_stack(levels))
     sigma_series = result.sigma_series
     expected = {Fraction(n): c for n, c in
                 zip(range(4), (2, 4, 8, 16))}

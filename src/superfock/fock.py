@@ -157,6 +157,9 @@ class TruncatedSpace:
     (bosons, fermions2, ground rank), with the fermion magnitudes in half
     units (2r), both tuples in the states' decreasing order, and the ground
     rank 1 for w- and 0 otherwise.  `code_index` maps a code to its column.
+    `level2` holds twice each state's level above the ground states and
+    `bound2` the truncation in the same units: a level2 at or above it lies
+    beyond the space.
     """
 
     def __init__(self, spec: FockSpaceSpec):
@@ -165,14 +168,12 @@ class TruncatedSpace:
         self.states: Tuple[FockState, ...] = tuple(_states_of(spec, entries))
         self.index = {s: i for i, s in enumerate(self.states)}
         offset = spec.ground_offset
-        weight_of = {lv2: offset + Fraction(lv2, 2) for lv2 in {e[0] for e in entries}}
-        self.weights: Tuple[Fraction, ...] = tuple(weight_of[e[0]] for e in entries)
+        self.level2: Tuple[int, ...] = tuple(e[0] for e in entries)
+        self.bound2 = ceil(2 * (spec.truncation - offset))
+        weight_at = {lv2: offset + Fraction(lv2, 2) for lv2 in set(self.level2)}
+        self.weights: Tuple[Fraction, ...] = tuple(weight_at[lv2] for lv2 in self.level2)
         self.parities: Tuple[int, ...] = tuple((len(f) + g) % 2 for _, _, f, g in entries)
-        self.layers: dict[Fraction, list[int]] = {}
-        for i, w in enumerate(self.weights):
-            self.layers.setdefault(w, []).append(i)
         self.bound = spec.truncation
-        self.min_weight = min(self.weights) if self.weights else Fraction(0)
         self.codes: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = tuple(
             (b, f, g) for _, b, f, g in entries)
         self.code_index = {c: i for i, c in enumerate(self.codes)}
@@ -180,9 +181,6 @@ class TruncatedSpace:
     @property
     def dim(self) -> int:
         return len(self.states)
-
-    def layer_dims(self) -> dict[Fraction, int]:
-        return {w: len(ix) for w, ix in sorted(self.layers.items())}
 
     def basis_dump(self) -> list[str]:
         return [str(s) for s in self.states]

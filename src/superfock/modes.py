@@ -16,11 +16,11 @@ lattice allows it).  The same code serves the untwisted algebra and the
 order-two twisted modules; only lattices and weight units differ.
 
 Every mode index, lattice offset and weight inside the recursion is an int
-in half units (t2 = 2t, see `twice`), and column weights are measured above
-the engine's lowest one (`Engine.col_w2`), so the index arithmetic is int
-arithmetic.  A labelled mode X(n) of a state x of weight wt is x_{n+wt-1},
-so its family index is 2n + weight2 - 2: L(n) = omega_{n+1}, G(r) =
-tau_{r+1/2}, J(n) = j_n.
+in half units (t2 = 2t, see `twice`), and a column's weight is its level
+above the engine's lowest column (`Engine.col_w2`), so the index arithmetic
+is int arithmetic.  A labelled mode X(n) of a state x of weight wt is
+x_{n+wt-1}, so its family index is 2n + weight2 - 2: L(n) = omega_{n+1},
+G(r) = tau_{r+1/2}, J(n) = j_n.
 
 Engines derive from `Engine`, which holds the interface every family and
 verifier relies on.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, factorial, floor
+from math import factorial, floor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonDiagonal, NonHomogeneous, TruncationOverflow
@@ -109,8 +109,8 @@ class Family:
         if out_w2 >= eng.bound2:
             raise TruncationOverflow(
                 f"mode {Fraction(t2, 2)} of weight-{Fraction(self.weight2, 2)} state: "
-                f"output weight {eng.min_col_weight + Fraction(out_w2, 2)} "
-                f">= bound {eng.weight_bound}")
+                f"output level {Fraction(out_w2, 2)} >= bound {Fraction(eng.bound2, 2)} "
+                f"(levels above the lowest column)")
         row = self._cols.get(t2)
         if row is None:
             row = self._cols[t2] = [None] * eng.space.dim
@@ -207,9 +207,9 @@ class CompositeFamily(Family):
         for m2 in prefs:
             if self._feasible(m2, t2, col_w2):
                 return m2
-        col_w = self.engine.min_col_weight + Fraction(col_w2, 2)
         raise TruncationOverflow(
-            f"no admissible auxiliary index for mode {Fraction(t2, 2)} at column weight {col_w}")
+            f"no admissible auxiliary index for mode {Fraction(t2, 2)} at column level "
+            f"{Fraction(col_w2, 2)} above the lowest column")
 
     def _compute(self, t2, col):
         return self.column(t2, col, self._choose_m(t2, self.engine.col_w2[col]))
@@ -274,50 +274,35 @@ def jacobi_right(acc: Vec, u_fam: Family, w_fam: Family, ell: int, m2: int,
 class Engine:
     """What the families and the verifiers need from a mode engine.
 
-    A subclass sets `space` (the module's ordered basis: `states`, `weights`,
-    `bound`, `min_weight`, `dim`), `algebra` (the vertex algebra whose states
-    label the families: the engine itself for an algebra acting on itself)
-    and implements `_build_family(i)`, which builds the family of the
-    algebra's basis vector i once for `_family_by_index`.  Twisted engines
-    set `order = 2` and a `twist`, the order-two automorphism whose
-    eigenvalues fix mode lattices.
+    A subclass sets `space` (the module's ordered basis: `states`,
+    `parities`, `dim`, and the ints `level2`, each column's level above the
+    lowest one in half units, and `bound2`, the truncation in those units),
+    `algebra` (the vertex algebra whose states label the families: the
+    engine itself for an algebra acting on itself) and implements
+    `_build_family(i)`, which builds the family of the algebra's basis
+    vector i once for `_family_by_index`.  An engine whose grading is not
+    its space's (the mirror-twisted module) sets `col_w2` and `bound2`
+    itself.
+    A twisted module overrides `twist`, the order-two automorphism whose
+    eigenvalues fix mode lattices; the default is the identity, under which
+    every exponent is 0.
     """
-
-    order = 1
-
-    def col_weight(self, i: int) -> Fraction:
-        return self.space.weights[i]
-
-    @property
-    def weight_bound(self) -> Fraction:
-        return self.space.bound
-
-    @property
-    def min_col_weight(self) -> Fraction:
-        return self.space.min_weight
 
     @cached_property
     def col_w2(self) -> Tuple[int, ...]:
-        """Each column's weight above min_col_weight, in half units."""
-        low = self.min_col_weight
-        return tuple(twice(self.col_weight(i) - low) for i in range(self.space.dim))
+        """Each column's level above the lowest column, in half units."""
+        return self.space.level2
 
     @cached_property
     def bound2(self) -> int:
-        """The truncation in the units of col_w2: an output weight at or
+        """The truncation in the units of col_w2: an output level at or
         above it overflows."""
-        return ceil(2 * (self.weight_bound - self.min_col_weight))
+        return self.space.bound2
 
-    def columns(self, max_col_weight) -> List[int]:
-        """The basis columns of weight at most max_col_weight."""
-        top2 = floor(2 * (max_col_weight - self.min_col_weight))
+    def columns(self, max_level) -> List[int]:
+        """The basis columns at most max_level above the lowest column."""
+        top2 = floor(2 * max_level)
         return [i for i, w2 in enumerate(self.col_w2) if w2 <= top2]
-
-    def weight_of(self, vec: Vec) -> Fraction:
-        ws = {self.col_weight(i) for i in vec}
-        if len(ws) != 1:
-            raise NonHomogeneous(f"vector spans weights {sorted(ws)}")
-        return ws.pop()
 
     def twist(self, vec: Vec) -> Vec:
         return vec

@@ -44,7 +44,6 @@ from .vosa import FreeFieldEngine, N2Data, TensorVosa, Vosa
 class SigmaModule(FreeFieldEngine):
     """The parity-twisted V-module on B (x) F_R, truncated by level."""
 
-    order = 2
     fermion_off2 = 1
 
     def __init__(self, V: Vosa, levels: int = 6):
@@ -78,7 +77,7 @@ class _SlotFamily(Family):
 
     def __init__(self, mirror: "MirrorModule", i: int, slot: int):
         V = mirror.V
-        super().__init__(mirror, twice(V.space.weights[i]), V.space.parities[i], None)
+        super().__init__(mirror, V.col_w2[i], V.space.parities[i], None)
         self.slot = slot
         self.terms = mirror._delta_families(i)
 
@@ -92,9 +91,8 @@ class _SlotFamily(Family):
 
 class MirrorModule(Engine):
     """The mirror-twisted (V (x) V)-module carried by the same space as the
-    parity-twisted module."""
-
-    order = 2
+    parity-twisted module, its grading halved: a column's level is half its
+    level in the parity-twisted module."""
 
     def __init__(self, sigma: SigmaModule, tensor: TensorVosa, n2: N2Data):
         if tensor.V is not sigma.V:
@@ -104,23 +102,11 @@ class MirrorModule(Engine):
         self.V = sigma.V
         self.n2 = n2
         self.space = sigma.space  # the construction reuses the space on the nose
+        # every parity-twisted level is an integer, so its half-unit int is even
+        self.col_w2 = tuple(w2 // 2 for w2 in sigma.col_w2)
+        self.bound2 = sigma.bound2 // 2
         self._delta_cache: Dict[int, list] = {}
         self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
-
-    # engine interface: weights in units of the twisted conformal grading
-
-    def col_weight(self, i: int) -> Fraction:
-        space = self.sigma.space
-        return (space.weights[i] - space.spec.ground_offset) / 2
-
-    @property
-    def weight_bound(self) -> Fraction:
-        space = self.sigma.space
-        return (space.bound - space.spec.ground_offset) / 2
-
-    @property
-    def min_col_weight(self) -> Fraction:
-        return Fraction(0)
 
     def twist(self, vec: Vec) -> Vec:
         return self.tensor.kappa(vec)
@@ -181,17 +167,18 @@ class MirrorModule(Engine):
         """tr q**(-2c/24 + L(0)) with c the central charge of V."""
         eig = self.l0_eigenvalues()
         c2 = 2 * self.V.central_charge
-        bound = min(eig) + self.weight_bound if eig else self.weight_bound
+        bound = Fraction(self.bound2, 2) + (min(eig) if eig else 0)
         return character(self.space, c2, eigenvalues=eig, bound=bound)
 
     def mode_lattice_report(self, window: int = 2,
-                            max_col_weight: Optional[Fraction] = None) -> CheckReport:
+                            max_col_level: Optional[Fraction] = None) -> CheckReport:
         """Eigenvalue bookkeeping: fixed vectors carry integer modes only,
-        negated vectors half-integer modes only."""
+        negated vectors half-integer modes only, on the columns up to
+        max_col_level above the ground states."""
         rep = CheckReport("mirror-mode-lattices")
-        if max_col_weight is None:
-            max_col_weight = self.weight_bound - 1
-        cols = self.columns(max_col_weight)
+        if max_col_level is None:
+            max_col_level = Fraction(self.bound2, 2) - 1
+        cols = self.columns(max_col_level)
         for name, fam in self.n2_families().items():
             # X(n) = x_{n+wt-1} with n on the presentation's lattice, so x's
             # modes live on Z + j/2 and the ones off it must vanish: t2 = 2t
@@ -224,7 +211,7 @@ def sigma_ramond_report(sigma: SigmaModule, window: int = 2,
         families = {"L": sigma.L(), "G": sigma.family(sigma.V.tau_vec)}
         sigma._tables[key] = bracket_table_check(
             "sigma-n1-ramond", N1_RAMOND, sigma.V.central_charge, families, window,
-            sigma.columns(sigma.min_col_weight + max_col_level))
+            sigma.columns(max_col_level))
     return sigma._tables[key]
 
 
@@ -233,10 +220,9 @@ def sigma_twisted_jacobi_report(sigma: SigmaModule, window: int = 2,
     rep = CheckReport("sigma-twisted-jacobi")
     V = sigma.V
     gens = [("b", V.vec_of(V.b_state)), ("f", V.vec_of(V.f_state))]
-    max_w = sigma.space.min_weight + max_col_level
     for name_u, u in gens:
         for name_v, v in gens:
-            sub = borcherds_check(sigma, u, v, window, max_w,
+            sub = borcherds_check(sigma, u, v, window, max_col_level,
                                   f"sigma-jacobi-{name_u}{name_v}")
             rep.merge(sub)
     return rep

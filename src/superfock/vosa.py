@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil
+from math import ceil, isqrt
 from typing import List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, bracket_table_check, tally
@@ -58,8 +58,6 @@ def _sqrt_in_field(x: ExactScalar) -> List[ExactScalar]:
 
 
 def _isqrt_exact(n: int) -> Optional[int]:
-    from math import isqrt
-
     s = isqrt(n)
     return s if s * s == n else None
 
@@ -227,8 +225,8 @@ def grading_report(V: Vosa) -> CheckReport:
     """L(0) built from the conformal vector acts as the weight on every state."""
     rep = CheckReport("l0-grading")
     L = V.L()
-    for i in range(V.space.dim):
-        want = {i: ExactScalar(V.col_weight(i))} if V.col_weight(i) else {}
+    for i, w in enumerate(V.space.weights):
+        want = {i: ExactScalar(w)} if w else {}
         tally(rep, lambda: (L.apply_basis(2, i), want),
               lambda: {"state": str(V.space.states[i])})
     return rep
@@ -258,15 +256,15 @@ def translation_report(V: Vosa, max_weight=Fraction(5, 2), window: int = 2) -> C
 
 
 def n1_table_report(V: Vosa, window: int = 2,
-                    max_col_weight: Optional[Fraction] = None) -> TableReport:
+                    max_col_level: Optional[Fraction] = None) -> TableReport:
     """The tau-modes satisfy the N=1 Neveu-Schwarz table with c = 3/2."""
     from .superalgebra import N1_NS
 
-    if max_col_weight is None:
-        max_col_weight = V.space.bound - 1
+    if max_col_level is None:
+        max_col_level = V.space.bound - 1
     families = {"L": V.L(), "G": V.family(V.tau_vec)}
     return bracket_table_check("n1-free-field", N1_NS, V.central_charge,
-                               families, window, V.columns(max_col_weight))
+                               families, window, V.columns(max_col_level))
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +272,22 @@ def n1_table_report(V: Vosa, window: int = 2,
 # ---------------------------------------------------------------------------
 
 class PairSpace:
-    """Ordered basis of V (x) V below a combined-weight truncation."""
+    """Ordered basis of V (x) V below a combined-weight truncation.
+
+    `level2` holds twice each pair's combined weight and `bound2` twice the
+    truncation, rounded up: an int level2 is below 2 * bound exactly when it
+    is below bound2.
+    """
 
     def __init__(self, V: Vosa, bound: Fraction):
-        self.bound = Fraction(bound)
-        # V's weights in half units; an int sum is below 2 * bound exactly
-        # when it is below top2
-        w2, top2 = V.col_w2, ceil(2 * self.bound)
+        w2, self.bound2 = V.col_w2, ceil(2 * bound)
         pairs = sorted((wi + wj, i, j) for i, wi in enumerate(w2)
-                       for j, wj in enumerate(w2) if wi + wj < top2)
+                       for j, wj in enumerate(w2) if wi + wj < self.bound2)
         self.states: Tuple[Tuple[int, int], ...] = tuple((i, j) for _, i, j in pairs)
         self.index = {p: k for k, p in enumerate(self.states)}
-        halves = [Fraction(k, 2) for k in range(max(top2, 0))]
-        self.weights = tuple(halves[k] for k, _, _ in pairs)
+        self.level2: Tuple[int, ...] = tuple(k for k, _, _ in pairs)
         self.parities = tuple((V.space.parities[i] + V.space.parities[j]) % 2
                               for i, j in self.states)
-        self.min_weight = Fraction(0)
 
     @property
     def dim(self) -> int:
@@ -378,8 +376,6 @@ class TensorVosa(Engine):
                 out[index[(j, i)]] = -c if parities[i] * parities[j] else c
         return out
 
-    twist = kappa
-
     def sigma(self, vec: Vec) -> Vec:
         """Parity map on the tensor square."""
         return {k: (-c if self.space.parities[k] else c) for k, c in vec.items()}
@@ -394,10 +390,10 @@ class TensorVosa(Engine):
 
 def kappa_automorphism_report(tensor: TensorVosa, max_state_weight=Fraction(2),
                               window: int = 2,
-                              max_col_weight=Fraction(2)) -> CheckReport:
+                              max_col_level=Fraction(2)) -> CheckReport:
     """kappa Y(v,x) kappa = Y(kappa v, x) on windowed states and modes."""
     rep = CheckReport("kappa-vertex-compatibility")
-    cols = tensor.columns(max_col_weight)
+    cols = tensor.columns(max_col_level)
     for k in tensor.columns(max_state_weight):
         v = {k: ONE}
         fam = tensor.family(v)
@@ -444,8 +440,19 @@ def _raw_n2_vectors(tensor: TensorVosa) -> Tuple[Vec, Vec, Vec]:
     return tau1, tau2, jraw
 
 
+def _vacuum_line(fam: Family, up2: int, vac: int, sign: int) -> ExactScalar:
+    """The vacuum coefficient of (x_{up} x_{-1} + sign x_{-1} x_{up}) vac,
+    for fam the modes of x and up = up2/2: the anticommutator (sign 1) or
+    commutator (sign -1) whose vacuum line fixes x's normalization."""
+    acc = fam.apply(up2, fam.apply_basis(-2, vac))
+    other = fam.apply_basis(up2, vac)
+    if other:
+        v_iadd(acc, fam.apply(-2, other), sign)
+    return acc.get(vac, ExactScalar(0))
+
+
 def calibrate_n2(tensor: TensorVosa, window: int = 2,
-                 max_col_weight=Fraction(2)) -> N2Data:
+                 max_col_level=Fraction(2)) -> N2Data:
     """Solve for the scalars making (tau1, tau2, J) generate the N=2 algebra
     with central charge 3 on the truncated tensor square.
 
@@ -464,24 +471,15 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2,
 
     # family modes are in half units: G(r) is tau's mode r + 1/2, t2 = 2r + 1
     f1 = tensor.family(tau1_raw)
-    # lambda1: {G1(3/2), G1(-3/2)} on the vacuum = c1**2 * lambda1, target 2.
-    down = f1.apply_basis(-2, vac)                    # G(-3/2) = mode -1
-    up_then = f1.apply(4, down)                       # G(3/2) = mode 2
-    other = f1.apply_basis(4, vac)
-    anti = dict(up_then)
-    if other:
-        v_iadd(anti, f1.apply(-2, other), 1)
-    lam1 = anti.get(vac, ExactScalar(0))
-    c1_roots = [r for r in _sqrt_in_field(ExactScalar(2) * lam1.inv())] if lam1 else []
+    # {G1(3/2), G1(-3/2)} on the vacuum = c1**2 * lam1, target 2; G(3/2) is
+    # tau's mode 2, G(-3/2) its mode -1
+    lam1 = _vacuum_line(f1, 4, vac, 1)
+    c1_roots = _sqrt_in_field(ExactScalar(2) * lam1.inv()) if lam1 else []
 
+    # [J(1), J(-1)] on the vacuum = cJ**2 * lamj, target 1
     fj = tensor.family(j_raw)
-    jdown = fj.apply_basis(-2, vac)
-    jcomm = fj.apply(2, jdown)
-    jother = fj.apply_basis(2, vac)
-    if jother:
-        v_iadd(jcomm, fj.apply(-2, jother), -1)
-    lamj = jcomm.get(vac, ExactScalar(0))
-    cj_roots = [r for r in _sqrt_in_field(lamj.inv())] if lamj else []
+    lamj = _vacuum_line(fj, 2, vac, -1)
+    cj_roots = _sqrt_in_field(lamj.inv()) if lamj else []
 
     f2 = tensor.family(tau2_raw)
     tried = 0
@@ -510,7 +508,7 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2,
             families = {"L": tensor.L(), "J": tensor.family(jvec),
                         "G1": tensor.family(tau1), "G2": tensor.family(tau2)}
             table = bracket_table_check("n2-calibrated", N2_NS, central, families,
-                                        window, tensor.columns(max_col_weight))
+                                        window, tensor.columns(max_col_level))
             if table.passed:
                 return N2Data(c1, c2, cJ, tau1, tau2, jvec, table, tried)
     raise NoCalibration(

@@ -8,6 +8,7 @@ Families take mode indices, offsets and weights as ints in half units
 (1/2)Z."""
 
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
@@ -16,6 +17,7 @@ from conftest import mode2
 from superfock.errors import TruncationOverflow
 from superfock.modes import CompositeFamily, Family, twice
 from superfock.scalars import ONE
+from superfock.twisted import MirrorModule, SigmaModule
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -51,8 +53,6 @@ def test_sigma_column_independent_of_auxiliary_index(sigma, data):
 
 
 class _Truncation:
-    min_col_weight = Fraction(0)
-
     def __init__(self, bound2):
         self.bound2 = bound2
 
@@ -129,3 +129,31 @@ def test_mode_handle_converts_labelled_indices(V4):
     assert G.apply(mode2(G, Fraction(-3, 2)), V4.vacuum_vec) == V4.tau_vec
     assert G.apply_basis(mode2(G, Fraction(-1, 2)), V4.vac) == {}
     assert twice(3) == 6 and twice(Fraction(-5, 2)) == -5 and twice("1/2") == 1
+
+
+@pytest.mark.parametrize("levels", [4, 9])
+def test_int_levels_match_fraction_weights(V5, tensor, n2, levels):
+    """Each engine's col_w2 and bound2 are its columns' Fraction weights and
+    its truncation measured from the lowest column, in half units, and
+    columns(level) keeps the columns at most `level` above the lowest one.
+    The mirror-twisted module halves the parity-twisted grading: its level
+    is (sigma weight - 1/16)/2."""
+    sigma = SigmaModule(V5, levels=levels)
+    mirror = MirrorModule(sigma, tensor, n2)
+    vw, off = V5.space.weights, Fraction(1, 16)
+    cases = [
+        (V5, vw, 0, 5),
+        (tensor, [vw[i] + vw[j] for i, j in tensor.space.states], 0, 5),
+        (sigma, sigma.space.weights, off, off + levels),
+        (mirror, [(w - off) / 2 for w in sigma.space.weights], 0, Fraction(levels, 2)),
+    ]
+    for engine, weights, low, bound in cases:
+        assert min(weights) == low
+        assert all(type(w2) is int for w2 in engine.col_w2)
+        assert engine.col_w2 == tuple(2 * (w - low) for w in weights)
+        assert type(engine.bound2) is int and engine.bound2 == ceil(2 * (bound - low))
+        # quarter steps: a level off the half-integers rounds down
+        for k in range(4 * levels + 4):
+            level = Fraction(k, 4)
+            assert engine.columns(level) == [
+                i for i, w in enumerate(weights) if w - low <= level]

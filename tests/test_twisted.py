@@ -6,7 +6,6 @@ from conftest import mode2
 from superfock.checks import borcherds_check, bracket_table_check
 from superfock.errors import InvalidAlgebra, TruncationOverflow
 from superfock.fock import FockState
-from superfock.modes import twice
 from superfock.operators import v_iadd, v_scale
 from superfock.scalars import ExactScalar, ONE
 from superfock.superalgebra import (
@@ -60,7 +59,7 @@ def test_sigma_ramond_table(sigma):
 
 
 def test_sigma_virasoro_is_the_standalone_table(sigma):
-    cols = sigma.columns(sigma.min_col_weight + 2)
+    cols = sigma.columns(2)
     alone = bracket_table_check("sigma-virasoro", VIRASORO, sigma.V.central_charge,
                                 {"L": sigma.L()}, 2, cols)
     assert sigma_virasoro_report(sigma, 2, Fraction(2)).to_json() == alone.to_json()
@@ -374,7 +373,7 @@ def test_one_family_per_basis_index():
         for k in range(space.dim):
             fam = engine._family_by_index(k)
             assert engine.family({k: ONE}) is fam
-            assert fam.weight2 == twice(space.weights[k])
+            assert fam.weight2 == engine.algebra.col_w2[k]
             assert fam.parity == space.parities[k]
         assert len(engine._fams) == space.dim
         omega = engine.algebra.omega_vec
@@ -397,7 +396,7 @@ def test_memoized_columns_are_zero_free_and_unmutated():
     n2, V4, V, tensor, sigma, mirror, tables = _stack()
     for engine, pres, central, families in tables:
         report = bracket_table_check("shared", pres, central, families, 1,
-                                     engine.columns(engine.min_col_weight + 1))
+                                     engine.columns(1))
         assert sum(p.checked for p in report.pairs) and report.violations == 0
     _, V4b, Vb, tensor_b, sigma_b, mirror_b, tables_b = _stack(n2)
     pairs = []

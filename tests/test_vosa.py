@@ -6,7 +6,7 @@ from conftest import mode2
 from superfock.checks import borcherds_check
 from superfock.errors import NonHomogeneous, TruncationOverflow
 from superfock.fock import FockState, mode_apply
-from superfock.operators import v_scale
+from superfock.operators import v_iadd, v_scale
 from superfock.scalars import ExactScalar, ONE
 from superfock.twisted import SigmaModule
 from superfock.vosa import (
@@ -101,7 +101,7 @@ def test_jacobi_generator_pairs(V4):
 def test_jacobi_omega_with_low_weight_spanning_set(V4):
     # conformal vector against every state of weight <= 3/2
     for i in range(V4.space.dim):
-        if V4.col_weight(i) > Fraction(3, 2):
+        if V4.space.weights[i] > Fraction(3, 2):
             continue
         rep = borcherds_check(V4, V4.omega_vec, {i: ONE}, 1, Fraction(1), f"om-{i}")
         assert rep.passed, i
@@ -117,7 +117,7 @@ def test_n1_g_bracket_values(V4):
     vac = V4.vac
     # {G(1/2), G(-1/2)} = 2 L(0) on low layers
     for col in range(V4.space.dim):
-        if V4.col_weight(col) > 2:
+        if V4.space.weights[col] > 2:
             continue
         lhs = G.apply(mode2(G, HALF), G.apply_basis(mode2(G, -HALF), col))
         second = G.apply(mode2(G, -HALF), G.apply_basis(mode2(G, HALF), col))
@@ -125,7 +125,8 @@ def test_n1_g_bracket_values(V4):
             lhs[k] = lhs.get(k, ExactScalar(0)) + c
             if lhs[k].is_zero():
                 del lhs[k]
-        want = {col: ExactScalar(2 * V4.col_weight(col))} if V4.col_weight(col) else {}
+        w = V4.space.weights[col]
+        want = {col: ExactScalar(2 * w)} if w else {}
         assert lhs == want
     # {G(3/2), G(-3/2)} - 2L(0) = id on the vacuum line (central (2/3)*(3/2))
     anti = G.apply(mode2(G, Fraction(3, 2)), G.apply_basis(mode2(G, Fraction(-3, 2)), vac))
@@ -182,7 +183,7 @@ def test_tensor_vacuum_and_grading(tensor):
     L = tensor.L()
     for col in range(0, tensor.space.dim, 11):
         got = L.apply_basis(mode2(L, 0), col)
-        w = tensor.col_weight(col)
+        w = Fraction(tensor.col_w2[col], 2)
         want = {col: ExactScalar(w)} if w else {}
         assert got == want
 
@@ -216,13 +217,17 @@ def test_mode_parity_grading(V4):
     assert compared
 
 
-def test_twist_exponent_requires_eigenvectors(tensor):
+def test_twist_exponent_requires_eigenvectors(tensor, mirror):
+    # the mirror-twisted module's twist is the signed transposition kappa;
+    # the tensor square itself is untwisted, so every exponent there is 0
     V = tensor.V
     f1 = tensor.slot(V.vec_of(V.f_state), 1)
     with pytest.raises(NonHomogeneous):
-        tensor.twist_exponent(f1)
+        mirror.twist_exponent(f1)
+    assert tensor.twist_exponent(f1) == 0
     f2 = tensor.slot(V.vec_of(V.f_state), 2)
     plus = dict(f1)
     for k, c in f2.items():
         plus[k] = plus.get(k, ExactScalar(0)) + c
-    assert tensor.twist_exponent(plus) == 0
+    assert mirror.twist_exponent(plus) == 0
+    assert mirror.twist_exponent(v_iadd(dict(f1), f2, -1)) == 1
