@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InvalidAlgebra, TruncationOverflow
 from .modes import Family, jacobi_left, jacobi_right, twice
-from .operators import Vec, v_iadd
+from .operators import Vec, v_iadd, v_scale
 from .scalars import ZERO, ExactScalar
 from .superalgebra import PARITY, Generator, Presentation
 
@@ -260,7 +260,11 @@ def bracket_table_check(name: str,
                 try:
                     # fa.apply returns a fresh dict, so it can take the sum
                     residual = fa.apply(ta, fb.apply_basis(tb, col))
-                    v_iadd(residual, fb.apply(tb, fa.apply_basis(ta, col)), -sign)
+                    if a == b:
+                        # odd A: [A, A] = 2 A A, both products one vector
+                        residual = v_scale(residual, 2)
+                    else:
+                        v_iadd(residual, fb.apply(tb, fa.apply_basis(ta, col)), -sign)
                     for fam, t2, coeff in terms:
                         v_iadd(residual, fam.apply_basis(t2, col), coeff)
                 except TruncationOverflow:

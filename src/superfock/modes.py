@@ -22,6 +22,14 @@ is int arithmetic.  A labelled mode X(n) of a state x of weight wt is
 x_{n+wt-1}, so its family index is 2n + weight2 - 2: L(n) = omega_{n+1},
 G(r) = tau_{r+1/2}, J(n) = j_n.
 
+A linear combination of families (`LinearFamily`) is kept flat: each term
+is a non-combination family with an int index map t2 -> mul * t2 + add and
+one coefficient per parity of t2, and a combination built from
+combinations takes over their terms with the maps composed, so a tower's
+column is one accumulation over memoized columns and the tower's memo is
+its only copy.  The mirror-twisted slot families are such combinations of
+parity-twisted families at the doubled index.
+
 Engines derive from `Engine`, which holds the interface every family and
 verifier relies on.
 """
@@ -35,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonDiagonal, NonHomogeneous, TruncationOverflow
 from .operators import Vec, v_iadd, v_scale
-from .scalars import ExactScalar, ONE
+from .scalars import ZERO, ExactScalar, ONE
 
 
 def twice(x) -> int:
@@ -142,27 +150,75 @@ class VacuumFamily(Family):
 
 
 class LinearFamily(Family):
-    """Linear combination of same-weight families."""
+    """A linear combination of mode families, kept flat.
 
-    def __init__(self, engine, parts: Sequence[Tuple[ExactScalar, Family]],
+    Each term (family, mul, add, c_even, c_odd) contributes
+    c * family.apply_basis(mul * t2 + add, col), with c = c_even for even t2
+    and c_odd for odd t2; a term's index map must carry this family's
+    weight to its own: family.weight2 - add - 2 == mul * (weight2 - 2).  A
+    term whose family is itself a LinearFamily is expanded into that
+    family's terms when the combination is built (index maps composed,
+    coefficients multiplied, the inner lattice turned into a 0 coefficient
+    on the parity it excludes), and terms with one (family, mul, add) are
+    merged, so a column is one accumulation over non-combination families
+    and this family's memo is its only copy.
+    """
+
+    def __init__(self, engine, weight2: int, parity: int,
+                 terms: Sequence[Tuple[Family, int, int, object, object]],
                  off2: Optional[int] = None):
-        parts = [(c, f) for c, f in ((ExactScalar.coerce(c), f) for c, f in parts)
-                 if not c.is_zero()]
+        super().__init__(engine, weight2, parity, off2)
+        merged: Dict[Tuple[Family, int, int], List[ExactScalar]] = {}
+        for fam, mul, add, c_even, c_odd in terms:
+            if fam.weight2 - add - 2 != mul * (weight2 - 2) or fam.parity != self.parity:
+                raise ValueError(
+                    f"term index map {mul} t + {Fraction(add, 2)} does not carry a "
+                    f"weight-{Fraction(weight2, 2)} family of parity {self.parity} to "
+                    f"its weight-{Fraction(fam.weight2, 2)} family of parity {fam.parity}")
+            coeffs = (ExactScalar.coerce(c_even), ExactScalar.coerce(c_odd))
+            for key, ce, co in _expanded(fam, mul, add, coeffs):
+                acc = merged.get(key)
+                if acc is None:
+                    merged[key] = [ce, co]
+                else:
+                    acc[0] += ce
+                    acc[1] += co
+        self.terms = tuple((*key, ce, co) for key, (ce, co) in merged.items() if ce or co)
+        # per parity of t2: (family, mul, add, coefficient) for the nonzero ones
+        self._by_parity = tuple(
+            tuple((f, m, a, c[p]) for f, m, a, *c in self.terms if c[p]) for p in (0, 1))
+
+    @classmethod
+    def combine(cls, engine, parts: Sequence[Tuple[object, Family]],
+                off2: Optional[int] = None) -> "LinearFamily":
+        """sum c * f over families f of one weight and parity, all at the
+        same mode index."""
         if not parts:
             raise ValueError("empty linear family")
-        w2 = parts[0][1].weight2
-        p = parts[0][1].parity
-        for _, f in parts:
-            if f.weight2 != w2 or f.parity != p:
-                raise ValueError("linear family parts must share weight and parity")
-        super().__init__(engine, w2, p, off2)
-        self.parts = parts
+        first = parts[0][1]
+        return cls(engine, first.weight2, first.parity,
+                   [(f, 1, 0, c, c) for c, f in parts], off2)
 
     def _compute(self, t2, col):
         acc: Vec = {}
-        for c, f in self.parts:
-            v_iadd(acc, f.apply_basis(t2, col), c)
+        for fam, mul, add, c in self._by_parity[t2 & 1]:
+            v_iadd(acc, fam.apply_basis(mul * t2 + add, col), c)
         return acc
+
+
+def _expanded(fam: Family, mul: int, add: int, coeffs: Tuple[ExactScalar, ExactScalar]):
+    """((family, mul, add), c_even, c_odd) for the non-combination terms of
+    coeffs * fam(mul * t2 + add)."""
+    if not isinstance(fam, LinearFamily):
+        yield (fam, mul, add), coeffs[0], coeffs[1]
+        return
+    # the inner index s = mul * t2 + add has the parity (mul * p + add) % 2
+    # on the t2 of parity p
+    inner = [(mul * p + add) % 2 for p in (0, 1)]
+    live = [fam.off2 is None or (s - fam.off2) % 2 == 0 for s in inner]
+    for f, m, a, *c in fam.terms:
+        yield ((f, m * mul, m * add + a),
+               *(coeffs[p] * c[inner[p]] if live[p] else ZERO for p in (0, 1)))
 
 
 class CompositeFamily(Family):
@@ -342,7 +398,7 @@ class Engine:
         # column memo would live as long as the engine (peak memory +5-6%)
         parts = [(c, self._family_by_index(i)) for i, c in items]
         offs = {f.off2 for _, f in parts}
-        return LinearFamily(self, parts, offs.pop() if len(offs) == 1 else None)
+        return LinearFamily.combine(self, parts, offs.pop() if len(offs) == 1 else None)
 
     def product(self, u_vec: Vec, ell: int, v_vec: Vec) -> Vec:
         """The algebra product state u_l v, for an int l."""

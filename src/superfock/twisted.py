@@ -10,7 +10,9 @@ never an input.
 
 The mirror-twisted module is assembled through the weight-halving twist:
 modes of a slot-1 vector are the twisted-sector modes of its twisted image,
-evaluated at a halved variable; slot 2 follows by the root-phase flip; a
+evaluated at a halved variable; slot 2 follows by the root-phase flip.  A
+slot family is one flat `LinearFamily` over parity-twisted families at the
+doubled index, its odd-t2 coefficients carrying the slot-2 sign.  A
 two-slot vector s (x) t is reached through s (x) t = (s^1 + s^2)_{-1} (1 (x) t)
 minus the single-slot state 1 (x) (s_{-1} t), whose compositions the
 recursion resolves.
@@ -66,29 +68,6 @@ class SigmaModule(FreeFieldEngine):
 # Mirror-twisted module
 # ---------------------------------------------------------------------------
 
-class _SlotFamily(Family):
-    """Twisted modes of a slot vector v^1 or v^2 of the tensor square.
-
-    Built from the weight-halving expansion of v: the mode at t collects the
-    twisted-sector modes of the lowered states at 2t + 1 - wt - d; slot 2
-    differs by the root-phase sign (-1)**(2t).  The terms hold (2d, family).
-    v is V's basis vector i.
-    """
-
-    def __init__(self, mirror: "MirrorModule", i: int, slot: int):
-        V = mirror.V
-        super().__init__(mirror, V.col_w2[i], V.space.parities[i], None)
-        self.slot = slot
-        self.terms = mirror._delta_families(i)
-
-    def _compute(self, t2, col):
-        sign = -1 if self.slot == 2 and t2 % 2 else 1
-        acc: Vec = {}
-        for d2, fam in self.terms:
-            v_iadd(acc, fam.apply_basis(2 * t2 + 2 - self.weight2 - d2, col), sign)
-        return acc
-
-
 class MirrorModule(Engine):
     """The mirror-twisted (V (x) V)-module carried by the same space as the
     parity-twisted module, its grading halved: a column's level is half its
@@ -126,19 +105,31 @@ class MirrorModule(Engine):
                 (twice(-2 * exp - h), self.sigma.family(vec)) for exp, vec in terms]
         return fams
 
+    def _slot_family(self, i: int, slot: int) -> LinearFamily:
+        """The twisted modes of the slot vector v^1 or v^2, v V's basis
+        vector i: the mode at t collects the parity-twisted modes of the
+        weight-halving expansion's terms at 2t + 1 - wt - d, and slot 2
+        differs by the root-phase sign (-1)**(2t)."""
+        V = self.V
+        w2 = V.col_w2[i]
+        odd = -ONE if slot == 2 else ONE
+        return LinearFamily(self, w2, V.space.parities[i],
+                            [(fam, 2, 2 - w2 - d2, ONE, odd)
+                             for d2, fam in self._delta_families(i)])
+
     def _build_family(self, k: int) -> Family:
         V, tensor = self.V, self.tensor
         i, j = tensor.space.states[k]
         if k == tensor.vac:
             return VacuumFamily(self)
         if j == V.vac:
-            return _SlotFamily(self, i, 1)
+            return self._slot_family(i, 1)
         if i == V.vac:
-            return _SlotFamily(self, j, 2)
+            return self._slot_family(j, 2)
         # s (x) t = (s^1 + s^2)_{-1} (1 (x) t) - 1 (x) (s_{-1} t)
         u_vec, v_vec = {i: ONE}, {j: ONE}
-        u_fam = LinearFamily(self, [(ONE, self.family(tensor.slot(u_vec, 1))),
-                                    (ONE, self.family(tensor.slot(u_vec, 2)))], 0)
+        u_fam = LinearFamily.combine(self, [(ONE, self.family(tensor.slot(u_vec, 1))),
+                                            (ONE, self.family(tensor.slot(u_vec, 2)))], 0)
 
         def slot2(vec: Vec) -> Optional[Family]:
             return self.family(tensor.slot(vec, 2)) if vec else None
@@ -152,7 +143,7 @@ class MirrorModule(Engine):
         minus_fam = slot2(V.product(u_vec, -1, v_vec))
         if minus_fam is None:
             return comp
-        return LinearFamily(self, [(ONE, comp), (-ONE, minus_fam)], None)
+        return LinearFamily.combine(self, [(ONE, comp), (-ONE, minus_fam)])
 
     # constructed towers ---------------------------------------------------------
 

@@ -8,9 +8,11 @@ one-entry dict literal (a dict and a kernel call per term, where the term
 can be stored or the terms gathered into one dict), every exception
 type in `errors` but the base class is raised somewhere under src/, and
 `modes.Family` is the one class that defines `apply_basis`, so every mode
-family shares one column memo."""
+family shares one column memo, and every name the benchmark's tracer
+(`perfbench/tracer.py`) patches or reads still resolves in the package."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -202,3 +204,45 @@ def test_apply_basis_detector_sees_each_form():
            "class B(A):\n    def apply(self, t2, vec):\n        return self.apply_basis(t2, 0)\n"
            "def apply_basis(t2, col):\n    pass\n")
     assert list(_apply_basis_owners(ast.parse(src))) == ["A"]
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_resolve():
+    """A refactor must not break the traced benchmark silently: each
+    function the tracer wraps is bound in its module, each method it wraps
+    is defined in its class's own body, the engine classes it names exist,
+    and a family carries the `_cols` memo it reads."""
+    tracer = _load_tracer()
+    reports = [t for ts in tracer.TWISTED_REPORTS.values()
+               for t in (ts if isinstance(ts, tuple) else (ts,))]
+    targets = [("twisted", t) for t in reports] + [
+        ("modes", "Family.apply_basis"), ("delta", "apply_delta"),
+        ("twisted", "SigmaModule.__init__"), ("fock", "mode_apply"),
+        ("checks", "bracket_table_check"), ("checks", "borcherds_check"),
+        ("vosa", "calibrate_n2"), ("vosa", "creation_report"),
+        ("vosa", "grading_report"), ("vosa", "translation_report"),
+        ("superalgebra", "verify_algebra"), ("superalgebra", "verify_automorphism"),
+    ] + [("scalars", f"ExactScalar.{op}")
+         for op in ("__mul__", "__rmul__", "__add__", "__radd__")]
+    missing = []
+    for mod_name, dotted in targets:
+        module = importlib.import_module(f"superfock.{mod_name}")
+        if "." in dotted:
+            cls_name, attr = dotted.split(".")
+            found = attr in vars(getattr(module, cls_name, object))
+        else:
+            found = callable(getattr(module, dotted, None))
+        if not found:
+            missing.append(f"{mod_name}.{dotted}")
+    engines = [vars(importlib.import_module(f"superfock.{m}")) for m in ("vosa", "twisted")]
+    missing += [name for name in tracer.ENGINES if not any(name in e for e in engines)]
+    assert not missing, f"perfbench/tracer.py relies on missing names: {missing}"
+    family = importlib.import_module("superfock.modes").Family(None, 0, 0)
+    assert family._cols == {}

@@ -5,7 +5,9 @@ vector, and the recursion gives up on a column only when no m is admissible.
 Families take mode indices, offsets and weights as ints in half units
 (t2 = 2t); a labelled mode X(n) = x_{n+wt-1} sits at `mode2(fam, n)`
 = 2n + weight2 - 2 in the family of x, and `twice` rejects an index off
-(1/2)Z."""
+(1/2)Z.  A linear combination holds merged non-combination terms, skips a
+term whose coefficient on the parity of t2 is 0, and rejects a term whose
+index map breaks the weight relation."""
 
 from fractions import Fraction
 from math import ceil
@@ -15,8 +17,8 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings, st
 
 from conftest import mode2
 from superfock.errors import TruncationOverflow
-from superfock.modes import CompositeFamily, Family, twice
-from superfock.scalars import ONE
+from superfock.modes import EMPTY, CompositeFamily, Family, LinearFamily, twice
+from superfock.scalars import ONE, ExactScalar
 from superfock.twisted import MirrorModule, SigmaModule
 
 PROPERTY = settings(max_examples=60, deadline=None,
@@ -157,3 +159,78 @@ def test_int_levels_match_fraction_weights(V5, tensor, n2, levels):
             level = Fraction(k, 4)
             assert engine.columns(level) == [
                 i for i, w in enumerate(weights) if w - low <= level]
+
+
+# flat linear combinations ---------------------------------------------------------
+
+class _BrokenFamily:
+    """A stand-in family whose every mode raises."""
+
+    def __init__(self, weight2, parity):
+        self.weight2, self.parity = weight2, parity
+
+    def apply_basis(self, t2, col):
+        raise KeyError(col)
+
+
+def test_combinations_hold_merged_non_combination_terms(mirror):
+    """No term of any combination is a combination, and each (family, mul,
+    add) occurs once: the towers, every mirror basis family and the
+    families their composites are built from."""
+    fams = list(mirror.n2_families().values())
+    for k in range(mirror.tensor.space.dim):
+        fam = mirror._family_by_index(k)
+        fams.append(fam)
+        if isinstance(fam, LinearFamily):
+            fams += [f for f, *_ in fam.terms if isinstance(f, CompositeFamily)]
+        elif isinstance(fam, CompositeFamily):
+            fams.append(fam.u_fam)
+    linear = [f for f in fams if isinstance(f, LinearFamily)]
+    assert len(linear) > 20
+    for fam in linear:
+        assert not any(isinstance(f, LinearFamily) for f, *_ in fam.terms)
+        maps = [(id(f), mul, add) for f, mul, add, *_ in fam.terms]
+        assert len(set(maps)) == len(maps)
+    # slot 1 + slot 2 of a state: the two slots share their index maps and
+    # differ by the sign on odd t2, so the sum doubles on even t2 and
+    # vanishes on odd t2, one term per map
+    s1, s2 = (mirror.family(mirror.tensor.slot(mirror.V.tau_vec, s)) for s in (1, 2))
+    both = LinearFamily.combine(mirror, [(ONE, s1), (ONE, s2)])
+    assert [(f, m, a, ce + ce, ExactScalar(0)) for f, m, a, ce, _ in s1.terms] == list(
+        both.terms)
+
+
+def test_inner_lattice_restriction_evaluates_nothing_off_it(V4):
+    # an inner combination on the integer lattice of a family whose every
+    # mode raises: the outer sum never evaluates it at odd t2
+    good = V4.family(V4.tau_vec)
+    broken = _BrokenFamily(good.weight2, good.parity)
+    inner = LinearFamily(V4, good.weight2, good.parity, [(broken, 1, 0, 1, 1)], off2=0)
+    outer = LinearFamily.combine(V4, [(ONE, inner), (ONE, good)])
+    assert [(ce, co) for f, *_, ce, co in outer.terms if f is broken] == [(ONE, 0)]
+    for col in V4.columns(2):
+        for t2 in (-1, 1, 3):
+            assert outer.apply_basis(t2, col) == good.apply_basis(t2, col)
+    with pytest.raises(KeyError):
+        outer.apply_basis(0, V4.vac)
+
+
+def test_cancelling_terms_give_the_empty_column(V4):
+    f = V4.family(V4.omega_vec)
+    zero = LinearFamily.combine(V4, [(ONE, f), (-ONE, f)])
+    assert zero.terms == ()
+    # every mode the overflow rule lets through, on every column
+    for col in range(V4.space.dim):
+        for t2 in range(V4.col_w2[col] + 3 - V4.bound2, 9):
+            assert zero.apply_basis(t2, col) is EMPTY
+
+
+def test_term_must_carry_the_weight_relation(V4):
+    # a weight-3/2 tau family at mul * t2 + add is a weight-w family's term
+    # only when 3 - add - 2 == mul * (w2 - 2)
+    tau = V4.family(V4.tau_vec)
+    assert LinearFamily(V4, 3, 1, [(tau, 1, 0, 1, 1)]).terms
+    assert LinearFamily(V4, 2, 1, [(tau, 2, 1, 1, 1)]).terms
+    for w2, mul, add, parity in ((4, 1, 0, 1), (3, 2, 0, 1), (3, 1, 1, 1), (3, 1, 0, 0)):
+        with pytest.raises(ValueError):
+            LinearFamily(V4, w2, parity, [(tau, mul, add, 1, 1)])

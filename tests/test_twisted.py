@@ -1,11 +1,14 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from conftest import mode2
 from superfock.checks import borcherds_check, bracket_table_check
+from superfock.delta import apply_delta
 from superfock.errors import InvalidAlgebra, TruncationOverflow
 from superfock.fock import FockState
+from superfock.modes import CompositeFamily, Family, twice
 from superfock.operators import v_iadd, v_scale
 from superfock.scalars import ExactScalar, ONE
 from superfock.superalgebra import (
@@ -414,3 +417,118 @@ def test_memoized_columns_are_zero_free_and_unmutated():
             assert vec == new.apply_basis(t2, col), (old, t2, col)
             compared += 1
     assert compared > 5000
+
+
+# flat towers against the nested sums they replace ----------------------------
+
+class _NestedSum(Family):
+    """A combination evaluated part by part, each part through its own
+    apply_basis with its lattice test, overflow rule and memo."""
+
+    def __init__(self, engine, parts, off2):
+        first = parts[0][1]
+        super().__init__(engine, first.weight2, first.parity, off2)
+        self.parts = parts
+
+    def _compute(self, t2, col):
+        acc = {}
+        for c, fam in self.parts:
+            v_iadd(acc, fam.apply_basis(t2, col), c)
+        return acc
+
+
+class _NestedSlot(Family):
+    """A slot family evaluated term by term: the mode at t collects the
+    parity-twisted modes of the weight-halving expansion of V's basis
+    vector i at 2t + 1 - wt - d, each term a nested sum, and slot 2 differs
+    by the sign (-1)**(2t)."""
+
+    def __init__(self, mirror, i, slot):
+        V, sigma = mirror.V, mirror.sigma
+        super().__init__(mirror, V.col_w2[i], V.space.parities[i], None)
+        self.slot = slot
+        h, L = V.space.weights[i], V.L()
+        self.terms = [(twice(-2 * exp - h), _nested_vec(sigma, vec, sigma._family_by_index))
+                      for exp, vec in apply_delta(h, {i: ONE},
+                                                  lambda j, v: L.apply(2 * j + 2, v))]
+
+    def _compute(self, t2, col):
+        sign = -1 if self.slot == 2 and t2 % 2 else 1
+        acc = {}
+        for d2, fam in self.terms:
+            v_iadd(acc, fam.apply_basis(2 * t2 + 2 - self.weight2 - d2, col), sign)
+        return acc
+
+
+def _nested_vec(engine, vec, basis):
+    """The family of vec, a combination of the families basis(k) built as
+    one nested sum."""
+    items = sorted(vec.items())
+    if len(items) == 1 and items[0][1] == ONE:
+        return basis(items[0][0])
+    parts = [(c, basis(k)) for k, c in items]
+    offs = {f.off2 for _, f in parts}
+    return _NestedSum(engine, parts, offs.pop() if len(offs) == 1 else None)
+
+
+def _nested_mirror(mirror):
+    """Tensor basis index -> its mirror family built from nested sums and
+    nested slot families throughout; only the parity-twisted families are
+    shared with the flat construction."""
+    V, tensor = mirror.V, mirror.tensor
+
+    def slot2(vec):
+        return _nested_vec(mirror, tensor.slot(vec, 2), basis) if vec else None
+
+    @cache
+    def basis(k):
+        i, j = tensor.space.states[k]
+        if k == tensor.vac:
+            return mirror._family_by_index(k)
+        if j == V.vac:
+            return _NestedSlot(mirror, i, 1)
+        if i == V.vac:
+            return _NestedSlot(mirror, j, 2)
+        u_vec, v_vec = {i: ONE}, {j: ONE}
+        u_fam = _NestedSum(mirror, [(ONE, _nested_vec(mirror, tensor.slot(u_vec, s), basis))
+                                    for s in (1, 2)], 0)
+        comp = CompositeFamily(mirror, u_fam, slot2(v_vec), -1, 0,
+                               cache(lambda n: slot2(V.product(u_vec, n - 1, v_vec))))
+        minus = slot2(V.product(u_vec, -1, v_vec))
+        return comp if minus is None else _NestedSum(mirror, [(ONE, comp), (-ONE, minus)],
+                                                     None)
+
+    return basis
+
+
+def test_flat_towers_match_the_nested_sums(n2):
+    """Each mirror N=2 tower and each slot family, flat, gives the column
+    of the nested construction at every mode of window 2 on every column up
+    to level 2, and overflows at exactly the same (t2, col)."""
+    *_, mirror, _ = _stack(n2)
+    V, tensor = mirror.V, mirror.tensor
+    basis = _nested_mirror(mirror)
+    flat = mirror.n2_families()
+    nested = {name: _nested_vec(mirror, vec, basis)
+              for name, vec in (("L", tensor.omega_vec), ("G1", n2.tau1),
+                                ("G2", n2.tau2), ("J", n2.jvec))}
+    for i in range(V.space.dim):
+        for slot in (1, 2):
+            if i != V.vac:
+                vec = tensor.slot({i: ONE}, slot)
+                flat[i, slot] = mirror.family(vec)
+                nested[i, slot] = _nested_vec(mirror, vec, basis)
+    seen = {"nonzero": 0, "zero": 0, "overflow": 0}
+    for key, fam in flat.items():
+        for t2 in range(-4, 5):
+            for col in mirror.columns(2):
+                got = []
+                for f in (fam, nested[key]):
+                    try:
+                        got.append(f.apply_basis(t2, col))
+                    except TruncationOverflow:
+                        got.append("overflow")
+                assert got[0] == got[1], (key, t2, col)
+                seen["overflow" if got[0] == "overflow" else
+                     "nonzero" if got[0] else "zero"] += 1
+    assert all(seen.values()), seen
