@@ -560,14 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=0,
                    help="level truncation of the twisted space (default 4*window+1)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_twisted)
+    p.set_defaults(func=cmd_verify_twisted, min_window=1)
 
     c = sub.add_parser("calibrate", help="solve for generator normalizations")
     csub = c.add_subparsers(dest="target", required=True)
     p = csub.add_parser("n2", help="N=2 generators on the tensor square")
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_calibrate, min_window=1)
 
     p = sub.add_parser("character", help="graded dimensions")
     p.add_argument("--space", choices=("vosa", "ns-fermion", "ramond", "twisted"),
@@ -593,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of suites; the rest are skipped")
     p.add_argument("--allow-skip", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_all)
+    p.set_defaults(func=cmd_all, min_window=1)
 
     return parser
 
@@ -602,7 +602,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _require(getattr(args, "window", 0) >= 0, "--window must be >= 0")
+        # an N=2 table at window 0 holds L(0) and J(0) but no G mode and no
+        # central term, so the commands that check one need window 1
+        low = getattr(args, "min_window", 0)
+        _require(getattr(args, "window", 0) >= low, f"--window must be >= {low}")
         return args.func(args)
     except SuperfockError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,7 +92,11 @@ class Family:
     units: `weight2` is twice the state's weight and `apply_basis(t2, col)`
     applies the mode t = t2/2.  A subclass supplies `_compute(t2, col)`;
     `apply_basis` memoizes its columns in one list per mode index t2,
-    indexed by column and filled on first use.
+    indexed by column and filled on first use.  After refusing a t2 that is
+    not an int, `apply_basis` looks in the memo first; the lattice, weight
+    and overflow tests run only on a miss, so an off-lattice or
+    negative-weight column (EMPTY) and an overflowing one (TruncationOverflow)
+    are never stored and give the same answer on every call.
     """
 
     def __init__(self, engine, weight2: int, parity: int,
@@ -106,8 +110,18 @@ class Family:
         self._cols: Dict[int, List[Optional[Vec]]] = {}
 
     def apply_basis(self, t2: int, col: int) -> Vec:
+        # the type test comes first: Fraction(2) hashes like 2 and would
+        # find row 2 of the memo
         if not isinstance(t2, int):
             raise _not_half_units(t2)
+        row = self._cols.get(t2)
+        if row is not None:
+            res = row[col]
+            if res is not None:
+                return res
+        # a miss: a slot is filled only once the tests below have passed for
+        # its (t2, col), and they read nothing else, so a hit skips them; an
+        # off-lattice, negative-weight or overflowing column is never stored
         if self.off2 is not None and (t2 - self.off2) % 2:
             return EMPTY
         eng = self.engine
@@ -119,12 +133,9 @@ class Family:
                 f"mode {Fraction(t2, 2)} of weight-{Fraction(self.weight2, 2)} state: "
                 f"output level {Fraction(out_w2, 2)} >= bound {Fraction(eng.bound2, 2)} "
                 f"(levels above the lowest column)")
-        row = self._cols.get(t2)
         if row is None:
             row = self._cols[t2] = [None] * eng.space.dim
-        res = row[col]
-        if res is None:
-            res = row[col] = self._compute(t2, col) or EMPTY
+        res = row[col] = self._compute(t2, col) or EMPTY
         return res
 
     def apply(self, t2: int, vec: Vec) -> Vec:

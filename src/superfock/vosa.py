@@ -7,6 +7,12 @@ tested rule replaces hand-derived normal-ordered formulas.  The tensor
 square carries the Koszul-sign vertex operators, the signed transposition
 automorphism, the parity map, and slot embeddings; the N=2 generators on
 V (x) V are calibrated by solving for their scalars, never transcribed.
+
+A pair's column in the tensor square is `PairSpace.rows[i][j]`.  The modes
+of s (x) t sum over the Koszul product, one term per mode of s; when one
+factor is V's vacuum only the term of its mode 1_{-1} = identity survives,
+so the slot families of s (x) 1 and 1 (x) s carry V's columns of s to the
+pairs (with the sign (-1)**(|s||a|) in slot 2) and compute nothing else.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import ceil, isqrt
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, bracket_table_check, tally
 from .errors import NoCalibration, TruncationOverflow
@@ -274,6 +280,10 @@ def n1_table_report(V: Vosa, window: int = 2,
 class PairSpace:
     """Ordered basis of V (x) V below a combined-weight truncation.
 
+    `states[k]` is the pair (i, j) of V basis indices of column k, and
+    `rows[i][j]` is k again (a KeyError for a pair at or above the
+    truncation), so finding a pair's column takes two subscripts and builds
+    no tuple.
     `level2` holds twice each pair's combined weight and `bound2` twice the
     truncation, rounded up: an int level2 is below 2 * bound exactly when it
     is below bound2.
@@ -284,7 +294,9 @@ class PairSpace:
         pairs = sorted((wi + wj, i, j) for i, wi in enumerate(w2)
                        for j, wj in enumerate(w2) if wi + wj < self.bound2)
         self.states: Tuple[Tuple[int, int], ...] = tuple((i, j) for _, i, j in pairs)
-        self.index = {p: k for k, p in enumerate(self.states)}
+        self.rows: List[Dict[int, int]] = [{} for _ in w2]
+        for k, (i, j) in enumerate(self.states):
+            self.rows[i][j] = k
         self.level2: Tuple[int, ...] = tuple(k for k, _, _ in pairs)
         self.parities = tuple((V.space.parities[i] + V.space.parities[j]) % 2
                               for i, j in self.states)
@@ -295,7 +307,11 @@ class PairSpace:
 
 
 class _TensorMonoFamily(Family):
-    """Modes of s (x) t through the Koszul-signed factorization of Y."""
+    """Modes of s (x) t, for s and t both other than V's vacuum, through the
+    Koszul-signed factorization of Y:
+
+        (s (x) t)_n (a (x) b) = sum_p (-1)**(|t||a|) s_p a (x) t_{n-1-p} b.
+    """
 
     def __init__(self, engine: "TensorVosa", i: int, j: int):
         self.fam_i = engine.V._family_by_index(i)
@@ -311,7 +327,7 @@ class _TensorMonoFamily(Family):
         # twice the left output weight wa + wt_i - p - 1 of the mode p = 0
         top2 = V.col_w2[a] + self.fam_i.weight2 - 2
         sign = -1 if (self.fam_j.parity * V.space.parities[a]) % 2 else 1
-        index = eng.space.index
+        rows = eng.space.rows
         acc: Vec = {}
         # integer p with left output weight inside [0, out_w]
         for p in range(-((out_w2 - top2) // 2), top2 // 2 + 1):
@@ -323,9 +339,39 @@ class _TensorMonoFamily(Family):
                 continue
             # distinct (ia, jb) are distinct basis pairs, and a product of
             # nonzero scalars is nonzero: one term per pair, no zeros
-            v_iadd(acc, {index[(ia, jb)]: ca * cb
+            v_iadd(acc, {rows[ia][jb]: ca * cb
                          for ia, ca in lvec.items() for jb, cb in rvec.items()}, sign)
         return acc
+
+
+class _TensorSlotFamily(Family):
+    """Modes of s (x) 1 (slot 1) or 1 (x) s (slot 2), for s a V basis state
+    other than the vacuum.
+
+    The vacuum's only nonzero mode is 1_{-1} = identity, so one term of the
+    Koszul product sum survives (Frenkel-Huang-Lepowsky):
+
+        (s (x) 1)_n (a (x) b) = s_n a (x) b,
+        (1 (x) s)_n (a (x) b) = (-1)**(|s||a|) a (x) s_n b,
+
+    and a column is V's column of s carried to the pairs.
+    """
+
+    def __init__(self, engine: "TensorVosa", k: int, slot: int):
+        self.fam = engine.V._family_by_index(k)
+        self.slot = slot
+        super().__init__(engine, self.fam.weight2, self.fam.parity, 0)
+
+    def _compute(self, t2, col):
+        eng: TensorVosa = self.engine
+        a, b = eng.space.states[col]
+        rows = eng.space.rows
+        if self.slot == 1:
+            return {rows[ia][b]: c for ia, c in self.fam.apply_basis(t2, a).items()}
+        row, vec = rows[a], self.fam.apply_basis(t2, b)
+        if self.fam.parity and eng.V.space.parities[a]:
+            return {row[jb]: -c for jb, c in vec.items()}
+        return {row[jb]: c for jb, c in vec.items()}
 
 
 class TensorVosa(Engine):
@@ -338,7 +384,7 @@ class TensorVosa(Engine):
             raise ValueError("tensor truncation cannot exceed the factor truncation")
         self.space = PairSpace(V, bound)
         self.algebra = self
-        self.vac = self.space.index[(V.vac, V.vac)]
+        self.vac = self.space.rows[V.vac][V.vac]
         self.central_charge = 2 * V.central_charge
 
     # states ------------------------------------------------------------
@@ -349,8 +395,8 @@ class TensorVosa(Engine):
 
     def pair_vec(self, left: Vec, right: Vec) -> Vec:
         """The decomposable vector (sum left_i s_i) (x) (sum right_j t_j)."""
-        index = self.space.index
-        return {index[(i, j)]: ci * cj
+        rows = self.space.rows
+        return {rows[i][j]: ci * cj
                 for i, ci in left.items() if ci for j, cj in right.items() if cj}
 
     def slot(self, v_vec: Vec, slot: int) -> Vec:
@@ -367,13 +413,13 @@ class TensorVosa(Engine):
 
     def kappa(self, vec: Vec) -> Vec:
         """Signed transposition: u (x) v -> (-1)**(|u||v|) v (x) u."""
-        parities, states, index = self.V.space.parities, self.space.states, self.space.index
+        parities, states, rows = self.V.space.parities, self.space.states, self.space.rows
         out: Vec = {}
         # the transposition is a bijection of basis pairs: no two terms meet
         for k, c in vec.items():
             if c:
                 i, j = states[k]
-                out[index[(j, i)]] = -c if parities[i] * parities[j] else c
+                out[rows[j][i]] = -c if parities[i] * parities[j] else c
         return out
 
     def sigma(self, vec: Vec) -> Vec:
@@ -385,7 +431,12 @@ class TensorVosa(Engine):
     def _build_family(self, k: int) -> Family:
         if k == self.vac:
             return VacuumFamily(self)
-        return _TensorMonoFamily(self, *self.space.states[k])
+        i, j = self.space.states[k]
+        if j == self.V.vac:
+            return _TensorSlotFamily(self, i, 1)
+        if i == self.V.vac:
+            return _TensorSlotFamily(self, j, 2)
+        return _TensorMonoFamily(self, i, j)
 
 
 def kappa_automorphism_report(tensor: TensorVosa, max_state_weight=Fraction(2),

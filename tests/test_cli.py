@@ -141,6 +141,10 @@ def test_all_json_determinism(capsys):
     # a negative largest column level ran the whole suite and failed with checked=0
     ("verify", "twisted", "--max-weight=-1"),
     ("all", "--max-weight=-1"),
+    # these passed with no G mode and no central term in their N=2 tables
+    ("calibrate", "n2", "--window", "0"),
+    ("verify", "twisted", "--window", "0"),
+    ("all", "--window", "0"),
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code = main(list(argv))

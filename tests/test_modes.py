@@ -116,6 +116,29 @@ def test_family_rejects_an_index_that_is_not_an_int(V4, sigma, mirror, index):
             fam.apply(index, {0: ONE})
 
 
+def test_memo_hits_keep_the_apply_basis_contract(V4):
+    # apply_basis looks in the memo before it tests lattice, weight and
+    # overflow: filled rows must still refuse a Fraction index (Fraction(2)
+    # hashes like 2), overflow on every call and return EMPTY off the lattice
+    # and below weight 0, storing none of those columns
+    fam = V4.family(V4.vec_of(V4.b_state))
+    b = V4.space.index[V4.b_state]
+    top = V4.col_w2.index(max(V4.col_w2))
+    assert fam.apply_basis(-2, V4.vac) == {b: ONE}         # a(-1)
+    assert fam.apply_basis(2, b) == {V4.vac: ONE}          # a(1)
+    for t2, col in ((-2, V4.vac), (2, b)):
+        assert fam._cols[t2][col] is not None
+        with pytest.raises(TypeError):
+            fam.apply_basis(Fraction(t2), col)
+    for _ in range(3):
+        with pytest.raises(TruncationOverflow):
+            fam.apply_basis(-2, top)
+        assert fam.apply_basis(2, V4.vac) is EMPTY
+        assert fam.apply_basis(-1, V4.vac) is EMPTY and fam.apply_basis(1, b) is EMPTY
+    assert fam._cols[-2][top] is None and fam._cols[2][V4.vac] is None
+    assert -1 not in fam._cols and 1 not in fam._cols
+
+
 @pytest.mark.parametrize("index", [Fraction(1, 4), Fraction(-3, 8), Fraction(1, 3)])
 def test_mode_handle_rejects_an_index_off_the_half_integers(mirror, index):
     with pytest.raises(ValueError):

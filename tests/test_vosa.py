@@ -6,6 +6,7 @@ from conftest import mode2
 from superfock.checks import borcherds_check
 from superfock.errors import NonHomogeneous, TruncationOverflow
 from superfock.fock import FockState, mode_apply
+from superfock.modes import EMPTY
 from superfock.operators import v_iadd, v_scale
 from superfock.scalars import ExactScalar, ONE
 from superfock.twisted import SigmaModule
@@ -151,6 +152,62 @@ def test_slot_embeddings(tensor):
     tau2 = tensor.slot(V.tau_vec, 2)
     assert tensor.kappa(tau1) == tau2
     assert tensor.kappa(tau2) == tau1
+
+
+def _product_sum(tensor, left, right, t2, col):
+    """sum_p (-1)**(|right||a|) left_p a (x) right_{t-1-p} b for col = a (x) b,
+    over the integer p with left output weight inside [0, out_w]."""
+    V, rows = tensor.V, tensor.space.rows
+    a, b = tensor.space.states[col]
+    out_w2 = tensor.col_w2[col] + left.weight2 + right.weight2 - t2 - 2
+    sign = ExactScalar(-1 if right.parity and V.space.parities[a] else 1)
+    top2 = V.col_w2[a] + left.weight2 - 2        # 2p with left output weight 0
+    acc = {}
+    for p2 in range(top2 - out_w2, top2 + 1):
+        if p2 % 2:
+            continue
+        rvec = right.apply_basis(t2 - 2 - p2, b)
+        for ia, ca in left.apply_basis(p2, a).items():
+            for jb, cb in rvec.items():
+                k = rows[ia][jb]
+                acc[k] = acc.get(k, ExactScalar(0)) + sign * ca * cb
+    return {k: c for k, c in acc.items() if c}
+
+
+def test_slot_families_equal_the_product_sum(V4):
+    # one factor is V's vacuum, whose only nonzero mode is 1_{-1}: the slot
+    # family carries V's column to the pairs, and must equal the whole sum
+    tensor = TensorVosa(V4)
+    rows, vac = tensor.space.rows, V4._family_by_index(V4.vac)
+    compared = nonzero = odd_odd = overflows = 0
+    for s in V4.columns(2):
+        if s == V4.vac:
+            continue
+        u = V4._family_by_index(s)
+        for slot, k, left, right in ((1, rows[s][V4.vac], u, vac),
+                                     (2, rows[V4.vac][s], vac, u)):
+            fam = tensor._family_by_index(k)
+            assert fam.slot == slot
+            for col in range(tensor.space.dim):
+                top = tensor.col_w2[col] + fam.weight2 - 2   # t2 of output level 0
+                # from negative output weight down to the first overflows
+                for t2 in range(top + 2, top - tensor.bound2 - 2, -1):
+                    if t2 % 2:
+                        assert fam.apply_basis(t2, col) is EMPTY
+                    elif top - t2 >= tensor.bound2:
+                        with pytest.raises(TruncationOverflow):
+                            fam.apply_basis(t2, col)
+                        overflows += 1
+                    else:
+                        got = fam.apply_basis(t2, col)
+                        assert got == _product_sum(tensor, left, right, t2, col), (
+                            slot, s, t2, col)
+                        compared += 1
+                        nonzero += bool(got)
+                        a = tensor.space.states[col][0]
+                        odd_odd += bool(got) and slot == 2 and bool(
+                            u.parity * V4.space.parities[a])
+    assert compared > nonzero > odd_odd > 0 and overflows
 
 
 def test_kappa_involution_and_fixed_points(tensor):
