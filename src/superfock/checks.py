@@ -115,6 +115,14 @@ def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
     return report
 
 
+def jacobi_pair_reports(engine, vectors: Dict[str, Vec], window: int,
+                        max_col_level, prefix: str) -> List[CheckReport]:
+    """`borcherds_check` on every ordered pair of the named vectors, the
+    report of (u, v) named prefix + u's name + v's name."""
+    return [borcherds_check(engine, u, v, window, max_col_level, f"{prefix}{nu}{nv}")
+            for nu, u in vectors.items() for nv, v in vectors.items()]
+
+
 @dataclass
 class PairResult:
     a: Generator

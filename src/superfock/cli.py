@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import delta as delta_mod
-from .checks import borcherds_check
+from .checks import borcherds_check, jacobi_pair_reports
 from .errors import SuperfockError
 from .fock import FockSpaceSpec, TruncatedSpace, character
 from .operators import v_scale
@@ -92,6 +92,12 @@ class Check:
         self.name = name
         self.passed = bool(passed)
         self.info = info
+
+    @classmethod
+    def of(cls, name: str, report, *fields: str) -> "Check":
+        """The check `name` of a report: its verdict and the named report
+        attributes, in the order given (the JSON keeps that order)."""
+        return cls(name, report.passed, **{f: getattr(report, f) for f in fields})
 
     def to_json(self):
         return {"name": self.name, "pass": self.passed, **self.info}
@@ -172,29 +178,22 @@ def cmd_verify_algebra(args) -> int:
 
 def _vosa_suite(max_weight: Fraction, window: int) -> list[Check]:
     V = Vosa(max_weight)
-    checks = []
-    rep = creation_report(V)
-    checks.append(Check("creation-axiom", rep.passed, checked=rep.checked))
-    rep = grading_report(V)
-    checks.append(Check("l0-grading", rep.passed, checked=rep.checked))
-    rep = translation_report(V)
-    checks.append(Check("translation-axiom", rep.passed, checked=rep.checked,
-                        filtered=rep.filtered))
     col_max = max_weight - 2
     gens = {"b": V.vec_of(V.b_state), "f": V.vec_of(V.f_state)}
-    for nu, u in gens.items():
-        for nv, v in gens.items():
-            rep = borcherds_check(V, u, v, window, col_max, f"jacobi-{nu}{nv}")
-            checks.append(Check(f"jacobi-{nu}{nv}", rep.passed,
-                                checked=rep.checked, filtered=rep.filtered))
-    rep = borcherds_check(V, V.omega_vec, V.tau_vec, window, col_max, "jacobi-omega-tau")
-    checks.append(Check("jacobi-omega-tau", rep.passed, checked=rep.checked,
-                        filtered=rep.filtered))
-    # bracket tables use the index window 2: structure constants have degree
-    # at most 3 in the indices, and weight-4 truncation checks it completely
-    table = n1_table_report(V, min(window, 2), col_max)
-    checks.append(Check("n1-table-c-3/2", table.passed, checked=table.checked,
-                        filtered=table.filtered))
+    checks = [
+        Check.of("creation-axiom", creation_report(V), "checked"),
+        Check.of("l0-grading", grading_report(V), "checked"),
+        Check.of("translation-axiom", translation_report(V), "checked", "filtered"),
+        *(Check.of(rep.name, rep, "checked", "filtered")
+          for rep in jacobi_pair_reports(V, gens, window, col_max, "jacobi-")),
+        Check.of("jacobi-omega-tau",
+                 borcherds_check(V, V.omega_vec, V.tau_vec, window, col_max,
+                                 "jacobi-omega-tau"), "checked", "filtered"),
+        # bracket tables use the index window 2: structure constants have degree
+        # at most 3 in the indices, and weight-4 truncation checks it completely
+        Check.of("n1-table-c-3/2", n1_table_report(V, min(window, 2), col_max),
+                 "checked", "filtered"),
+    ]
     bad = Vosa(min(max_weight, 4), psi_delta=2)
     bad_grading = grading_report(bad)
     bad_table = n1_table_report(bad, 1, Fraction(1))
@@ -203,16 +202,21 @@ def _vosa_suite(max_weight: Fraction, window: int) -> list[Check]:
     return checks
 
 
+def _single_suite(args, name: str, title: str, config: dict, checks: list[Check]) -> int:
+    """Emit the one suite of `verify <name>` and return its exit code."""
+    payload = {"schema": SCHEMA, "command": f"verify-{name}", "config": config,
+               **_suite_payload(name, checks)}
+    _emit(args, payload, [title] + [c.line() for c in checks])
+    return 0 if payload["pass"] else 1
+
+
 def cmd_verify_vosa(args) -> int:
     max_weight = _fraction(args.max_weight, "--max-weight")
     _require(max_weight > 2, "--max-weight must exceed 2, the weight of the "
              "conformal vector")
-    checks = _vosa_suite(max_weight, args.window)
-    payload = {"schema": SCHEMA, "command": "verify-vosa",
-               "config": {"max_weight": str(args.max_weight), "window": args.window},
-               **_suite_payload("vosa", checks)}
-    _emit(args, payload, ["vosa verification:"] + [c.line() for c in checks])
-    return 0 if payload["pass"] else 1
+    return _single_suite(args, "vosa", "vosa verification:",
+                         {"max_weight": str(args.max_weight), "window": args.window},
+                         _vosa_suite(max_weight, args.window))
 
 
 # The calibration and the tower are cached per process: everything is
@@ -245,53 +249,51 @@ def _mirror_signs(tensor: TensorVosa, n2) -> bool:
 def _twisted_suite(window: int, max_level: Fraction, levels: int) -> list[Check]:
     mirror = _build_stack(levels)
     sigma = mirror.sigma
-    checks = []
     ground = sigma.ground_eigenvalue()
-    checks.append(Check("sigma-ground-weight-1/16", ground == Fraction(1, 16),
-                        value=str(ground)))
-    rep = sigma_virasoro_report(sigma, window, max_level)
-    checks.append(Check("sigma-virasoro-c-3/2", rep.passed, checked=rep.checked,
-                        filtered=rep.filtered))
-    rep = sigma_ramond_report(sigma, window, max_level)
-    checks.append(Check("sigma-n1-ramond-table", rep.passed, checked=rep.checked,
-                        filtered=rep.filtered))
-    rep = sigma_twisted_jacobi_report(sigma, window, Fraction(1))
-    checks.append(Check("sigma-twisted-jacobi", rep.passed, checked=rep.checked,
-                        filtered=rep.filtered))
-    checks.append(Check("mirror-same-underlying-space",
-                        mirror.space is sigma.space
-                        and mirror.space.basis_dump() == sigma.space.basis_dump()))
+    checks = [
+        Check("sigma-ground-weight-1/16", ground == Fraction(1, 16), value=str(ground)),
+        Check.of("sigma-virasoro-c-3/2", sigma_virasoro_report(sigma, window, max_level),
+                 "checked", "filtered"),
+        Check.of("sigma-n1-ramond-table", sigma_ramond_report(sigma, window, max_level),
+                 "checked", "filtered"),
+        Check.of("sigma-twisted-jacobi",
+                 sigma_twisted_jacobi_report(sigma, window, Fraction(1)),
+                 "checked", "filtered"),
+        Check("mirror-same-underlying-space",
+              mirror.space is sigma.space
+              and mirror.space.basis_dump() == sigma.space.basis_dump()),
+    ]
     kground = mirror.ground_eigenvalue()
-    checks.append(Check("mirror-ground-weight-1/8", kground == Fraction(1, 8),
-                        value=str(kground)))
-    rep = mirror.mode_lattice_report(window, Fraction(1))
-    checks.append(Check("mirror-mode-lattices", rep.passed, checked=rep.checked))
-    table = mirror_table_report(mirror, window, max_level)
-    checks.append(Check("mirror-twisted-n2-table", table.passed,
-                        checked=table.checked, filtered=table.filtered,
-                        complete=table.complete))
-    for sub in mirror_subalgebra_reports(mirror, window, max_level):
-        checks.append(Check(sub.name, sub.passed, checked=sub.checked,
-                            filtered=sub.filtered))
-    rep = mirror_twisted_jacobi_report(mirror, 1, Fraction(1))
-    checks.append(Check("mirror-twisted-jacobi", rep.passed, checked=rep.checked,
-                        filtered=rep.filtered))
-    rep = mirror_equivariance_report(mirror, Fraction(2), window, max_level)
-    checks.append(Check("mirror-equivariance", rep.passed, checked=rep.checked,
-                        filtered=rep.filtered))
+    checks += [
+        Check("mirror-ground-weight-1/8", kground == Fraction(1, 8), value=str(kground)),
+        Check.of("mirror-mode-lattices", mirror.mode_lattice_report(window, Fraction(1)),
+                 "checked"),
+        Check.of("mirror-twisted-n2-table", mirror_table_report(mirror, window, max_level),
+                 "checked", "filtered", "complete"),
+        *(Check.of(sub.name, sub, "checked", "filtered")
+          for sub in mirror_subalgebra_reports(mirror, window, max_level)),
+        Check.of("mirror-twisted-jacobi",
+                 mirror_twisted_jacobi_report(mirror, 1, Fraction(1)),
+                 "checked", "filtered"),
+        Check.of("mirror-equivariance",
+                 mirror_equivariance_report(mirror, Fraction(2), window, max_level),
+                 "checked", "filtered"),
+    ]
     return checks
+
+
+def _default_levels(window: int) -> int:
+    """The level truncation of the twisted space when none is given."""
+    return 4 * window + 1
 
 
 def cmd_verify_twisted(args) -> int:
     _require(args.levels >= 0, "--levels must be >= 0")
-    levels = args.levels if args.levels else 4 * args.window + 1
-    checks = _twisted_suite(args.window, _max_level(args.max_weight), levels)
-    payload = {"schema": SCHEMA, "command": "verify-twisted",
-               "config": {"window": args.window, "max_weight": str(args.max_weight),
+    levels = args.levels or _default_levels(args.window)
+    return _single_suite(args, "twisted", "twisted-sector verification:",
+                         {"window": args.window, "max_weight": str(args.max_weight),
                           "levels": levels},
-               **_suite_payload("twisted", checks)}
-    _emit(args, payload, ["twisted-sector verification:"] + [c.line() for c in checks])
-    return 0 if payload["pass"] else 1
+                         _twisted_suite(args.window, _max_level(args.max_weight), levels))
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +442,8 @@ def _algebra_suite(window: int) -> list[Check]:
 
 def _calibration_suite() -> list[Check]:
     tensor, n2 = _calibrated(2)
-    ka = kappa_automorphism_report(tensor)
     return [
-        Check("kappa-vertex-compatibility", ka.passed, checked=ka.checked),
+        Check.of("kappa-vertex-compatibility", kappa_automorphism_report(tensor), "checked"),
         Check("n2-calibration-table", n2.table.passed, c1=str(n2.c1),
               c2=str(n2.c2), cJ=str(n2.cJ)),
         Check("n2-mirror-signs", _mirror_signs(tensor, n2)),
@@ -467,32 +468,27 @@ def _corollary2_suite(levels: int) -> list[Check]:
     ]
 
 
-ALL_SUITES = ("scalars", "delta", "algebra", "vosa", "calibration", "twisted",
-              "corollary2")
+# The suites of `all` in dependency order, each run on the parsed options.
+SUITES = {
+    "scalars": lambda args: _scalar_series_suite(args.seed),
+    "delta": lambda args: _delta_suite(),
+    "algebra": lambda args: _algebra_suite(max(args.window, 2)),
+    "vosa": lambda args: _vosa_suite(Fraction(4), min(args.window, 3)),
+    "calibration": lambda args: _calibration_suite(),
+    "twisted": lambda args: _twisted_suite(args.window, _max_level(args.max_weight),
+                                           _default_levels(args.window)),
+    "corollary2": lambda args: _corollary2_suite(max(_default_levels(args.window), 6)),
+}
 
 
 def cmd_all(args) -> int:
-    window = args.window
     max_weight = _max_level(args.max_weight)
-    only = set(args.only.split(",")) if args.only else set(ALL_SUITES)
-    unknown = only - set(ALL_SUITES)
+    only = set(args.only.split(",")) if args.only else set(SUITES)
+    unknown = only - set(SUITES)
     _require(not unknown, f"unknown suites: {sorted(unknown)}")
-    levels = 4 * window + 1
-    suites = []
-
-    def run(name, fn):
-        if name not in only:
-            suites.append(_suite_payload(name, [], skipped=True))
-            return
-        suites.append(_suite_payload(name, fn()))
-
-    run("scalars", lambda: _scalar_series_suite(args.seed))
-    run("delta", _delta_suite)
-    run("algebra", lambda: _algebra_suite(max(window, 2)))
-    run("vosa", lambda: _vosa_suite(Fraction(4), min(window, 3)))
-    run("calibration", _calibration_suite)
-    run("twisted", lambda: _twisted_suite(window, max_weight, levels))
-    run("corollary2", lambda: _corollary2_suite(max(levels, 6)))
+    suites = [_suite_payload(name, run(args)) if name in only
+              else _suite_payload(name, [], skipped=True)
+              for name, run in SUITES.items()]
 
     skipped = sum(1 for s in suites if s["skipped"])
     failed = sum(1 for s in suites if (not s["skipped"]) and not s["pass"])
@@ -500,8 +496,8 @@ def cmd_all(args) -> int:
     payload = {
         "schema": SCHEMA,
         "command": "all",
-        "config": {"window": window, "max_weight": str(max_weight),
-                   "seed": args.seed, "levels": levels},
+        "config": {"window": args.window, "max_weight": str(max_weight),
+                   "seed": args.seed, "levels": _default_levels(args.window)},
         "suites": suites,
         "summary": {"total": len(suites), "failed": failed, "skipped": skipped},
         "pass": overall,
@@ -530,69 +526,64 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suite for free-field superconformal "
                     "structures and order-two twisted sectors.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command that reports takes --json
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("delta", help="twist-operator coefficients")
+    p = sub.add_parser("delta", parents=[json_opt], help="twist-operator coefficients")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--verify-order", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_delta)
 
     v = sub.add_parser("verify", help="run a verification suite")
     vsub = v.add_subparsers(dest="target", required=True)
 
-    p = vsub.add_parser("algebra", help="structure-constant presentations")
+    p = vsub.add_parser("algebra", parents=[json_opt], help="structure-constant presentations")
     p.add_argument("--name", required=True)
     p.add_argument("--window", type=int, default=4)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_algebra)
 
-    p = vsub.add_parser("vosa", help="free-field vertex algebra axioms")
+    p = vsub.add_parser("vosa", parents=[json_opt], help="free-field vertex algebra axioms")
     p.add_argument("--max-weight", default="4")
     p.add_argument("--window", type=int, default=3)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_vosa)
+    p.set_defaults(func=cmd_verify_vosa, min_window=1)
 
-    p = vsub.add_parser("twisted", help="twisted sectors")
+    p = vsub.add_parser("twisted", parents=[json_opt], help="twisted sectors")
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--max-weight", default="2",
                    help="largest level above ground used for check columns")
     p.add_argument("--levels", type=int, default=0,
                    help="level truncation of the twisted space (default 4*window+1)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_twisted, min_window=1)
 
     c = sub.add_parser("calibrate", help="solve for generator normalizations")
     csub = c.add_subparsers(dest="target", required=True)
-    p = csub.add_parser("n2", help="N=2 generators on the tensor square")
+    p = csub.add_parser("n2", parents=[json_opt], help="N=2 generators on the tensor square")
     p.add_argument("--window", type=int, default=2)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_calibrate, min_window=1)
 
-    p = sub.add_parser("character", help="graded dimensions")
+    p = sub.add_parser("character", parents=[json_opt], help="graded dimensions")
     p.add_argument("--space", choices=("vosa", "ns-fermion", "ramond", "twisted"),
                    required=True)
     p.add_argument("--trunc", required=True,
                    help="weight truncation (levels for twisted sectors)")
     p.add_argument("--dump-basis", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_character)
 
-    p = sub.add_parser("corollary2", help="the character identity")
+    p = sub.add_parser("corollary2", parents=[json_opt], help="the character identity")
     p.add_argument("--trunc", type=int, default=4,
                    help="compare coefficients of q^0..q^(trunc-1) on the "
                         "parity-twisted side")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_corollary2)
 
-    p = sub.add_parser("all", help="every suite in dependency order")
+    p = sub.add_parser("all", parents=[json_opt], help="every suite in dependency order")
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--max-weight", default="2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", default="",
                    help="comma-separated subset of suites; the rest are skipped")
     p.add_argument("--allow-skip", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_all, min_window=1)
 
     return parser
@@ -602,8 +593,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an N=2 table at window 0 holds L(0) and J(0) but no G mode and no
-        # central term, so the commands that check one need window 1
+        # a bracket table at window 0 holds L(0) (and J(0)) but no G mode
+        # and no central term, so the commands that check one need window 1
         low = getattr(args, "min_window", 0)
         _require(getattr(args, "window", 0) >= low, f"--window must be >= {low}")
         return args.func(args)

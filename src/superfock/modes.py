@@ -424,32 +424,26 @@ class Engine:
         2n + 2, built on each call like every combination."""
         return self.family(self.algebra.omega_vec)
 
+    def _l0_entry(self, L: Family, col: int) -> Fraction:
+        """L(0)'s diagonal entry at col; NonDiagonal if L(0) mixes col or it is irrational."""
+        vec = L.apply_basis(2, col)
+        if set(vec) - {col}:
+            raise NonDiagonal(f"operator mixes basis state {col}")
+        coeff = vec.get(col, ZERO)
+        if not coeff.is_rational():
+            raise NonDiagonal(f"non-rational diagonal entry at {col}")
+        return coeff.as_rational()
+
     def l0_eigenvalues(self) -> List[Fraction]:
         """The diagonal of L(0); raises NonDiagonal if it mixes basis states."""
         L = self.L()
-        out = []
-        for col in range(self.space.dim):
-            vec = L.apply_basis(2, col)
-            if set(vec) - {col}:
-                raise NonDiagonal(f"operator mixes basis state {col}")
-            coeff = vec.get(col, ExactScalar(0))
-            if not coeff.is_rational():
-                raise NonDiagonal(f"non-rational diagonal entry at {col}")
-            out.append(coeff.as_rational())
-        return out
+        return [self._l0_entry(L, col) for col in range(self.space.dim)]
 
     def ground_eigenvalue(self) -> Fraction:
-        """The L(0) eigenvalue on the Fock ground states, computed from the
-        constructed modes (this is where a twisted ground weight emerges)."""
+        """The L(0) eigenvalue on the ground states (the level-0 columns), computed
+        from the constructed modes (this is where a twisted ground weight emerges)."""
         L = self.L()
-        ground_cols = [i for i, s in enumerate(self.space.states)
-                       if not s.bosons and not s.fermions]
-        values = set()
-        for col in ground_cols:
-            got = L.apply_basis(2, col)
-            if set(got) - {col}:
-                raise NonHomogeneous("L(0) mixes ground states")
-            values.add(got.get(col, ExactScalar(0)).as_rational())
+        values = {self._l0_entry(L, col) for col in self.columns(0)}
         if len(values) != 1:
             raise NonHomogeneous(f"ground eigenvalues disagree: {values}")
         return values.pop()

@@ -173,51 +173,39 @@ def _rule_LG(gfam: str) -> PairRule:
     return rule
 
 
-def _rule_GG() -> PairRule:
+def _rule_GG(r2, s2):
     # [G_r, G_s] = 2 L_{r+s} + (r^2 - 1/4)/3 delta_{r+s,0} C
-    def rule(r2, s2):
-        out = [("L", r2 + s2, _rational(2, 1))]
-        if r2 + s2 == 0:
-            out.append(("C", 0, _rational(r2 * r2 - 1, 12)))
-        return out
-    return rule
+    out = [("L", r2 + s2, _rational(2, 1))]
+    if r2 + s2 == 0:
+        out.append(("C", 0, _rational(r2 * r2 - 1, 12)))
+    return out
 
 
-def _rule_LJ() -> PairRule:
+def _rule_LJ(m2, n2):
     # [L_m, J_n] = -n J_{m+n}
-    def rule(m2, n2):
-        return [("J", m2 + n2, _rational(-n2, 2))]
-    return rule
+    return [("J", m2 + n2, _rational(-n2, 2))]
 
 
-def _rule_JJ() -> PairRule:
+def _rule_JJ(m2, n2):
     # [J_m, J_n] = (m/3) delta_{m+n,0} C
-    def rule(m2, n2):
-        if m2 + n2 == 0:
-            return [("C", 0, _rational(m2, 6))]
-        return []
-    return rule
+    if m2 + n2 == 0:
+        return [("C", 0, _rational(m2, 6))]
+    return []
 
 
-def _rule_JG1() -> PairRule:
+def _rule_JG1(m2, r2):
     # [J_m, G1_r] = -i G2_{m+r}
-    def rule(m2, r2):
-        return [("G2", m2 + r2, _imaginary(-1, 1))]
-    return rule
+    return [("G2", m2 + r2, _imaginary(-1, 1))]
 
 
-def _rule_JG2() -> PairRule:
+def _rule_JG2(m2, r2):
     # [J_m, G2_r] = i G1_{m+r}
-    def rule(m2, r2):
-        return [("G1", m2 + r2, _imaginary(1, 1))]
-    return rule
+    return [("G1", m2 + r2, _imaginary(1, 1))]
 
 
-def _rule_G1G2() -> PairRule:
+def _rule_G1G2(r2, s2):
     # [G1_r, G2_s] = i (s - r) J_{r+s}; equivalently -i (r - s) J_{r+s}.
-    def rule(r2, s2):
-        return [("J", r2 + s2, _imaginary(s2 - r2, 2))]
-    return rule
+    return [("J", r2 + s2, _imaginary(s2 - r2, 2))]
 
 
 @dataclass(frozen=True)
@@ -299,27 +287,25 @@ class Presentation:
         return out
 
 
-def _n1_rules(central):
-    return {
-        ("L", "L"): _rule_LL(central),
-        ("L", "G"): _rule_LG("G"),
-        ("G", "G"): _rule_GG(),
-    }
+# One rule table per algebra, shared by its sectors: they differ in lattices only.
+_N1_RULES = {
+    ("L", "L"): _rule_LL(_virasoro_cocycle),
+    ("L", "G"): _rule_LG("G"),
+    ("G", "G"): _rule_GG,
+}
 
-
-def _n2_rules(central):
-    return {
-        ("L", "L"): _rule_LL(central),
-        ("L", "J"): _rule_LJ(),
-        ("L", "G1"): _rule_LG("G1"),
-        ("L", "G2"): _rule_LG("G2"),
-        ("J", "J"): _rule_JJ(),
-        ("J", "G1"): _rule_JG1(),
-        ("J", "G2"): _rule_JG2(),
-        ("G1", "G1"): _rule_GG(),
-        ("G2", "G2"): _rule_GG(),
-        ("G1", "G2"): _rule_G1G2(),
-    }
+_N2_RULES = {
+    ("L", "L"): _rule_LL(_virasoro_cocycle),
+    ("L", "J"): _rule_LJ,
+    ("L", "G1"): _rule_LG("G1"),
+    ("L", "G2"): _rule_LG("G2"),
+    ("J", "J"): _rule_JJ,
+    ("J", "G1"): _rule_JG1,
+    ("J", "G2"): _rule_JG2,
+    ("G1", "G1"): _rule_GG,
+    ("G2", "G2"): _rule_GG,
+    ("G1", "G2"): _rule_G1G2,
+}
 
 
 def virasoro_presentation(central: Callable[[Fraction], Fraction] = _virasoro_cocycle,
@@ -329,21 +315,20 @@ def virasoro_presentation(central: Callable[[Fraction], Fraction] = _virasoro_co
 
 VIRASORO = virasoro_presentation()
 
-N1_NS = Presentation("n1-ns", {"L": Fraction(0), "G": HALF}, _n1_rules(_virasoro_cocycle))
+N1_NS = Presentation("n1-ns", {"L": Fraction(0), "G": HALF}, _N1_RULES)
 
-N1_RAMOND = Presentation("n1-ramond", {"L": Fraction(0), "G": Fraction(0)},
-                         _n1_rules(_virasoro_cocycle))
+N1_RAMOND = Presentation("n1-ramond", {"L": Fraction(0), "G": Fraction(0)}, _N1_RULES)
 
 N2_NS = Presentation(
     "n2-ns",
     {"L": Fraction(0), "J": Fraction(0), "G1": HALF, "G2": HALF},
-    _n2_rules(_virasoro_cocycle),
+    _N2_RULES,
 )
 
 N2_RAMOND = Presentation(
     "n2-ramond",
     {"L": Fraction(0), "J": Fraction(0), "G1": Fraction(0), "G2": Fraction(0)},
-    _n2_rules(_virasoro_cocycle),
+    _N2_RULES,
 )
 
 # Hybrid sector: G1 pairs follow the Neveu-Schwarz pattern, G2 pairs the
@@ -351,7 +336,7 @@ N2_RAMOND = Presentation(
 N2_MIRROR_TWISTED = Presentation(
     "n2-mirror-twisted",
     {"L": Fraction(0), "J": HALF, "G1": HALF, "G2": Fraction(0)},
-    _n2_rules(_virasoro_cocycle),
+    _N2_RULES,
 )
 
 PRESENTATIONS = {p.name: p for p in

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Dict, List, Optional, Tuple
 
-from .checks import CheckReport, TableReport, borcherds_check, bracket_table_check, tally
+from .checks import CheckReport, TableReport, bracket_table_check, jacobi_pair_reports, tally
 from .delta import apply_delta
 from .fock import RAMOND_OFFSET, FockSpaceSpec, TruncatedSpace, character
 from .modes import (
@@ -210,12 +210,9 @@ def sigma_twisted_jacobi_report(sigma: SigmaModule, window: int = 2,
                                 max_col_level: Fraction = Fraction(1)) -> CheckReport:
     rep = CheckReport("sigma-twisted-jacobi")
     V = sigma.V
-    gens = [("b", V.vec_of(V.b_state)), ("f", V.vec_of(V.f_state))]
-    for name_u, u in gens:
-        for name_v, v in gens:
-            sub = borcherds_check(sigma, u, v, window, max_col_level,
-                                  f"sigma-jacobi-{name_u}{name_v}")
-            rep.merge(sub)
+    gens = {"b": V.vec_of(V.b_state), "f": V.vec_of(V.f_state)}
+    for sub in jacobi_pair_reports(sigma, gens, window, max_col_level, "sigma-jacobi-"):
+        rep.merge(sub)
     return rep
 
 
@@ -246,19 +243,15 @@ def mirror_twisted_jacobi_report(mirror: MirrorModule, window: int = 1,
     rep = CheckReport("mirror-twisted-jacobi")
     V = mirror.V
     tensor = mirror.tensor
-    b, f = V.vec_of(V.b_state), V.vec_of(V.f_state)
-    eigens = []
-    for name, vec in (("b", b), ("f", f)):
+    eigens = {}
+    for name, vec in (("b", V.vec_of(V.b_state)), ("f", V.vec_of(V.f_state))):
         one = tensor.slot(vec, 1)
         two = tensor.slot(vec, 2)
-        eigens.append((f"{name}+", v_iadd(dict(one), two)))
-        eigens.append((f"{name}-", v_iadd(dict(one), two, -1)))
-    max_w = max_col_level / 2
-    for name_u, u in eigens:
-        for name_v, v in eigens:
-            sub = borcherds_check(mirror, u, v, window, max_w,
-                                  f"mirror-jacobi-{name_u}{name_v}")
-            rep.merge(sub)
+        eigens[f"{name}+"] = v_iadd(dict(one), two)
+        eigens[f"{name}-"] = v_iadd(dict(one), two, -1)
+    for sub in jacobi_pair_reports(mirror, eigens, window, max_col_level / 2,
+                                   "mirror-jacobi-"):
+        rep.merge(sub)
     return rep
 
 

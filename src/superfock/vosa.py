@@ -35,6 +35,7 @@ from .modes import (
 )
 from .operators import Vec, v_iadd, v_scale
 from .scalars import ExactScalar, I, ONE
+from .superalgebra import N1_NS, N2_NS
 
 HALF = Fraction(1, 2)
 
@@ -264,8 +265,6 @@ def translation_report(V: Vosa, max_weight=Fraction(5, 2), window: int = 2) -> C
 def n1_table_report(V: Vosa, window: int = 2,
                     max_col_level: Optional[Fraction] = None) -> TableReport:
     """The tau-modes satisfy the N=1 Neveu-Schwarz table with c = 3/2."""
-    from .superalgebra import N1_NS
-
     if max_col_level is None:
         max_col_level = V.space.bound - 1
     families = {"L": V.L(), "G": V.family(V.tau_vec)}
@@ -513,8 +512,6 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2,
     [J, G1] = -i G2, and every candidate is accepted only after the full
     windowed bracket table passes.
     """
-    from .superalgebra import N2_NS
-
     V = tensor.V
     tau1_raw, tau2_raw, j_raw = _raw_n2_vectors(tensor)
     vac = tensor.vac

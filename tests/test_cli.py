@@ -145,6 +145,8 @@ def test_all_json_determinism(capsys):
     ("calibrate", "n2", "--window", "0"),
     ("verify", "twisted", "--window", "0"),
     ("all", "--window", "0"),
+    # passed with only [L(0), L(0)] in its N=1 table
+    ("verify", "vosa", "--window", "0"),
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code = main(list(argv))

@@ -245,6 +245,11 @@ def test_tensor_vacuum_and_grading(tensor):
         assert got == want
 
 
+def test_tensor_ground_eigenvalue():
+    # the ground columns are the level-0 ones: the pair (vacuum, vacuum)
+    assert TensorVosa(Vosa(3), 3).ground_eigenvalue() == 0
+
+
 def test_tensor_jacobi_mixed_slot_pair(tensor):
     V = tensor.V
     u = tensor.slot(V.vec_of(V.f_state), 1)
