@@ -24,7 +24,7 @@ from .superalgebra import (
     verify_automorphism,
 )
 from .delta import apply_delta, delta_coefficients, verify_delta_equation
-from .fock import FockSpaceSpec, FockState, TruncatedSpace, character, enumerate_basis, mode_apply
+from .fock import FockSpaceSpec, FockState, TruncatedSpace, character, mode_apply
 from .vosa import (
     N2Data,
     TensorVosa,

@@ -1,17 +1,20 @@
 """Truncated weight-graded Fock spaces: free boson, free fermion in both
 sectors, and their tensor products.
 
-Basis states are creation-mode monomials on a vacuum.  The Ramond fermion
-has a two-dimensional ground space spanned by an even vector w+ and an odd
-vector w-: the zero mode is parity odd, squares to 1/2, and therefore must
-exchange two ground states of opposite parity.  The Ramond ground weight
-offset 1/16 is carried here as the constant `RAMOND_OFFSET`; the
-twisted-construction computation of the twisted conformal weight reproduces
-it independently and the tests cross-check the two.
+Basis states are creation-mode monomials on a vacuum, held by a space as
+int codes; a `FockState` is their readable form, built on demand for text
+and for the reference action `mode_apply`.  The Ramond fermion has a
+two-dimensional ground space spanned by an even vector w+ and an odd vector w-:
+the zero mode is parity odd, squares to 1/2, and therefore must exchange
+two ground states of opposite parity.  The Ramond ground weight offset 1/16
+is carried here as the constant `RAMOND_OFFSET`; the twisted-construction
+computation of the twisted conformal weight reproduces it independently and
+the tests cross-check the two.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
@@ -24,7 +27,6 @@ from .series import Series
 KINDS = ("boson", "ns-fermion", "ramond-fermion", "vosa", "sigma")
 _HAS_BOSON = {"boson", "vosa", "sigma"}
 _FERMION_SECTOR = {"ns-fermion": "ns", "vosa": "ns", "ramond-fermion": "r", "sigma": "r"}
-_GROUND_RANK = {"0": 0, "+": 0, "-": 1}
 
 
 # the weight of the Ramond ground states above the Neveu-Schwarz vacuum
@@ -67,9 +69,6 @@ class FockState:
     @property
     def parity(self) -> int:
         return (len(self.fermions) + (self.ground == "-")) % 2
-
-    def sort_key(self):
-        return (self.level, self.bosons, self.fermions, _GROUND_RANK[self.ground])
 
     def __str__(self):
         bits = [f"a({-n})" for n in self.bosons]
@@ -139,39 +138,27 @@ def _basis_codes(spec: FockSpaceSpec) -> list[Tuple[int, Tuple[int, ...], Tuple[
     return out
 
 
-def _states_of(spec: FockSpaceSpec, entries) -> List[FockState]:
-    """The FockStates of the `_basis_codes` entries of spec."""
-    labels = ("+", "-") if spec.fermion_sector == "r" else ("0",)
-    halves = {x: Fraction(x, 2) for _, _, f, _ in entries for x in f}
-    return [FockState(b, tuple(halves[x] for x in f), labels[g]) for _, b, f, g in entries]
-
-
-def enumerate_basis(spec: FockSpaceSpec) -> List[FockState]:
-    return _states_of(spec, _basis_codes(spec))
-
-
 class TruncatedSpace:
     """Frozen ordered basis of a Fock model below a weight truncation.
 
-    Besides the `FockState`s, each state is held as ints in `codes`:
-    (bosons, fermions2, ground rank), with the fermion magnitudes in half
-    units (2r), both tuples in the states' decreasing order, and the ground
-    rank 1 for w- and 0 otherwise.  `code_index` maps a code to its column.
-    `level2` holds twice each state's level above the ground states and
-    `bound2` the truncation in the same units: a level2 at or above it lies
-    beyond the space.
+    Each basis state is held once, as ints in `codes`: (bosons, fermions2,
+    ground rank), with the fermion magnitudes in half units (2r), both
+    tuples in decreasing order, and the ground rank 1 for w- and 0
+    otherwise.  `code_index` maps a code to its column.  `level2` holds
+    twice each state's level above the ground states and `bound2` the
+    truncation in the same units: a level2 at or above it lies beyond the
+    space.  A column's weight is `spec.ground_offset + level2 / 2`.
+    `ground_labels` names the ground states by rank.  `state(col)` and
+    `column(state)` convert between a column and its `FockState`, for text
+    and for the reference `mode_apply`.
     """
 
     def __init__(self, spec: FockSpaceSpec):
         self.spec = spec
         entries = _basis_codes(spec)
-        self.states: Tuple[FockState, ...] = tuple(_states_of(spec, entries))
-        self.index = {s: i for i, s in enumerate(self.states)}
-        offset = spec.ground_offset
+        self.ground_labels = ("+", "-") if spec.fermion_sector == "r" else ("0",)
         self.level2: Tuple[int, ...] = tuple(e[0] for e in entries)
-        self.bound2 = ceil(2 * (spec.truncation - offset))
-        weight_at = {lv2: offset + Fraction(lv2, 2) for lv2 in set(self.level2)}
-        self.weights: Tuple[Fraction, ...] = tuple(weight_at[lv2] for lv2 in self.level2)
+        self.bound2 = ceil(2 * (spec.truncation - spec.ground_offset))
         self.parities: Tuple[int, ...] = tuple((len(f) + g) % 2 for _, _, f, g in entries)
         self.bound = spec.truncation
         self.codes: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = tuple(
@@ -180,10 +167,21 @@ class TruncatedSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.codes)
+
+    def state(self, col: int) -> FockState:
+        """The FockState of column col, built on each call."""
+        bos, fer2, rank = self.codes[col]
+        return FockState(bos, tuple(Fraction(x, 2) for x in fer2), self.ground_labels[rank])
+
+    def column(self, state: FockState) -> int:
+        """The column of state; KeyError if the space does not hold it."""
+        labels = self.ground_labels
+        rank = labels.index(state.ground) if state.ground in labels else -1
+        return self.code_index[(state.bosons, tuple(2 * r for r in state.fermions), rank)]
 
     def basis_dump(self) -> list[str]:
-        return [str(s) for s in self.states]
+        return [str(self.state(i)) for i in range(self.dim)]
 
 
 def sqrt_half_delta(psi_delta: Fraction) -> ExactScalar:
@@ -267,14 +265,15 @@ def character(space: TruncatedSpace, central_charge: Fraction,
               bound: Optional[Fraction] = None) -> Series:
     """Graded dimension tr q**(-c/24 + L(0)) as an exact q-series.
 
-    By default the conformal weights are the stored basis weights; passing
-    `eigenvalues` (one rational per basis state) traces a different diagonal
-    grading operator instead.  `bound` is the eigenvalue truncation; the
-    series truncation is -c/24 + bound.
+    By default the conformal weights are the basis weights, ground offset
+    plus level; passing `eigenvalues` (one rational per basis state) traces
+    a different diagonal grading operator instead.  `bound` is the
+    eigenvalue truncation; the series truncation is -c/24 + bound.
     """
     c = Fraction(central_charge)
     if eigenvalues is None:
-        eigenvalues = list(space.weights)
+        offset = space.spec.ground_offset
+        eigenvalues = [offset + Fraction(lv2, 2) for lv2 in space.level2]
         if bound is None:
             bound = space.bound
     else:
@@ -282,8 +281,5 @@ def character(space: TruncatedSpace, central_charge: Fraction,
             raise NonDiagonal("eigenvalue list does not match the basis")
         if bound is None:
             raise ValueError("an explicit truncation is required with custom eigenvalues")
-    terms: dict[Fraction, ExactScalar] = {}
-    for lam in eigenvalues:
-        e = -c / 24 + lam
-        terms[e] = terms.get(e, ExactScalar(0)) + ExactScalar(1)
+    terms = {-c / 24 + lam: ExactScalar(n) for lam, n in Counter(eigenvalues).items()}
     return Series("q", -c / 24 + Fraction(bound), terms)

@@ -341,9 +341,9 @@ def jacobi_right(acc: Vec, u_fam: Family, w_fam: Family, ell: int, m2: int,
 class Engine:
     """What the families and the verifiers need from a mode engine.
 
-    A subclass sets `space` (the module's ordered basis: `states`,
-    `parities`, `dim`, and the ints `level2`, each column's level above the
-    lowest one in half units, and `bound2`, the truncation in those units),
+    A subclass sets `space` (the module's ordered basis: `parities`, `dim`,
+    and the ints `level2`, each column's level above the lowest one in half
+    units, and `bound2`, the truncation in those units),
     `algebra` (the vertex algebra whose states label the families: the
     engine itself for an algebra acting on itself) and implements
     `_build_family(i)`, which builds the family of the algebra's basis

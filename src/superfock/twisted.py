@@ -98,7 +98,7 @@ class MirrorModule(Engine):
         fams = self._delta_cache.get(i)
         if fams is None:
             V = self.V
-            h = V.space.weights[i]
+            h = Fraction(V.col_w2[i], 2)  # V is untwisted: its ground weight is 0
             L = V.L()  # L(j) is omega's mode at index 2j + 2
             terms = apply_delta(h, {i: ONE}, lambda j, v: L.apply(2 * j + 2, v))
             fams = self._delta_cache[i] = [

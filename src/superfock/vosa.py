@@ -187,13 +187,13 @@ class Vosa(FreeFieldEngine):
         self.vac_state = FockState()
         self.b_state = FockState(bosons=(1,))
         self.f_state = FockState(fermions=(HALF,))
-        self.vac = self.space.index[self.vac_state]
+        self.vac = self.space.column(self.vac_state)
         self.central_charge = Fraction(3, 2)
 
     # states -----------------------------------------------------------
 
     def vec_of(self, state: FockState) -> Vec:
-        return {self.space.index[state]: ONE}
+        return {self.space.column(state): ONE}
 
     @property
     def vacuum_vec(self) -> Vec:
@@ -203,13 +203,13 @@ class Vosa(FreeFieldEngine):
     def omega_vec(self) -> Vec:
         half = ExactScalar(HALF)
         return {
-            self.space.index[FockState(bosons=(1, 1))]: half,
-            self.space.index[FockState(fermions=(Fraction(3, 2), HALF))]: half,
+            self.space.column(FockState(bosons=(1, 1))): half,
+            self.space.column(FockState(fermions=(Fraction(3, 2), HALF))): half,
         }
 
     @property
     def tau_vec(self) -> Vec:
-        return {self.space.index[FockState(bosons=(1,), fermions=(HALF,))]: ONE}
+        return {self.space.column(FockState(bosons=(1,), fermions=(HALF,))): ONE}
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def creation_report(V: Vosa, max_mode: int = 3) -> CheckReport:
         for n in range(-1, max_mode + 1):
             tally(rep, lambda: (fam.apply(2 * n, V.vacuum_vec),
                                 {i: ONE} if n == -1 else {}),
-                  lambda: {"state": str(V.space.states[i]), "mode": str(n)})
+                  lambda: {"state": str(V.space.state(i)), "mode": str(n)})
     return rep
 
 
@@ -232,10 +232,11 @@ def grading_report(V: Vosa) -> CheckReport:
     """L(0) built from the conformal vector acts as the weight on every state."""
     rep = CheckReport("l0-grading")
     L = V.L()
-    for i, w in enumerate(V.space.weights):
+    for i, lv2 in enumerate(V.space.level2):
+        w = Fraction(lv2, 2)  # V is untwisted: its ground weight is 0
         want = {i: ExactScalar(w)} if w else {}
         tally(rep, lambda: (L.apply_basis(2, i), want),
-              lambda: {"state": str(V.space.states[i])})
+              lambda: {"state": str(V.space.state(i))})
     return rep
 
 
@@ -258,7 +259,7 @@ def translation_report(V: Vosa, max_weight=Fraction(5, 2), window: int = 2) -> C
                 tally(rep, lambda: (dfam.apply_basis(2 * n, col) if dfam else {},
                                     v_scale(vfam.apply_basis(2 * n - 2, col),
                                             ExactScalar(-n))),
-                      lambda: {"state": str(V.space.states[i]), "mode": str(n), "col": col})
+                      lambda: {"state": str(V.space.state(i)), "mode": str(n), "col": col})
     return rep
 
 

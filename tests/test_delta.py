@@ -151,4 +151,4 @@ def test_single_lowering_step(V4):
     # output weight lowered by exactly d
     for e, vec in out:
         d = -2 * e - 2
-        assert {V4.space.weights[i] for i in vec} == {2 - d}
+        assert {V4.space.state(i).level for i in vec} == {2 - d}

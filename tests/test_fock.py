@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from superfock.errors import TruncationOverflow
 from superfock.fock import (
+    KINDS,
     FockSpaceSpec,
     FockState,
     TruncatedSpace,
     character,
-    enumerate_basis,
     mode_apply,
 )
 from superfock.scalars import ExactScalar, ONE, pow_two
@@ -42,6 +42,11 @@ def product_series(factors, order):
     return {e: c for e, c in acc.items() if c}
 
 
+def weights(space):
+    """Each column's weight: the ground offset plus its FockState's level."""
+    return [space.spec.ground_offset + space.state(i).level for i in range(space.dim)]
+
+
 def boson_factor(n, order):
     # 1/(1 - q^n) expanded
     out, e = {}, Fraction(0)
@@ -53,7 +58,7 @@ def boson_factor(n, order):
 
 def test_boson_layers_match_partitions():
     space = TruncatedSpace(FockSpaceSpec("boson", Fraction(8)))
-    dims = Counter(space.weights)
+    dims = Counter(weights(space))
     p = partition_numbers(7)
     for n in range(8):
         assert dims.get(Fraction(n), 0) == p[n]
@@ -61,23 +66,23 @@ def test_boson_layers_match_partitions():
 
 def test_ns_fermion_small_layers():
     space = TruncatedSpace(FockSpaceSpec("ns-fermion", Fraction(5, 2)))
-    assert Counter(space.weights) == {Fraction(0): 1, HALF: 1, Fraction(3, 2): 1,
-                                      Fraction(2): 1}
+    assert Counter(weights(space)) == {Fraction(0): 1, HALF: 1, Fraction(3, 2): 1,
+                                        Fraction(2): 1}
 
 
 def test_ramond_fermion_layers():
     spec = FockSpaceSpec("ramond-fermion", Fraction(1, 16) + 2)
     space = TruncatedSpace(spec)
     off = Fraction(1, 16)
-    assert Counter(space.weights) == {off: 2, off + 1: 2}
+    assert Counter(weights(space)) == {off: 2, off + 1: 2}
     deeper = TruncatedSpace(FockSpaceSpec("ramond-fermion", Fraction(1, 16) + 4))
-    dims = Counter(deeper.weights)
+    dims = Counter(weights(deeper))
     assert [dims[off + n] for n in range(4)] == [2, 2, 2, 4]
 
 
 def test_vosa_layers():
     space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(4)))
-    dims = [Counter(space.weights)[Fraction(k, 2)] for k in range(8)]
+    dims = [Counter(weights(space))[Fraction(k, 2)] for k in range(8)]
     assert dims == [1, 1, 1, 2, 3, 4, 5, 7]
 
 
@@ -88,23 +93,55 @@ def test_sigma_layers_are_doubled_overpartitions():
     factors += [{Fraction(0): 1, Fraction(n): 1} for n in range(1, 5)]
     series = product_series(factors, Fraction(5))
     off = Fraction(1, 16)
-    dims = Counter(space.weights)
+    dims = Counter(weights(space))
     for n in range(5):
         assert dims[off + n] == 2 * series[Fraction(n)]
 
 
 def test_enumeration_is_sorted_and_deterministic():
     spec = FockSpaceSpec("vosa", Fraction(4))
-    states = enumerate_basis(spec)
-    assert states == sorted(states, key=FockState.sort_key)
-    assert states == enumerate_basis(spec)
-    assert str(states[0]) == "|0>"
+    space = TruncatedSpace(spec)
+    keys = list(zip(space.level2, space.codes))
+    assert keys == sorted(keys)
+    assert space.codes == TruncatedSpace(spec).codes
+    assert str(space.state(0)) == "|0>"
 
 
 def test_basis_dump_format():
     space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(4)))
     dumped = space.basis_dump()
     assert "a(-2)a(-1)psi(-1/2)|0>" in dumped
+    # the Ramond ground pair and the integer-moded fermion
+    sigma = TruncatedSpace(FockSpaceSpec("sigma", Fraction(1, 16) + 2))
+    assert sigma.basis_dump() == ["|+>", "|->", "psi(-1)|+>", "psi(-1)|->",
+                                  "a(-1)|+>", "a(-1)|->"]
+
+
+def _holds_state(value) -> bool:
+    if isinstance(value, FockState):
+        return True
+    if isinstance(value, dict):
+        return _holds_state(tuple(value.items()))
+    return isinstance(value, tuple) and any(_holds_state(v) for v in value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_state_column_conversions(kind):
+    space = TruncatedSpace(FockSpaceSpec(kind, Fraction(3)))
+    assert space.dim
+    for i in range(space.dim):
+        state = space.state(i)
+        assert space.column(state) == i
+        assert state.level == Fraction(space.level2[i], 2)
+        assert state.parity == space.parities[i]
+    # a state the space does not hold: beyond the truncation, or a ground
+    # label of the other fermion sector
+    other_ground = "0" if space.spec.fermion_sector == "r" else "+"
+    for outside in (FockState(bosons=(3,)), FockState(ground=other_ground)):
+        with pytest.raises(KeyError):
+            space.column(outside)
+    # the space holds its basis only as int codes
+    assert not any(_holds_state(v) for v in vars(space).values())
 
 
 # mode actions -------------------------------------------------------------
@@ -198,7 +235,7 @@ modes = st.one_of(
 def test_mode_weight_bookkeeping(mode, state_idx):
     space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(4)))
     fam, index = mode
-    state = space.states[state_idx % space.dim]
+    state = space.state(state_idx % space.dim)
     before = state.level
     try:
         result = mode_apply(space, fam, index, state)

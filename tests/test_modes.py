@@ -122,7 +122,7 @@ def test_memo_hits_keep_the_apply_basis_contract(V4):
     # hashes like 2), overflow on every call and return EMPTY off the lattice
     # and below weight 0, storing none of those columns
     fam = V4.family(V4.vec_of(V4.b_state))
-    b = V4.space.index[V4.b_state]
+    b = V4.space.column(V4.b_state)
     top = V4.col_w2.index(max(V4.col_w2))
     assert fam.apply_basis(-2, V4.vac) == {b: ONE}         # a(-1)
     assert fam.apply_basis(2, b) == {V4.vac: ONE}          # a(1)
@@ -165,12 +165,14 @@ def test_int_levels_match_fraction_weights(V5, tensor, n2, levels):
     is (sigma weight - 1/16)/2."""
     sigma = SigmaModule(V5, levels=levels)
     mirror = MirrorModule(sigma, tensor, n2)
-    vw, off = V5.space.weights, Fraction(1, 16)
+    off = Fraction(1, 16)
+    vw = [V5.space.state(i).level for i in range(V5.space.dim)]
+    sw = [off + sigma.space.state(i).level for i in range(sigma.space.dim)]
     cases = [
         (V5, vw, 0, 5),
         (tensor, [vw[i] + vw[j] for i, j in tensor.space.states], 0, 5),
-        (sigma, sigma.space.weights, off, off + levels),
-        (mirror, [(w - off) / 2 for w in sigma.space.weights], 0, Fraction(levels, 2)),
+        (sigma, sw, off, off + levels),
+        (mirror, [(w - off) / 2 for w in sw], 0, Fraction(levels, 2)),
     ]
     for engine, weights, low, bound in cases:
         assert min(weights) == low

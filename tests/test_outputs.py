@@ -5,7 +5,10 @@ The benchmark's workloads (`perfbench/workloads.py`) are replayed in this
 process at seed 0 and each output's checked and filtered counts and sha256
 digest compared with `perfbench/expected.json`.  The digests sort keys, so
 `all --json` is also compared byte for byte with `tests/snapshots/all.json`:
-that catches a change in key order or layout.
+that catches a change in key order or layout.  The text of
+`character --space vosa --trunc 4 --dump-basis`, whose basis lines are
+built from the space's int codes, is compared with its snapshot the same
+way.
 """
 
 import contextlib
@@ -56,3 +59,10 @@ def test_all_json_matches_snapshot(capsys):
     code = main(["all", "--json"])
     assert code == 0
     assert capsys.readouterr().out == (ROOT / "tests" / "snapshots" / "all.json").read_text()
+
+
+def test_character_basis_dump_matches_snapshot(capsys):
+    code = main(["character", "--space", "vosa", "--trunc", "4", "--dump-basis"])
+    assert code == 0
+    snapshot = ROOT / "tests" / "snapshots" / "character-vosa-trunc4-basis.txt"
+    assert capsys.readouterr().out == snapshot.read_text()

@@ -48,7 +48,7 @@ def test_ground_weight_emerges(sigma):
 def test_sigma_l0_spectrum_is_offset_levels(sigma):
     eig = sigma.l0_eigenvalues()
     for i, lam in enumerate(eig):
-        assert lam == sigma.space.states[i].level + Fraction(1, 16)
+        assert lam == sigma.space.state(i).level + Fraction(1, 16)
 
 
 def test_sigma_virasoro(sigma):
@@ -103,8 +103,7 @@ def test_sigma_g0_squared(sigma):
     # [G(0), G(0)] = 2 L(0) - c/12 vanishes on the ground states
     G = sigma.family(sigma.V.tau_vec)
     g0 = mode2(G, 0)
-    ground = [i for i, s in enumerate(sigma.space.states)
-              if not s.bosons and not s.fermions]
+    ground = [i for i in range(sigma.space.dim) if sigma.space.level2[i] == 0]
     for col in ground:
         sq = G.apply(g0, G.apply_basis(g0, col))
         assert v_scale(sq, 2) == {}
@@ -200,7 +199,7 @@ def test_specific_mirror_brackets(mirror):
     h = mirror.n2_families()
     L, J, G1, G2 = h["L"], h["J"], h["G1"], h["G2"]
     cols = [i for i in range(mirror.space.dim)
-            if mirror.sigma.space.weights[i] <= Fraction(1, 16) + 2]
+            if mirror.sigma.space.level2[i] <= 4]
     for col in cols:
         lhs = G1.apply(mode2(G1, HALF), G2.apply_basis(mode2(G2, 0), col))
         v_iadd(lhs, G2.apply(mode2(G2, 0), G1.apply_basis(mode2(G1, HALF), col)), 1)
@@ -218,8 +217,7 @@ def test_g2_ramond_central_value(mirror):
     # [G2(1), G2(-1)] = 2 L(0) + (1/3)(1 - 1/4) * 3 = 2 L(0) + 3/4 on grounds
     G2 = mirror.n2_families()["G2"]
     up, down = mode2(G2, 1), mode2(G2, -1)
-    ground = [i for i, s in enumerate(mirror.space.states)
-              if not s.bosons and not s.fermions]
+    ground = [i for i in range(mirror.space.dim) if mirror.space.level2[i] == 0]
     for col in ground:
         anti = G2.apply(up, G2.apply_basis(down, col))
         v_iadd(anti, G2.apply(down, G2.apply_basis(up, col)), 1)
@@ -447,7 +445,7 @@ class _NestedSlot(Family):
         V, sigma = mirror.V, mirror.sigma
         super().__init__(mirror, V.col_w2[i], V.space.parities[i], None)
         self.slot = slot
-        h, L = V.space.weights[i], V.L()
+        h, L = V.space.state(i).level, V.L()
         self.terms = [(twice(-2 * exp - h), _nested_vec(sigma, vec, sigma._family_by_index))
                       for exp, vec in apply_delta(h, {i: ONE},
                                                   lambda j, v: L.apply(2 * j + 2, v))]

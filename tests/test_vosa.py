@@ -48,10 +48,10 @@ def _generator_sweep(engine):
                         fam.apply_basis(t2, col)
                     continue
                 index = Fraction(t2 + shift2, 2)
-                want = {space.index[s]: c for s, c in
-                        mode_apply(space, field, index, space.states[col], psi_delta)}
+                want = {space.column(s): c for s, c in
+                        mode_apply(space, field, index, space.state(col), psi_delta)}
                 got = fam.apply_basis(t2, col)
-                assert got == want, (field, index, space.states[col])
+                assert got == want, (field, index, space.state(col))
                 compared += 1
                 nonzero += bool(got)
                 flips += bool(got) and index == 0
@@ -102,7 +102,7 @@ def test_jacobi_generator_pairs(V4):
 def test_jacobi_omega_with_low_weight_spanning_set(V4):
     # conformal vector against every state of weight <= 3/2
     for i in range(V4.space.dim):
-        if V4.space.weights[i] > Fraction(3, 2):
+        if V4.space.state(i).level > Fraction(3, 2):
             continue
         rep = borcherds_check(V4, V4.omega_vec, {i: ONE}, 1, Fraction(1), f"om-{i}")
         assert rep.passed, i
@@ -118,7 +118,7 @@ def test_n1_g_bracket_values(V4):
     vac = V4.vac
     # {G(1/2), G(-1/2)} = 2 L(0) on low layers
     for col in range(V4.space.dim):
-        if V4.space.weights[col] > 2:
+        if V4.space.state(col).level > 2:
             continue
         lhs = G.apply(mode2(G, HALF), G.apply_basis(mode2(G, -HALF), col))
         second = G.apply(mode2(G, -HALF), G.apply_basis(mode2(G, HALF), col))
@@ -126,7 +126,7 @@ def test_n1_g_bracket_values(V4):
             lhs[k] = lhs.get(k, ExactScalar(0)) + c
             if lhs[k].is_zero():
                 del lhs[k]
-        w = V4.space.weights[col]
+        w = V4.space.state(col).level
         want = {col: ExactScalar(2 * w)} if w else {}
         assert lhs == want
     # {G(3/2), G(-3/2)} - 2L(0) = id on the vacuum line (central (2/3)*(3/2))
