@@ -14,8 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InvalidAlgebra, TruncationOverflow
 from .modes import Family, jacobi_left, jacobi_right, twice
-from .operators import Vec, v_iadd, v_scale
-from .scalars import ZERO, ExactScalar
+from .scalars import ZERO, ExactScalar, Vec, v_iadd, v_scale
 from .superalgebra import PARITY, Generator, Presentation
 
 

@@ -19,8 +19,7 @@ from . import delta as delta_mod
 from .checks import borcherds_check, jacobi_pair_reports
 from .errors import SuperfockError
 from .fock import FockSpaceSpec, TruncatedSpace, character
-from .operators import v_scale
-from .scalars import ExactScalar
+from .scalars import ExactScalar, v_scale
 from .series import Series, substitute_root_phase
 from .superalgebra import (
     Element,

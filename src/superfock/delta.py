@@ -10,8 +10,9 @@ Applying the twist to a weight-homogeneous state v of weight h (k = 2):
     Delta(x) v = 2**(-h) * x**(-h/2) * exp(sum_j a_j x**(-j/2) L(j)) v,
 
 a finite sum because the positive Virasoro modes lower weight and weights
-are bounded below.  Only k in {1, 2} is supported: 2**(-h) for half-integer
-h needs sqrt(2), and the scalar field stops there.
+are bounded below.  The coefficients are solved for any k, but the twist is
+applied for k = 2 only: 2**(-h) for half-integer h needs sqrt(2), and the
+scalar field stops there.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
-from .errors import InsufficientTerms, UnboundedExpansion, UnsupportedK
-from .operators import Vec, v_iadd, v_scale
-from .scalars import ExactScalar, pow_two
+from .errors import InsufficientTerms, UnboundedExpansion
+from .scalars import ExactScalar, Vec, pow_two, v_iadd, v_scale
 from .series import Series
 
 Poly = Dict[int, Fraction]  # exponent -> coefficient, exact
@@ -122,23 +122,16 @@ def verify_delta_equation(k: int, terms: int, order: int) -> Series:
     return residual_for_coefficients(k, list(delta_coefficients(k, terms)), order)
 
 
-def apply_delta(weight: Fraction, vec: Vec, lower: Callable[[int, Vec], Vec],
-                k: int = 2, max_level: int | None = None) -> List[Tuple[Fraction, Vec]]:
-    """Apply the twist operator to a weight-homogeneous vector.
+def apply_delta(weight: Fraction, vec: Vec,
+                lower: Callable[[int, Vec], Vec]) -> List[Tuple[Fraction, Vec]]:
+    """Apply the order-two twist operator to a weight-homogeneous vector.
 
     `lower(j, v)` must implement the positive Virasoro mode L(j), which lowers
-    the weight by j.  Returns [(x-exponent, vector)] sorted by exponent; for
-    k=1 this is just [(0, vec)].  Raises UnboundedExpansion if a lowered
-    vector survives below weight 0.
+    the weight by j.  Returns [(x-exponent, vector)] sorted by exponent.
+    Raises UnboundedExpansion if a lowered vector survives below weight 0.
     """
-    if k not in (1, 2):
-        raise UnsupportedK(f"twist operator implemented for k in {{1, 2}}, got {k}")
-    if k == 1:
-        return [(Fraction(0), vec)]
     weight = Fraction(weight)
-    if max_level is None:
-        max_level = max(1, int(weight) + 1)
-    coeffs = delta_coefficients(2, max_level)
+    coeffs = delta_coefficients(2, max(1, int(weight) + 1))
 
     base = v_scale(vec, pow_two(-weight))
     # layers[d] collects the total-lowering-d part of exp(sum a_j x**(-j/2) L(j))

@@ -13,10 +13,6 @@ class VariableMismatch(SuperfockError):
     pass
 
 
-class UnsupportedK(SuperfockError):
-    pass
-
-
 class UnsupportedExponent(SuperfockError):
     pass
 

@@ -42,8 +42,7 @@ from math import factorial, floor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonDiagonal, NonHomogeneous, TruncationOverflow
-from .operators import Vec, v_iadd, v_scale
-from .scalars import ZERO, ExactScalar, ONE
+from .scalars import ZERO, ExactScalar, ONE, Vec, v_iadd, v_scale
 
 
 def twice(x) -> int:

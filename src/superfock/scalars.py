@@ -1,16 +1,31 @@
-"""Exact scalars: arithmetic in the number field Q(i, sqrt(2)).
+"""Exact scalars in the number field Q(i, sqrt(2)), and sparse exact vectors.
 
 Every quantity in the engine lives in this field.  The imaginary unit is
 forced by the N=2 structure constants, sqrt(2) by the fermionic zero mode
 and by the factor 2**(-wt) acting on half-integer weights in the order-two
 twisting operator.
+
+This is the one module that knows how an `ExactScalar` is stored, so the
+accumulate kernel `v_iadd`, which does its field arithmetic on the stored
+ints, lives here too.  A `Vec` maps basis indices to `ExactScalar`
+coefficients.  Every Vec in the package keeps one contract:
+
+* it stores no zero entry, so an empty dict is the zero vector and a
+  residual is zero exactly when it is empty;
+* its values are immutable scalars, so one scalar object may sit in many
+  vectors at once (`v_iadd` stores its input values as they are where it
+  can);
+* a vector returned by a memoized family column (`Family.apply_basis`) or
+  shared as a constant is never mutated by its caller: only a dict the
+  caller built itself, such as the result of `Family.apply`, is updated in
+  place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Dict, Union
 
 from .errors import DivisionByZero
 
@@ -23,10 +38,6 @@ def parse_rational(text: str) -> Fraction:
     if "." in text or "e" in text or "E" in text:
         raise ValueError(f"not a decimal-free fraction string: {text!r}")
     return Fraction(text)
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 def _reduced(a: int, b: int, c: int, d: int, q: int) -> tuple:
@@ -112,14 +123,8 @@ class ExactScalar:
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = other._v
         out = _new(ExactScalar)
-        if q1 == q2:
-            if q1 == 1:
-                _set_v(out, (a1 + a2, b1 + b2, c1 + c2, d1 + d2, 1))
-            else:
-                _set_v(out, _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1))
-        else:
-            _set_v(out, _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
-                                 c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2))
+        _set_v(out, _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                             c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2))
         return out
 
     __radd__ = __add__
@@ -133,31 +138,18 @@ class ExactScalar:
     def __sub__(self, other):
         return self + (-ExactScalar.coerce(other))
 
-    def __rsub__(self, other):
-        return ExactScalar.coerce(other) + (-self)
-
     def __mul__(self, other):
         if type(other) is not ExactScalar:
             other = ExactScalar.coerce(other)
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = other._v
         out = _new(ExactScalar)
-        if not (b2 or c2 or d2):
-            if not (b1 or c1 or d1):
-                a, q = a1 * a2, q1 * q2
-                g = gcd(a, q)
-                _set_v(out, (a // g, 0, 0, 0, q // g))
-            else:
-                _set_v(out, _reduced(a1 * a2, b1 * a2, c1 * a2, d1 * a2, q1 * q2))
-        elif not (b1 or c1 or d1):
-            _set_v(out, _reduced(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q1 * q2))
-        else:
-            _set_v(out, _reduced(
-                a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-                a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-                a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-                a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-                q1 * q2))
+        _set_v(out, _reduced(
+            a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            q1 * q2))
         return out
 
     __rmul__ = __mul__
@@ -176,12 +168,6 @@ class ExactScalar:
         factor = _new(ExactScalar)
         _set_v(factor, _reduced(q * q * p, 0, -q * q * r, 0, norm))
         return self.conj_i() * factor
-
-    def __truediv__(self, other):
-        return self * ExactScalar.coerce(other).inv()
-
-    def __rtruediv__(self, other):
-        return ExactScalar.coerce(other) * self.inv()
 
     # -- field automorphisms --------------------------------------------
 
@@ -243,10 +229,10 @@ class ExactScalar:
 
     def to_json(self) -> dict:
         return {
-            "a": format_rational(self.a),
-            "b": format_rational(self.b),
-            "c": format_rational(self.c),
-            "d": format_rational(self.d),
+            "a": str(self.a),
+            "b": str(self.b),
+            "c": str(self.c),
+            "d": str(self.d),
         }
 
     @classmethod
@@ -271,3 +257,78 @@ def pow_two(e: Fraction) -> ExactScalar:
     if e.denominator == 2:
         return SQRT2 * ExactScalar(Fraction(2) ** int(e - Fraction(1, 2)))
     raise ValueError(f"2**{e} is outside Q(i, sqrt2)")
+
+
+# -- sparse exact vectors ---------------------------------------------------
+
+Vec = Dict[int, ExactScalar]
+
+
+def v_scale(vec: Vec, coeff) -> Vec:
+    """coeff * vec as a new Vec."""
+    return v_iadd({}, vec, coeff)
+
+
+def v_iadd(acc: Vec, vec: Vec, coeff=1) -> Vec:
+    """acc += coeff * vec, dropping zero entries; mutates and returns acc.
+
+    The field arithmetic is done here on the scalars' (a, b, c, d, q) ints:
+    the product and the sum over one denominator, then at most one gcd
+    reduction and one new scalar per stored entry.  `vec` is left as it is;
+    with coefficient 1 an entry landing on an empty slot stores `vec`'s own
+    (immutable) value.
+    """
+    if not vec:
+        return acc
+    if type(coeff) is int:
+        if not coeff:
+            return acc
+        unit = coeff == 1
+        ca, cq, irrational = coeff, 1, False
+    else:
+        if type(coeff) is not ExactScalar:
+            coeff = ExactScalar.coerce(coeff)
+        ca, cb, cc, cd, cq = coeff._v
+        irrational = cb or cc or cd
+        if not (ca or irrational):
+            return acc
+        unit = not irrational and ca == 1 and cq == 1
+    for i, v in vec.items():
+        a, b, c, d, q = v._v
+        s = acc.get(i)
+        if unit:
+            if s is None:
+                if a or b or c or d:
+                    acc[i] = v
+                continue
+        elif irrational:
+            if b or c or d:
+                a, b, c, d = (a * ca - b * cb + 2 * (c * cc - d * cd),
+                              a * cb + b * ca + 2 * (c * cd + d * cc),
+                              a * cc + c * ca - b * cd - d * cb,
+                              a * cd + d * ca + b * cc + c * cb)
+            else:
+                a, b, c, d = a * ca, a * cb, a * cc, a * cd
+            q *= cq
+        else:
+            a, b, c, d, q = a * ca, b * ca, c * ca, d * ca, q * cq
+        if s is not None:
+            sa, sb, sc, sd, sq = s._v
+            if sq == q:
+                a, b, c, d = sa + a, sb + b, sc + c, sd + d
+            else:
+                a, b, c, d, q = (sa * q + a * sq, sb * q + b * sq,
+                                 sc * q + c * sq, sd * q + d * sq, sq * q)
+            if not (a or b or c or d):
+                del acc[i]
+                continue
+        elif not (a or b or c or d):
+            continue
+        if q != 1:
+            g = gcd(a, b, c, d, q)
+            if g != 1:
+                a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
+        out = _new(ExactScalar)
+        _set_v(out, (a, b, c, d, q))
+        acc[i] = out
+    return acc

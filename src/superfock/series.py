@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
-from .errors import UnsupportedExponent, UnsupportedK, VariableMismatch
-from .scalars import ExactScalar, format_rational, parse_rational
+from .errors import UnsupportedExponent, VariableMismatch
+from .scalars import ExactScalar, parse_rational
 
 ExpLike = Union[int, Fraction]
 
@@ -168,9 +168,9 @@ class Series:
     def to_json(self) -> dict:
         return {
             "variable": self.variable,
-            "truncation": format_rational(self.truncation),
+            "truncation": str(self.truncation),
             "terms": [
-                {"exp": format_rational(e), "coeff": c.to_json()}
+                {"exp": str(e), "coeff": c.to_json()}
                 for e, c in self.sorted_terms()
             ],
         }
@@ -185,16 +185,14 @@ class Series:
         )
 
 
-def substitute_root_phase(f: Series, j: int, k: int = 2) -> Series:
-    """Apply the limit x**(1/k) -> eta**j x**(1/k) with eta a primitive k-th root.
+def substitute_root_phase(f: Series, j: int) -> Series:
+    """Apply the limit x**(1/2) -> eta**j x**(1/2) with eta = -1.
 
-    Only k = 2 is supported (eta = -1): a term c*x**e picks up (-1)**(2e*j),
-    so integer exponents are fixed and half-integer ones flip sign when j is
-    odd.  Exponents off the (1/2)Z lattice have no well-defined image under
-    eta = -1 alone and are rejected.
+    A term c*x**e picks up (-1)**(2e*j), so integer exponents are fixed and
+    half-integer ones flip sign when j is odd.  Exponents off the (1/2)Z
+    lattice have no well-defined image under eta = -1 alone and are
+    rejected.
     """
-    if k != 2:
-        raise UnsupportedK(f"root-phase substitution implemented for k=2 only, got {k}")
     out: dict[Fraction, ExactScalar] = {}
     for e, c in f.terms.items():
         two_e = 2 * e

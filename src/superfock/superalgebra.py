@@ -32,8 +32,7 @@ from typing import Callable
 
 from .errors import InvalidAlgebra, InvalidIndexLattice
 from .modes import twice
-from .operators import Vec, v_iadd
-from .scalars import ExactScalar, format_rational
+from .scalars import ExactScalar, Vec, v_iadd
 
 HALF = Fraction(1, 2)
 
@@ -59,7 +58,7 @@ class Generator:
         return f"{self.family}[{self.index}]"
 
     def to_json(self):
-        return {"family": self.family, "index": format_rational(self.index)}
+        return {"family": self.family, "index": str(self.index)}
 
 
 def gen(family: str, index=0) -> Generator:

@@ -36,8 +36,7 @@ from .modes import (
     VacuumFamily,
     twice,
 )
-from .operators import Vec, v_iadd, v_scale
-from .scalars import ExactScalar, ONE
+from .scalars import ExactScalar, ONE, Vec, v_iadd, v_scale
 from .series import Series
 from .superalgebra import N1_RAMOND, N2_MIRROR_TWISTED, N1_NS, VIRASORO
 from .vosa import FreeFieldEngine, N2Data, TensorVosa, Vosa

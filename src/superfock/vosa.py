@@ -33,8 +33,7 @@ from .modes import (
     Family,
     VacuumFamily,
 )
-from .operators import Vec, v_iadd, v_scale
-from .scalars import ExactScalar, I, ONE
+from .scalars import ExactScalar, I, ONE, Vec, v_iadd, v_scale
 from .superalgebra import N1_NS, N2_NS
 
 HALF = Fraction(1, 2)

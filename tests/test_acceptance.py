@@ -14,8 +14,7 @@ from conftest import mode2
 from superfock.cli import main
 from superfock.checks import borcherds_check
 from superfock.delta import delta_coefficients, verify_delta_equation
-from superfock.operators import v_iadd, v_scale
-from superfock.scalars import ExactScalar, ONE
+from superfock.scalars import ExactScalar, ONE, v_iadd, v_scale
 from superfock.superalgebra import (
     Element,
     PRESENTATIONS,

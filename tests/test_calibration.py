@@ -1,7 +1,6 @@
 from fractions import Fraction
 
-from superfock.operators import v_scale
-from superfock.scalars import ExactScalar, ONE
+from superfock.scalars import ExactScalar, ONE, v_scale
 from superfock.vosa import calibrate_n2
 
 HALF = Fraction(1, 2)

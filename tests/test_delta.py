@@ -9,9 +9,8 @@ from superfock.delta import (
     residual_for_coefficients,
     verify_delta_equation,
 )
-from superfock.errors import InsufficientTerms, UnboundedExpansion, UnsupportedK
-from superfock.operators import v_scale
-from superfock.scalars import ExactScalar, SQRT2
+from superfock.errors import InsufficientTerms, UnboundedExpansion
+from superfock.scalars import ExactScalar, SQRT2, v_scale
 
 
 def test_identity_flow_for_k1():
@@ -86,13 +85,8 @@ def test_perturbed_coefficient_leaves_residual():
 # applying the operator to graded states
 # ---------------------------------------------------------------------------
 
-def _expand(weight, vec, lower, k=2):
-    return apply_delta(Fraction(weight), vec, lower, k=k)
-
-
-def test_unsupported_k():
-    with pytest.raises(UnsupportedK):
-        _expand(0, {0: ExactScalar(1)}, lambda j, v: {}, k=3)
+def _expand(weight, vec, lower):
+    return apply_delta(Fraction(weight), vec, lower)
 
 
 def test_non_lowering_operator_is_an_error():
@@ -126,12 +120,6 @@ def test_superconformal_vector_expansion(V4):
     exp, vec = out[0]
     assert exp == Fraction(-3, 4)
     assert vec == v_scale(V4.tau_vec, SQRT2 * ExactScalar(Fraction(1, 4)))
-
-
-def test_k1_is_identity(V4):
-    L = V4.L()
-    out = _expand(2, V4.omega_vec, lambda j, v: L.apply(mode2(L, j), v), k=1)
-    assert out == [(Fraction(0), V4.omega_vec)]
 
 
 def test_single_lowering_step(V4):

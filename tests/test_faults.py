@@ -1,0 +1,89 @@
+"""Fault injection: each case plants one known fault in the twisted-sector
+construction and runs `verify twisted --window 1 --json`.  The run must
+exit 1 (a failed check, not a pass and not a configuration error) with the
+named checks reading FAIL, and the clean run must exit 0.
+
+Two faults are known to pass `verify twisted`, at window 1 and at the
+defaults: a3 + 1/100 and a Ramond offset of 1/8.  ROADMAP item 2 records
+them; they have no case here."""
+
+import json
+
+import pytest
+
+import superfock.cli as cli
+import superfock.modes as modes
+from conftest import perturb_delta
+from superfock.twisted import MirrorModule
+from superfock.vosa import TensorVosa
+
+ARGV = ["verify", "twisted", "--window", "1", "--json"]
+
+
+@pytest.fixture(autouse=True)
+def fresh_stack():
+    """No stack built before a case is reused by it, and no faulty stack
+    outlives it."""
+    cli._calibrated.cache_clear()
+    cli._build_stack.cache_clear()
+    yield
+    cli._calibrated.cache_clear()
+    cli._build_stack.cache_clear()
+
+
+def _drop_slot2_sign(monkeypatch):
+    """Build slot-2 families with slot 1's odd-t2 coefficient +1."""
+    exact = MirrorModule._slot_family
+    monkeypatch.setattr(MirrorModule, "_slot_family", lambda self, i, slot: exact(self, i, 1))
+
+
+def _drop_first_correction(monkeypatch):
+    """Start `CompositeFamily.column`'s right side at i = 2 instead of 1;
+    `checks` keeps its own binding of `jacobi_right`."""
+    exact = modes.jacobi_right
+
+    def skipping(acc, u_fam, w_fam, ell, m2, t2, col, first, products):
+        return exact(acc, u_fam, w_fam, ell, m2, t2, col, 2 if first == 1 else first, products)
+
+    monkeypatch.setattr(modes, "jacobi_right", skipping)
+
+
+def _unsigned_kappa(monkeypatch):
+    """The transposition u (x) v -> v (x) u without its Koszul sign."""
+    def kappa(self, vec):
+        states, rows = self.space.states, self.space.rows
+        return {rows[j][i]: c for k, c in vec.items() for i, j in (states[k],)}
+
+    monkeypatch.setattr(TensorVosa, "kappa", kappa)
+
+
+FAULTS = {
+    "a1": (lambda mp: perturb_delta(mp, 0), {"mirror-equivariance"}),
+    "a2": (lambda mp: perturb_delta(mp, 1),
+           {"mirror-ground-weight-1/8", "mirror-twisted-n2-table", "mirror-virasoro",
+            "mirror-g1-ns", "mirror-g2-ramond", "mirror-twisted-jacobi"}),
+    "slot2-root-phase": (_drop_slot2_sign,
+                         {"mirror-mode-lattices", "mirror-twisted-jacobi",
+                          "mirror-equivariance"}),
+    "composite-correction": (_drop_first_correction, {"mirror-equivariance"}),
+    "kappa-sign": (_unsigned_kappa, {"mirror-equivariance"}),
+}
+
+
+def _verify_twisted(capsys):
+    code = cli.main(ARGV)
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return code, {c["name"] for c in checks if not c["pass"]}
+
+
+def test_clean_run_passes(capsys):
+    assert _verify_twisted(capsys) == (0, set())
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_fails_its_checks(fault, monkeypatch, capsys):
+    plant, expected = FAULTS[fault]
+    plant(monkeypatch)
+    code, failed = _verify_twisted(capsys)
+    assert code == 1
+    assert expected <= failed, f"{fault} left {sorted(expected - failed)} passing"

@@ -3,13 +3,15 @@ module is used in that module, no handler under src/ or tests/ catches
 every exception (a swallowed error must not let a check pass), the
 reference mode action `fock.mode_apply` is used by no engine, so the tests
 that compare the engines with it compare two independent computations,
-no code under src/ hands the accumulate kernel `operators.v_iadd` a
+no code under src/ hands the accumulate kernel `scalars.v_iadd` a
 one-entry dict literal (a dict and a kernel call per term, where the term
-can be stored or the terms gathered into one dict), every exception
-type in `errors` but the base class is raised somewhere under src/, and
-`modes.Family` is the one class that defines `apply_basis`, so every mode
-family shares one column memo, and every name the benchmark's tracer
-(`perfbench/tracer.py`) patches or reads still resolves in the package."""
+can be stored or the terms gathered into one dict), `scalars` is the one
+module that knows how an `ExactScalar` is stored (its `_v` ints and the
+`_new`/`_set_v` constructors), every exception type in `errors` but the
+base class is raised somewhere under src/, and `modes.Family` is the one
+class that defines `apply_basis`, so every mode family shares one column
+memo, and every name the benchmark's tracer (`perfbench/tracer.py`)
+patches or reads still resolves in the package."""
 
 import ast
 import importlib.util
@@ -24,6 +26,8 @@ SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("
 CATCH_ALL = {"Exception", "BaseException"}
 ORACLE = "mode_apply"
 KERNEL = "v_iadd"
+SCALAR_FORMAT = "_v"
+SCALAR_BUILDERS = {"_new", "_set_v"}
 ERROR_BASE = "SuperfockError"
 
 
@@ -142,13 +146,42 @@ def test_no_one_entry_dict_goes_to_the_kernel(path):
 
 def test_one_entry_dict_detector_sees_each_form():
     src = ("v_iadd(acc, {i: c}, 1)\n"
-           "operators.v_iadd(acc, vec={i: c})\n"
+           "scalars.v_iadd(acc, vec={i: c})\n"
            "v_iadd(acc, {i: c, j: d})\n"
            "v_iadd(acc, {**other})\n"
            "v_iadd(acc, {i: c for i, c in pairs})\n"
            "v_scale({i: c}, 2)\n"
            "v_iadd(acc, v_scale({i: c}, 2))\n")
     assert list(_one_entry_dicts_to_kernel(ast.parse(src))) == [1, 2]
+
+
+def _scalar_format_uses(tree: ast.Module):
+    """The lines that read a scalar's stored ints or build a scalar from
+    them: an attribute `._v`, or the name `_new`/`_set_v` however it is
+    reached."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and (node.attr == SCALAR_FORMAT or node.attr in SCALAR_BUILDERS)
+                or isinstance(node, ast.Name) and node.id in SCALAR_BUILDERS
+                or isinstance(node, ast.alias) and node.name in SCALAR_BUILDERS):
+            yield node.lineno
+
+
+def test_only_scalars_knows_the_scalar_format():
+    users = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "scalars.py"
+             for line in _scalar_format_uses(ast.parse(path.read_text(), filename=str(path)))]
+    assert not users, f"modules other than scalars.py use the scalar format: {users}"
+
+
+def test_scalar_format_detector_sees_each_form():
+    src = ("from .scalars import ExactScalar, _new, _set_v\n"
+           "a, b, c, d, q = x._v\n"
+           "out = _new(ExactScalar)\n"
+           "scalars._set_v(out, (1, 0, 0, 0, 1))\n"
+           "_v = x.a\n"
+           "y = x.v\n")
+    assert sorted(set(_scalar_format_uses(ast.parse(src)))) == [1, 2, 3, 4]
 
 
 def _raised_names(tree: ast.Module):

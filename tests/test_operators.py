@@ -1,12 +1,11 @@
-"""The sparse-vector kernel `operators.v_iadd` against a reference built
+"""The sparse-vector kernel `scalars.v_iadd` against a reference built
 from plain `ExactScalar` arithmetic."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from superfock.operators import v_iadd
-from superfock.scalars import ExactScalar
+from superfock.scalars import ExactScalar, v_iadd
 
 INDICES = st.integers(0, 7)
 # small parts, so that sums cancel often

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from superfock.errors import UnsupportedExponent, UnsupportedK, VariableMismatch
+from superfock.errors import UnsupportedExponent, VariableMismatch
 from superfock.scalars import ExactScalar, ONE, SQRT2
 from superfock.series import Series, substitute_root_phase
 
@@ -91,9 +91,6 @@ def test_root_phase_examples():
 
 
 def test_root_phase_requires_k2_and_half_lattice():
-    f = Series.monomial("x", HALF, 1, 2)
-    with pytest.raises(UnsupportedK):
-        substitute_root_phase(f, 1, k=3)
     g = Series.monomial("x", Fraction(-3, 4), 1, 2)
     with pytest.raises(UnsupportedExponent):
         substitute_root_phase(g, 1)

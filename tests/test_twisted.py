@@ -3,14 +3,13 @@ from functools import cache
 
 import pytest
 
-from conftest import mode2
+from conftest import mode2, perturb_delta
 from superfock.checks import borcherds_check, bracket_table_check
 from superfock.delta import apply_delta
 from superfock.errors import InvalidAlgebra, TruncationOverflow
 from superfock.fock import FockState
 from superfock.modes import CompositeFamily, Family, twice
-from superfock.operators import v_iadd, v_scale
-from superfock.scalars import ExactScalar, ONE
+from superfock.scalars import ExactScalar, ONE, SQRT2, v_iadd, v_scale
 from superfock.superalgebra import (
     N1_NS,
     N1_RAMOND,
@@ -294,6 +293,52 @@ def test_mirror_grading_shift(mirror):
                 assert lam[k] == lam[col] - idx
                 compared += 1
     assert compared
+
+
+def _closed_form_tallies(mirror):
+    """(compared, filtered, mismatched) per tower for the 2-cycle formulas
+
+        L(n) = L_sigma(2n)/2 + (c/16) delta_{n,0},   G1(r) = G_sigma(2r)/sqrt2,
+
+    c = 3/2, over n in -3..3, r in +-1/2, +-3/2, +-5/2 and the columns up to
+    level 2; an overflow on either side is filtered."""
+    sigma = mirror.sigma
+    h = mirror.n2_families()
+    L_sigma, G_sigma = sigma.L(), sigma.family(sigma.V.tau_vec)
+    c16 = sigma.V.central_charge / 16
+    pairs = {
+        "L": [(h["L"], n, L_sigma, ExactScalar(HALF), c16 if n == 0 else 0)
+              for n in range(-3, 4)],
+        "G1": [(h["G1"], HALF * r2, G_sigma, SQRT2.inv(), 0)
+               for r2 in (-5, -3, -1, 1, 3, 5)],
+    }
+    tallies = {}
+    for name, terms in pairs.items():
+        compared = filtered = mismatched = 0
+        for col in mirror.columns(2):
+            for fam, n, sfam, scale, shift in terms:
+                try:
+                    got = fam.apply_basis(mode2(fam, n), col)
+                    want = v_scale(sfam.apply_basis(mode2(sfam, 2 * n), col), scale)
+                except TruncationOverflow:
+                    filtered += 1
+                    continue
+                if shift:
+                    v_iadd(want, {col: ExactScalar(shift)})
+                compared += 1
+                mismatched += got != want
+        tallies[name] = (compared, filtered, mismatched)
+    return tallies
+
+
+def test_towers_match_the_doubled_index_formulas(mirror):
+    assert _closed_form_tallies(mirror) == {"L": (268, 138, 0), "G1": (248, 100, 0)}
+
+
+def test_doubled_index_formula_sees_a_perturbed_twist(sigma, tensor, n2, monkeypatch):
+    perturb_delta(monkeypatch, 1)
+    compared, _, mismatched = _closed_form_tallies(MirrorModule(sigma, tensor, n2))["L"]
+    assert compared and mismatched
 
 
 # the character identity ---------------------------------------------------------

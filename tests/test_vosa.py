@@ -7,8 +7,7 @@ from superfock.checks import borcherds_check
 from superfock.errors import NonHomogeneous, TruncationOverflow
 from superfock.fock import FockState, mode_apply
 from superfock.modes import EMPTY
-from superfock.operators import v_iadd, v_scale
-from superfock.scalars import ExactScalar, ONE
+from superfock.scalars import ExactScalar, ONE, v_iadd, v_scale
 from superfock.twisted import SigmaModule
 from superfock.vosa import (
     TensorVosa,
