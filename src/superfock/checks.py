@@ -91,18 +91,11 @@ def borcherds_check(engine, u_vec: Vec, v_vec: Vec, window: int,
     off_v2 = engine.twist_exponent(v_vec)
     cols = engine.columns(max_col_level)
 
-    comp_cache: Dict[int, Optional[Family]] = {}
-
-    def composite(s: int) -> Optional[Family]:
-        if s not in comp_cache:
-            vec = engine.product(u_vec, s, v_vec)
-            comp_cache[s] = engine.family(vec) if vec else None
-        return comp_cache[s]
+    products = engine.product_families(u_vec, v_vec)
 
     def residual(ell, m2, n2, col):
         acc = jacobi_left(fu, fv, ell, m2, n2, col, engine.col_w2[col])
-        return jacobi_right(acc, fu, fv, ell, m2, m2 + n2, col, 0,
-                            lambda i: composite(ell + i)), {}
+        return jacobi_right(acc, fu, fv, ell, m2, m2 + n2, col, 0, products), {}
 
     for ell in range(-window, window + 1):
         for m2 in range(off_u2 - 2 * window, 2 * window + 1, 2):

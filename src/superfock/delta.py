@@ -18,6 +18,7 @@ scalar field stops there.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Dict, List, Tuple
 
 from .errors import InsufficientTerms, UnboundedExpansion
@@ -25,8 +26,6 @@ from .scalars import ExactScalar, Vec, pow_two, v_iadd, v_scale
 from .series import Series
 
 Poly = Dict[int, Fraction]  # exponent -> coefficient, exact
-
-_coeff_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
 
 def _poly_trim(p: Poly, order: int) -> Poly:
@@ -73,14 +72,11 @@ def _target(k: int, order: int) -> Poly:
     return out
 
 
+@cache
 def delta_coefficients(k: int, terms: int) -> Tuple[Fraction, ...]:
     """The first `terms` coefficients a_1 .. a_terms for order k."""
     if k < 1 or terms < 1:
         raise ValueError("k and terms must be positive")
-    key = (k, terms)
-    cached = _coeff_cache.get(key)
-    if cached is not None:
-        return cached
     target = _target(k, terms + 1)
     coeffs: List[Fraction] = []
     for j in range(1, terms + 1):
@@ -89,9 +85,7 @@ def delta_coefficients(k: int, terms: int) -> Tuple[Fraction, ...]:
         want = target.get(j + 1, Fraction(0))
         # with a_j = 0 the x**(j+1) coefficient misses exactly -a_j
         coeffs.append(have - want)
-    result = tuple(coeffs)
-    _coeff_cache[key] = result
-    return result
+    return tuple(coeffs)
 
 
 def residual_for_coefficients(k: int, coeffs: List[Fraction], order: int) -> Series:

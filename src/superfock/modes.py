@@ -13,7 +13,12 @@ The identity holds for every m on u's mode lattice; m is chosen per column
 so that no intermediate leaves the truncated space (m = 0 kills every
 correction term since C(0,i) = 0 for i >= 1, so it is preferred when the
 lattice allows it).  The same code serves the untwisted algebra and the
-order-two twisted modules; only lattices and weight units differ.
+order-two twisted modules; only lattices and weight units differ.  The
+right side is made of the product states u_s v, s = l + i, and
+`Engine.product_families(u, v)` is the one lookup for their families,
+keyed by s and built once per s; the composite families and the Jacobi
+verifier in `checks` both read it.  A composite family's mode lattice and
+that of u are read off its factor families, never passed in.
 
 Every mode index, lattice offset and weight inside the recursion is an int
 in half units (t2 = 2t, see `twice`), and a column's weight is its level
@@ -37,7 +42,7 @@ verifier relies on.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from math import factorial, floor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -66,7 +71,7 @@ def binomial2(m2: int, i: int) -> Fraction:
     return Fraction(num, 2 ** i * factorial(i))
 
 
-@lru_cache(maxsize=4096)
+@cache
 def binomial2_scalar(m2: int, i: int, sign: int = 1) -> ExactScalar:
     """sign * C(m2/2, i) as one shared (immutable) ExactScalar.
 
@@ -234,25 +239,28 @@ def _expanded(fam: Family, mul: int, add: int, coeffs: Tuple[ExactScalar, ExactS
 class CompositeFamily(Family):
     """Modes of u_l w defined through the component identity above.
 
-    `corrections(i)` must return the Family of the state u_{l+i} w (or None
-    when that state vanishes); it is consulted only when C(m, i) != 0, on
-    every such column, so the engines memoize it per i.
-    u's modes live on Z + u_off2/2.
+    `products(s)` must return the Family of the state u_s w (or None when
+    that state vanishes), as `Engine.product_families` does; it is consulted
+    for s = l + i only when C(m, i) != 0, on every such column.  Both mode
+    lattices come from the factor families: u's modes live on
+    Z + u_fam.off2/2, which must be known, and u_l w's on
+    Z + (u_fam.off2 + w_fam.off2)/2, unknown (None) when w's is.
     """
 
     def __init__(self, engine, u_fam: Family, w_fam: Family, ell,
-                 u_off2: int,
-                 corrections: Callable[[int], Optional[Family]],
-                 off2: Optional[int] = None):
+                 products: Callable[[int], Optional[Family]]):
         if not isinstance(ell, int):
             raise TypeError(f"the product index l = {ell!r} is not an int")
+        if u_fam.off2 is None:
+            raise ValueError("the mode lattice of u in u_l w is unknown")
         super().__init__(engine, u_fam.weight2 + w_fam.weight2 - 2 * ell - 2,
-                         u_fam.parity + w_fam.parity, off2)
+                         u_fam.parity + w_fam.parity,
+                         None if w_fam.off2 is None else (u_fam.off2 + w_fam.off2) % 2)
         self.u_fam = u_fam
         self.w_fam = w_fam
         self.ell = ell
-        self.u_off2 = u_off2 % 2
-        self.corrections = corrections
+        self.u_off2 = u_fam.off2
+        self.products = products
 
     def _feasible(self, m2: int, t2: int, col_w2: int) -> bool:
         bound2 = self.engine.bound2
@@ -287,7 +295,7 @@ class CompositeFamily(Family):
                           self.engine.col_w2[col])
         # the i = 0 term of the right side is the column being defined
         return jacobi_right(acc, self.u_fam, self.w_fam, self.ell, m2, t2, col,
-                            1, self.corrections)
+                            1, self.products)
 
 
 def jacobi_left(u_fam: Family, w_fam: Family, ell: int, m2: int,
@@ -322,14 +330,15 @@ def jacobi_right(acc: Vec, u_fam: Family, w_fam: Family, ell: int, m2: int,
                  products: Callable[[int], Optional[Family]]) -> Vec:
     """Subtract sum_{i >= first} C(m, i) (u_{l+i} w)_{t-i} col, the right
     side of the component identity with m = m2/2 and t = m + n = t2/2, from
-    acc.  `products(i)` is the family of u_{l+i} w, or None when that state
-    vanishes; it is consulted only when C(m, i) != 0.  u_{l+i} w has weight
-    wt_u + wt_w - l - i - 1, so the sum stops once that drops below 0.
+    acc.  `products(s)` is the family of u_s w, or None when that state
+    vanishes; it is consulted for s = l + i only when C(m, i) != 0.  u_{l+i} w
+    has weight wt_u + wt_w - l - i - 1, so the sum stops once that drops
+    below 0.
     """
     for i in range(first, (u_fam.weight2 + w_fam.weight2) // 2 - ell):
         coeff = binomial2_scalar(m2, i, -1)
         if coeff:
-            fam = products(i)
+            fam = products(ell + i)
             if fam is not None:
                 res = fam.apply_basis(t2 - 2 * i, col)
                 if res:
@@ -415,6 +424,18 @@ class Engine:
         if not u_vec or not v_vec:
             return {}
         return self.algebra.family(u_vec).apply(2 * ell, v_vec)
+
+    def product_families(self, u_vec: Vec, v_vec: Vec) -> Callable[[int], Optional[Family]]:
+        """s -> the family of the product state u_s v (None when it
+        vanishes), built once per s: the one memo of product-state
+        families, read by the composite families and the Jacobi verifier."""
+
+        @cache
+        def family(s: int) -> Optional[Family]:
+            vec = self.product(u_vec, s, v_vec)
+            return self.family(vec) if vec else None
+
+        return family
 
     # the grading ------------------------------------------------------------
 

@@ -27,7 +27,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 from .errors import InvalidAlgebra, InvalidIndexLattice
@@ -139,13 +139,13 @@ class Element:
 PairRule = Callable[[int, int], list]
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _rational(num: int, den: int) -> ExactScalar:
     """num/den as one shared (immutable) ExactScalar."""
     return ExactScalar(Fraction(num, den))
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _imaginary(num: int, den: int) -> ExactScalar:
     """i * num/den as one shared (immutable) ExactScalar."""
     return ExactScalar(0, Fraction(num, den))

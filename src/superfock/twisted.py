@@ -15,14 +15,13 @@ slot family is one flat `LinearFamily` over parity-twisted families at the
 doubled index, its odd-t2 coefficients carrying the slot-2 sign.  A
 two-slot vector s (x) t is reached through s (x) t = (s^1 + s^2)_{-1} (1 (x) t)
 minus the single-slot state 1 (x) (s_{-1} t), whose compositions the
-recursion resolves.
+recursion resolves; both products are taken in V (x) V.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, bracket_table_check, jacobi_pair_reports, tally
@@ -125,21 +124,14 @@ class MirrorModule(Engine):
             return self._slot_family(i, 1)
         if i == V.vac:
             return self._slot_family(j, 2)
-        # s (x) t = (s^1 + s^2)_{-1} (1 (x) t) - 1 (x) (s_{-1} t)
-        u_vec, v_vec = {i: ONE}, {j: ONE}
-        u_fam = LinearFamily.combine(self, [(ONE, self.family(tensor.slot(u_vec, 1))),
-                                            (ONE, self.family(tensor.slot(u_vec, 2)))], 0)
-
-        def slot2(vec: Vec) -> Optional[Family]:
-            return self.family(tensor.slot(vec, 2)) if vec else None
-
-        @cache
-        def corrections(n: int):
-            # (s^1 + s^2)_{-1+n} (1 (x) t) = 1 (x) (s_{n-1} t) for n >= 1
-            return slot2(V.product(u_vec, n - 1, v_vec))
-
-        comp = CompositeFamily(self, u_fam, slot2(v_vec), -1, 0, corrections, None)
-        minus_fam = slot2(V.product(u_vec, -1, v_vec))
+        # s (x) t = (s^1 + s^2)_{-1} (1 (x) t) - 1 (x) (s_{-1} t), where
+        # 1 (x) (s_{-1} t) = (1 (x) s)_{-1} (1 (x) t); both are products in V (x) V
+        s1, s2 = tensor.slot({i: ONE}, 1), tensor.slot({i: ONE}, 2)
+        t = tensor.slot({j: ONE}, 2)
+        u_fam = LinearFamily.combine(self, [(ONE, self.family(s1)), (ONE, self.family(s2))], 0)
+        comp = CompositeFamily(self, u_fam, self.family(t), -1,
+                               self.product_families(v_iadd(dict(s1), s2), t))
+        minus_fam = self.product_families(s2, t)(-1)
         if minus_fam is None:
             return comp
         return LinearFamily.combine(self, [(ONE, comp), (-ONE, minus_fam)])
@@ -160,14 +152,11 @@ class MirrorModule(Engine):
         bound = Fraction(self.bound2, 2) + (min(eig) if eig else 0)
         return character(self.space, c2, eigenvalues=eig, bound=bound)
 
-    def mode_lattice_report(self, window: int = 2,
-                            max_col_level: Optional[Fraction] = None) -> CheckReport:
+    def mode_lattice_report(self, window: int, max_col_level: Fraction) -> CheckReport:
         """Eigenvalue bookkeeping: fixed vectors carry integer modes only,
         negated vectors half-integer modes only, on the columns up to
         max_col_level above the ground states."""
         rep = CheckReport("mirror-mode-lattices")
-        if max_col_level is None:
-            max_col_level = Fraction(self.bound2, 2) - 1
         cols = self.columns(max_col_level)
         for name, fam in self.n2_families().items():
             # X(n) = x_{n+wt-1} with n on the presentation's lattice, so x's

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import ceil, isqrt
 from typing import Dict, List, Optional, Tuple
 
@@ -163,17 +162,9 @@ class FreeFieldEngine(Engine):
         rest = V.space.code_index[rest]
         if ell == -1 and rest == V.vac:  # the generator u = u_{-1} vac
             return _BosonModes(self) if bos else _FermionModes(self)
-        u_vec, rest_vec = V.vec_of(u_state), {rest: ONE}
-        u_fam = self.family(u_vec)
-
-        @cache
-        def corrections(i: int):
-            vec = V.product(u_vec, ell + i, rest_vec)
-            return self.family(vec) if vec else None
-
-        return CompositeFamily(self, u_fam, self._family_by_index(rest), ell,
-                               u_fam.off2, corrections,
-                               V.space.parities[k] * self.fermion_off2)
+        u_vec = V.vec_of(u_state)
+        return CompositeFamily(self, self.family(u_vec), self._family_by_index(rest), ell,
+                               self.product_families(u_vec, {rest: ONE}))
 
 
 class Vosa(FreeFieldEngine):
@@ -215,12 +206,12 @@ class Vosa(FreeFieldEngine):
 # Axiom suites for any untwisted engine
 # ---------------------------------------------------------------------------
 
-def creation_report(V: Vosa, max_mode: int = 3) -> CheckReport:
-    """v_{-1} vacuum = v and v_n vacuum = 0 for n >= 0, for every basis state."""
+def creation_report(V: Vosa) -> CheckReport:
+    """v_{-1} vacuum = v and v_n vacuum = 0 for 0 <= n <= 3, for every basis state."""
     rep = CheckReport("creation-axiom")
     for i in range(V.space.dim):
         fam = V._family_by_index(i)
-        for n in range(-1, max_mode + 1):
+        for n in range(-1, 4):
             tally(rep, lambda: (fam.apply(2 * n, V.vacuum_vec),
                                 {i: ONE} if n == -1 else {}),
                   lambda: {"state": str(V.space.state(i)), "mode": str(n)})
@@ -239,11 +230,13 @@ def grading_report(V: Vosa) -> CheckReport:
     return rep
 
 
-def translation_report(V: Vosa, max_weight=Fraction(5, 2), window: int = 2) -> CheckReport:
-    """(L(-1)v)_n = -n v_{n-1} on a spanning set, as exact operators."""
+def translation_report(V: Vosa) -> CheckReport:
+    """(L(-1)v)_n = -n v_{n-1} for |n| <= 2, on the states and columns of
+    weight at most 5/2, as exact operators."""
     rep = CheckReport("translation-axiom")
     L = V.L()
-    cols = V.columns(max_weight)
+    window = 2
+    cols = V.columns(Fraction(5, 2))
     for i in cols:
         try:
             dv = L.apply(0, {i: ONE})  # L(-1)
@@ -262,11 +255,9 @@ def translation_report(V: Vosa, max_weight=Fraction(5, 2), window: int = 2) -> C
     return rep
 
 
-def n1_table_report(V: Vosa, window: int = 2,
-                    max_col_level: Optional[Fraction] = None) -> TableReport:
-    """The tau-modes satisfy the N=1 Neveu-Schwarz table with c = 3/2."""
-    if max_col_level is None:
-        max_col_level = V.space.bound - 1
+def n1_table_report(V: Vosa, window: int, max_col_level: Fraction) -> TableReport:
+    """The tau-modes satisfy the N=1 Neveu-Schwarz table with c = 3/2 on
+    the columns up to max_col_level."""
     families = {"L": V.L(), "G": V.family(V.tau_vec)}
     return bracket_table_check("n1-free-field", N1_NS, V.central_charge,
                                families, window, V.columns(max_col_level))
@@ -501,8 +492,7 @@ def _vacuum_line(fam: Family, up2: int, vac: int, sign: int) -> ExactScalar:
     return acc.get(vac, ExactScalar(0))
 
 
-def calibrate_n2(tensor: TensorVosa, window: int = 2,
-                 max_col_level=Fraction(2)) -> N2Data:
+def calibrate_n2(tensor: TensorVosa, window: int = 2) -> N2Data:
     """Solve for the scalars making (tau1, tau2, J) generate the N=2 algebra
     with central charge 3 on the truncated tensor square.
 
@@ -510,7 +500,7 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2,
     weight-3/2 vectors; the normalizations are pinned by the vacuum lines of
     [G1(3/2), G1(-3/2)] and [J(1), J(-1)], the relative scalar c2 by
     [J, G1] = -i G2, and every candidate is accepted only after the full
-    windowed bracket table passes.
+    windowed bracket table passes on the columns up to level 2.
     """
     V = tensor.V
     tau1_raw, tau2_raw, j_raw = _raw_n2_vectors(tensor)
@@ -556,7 +546,7 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2,
             families = {"L": tensor.L(), "J": tensor.family(jvec),
                         "G1": tensor.family(tau1), "G2": tensor.family(tau2)}
             table = bracket_table_check("n2-calibrated", N2_NS, central, families,
-                                        window, tensor.columns(max_col_level))
+                                        window, tensor.columns(2))
             if table.passed:
                 return N2Data(c1, c2, cJ, tau1, tau2, jvec, table, tried)
     raise NoCalibration(

@@ -48,6 +48,18 @@ def _drop_first_correction(monkeypatch):
     monkeypatch.setattr(modes, "jacobi_right", skipping)
 
 
+def _drop_product_at_one(monkeypatch):
+    """`Engine.product_families` loses the family of u_1 v, wherever the
+    composite families or the Jacobi verifier read it."""
+    exact = modes.Engine.product_families
+
+    def dropping(self, u_vec, v_vec):
+        products = exact(self, u_vec, v_vec)
+        return lambda s: None if s == 1 else products(s)
+
+    monkeypatch.setattr(modes.Engine, "product_families", dropping)
+
+
 def _unsigned_kappa(monkeypatch):
     """The transposition u (x) v -> v (x) u without its Koszul sign."""
     def kappa(self, vec):
@@ -66,6 +78,8 @@ FAULTS = {
                          {"mirror-mode-lattices", "mirror-twisted-jacobi",
                           "mirror-equivariance"}),
     "composite-correction": (_drop_first_correction, {"mirror-equivariance"}),
+    "product-at-one": (_drop_product_at_one,
+                       {"sigma-twisted-jacobi", "mirror-twisted-jacobi"}),
     "kappa-sign": (_unsigned_kappa, {"mirror-equivariance"}),
 }
 

@@ -10,7 +10,9 @@ module that knows how an `ExactScalar` is stored (its `_v` ints and the
 `_new`/`_set_v` constructors), every exception type in `errors` but the
 base class is raised somewhere under src/, and `modes.Family` is the one
 class that defines `apply_basis`, so every mode family shares one column
-memo, and every name the benchmark's tracer (`perfbench/tracer.py`)
+memo, `Engine.product_families` holds the one memoized function nested in
+another under src/, so the product-state families of the component
+identity are found in one place, and every name the benchmark's tracer (`perfbench/tracer.py`)
 patches or reads still resolves in the package."""
 
 import ast
@@ -29,6 +31,7 @@ KERNEL = "v_iadd"
 SCALAR_FORMAT = "_v"
 SCALAR_BUILDERS = {"_new", "_set_v"}
 ERROR_BASE = "SuperfockError"
+MEMOIZERS = {"cache", "lru_cache"}
 
 
 def _imported_names(tree: ast.Module):
@@ -237,6 +240,49 @@ def test_apply_basis_detector_sees_each_form():
            "class B(A):\n    def apply(self, t2, vec):\n        return self.apply_basis(t2, 0)\n"
            "def apply_basis(t2, col):\n    pass\n")
     assert list(_apply_basis_owners(ast.parse(src))) == ["A"]
+
+
+def _memoizer_name(decorator) -> str:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        return decorator.attr
+    return getattr(decorator, "id", "")
+
+
+def _memoized_nested_functions(node, scope=(), in_function=False):
+    """The dotted path of each function defined inside another function and
+    decorated with `cache` or `lru_cache`, however the decorator is
+    reached or called."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = scope + (child.name,)
+            is_function = not isinstance(child, ast.ClassDef)
+            if in_function and is_function and any(
+                    _memoizer_name(d) in MEMOIZERS for d in child.decorator_list):
+                yield ".".join(path)
+            yield from _memoized_nested_functions(child, path, in_function or is_function)
+        else:
+            yield from _memoized_nested_functions(child, scope, in_function)
+
+
+def test_only_product_families_memoizes_a_nested_function():
+    found = [(path.name, name) for path in sorted((ROOT / "src").rglob("*.py"))
+             for name in _memoized_nested_functions(ast.parse(path.read_text(),
+                                                              filename=str(path)))]
+    assert found == [("modes.py", "Engine.product_families.family")], found
+
+
+def test_nested_memo_detector_sees_each_form():
+    src = ("@cache\ndef top():\n    pass\n"
+           "def outer():\n    @cache\n    def a():\n        pass\n"
+           "    @functools.lru_cache(maxsize=8)\n    def b():\n        pass\n"
+           "    if True:\n        @lru_cache\n        def c():\n            pass\n"
+           "    @staticmethod\n    def d():\n        pass\n"
+           "class K:\n    @cache\n    def method(self):\n        pass\n"
+           "    def m(self):\n        @functools.cache\n        def e():\n            pass\n")
+    assert list(_memoized_nested_functions(ast.parse(src))) == [
+        "outer.a", "outer.b", "outer.c", "K.m.e"]
 
 
 def _load_tracer():

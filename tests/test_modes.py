@@ -60,8 +60,8 @@ class _Truncation:
 
 
 def _pair(engine, wu2, ww2, u_off2, ell=0):
-    return CompositeFamily(engine, Family(engine, wu2, 0), Family(engine, ww2, 0), ell,
-                           u_off2, lambda i: None)
+    return CompositeFamily(engine, Family(engine, wu2, 0, u_off2), Family(engine, ww2, 0),
+                           ell, lambda s: None)
 
 
 def test_product_index_must_be_an_int(V4):
@@ -99,6 +99,37 @@ def test_integer_snapping_rounds_like_fraction_round(wu2, ww2, u_off2, t2):
     u_offset = Fraction(u_off2, 2)
     balanced = (Fraction(t2, 2) + Fraction(wu2, 2) - Fraction(ww2, 2)) / 2
     assert fam._snapped(t2) == twice(u_offset + round(balanced - u_offset))
+
+
+def test_composite_lattices_come_from_the_factor_families(V5, sigma, mirror):
+    """A composite's lattice is the sum of its factors' lattices: on V and
+    the parity-twisted module every basis family's off2 is its parity times
+    the fermion's, and a mirror two-slot composite, whose w factor has no
+    single lattice, has none.  u's lattice must be known."""
+    for engine in (V5, sigma):
+        for k in range(V5.space.dim):
+            assert engine._family_by_index(k).off2 == (
+                V5.space.parities[k] * engine.fermion_off2), (engine, k)
+    tensor = mirror.tensor
+    composites = []
+    for k, (i, j) in enumerate(tensor.space.states):
+        if V5.vac not in (i, j):
+            fam = mirror._family_by_index(k)
+            parts = [fam] + [f for f, *_ in getattr(fam, "terms", ())]
+            composites += [f for f in parts
+                           if isinstance(f, CompositeFamily) and f.engine is mirror]
+    assert len(composites) > 20
+    assert all(f.off2 is None and f.u_off2 == 0 for f in composites)
+    with pytest.raises(ValueError):
+        CompositeFamily(V5, Family(V5, 2, 0), Family(V5, 2, 0, 0), -1, lambda s: None)
+
+
+def test_product_families_builds_each_family_once(V5):
+    b = V5.vec_of(V5.b_state)
+    products = V5.product_families(b, V5.vacuum_vec)
+    assert products(-1) is products(-1) is V5.family(b)   # b_{-1}|0> = b
+    assert products(0) is None                             # b_0|0> = 0
+    assert products(-2) is products(-2) and products(-2) is not products(-1)
 
 
 @pytest.mark.parametrize("index", [Fraction(1), Fraction(1, 2), 1.0, "1"])

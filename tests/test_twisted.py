@@ -517,7 +517,9 @@ def _nested_vec(engine, vec, basis):
 def _nested_mirror(mirror):
     """Tensor basis index -> its mirror family built from nested sums and
     nested slot families throughout; only the parity-twisted families are
-    shared with the flat construction."""
+    shared with the flat construction.  Its product states are taken in V
+    and carried to slot 2, so they check the flat construction's products
+    in V (x) V independently."""
     V, tensor = mirror.V, mirror.tensor
 
     def slot2(vec):
@@ -535,8 +537,8 @@ def _nested_mirror(mirror):
         u_vec, v_vec = {i: ONE}, {j: ONE}
         u_fam = _NestedSum(mirror, [(ONE, _nested_vec(mirror, tensor.slot(u_vec, s), basis))
                                     for s in (1, 2)], 0)
-        comp = CompositeFamily(mirror, u_fam, slot2(v_vec), -1, 0,
-                               cache(lambda n: slot2(V.product(u_vec, n - 1, v_vec))))
+        comp = CompositeFamily(mirror, u_fam, slot2(v_vec), -1,
+                               cache(lambda s: slot2(V.product(u_vec, s, v_vec))))
         minus = slot2(V.product(u_vec, -1, v_vec))
         return comp if minus is None else _NestedSum(mirror, [(ONE, comp), (-ONE, minus)],
                                                      None)
