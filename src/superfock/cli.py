@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
+import os
 import random
 import sys
 from fractions import Fraction
@@ -477,15 +479,76 @@ SUITES = {
     "corollary2": lambda args: _corollary2_suite(max(_default_levels(args.window), 6)),
 }
 
+# The suites that share the calibration through `_calibrated` and
+# `_build_stack`: `all` runs them in its own process and every other suite
+# meanwhile in one forked child.
+CALIBRATED = ("calibration", "twisted", "corollary2")
+
+
+def _run_lane(args, names: list[str]) -> dict:
+    return {name: _suite_payload(name, SUITES[name](args)) for name in names}
+
+
+def _forked_lane(args, names: list[str], read_fd: int, write_fd: int):
+    """The child's side of `_run_lanes`: send ("done", payloads) or
+    ("error", message) down the pipe and leave through os._exit, with
+    status 1 and a traceback on stderr when nothing was sent."""
+    sent = False
+    try:
+        os.close(read_fd)
+        try:
+            result = ("done", _run_lane(args, names))
+        except SuperfockError as exc:
+            result = ("error", str(exc))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(marshal.dumps(result))
+        sent = True
+    finally:
+        if not sent:
+            import traceback  # not loaded at start-up; only a failed child needs it
+
+            traceback.print_exception(*sys.exc_info())
+            sys.stderr.flush()
+        os._exit(0 if sent else 1)
+
+
+def _run_lanes(args, forked: list[str], here: list[str]) -> dict:
+    """The payloads of the suites `forked`, run in one child made by
+    os.fork, and of the suites `here`, run meanwhile in this process.  The
+    child is always reaped; a SuperfockError in it is raised here, and a
+    child that sends no result raises RuntimeError."""
+    if not forked:
+        return _run_lane(args, here)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _forked_lane(args, forked, read_fd, write_fd)
+    os.close(write_fd)
+    try:
+        done = _run_lane(args, here)
+    finally:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not data:
+        raise RuntimeError(f"the forked suites of `all` sent no result "
+                           f"(child exit status {status})")
+    kind, value = marshal.loads(data)
+    if kind == "error":
+        raise SuperfockError(value)
+    return {**done, **value}
+
 
 def cmd_all(args) -> int:
     max_weight = _max_level(args.max_weight)
     only = set(args.only.split(",")) if args.only else set(SUITES)
     unknown = only - set(SUITES)
     _require(not unknown, f"unknown suites: {sorted(unknown)}")
-    suites = [_suite_payload(name, run(args)) if name in only
-              else _suite_payload(name, [], skipped=True)
-              for name, run in SUITES.items()]
+    chosen = [name for name in SUITES if name in only]
+    done = _run_lanes(args, [n for n in chosen if n not in CALIBRATED],
+                      [n for n in chosen if n in CALIBRATED])
+    suites = [done[name] if name in done else _suite_payload(name, [], skipped=True)
+              for name in SUITES]
 
     skipped = sum(1 for s in suites if s["skipped"])
     failed = sum(1 for s in suites if (not s["skipped"]) and not s["pass"])

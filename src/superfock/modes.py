@@ -428,11 +428,14 @@ class Engine:
     def product_families(self, u_vec: Vec, v_vec: Vec) -> Callable[[int], Optional[Family]]:
         """s -> the family of the product state u_s v (None when it
         vanishes), built once per s: the one memo of product-state
-        families, read by the composite families and the Jacobi verifier."""
+        families, read by the composite families and the Jacobi verifier.
+        u's family is built once per call, so a combination u keeps one
+        column memo for every s."""
+        u_fam = self.algebra.family(u_vec) if u_vec and v_vec else None
 
         @cache
         def family(s: int) -> Optional[Family]:
-            vec = self.product(u_vec, s, v_vec)
+            vec = u_fam.apply(2 * s, v_vec) if u_fam is not None else {}
             return self.family(vec) if vec else None
 
         return family

@@ -1,12 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superfock.cli as cli
 from superfock.cli import main
+from superfock.errors import NoCalibration, SuperfockError
 from superfock.superalgebra import PRESENTATIONS
+
+SNAPSHOT = Path(__file__).resolve().parent / "snapshots" / "all.json"
 
 
 def run(capsys, *argv):
@@ -124,6 +131,88 @@ def test_all_json_determinism(capsys):
     payload = json.loads(out1)
     assert payload["schema"] == 1
     assert payload["summary"]["skipped"] == 4
+
+
+# `all` runs the calibration, twisted and corollary2 suites in the calling
+# process and the rest in one forked child, which must be reaped on every path
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+BOTH_LANES = ("all", "--only", "delta,calibration", "--allow-skip")
+
+
+def _in_the_child(action):
+    """A replacement suite that runs `action` and refuses to run in the
+    calling process."""
+    caller = os.getpid()
+
+    def suite(*args):
+        assert os.getpid() != caller, "the suite ran in the calling process"
+        return action()
+
+    return suite
+
+
+def test_all_reaps_its_child_on_a_pass(capsys):
+    code, out = run(capsys, *BOTH_LANES)
+    assert code == 0
+    lines = out.splitlines()
+    assert "PASS delta (3/3 checks)" in lines and "PASS calibration (3/3 checks)" in lines
+    assert_no_child_left()
+
+
+def test_all_reaps_its_child_on_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_delta_suite",
+                        _in_the_child(lambda: [cli.Check("planted", False)]))
+    code, out = run(capsys, *BOTH_LANES)
+    assert code == 1
+    assert "FAIL delta (0/1 checks)" in out.splitlines()
+    assert_no_child_left()
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("lane, suite, exc", [
+    ("forked", "_delta_suite", SuperfockError("planted in the child")),
+    ("calling", "_calibration_suite", NoCalibration("planted in the caller")),
+])
+def test_an_error_in_either_lane_exits_2(capsys, monkeypatch, lane, suite, exc):
+    plant = _in_the_child if lane == "forked" else (lambda action: action)
+    monkeypatch.setattr(cli, suite, plant(lambda: _raise(exc)))
+    code = main(list(BOTH_LANES))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {exc}"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("crash, status", [
+    (lambda: _raise(ValueError("planted")), 1),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+])
+def test_a_child_without_a_result_is_never_a_pass(capfd, monkeypatch, crash, status):
+    monkeypatch.setattr(cli, "_delta_suite", _in_the_child(crash))
+    with pytest.raises(RuntimeError, match=rf"child exit status {status}\)"):
+        main(list(BOTH_LANES))
+    assert_no_child_left()
+    err = capfd.readouterr().err
+    assert ("ValueError: planted" in err) == (status == 1)
+
+
+@pytest.mark.parametrize("only", ["scalars,delta", "calibration,twisted"])
+def test_each_lane_alone_matches_the_snapshot(capsys, only):
+    code, out = run(capsys, "all", "--only", only, "--allow-skip", "--json")
+    assert code == 0
+    want = {s["name"]: s for s in json.loads(SNAPSHOT.read_text())["suites"]}
+    ran = [s for s in json.loads(out)["suites"] if not s["skipped"]]
+    assert [s["name"] for s in ran] == only.split(",")
+    assert all(s == want[s["name"]] for s in ran)
 
 
 @pytest.mark.parametrize("argv", [

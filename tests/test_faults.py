@@ -1,19 +1,23 @@
 """Fault injection: each case plants one known fault in the twisted-sector
 construction and runs `verify twisted --window 1 --json`.  The run must
 exit 1 (a failed check, not a pass and not a configuration error) with the
-named checks reading FAIL, and the clean run must exit 0.
+named checks reading FAIL, and the clean run must exit 0.  One more case
+runs `all --json`, whose vosa suite runs in a forked child: the fault is
+planted before the fork and must fail that suite's checks.
 
 Two faults are known to pass `verify twisted`, at window 1 and at the
 defaults: a3 + 1/100 and a Ramond offset of 1/8.  ROADMAP item 2 records
 them; they have no case here."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import superfock.cli as cli
 import superfock.modes as modes
 from conftest import perturb_delta
+from superfock.scalars import v_scale
 from superfock.twisted import MirrorModule
 from superfock.vosa import TensorVosa
 
@@ -101,3 +105,25 @@ def test_fault_fails_its_checks(fault, monkeypatch, capsys):
     code, failed = _verify_twisted(capsys)
     assert code == 1
     assert expected <= failed, f"{fault} left {sorted(expected - failed)} passing"
+
+
+def _scale_deep_left_side(monkeypatch):
+    """`CompositeFamily.column`'s left side times 101/100 when l <= -4;
+    `checks` keeps its own binding of `jacobi_left`."""
+    exact = modes.jacobi_left
+
+    def scaled(u_fam, w_fam, ell, m2, n2, col, col_w2):
+        acc = exact(u_fam, w_fam, ell, m2, n2, col, col_w2)
+        return v_scale(acc, Fraction(101, 100)) if ell <= -4 else acc
+
+    monkeypatch.setattr(modes, "jacobi_left", scaled)
+
+
+def test_fault_in_the_forked_lane_fails_all(monkeypatch, capsys):
+    _scale_deep_left_side(monkeypatch)
+    code = cli.main(["all", "--json"])
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    failed = {s["name"]: {c["name"] for c in s["checks"] if not c["pass"]}
+              for s in suites}
+    assert code == 1
+    assert {"creation-axiom", "translation-axiom"} <= failed["vosa"]
