@@ -180,13 +180,12 @@ def cmd_verify_algebra(args) -> int:
 def _vosa_suite(max_weight: Fraction, window: int) -> list[Check]:
     V = Vosa(max_weight)
     col_max = max_weight - 2
-    gens = {"b": V.vec_of(V.b_state), "f": V.vec_of(V.f_state)}
     checks = [
         Check.of("creation-axiom", creation_report(V), "checked"),
         Check.of("l0-grading", grading_report(V), "checked"),
         Check.of("translation-axiom", translation_report(V), "checked", "filtered"),
         *(Check.of(rep.name, rep, "checked", "filtered")
-          for rep in jacobi_pair_reports(V, gens, window, col_max, "jacobi-")),
+          for rep in jacobi_pair_reports(V, V.generators, window, col_max, "jacobi-")),
         Check.of("jacobi-omega-tau",
                  borcherds_check(V, V.omega_vec, V.tau_vec, window, col_max,
                                  "jacobi-omega-tau"), "checked", "filtered"),

@@ -352,12 +352,13 @@ class Engine:
     A subclass sets `space` (the module's ordered basis: `parities`, `dim`,
     and the ints `level2`, each column's level above the lowest one in half
     units, and `bound2`, the truncation in those units),
-    `algebra` (the vertex algebra whose states label the families: the
-    engine itself for an algebra acting on itself) and implements
-    `_build_family(i)`, which builds the family of the algebra's basis
-    vector i once for `_family_by_index`.  An engine whose grading is not
-    its space's (the mirror-twisted module) sets `col_w2` and `bound2`
-    itself.
+    `algebra` (the vertex algebra whose states label the families, with
+    its vacuum index `vac`: the engine itself for an algebra acting on
+    itself) and implements `_build_family(i)`, which builds the family of
+    the algebra's basis vector i once for `_family_by_index`; that builds
+    the vacuum's family itself, so `_build_family` never sees `vac`.  An
+    engine whose grading is not its space's (the mirror-twisted module)
+    sets `col_w2` and `bound2` itself.
     A twisted module overrides `twist`, the order-two automorphism whose
     eigenvalues fix mode lattices; the default is the identity, under which
     every exponent is 0.
@@ -378,6 +379,14 @@ class Engine:
         """The basis columns at most max_level above the lowest column."""
         top2 = floor(2 * max_level)
         return [i for i, w2 in enumerate(self.col_w2) if w2 <= top2]
+
+    @property
+    def vacuum_vec(self) -> Vec:
+        return {self.algebra.vac: ONE}
+
+    def parity_map(self, vec: Vec) -> Vec:
+        """The parity automorphism of the space: -1 on its odd states."""
+        return {k: (-c if self.space.parities[k] else c) for k, c in vec.items()}
 
     def twist(self, vec: Vec) -> Vec:
         return vec
@@ -405,7 +414,8 @@ class Engine:
         """The family of the algebra's basis vector i, built on first use."""
         fam = self._fams.get(i)
         if fam is None:
-            fam = self._fams[i] = self._build_family(i)
+            fam = self._fams[i] = (VacuumFamily(self) if i == self.algebra.vac
+                                   else self._build_family(i))
         return fam
 
     def family(self, vec: Vec) -> Family:

@@ -11,8 +11,9 @@ never an input.
 The mirror-twisted module is assembled through the weight-halving twist:
 modes of a slot-1 vector are the twisted-sector modes of its twisted image,
 evaluated at a halved variable; slot 2 follows by the root-phase flip.  A
-slot family is one flat `LinearFamily` over parity-twisted families at the
-doubled index, its odd-t2 coefficients carrying the slot-2 sign.  A
+slot-1 family is one flat `LinearFamily` over parity-twisted families at
+the doubled index, and the slot-2 family of the same vector is slot 1's
+with its odd-t2 coefficients negated.  A
 two-slot vector s (x) t is reached through s (x) t = (s^1 + s^2)_{-1} (1 (x) t)
 minus the single-slot state 1 (x) (s_{-1} t), whose compositions the
 recursion resolves; both products are taken in V (x) V.
@@ -32,7 +33,6 @@ from .modes import (
     Engine,
     Family,
     LinearFamily,
-    VacuumFamily,
     twice,
 )
 from .scalars import ExactScalar, ONE, Vec, v_iadd, v_scale
@@ -46,14 +46,14 @@ class SigmaModule(FreeFieldEngine):
 
     fermion_off2 = 1
 
-    def __init__(self, V: Vosa, levels: int = 6):
+    def __init__(self, V: Vosa, levels: int):
         self.V = self.algebra = V
         self.space = TruncatedSpace(FockSpaceSpec("sigma", RAMOND_OFFSET + levels))
         self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     def twist(self, vec: Vec) -> Vec:
         """The parity map of V."""
-        return {i: (-c if self.V.space.parities[i] else c) for i, c in vec.items()}
+        return self.V.parity_map(vec)
 
     def graded_dimension(self) -> Series:
         """tr q**(-c/24 + L(0)) with the computed twisted L(0) spectrum."""
@@ -82,7 +82,6 @@ class MirrorModule(Engine):
         # every parity-twisted level is an integer, so its half-unit int is even
         self.col_w2 = tuple(w2 // 2 for w2 in sigma.col_w2)
         self.bound2 = sigma.bound2 // 2
-        self._delta_cache: Dict[int, list] = {}
         self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     def twist(self, vec: Vec) -> Vec:
@@ -90,36 +89,27 @@ class MirrorModule(Engine):
 
     # families -----------------------------------------------------------
 
-    def _delta_families(self, i: int):
-        """(2d, sigma family) for each term of the weight-halving expansion
-        of V's basis vector i, shared by its two slots."""
-        fams = self._delta_cache.get(i)
-        if fams is None:
-            V = self.V
-            h = Fraction(V.col_w2[i], 2)  # V is untwisted: its ground weight is 0
-            L = V.L()  # L(j) is omega's mode at index 2j + 2
-            terms = apply_delta(h, {i: ONE}, lambda j, v: L.apply(2 * j + 2, v))
-            fams = self._delta_cache[i] = [
-                (twice(-2 * exp - h), self.sigma.family(vec)) for exp, vec in terms]
-        return fams
-
     def _slot_family(self, i: int, slot: int) -> LinearFamily:
         """The twisted modes of the slot vector v^1 or v^2, v V's basis
-        vector i: the mode at t collects the parity-twisted modes of the
-        weight-halving expansion's terms at 2t + 1 - wt - d, and slot 2
-        differs by the root-phase sign (-1)**(2t)."""
+        vector i: v^1's mode at t collects the parity-twisted modes of the
+        weight-halving expansion's terms at 2t + 1 - wt - d, and v^2's
+        differs by the root-phase sign (-1)**(2t), so it is v^1's family
+        with its odd-t2 coefficients negated."""
         V = self.V
         w2 = V.col_w2[i]
-        odd = -ONE if slot == 2 else ONE
+        if slot == 2:
+            slot1 = self._family_by_index(self.tensor.space.rows[i][V.vac])
+            return LinearFamily(self, w2, slot1.parity, [(slot1, 1, 0, ONE, -ONE)])
+        h = Fraction(w2, 2)  # V is untwisted: its ground weight is 0
+        L = V.L()  # L(j) is omega's mode at index 2j + 2
+        terms = apply_delta(h, {i: ONE}, lambda j, v: L.apply(2 * j + 2, v))
         return LinearFamily(self, w2, V.space.parities[i],
-                            [(fam, 2, 2 - w2 - d2, ONE, odd)
-                             for d2, fam in self._delta_families(i)])
+                            [(self.sigma.family(vec), 2, 2 - w2 - twice(-2 * exp - h),
+                              ONE, ONE) for exp, vec in terms])
 
     def _build_family(self, k: int) -> Family:
         V, tensor = self.V, self.tensor
         i, j = tensor.space.states[k]
-        if k == tensor.vac:
-            return VacuumFamily(self)
         if j == V.vac:
             return self._slot_family(i, 1)
         if i == V.vac:
@@ -174,15 +164,15 @@ class MirrorModule(Engine):
 # Verification suites
 # ---------------------------------------------------------------------------
 
-def sigma_virasoro_report(sigma: SigmaModule, window: int = 2,
-                          max_col_level: Fraction = Fraction(2)) -> TableReport:
+def sigma_virasoro_report(sigma: SigmaModule, window: int,
+                          max_col_level: Fraction) -> TableReport:
     """The L pairs of the N=1 Ramond table."""
     return sigma_ramond_report(sigma, window, max_col_level).restrict(
         "sigma-virasoro", VIRASORO, {"L": "L"})
 
 
-def sigma_ramond_report(sigma: SigmaModule, window: int = 2,
-                        max_col_level: Fraction = Fraction(2)) -> TableReport:
+def sigma_ramond_report(sigma: SigmaModule, window: int,
+                        max_col_level: Fraction) -> TableReport:
     """The N=1 Ramond table on the columns up to max_col_level above the
     ground states, computed once per (window, max_col_level)."""
     key = (window, Fraction(max_col_level))
@@ -194,18 +184,17 @@ def sigma_ramond_report(sigma: SigmaModule, window: int = 2,
     return sigma._tables[key]
 
 
-def sigma_twisted_jacobi_report(sigma: SigmaModule, window: int = 2,
-                                max_col_level: Fraction = Fraction(1)) -> CheckReport:
+def sigma_twisted_jacobi_report(sigma: SigmaModule, window: int,
+                                max_col_level: Fraction) -> CheckReport:
     rep = CheckReport("sigma-twisted-jacobi")
-    V = sigma.V
-    gens = {"b": V.vec_of(V.b_state), "f": V.vec_of(V.f_state)}
-    for sub in jacobi_pair_reports(sigma, gens, window, max_col_level, "sigma-jacobi-"):
+    for sub in jacobi_pair_reports(sigma, sigma.V.generators, window, max_col_level,
+                                   "sigma-jacobi-"):
         rep.merge(sub)
     return rep
 
 
-def mirror_table_report(mirror: MirrorModule, window: int = 2,
-                        max_col_level: Fraction = Fraction(2)) -> TableReport:
+def mirror_table_report(mirror: MirrorModule, window: int,
+                        max_col_level: Fraction) -> TableReport:
     """The mirror-twisted N=2 table on the columns up to max_col_level
     levels above the ground states, computed once per (window, max_col_level)."""
     key = (window, Fraction(max_col_level))
@@ -216,8 +205,8 @@ def mirror_table_report(mirror: MirrorModule, window: int = 2,
     return mirror._tables[key]
 
 
-def mirror_subalgebra_reports(mirror: MirrorModule, window: int = 2,
-                              max_col_level: Fraction = Fraction(2)) -> List[TableReport]:
+def mirror_subalgebra_reports(mirror: MirrorModule, window: int,
+                              max_col_level: Fraction) -> List[TableReport]:
     """The Virasoro, G1 Neveu-Schwarz and G2 Ramond sub-tables of the N=2 table."""
     table = mirror_table_report(mirror, window, max_col_level)
     return [table.restrict("mirror-virasoro", VIRASORO, {"L": "L"}),
@@ -225,14 +214,13 @@ def mirror_subalgebra_reports(mirror: MirrorModule, window: int = 2,
             table.restrict("mirror-g2-ramond", N1_RAMOND, {"L": "L", "G2": "G"})]
 
 
-def mirror_twisted_jacobi_report(mirror: MirrorModule, window: int = 1,
-                                 max_col_level: Fraction = Fraction(1)) -> CheckReport:
+def mirror_twisted_jacobi_report(mirror: MirrorModule, window: int,
+                                 max_col_level: Fraction) -> CheckReport:
     """Twisted Jacobi identity for eigen pairs of free generators of V (x) V."""
     rep = CheckReport("mirror-twisted-jacobi")
-    V = mirror.V
     tensor = mirror.tensor
     eigens = {}
-    for name, vec in (("b", V.vec_of(V.b_state)), ("f", V.vec_of(V.f_state))):
+    for name, vec in mirror.V.generators.items():
         one = tensor.slot(vec, 1)
         two = tensor.slot(vec, 2)
         eigens[f"{name}+"] = v_iadd(dict(one), two)
@@ -243,10 +231,8 @@ def mirror_twisted_jacobi_report(mirror: MirrorModule, window: int = 1,
     return rep
 
 
-def mirror_equivariance_report(mirror: MirrorModule,
-                               max_state_weight: Fraction = Fraction(2),
-                               window: int = 2,
-                               max_col_level: Fraction = Fraction(2)) -> CheckReport:
+def mirror_equivariance_report(mirror: MirrorModule, max_state_weight: Fraction,
+                               window: int, max_col_level: Fraction) -> CheckReport:
     """Y_g(kappa v, x) equals the root-phase flip of Y_g(v, x): mode-wise,
     (kappa v)_t = (-1)**(2t) v_t."""
     rep = CheckReport("mirror-equivariance")

@@ -5,8 +5,8 @@ Generator modes are the free-field actions; every composite state's modes
 come out of the shared component-identity recursion in `modes`, so one
 tested rule replaces hand-derived normal-ordered formulas.  The tensor
 square carries the Koszul-sign vertex operators, the signed transposition
-automorphism, the parity map, and slot embeddings; the N=2 generators on
-V (x) V are calibrated by solving for their scalars, never transcribed.
+automorphism and slot embeddings; the N=2 generators on V (x) V are
+calibrated by solving for their scalars, never transcribed.
 
 A pair's column in the tensor square is `PairSpace.rows[i][j]`.  The modes
 of s (x) t sum over the Koszul product, one term per mode of s; when one
@@ -30,7 +30,6 @@ from .modes import (
     CompositeFamily,
     Engine,
     Family,
-    VacuumFamily,
 )
 from .scalars import ExactScalar, I, ONE, Vec, v_iadd, v_scale
 from .superalgebra import N1_NS, N2_NS
@@ -152,13 +151,11 @@ class FreeFieldEngine(Engine):
     def _build_family(self, k: int) -> Family:
         V = self.algebra
         bos, fer, ground = V.space.codes[k]
-        # peel the leading creation mode: state k is u_l rest, u = b or f
+        # peel the leading creation mode: state k (not the vacuum) is u_l rest, u = b or f
         if bos:
             u_state, ell, rest = V.b_state, -bos[0], (bos[1:], fer, ground)
-        elif fer:
-            u_state, ell, rest = V.f_state, -(fer[0] + 1) // 2, (bos, fer[1:], ground)
         else:
-            return VacuumFamily(self)
+            u_state, ell, rest = V.f_state, -(fer[0] + 1) // 2, (bos, fer[1:], ground)
         rest = V.space.code_index[rest]
         if ell == -1 and rest == V.vac:  # the generator u = u_{-1} vac
             return _BosonModes(self) if bos else _FermionModes(self)
@@ -170,7 +167,7 @@ class FreeFieldEngine(Engine):
 class Vosa(FreeFieldEngine):
     """The N=1 free-field model: one boson and one fermion, truncated by weight."""
 
-    def __init__(self, max_weight=4, psi_delta: Fraction = Fraction(1)):
+    def __init__(self, max_weight, psi_delta: Fraction = Fraction(1)):
         self.space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(max_weight)))
         self.algebra = self
         self.psi_delta = Fraction(psi_delta)
@@ -186,8 +183,9 @@ class Vosa(FreeFieldEngine):
         return {self.space.column(state): ONE}
 
     @property
-    def vacuum_vec(self) -> Vec:
-        return {self.vac: ONE}
+    def generators(self) -> Dict[str, Vec]:
+        """The free generators b = a(-1)|0> and f = psi(-1/2)|0>."""
+        return {"b": self.vec_of(self.b_state), "f": self.vec_of(self.f_state)}
 
     @property
     def omega_vec(self) -> Vec:
@@ -379,10 +377,6 @@ class TensorVosa(Engine):
 
     # states ------------------------------------------------------------
 
-    @property
-    def vacuum_vec(self) -> Vec:
-        return {self.vac: ONE}
-
     def pair_vec(self, left: Vec, right: Vec) -> Vec:
         """The decomposable vector (sum left_i s_i) (x) (sum right_j t_j)."""
         rows = self.space.rows
@@ -412,15 +406,9 @@ class TensorVosa(Engine):
                 out[rows[j][i]] = -c if parities[i] * parities[j] else c
         return out
 
-    def sigma(self, vec: Vec) -> Vec:
-        """Parity map on the tensor square."""
-        return {k: (-c if self.space.parities[k] else c) for k, c in vec.items()}
-
     # families -------------------------------------------------------------
 
     def _build_family(self, k: int) -> Family:
-        if k == self.vac:
-            return VacuumFamily(self)
         i, j = self.space.states[k]
         if j == self.V.vac:
             return _TensorSlotFamily(self, i, 1)
@@ -429,13 +417,13 @@ class TensorVosa(Engine):
         return _TensorMonoFamily(self, i, j)
 
 
-def kappa_automorphism_report(tensor: TensorVosa, max_state_weight=Fraction(2),
-                              window: int = 2,
-                              max_col_level=Fraction(2)) -> CheckReport:
-    """kappa Y(v,x) kappa = Y(kappa v, x) on windowed states and modes."""
+def kappa_automorphism_report(tensor: TensorVosa) -> CheckReport:
+    """kappa Y(v,x) kappa = Y(kappa v, x) for |t| <= 2, on the states and
+    columns of weight at most 2."""
     rep = CheckReport("kappa-vertex-compatibility")
-    cols = tensor.columns(max_col_level)
-    for k in tensor.columns(max_state_weight):
+    window = 2
+    cols = tensor.columns(2)
+    for k in tensor.columns(2):
         v = {k: ONE}
         fam = tensor.family(v)
         kfam = tensor.family(tensor.kappa(v))
@@ -475,7 +463,8 @@ class N2Data:
 def _raw_n2_vectors(tensor: TensorVosa) -> Tuple[Vec, Vec, Vec]:
     V = tensor.V
     tau1 = v_iadd(tensor.slot(V.tau_vec, 1), tensor.slot(V.tau_vec, 2))
-    b, f = V.vec_of(V.b_state), V.vec_of(V.f_state)
+    gens = V.generators
+    b, f = gens["b"], gens["f"]
     tau2 = v_iadd(tensor.pair_vec(b, f), tensor.pair_vec(f, b), -1)
     jraw = tensor.pair_vec(f, f)
     return tau1, tau2, jraw

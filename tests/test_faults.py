@@ -5,9 +5,10 @@ named checks reading FAIL, and the clean run must exit 0.  One more case
 runs `all --json`, whose vosa suite runs in a forked child: the fault is
 planted before the fork and must fail that suite's checks.
 
-Two faults are known to pass `verify twisted`, at window 1 and at the
-defaults: a3 + 1/100 and a Ramond offset of 1/8.  ROADMAP item 2 records
-them; they have no case here."""
+Three faults are known to pass `verify twisted`, at window 1 and at the
+defaults: a3 + 1/100 and a4 + 1/100 (ROADMAP item 2) and a Ramond offset
+of 1/8 (items 1 and 3).  Each is an expected-pass row of `SURVIVORS`,
+naming the item whose fix will flip it into a caught row of `FAULTS`."""
 
 import json
 from fractions import Fraction
@@ -15,7 +16,9 @@ from fractions import Fraction
 import pytest
 
 import superfock.cli as cli
+import superfock.fock as fock
 import superfock.modes as modes
+import superfock.twisted as twisted
 from conftest import perturb_delta
 from superfock.scalars import v_scale
 from superfock.twisted import MirrorModule
@@ -88,8 +91,24 @@ FAULTS = {
 }
 
 
-def _verify_twisted(capsys):
-    code = cli.main(ARGV)
+def _shift_ramond_offset(monkeypatch):
+    """The Ramond ground offset 1/8 instead of 1/16, in both of its
+    bindings: `fock`, which grades the ground states, and `twisted`,
+    which sizes the parity-twisted space."""
+    for module in (fock, twisted):
+        monkeypatch.setattr(module, "RAMOND_OFFSET", Fraction(1, 8))
+
+
+# fault -> (plant, the ROADMAP items whose fix must make it fail)
+SURVIVORS = {
+    "a3": (lambda mp: perturb_delta(mp, 2), "2"),
+    "a4": (lambda mp: perturb_delta(mp, 3), "2"),
+    "ramond-offset-1/8": (_shift_ramond_offset, "1 and 3"),
+}
+
+
+def _verify_twisted(capsys, argv=ARGV):
+    code = cli.main(argv)
     checks = json.loads(capsys.readouterr().out)["checks"]
     return code, {c["name"] for c in checks if not c["pass"]}
 
@@ -105,6 +124,16 @@ def test_fault_fails_its_checks(fault, monkeypatch, capsys):
     code, failed = _verify_twisted(capsys)
     assert code == 1
     assert expected <= failed, f"{fault} left {sorted(expected - failed)} passing"
+
+
+@pytest.mark.parametrize("argv", [ARGV, ["verify", "twisted", "--json"]],
+                         ids=["window-1", "defaults"])
+@pytest.mark.parametrize("fault", sorted(SURVIVORS))
+def test_known_survivor_passes(fault, argv, monkeypatch, capsys):
+    plant, items = SURVIVORS[fault]
+    plant(monkeypatch)
+    assert _verify_twisted(capsys, argv) == (0, set()), (
+        f"{fault} is caught now: move it to FAULTS (ROADMAP item {items})")
 
 
 def _scale_deep_left_side(monkeypatch):

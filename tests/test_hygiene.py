@@ -10,7 +10,9 @@ module that knows how an `ExactScalar` is stored (its `_v` ints and the
 `_new`/`_set_v` constructors), every exception type in `errors` but the
 base class is raised somewhere under src/, and `modes.Family` is the one
 class that defines `apply_basis`, so every mode family shares one column
-memo, `Engine.product_families` holds the one memoized function nested in
+memo, `VacuumFamily(...)` is called only in `modes`, where
+`Engine._family_by_index` builds the vacuum's family for every engine,
+`Engine.product_families` holds the one memoized function nested in
 another under src/, so the product-state families of the component
 identity are found in one place, and every name the benchmark's tracer (`perfbench/tracer.py`)
 patches or reads still resolves in the package."""
@@ -32,6 +34,7 @@ SCALAR_FORMAT = "_v"
 SCALAR_BUILDERS = {"_new", "_set_v"}
 ERROR_BASE = "SuperfockError"
 MEMOIZERS = {"cache", "lru_cache"}
+VACUUM_FAMILY = "VacuumFamily"
 
 
 def _imported_names(tree: ast.Module):
@@ -240,6 +243,35 @@ def test_apply_basis_detector_sees_each_form():
            "class B(A):\n    def apply(self, t2, vec):\n        return self.apply_basis(t2, 0)\n"
            "def apply_basis(t2, col):\n    pass\n")
     assert list(_apply_basis_owners(ast.parse(src))) == ["A"]
+
+
+def _vacuum_family_calls(tree: ast.Module):
+    """The line of each call of `VacuumFamily`, by its name or as an
+    attribute of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == VACUUM_FAMILY:
+                yield node.lineno
+
+
+def test_only_modes_builds_the_vacuum_family():
+    callers = [(path.name, line) for path in sorted((ROOT / "src").rglob("*.py"))
+               if path.name != "modes.py"
+               for line in _vacuum_family_calls(ast.parse(path.read_text(),
+                                                          filename=str(path)))]
+    assert not callers, f"modules other than modes.py build the vacuum family: {callers}"
+
+
+def test_vacuum_family_detector_sees_each_form():
+    src = ("fam = VacuumFamily(self)\n"
+           "fam = modes.VacuumFamily(engine)\n"
+           "from .modes import VacuumFamily\n"
+           "isinstance(fam, VacuumFamily)\n"
+           "cls = VacuumFamily\n"
+           "fam = VacuumFamily(self) if k == vac else build(k)\n")
+    assert list(_vacuum_family_calls(ast.parse(src))) == [1, 2, 6]
 
 
 def _memoizer_name(decorator) -> str:

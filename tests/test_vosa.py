@@ -231,8 +231,8 @@ def test_kappa_sign_on_odd_odd_pairs(tensor):
 def test_sigma_parity_map(tensor):
     V = tensor.V
     f1 = tensor.slot(V.vec_of(V.f_state), 1)
-    assert tensor.sigma(f1) == v_scale(f1, ExactScalar(-1))
-    assert tensor.sigma(tensor.omega_vec) == tensor.omega_vec
+    assert tensor.parity_map(f1) == v_scale(f1, ExactScalar(-1))
+    assert tensor.parity_map(tensor.omega_vec) == tensor.omega_vec
 
 
 def test_tensor_vacuum_and_grading(tensor):
@@ -258,7 +258,7 @@ def test_tensor_jacobi_mixed_slot_pair(tensor):
 
 
 def test_kappa_vertex_compatibility(tensor):
-    rep = kappa_automorphism_report(tensor, Fraction(3, 2), 2, Fraction(3, 2))
+    rep = kappa_automorphism_report(tensor)
     assert rep.passed
 
 
