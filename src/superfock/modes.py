@@ -72,7 +72,7 @@ def binomial2(m2: int, i: int) -> Fraction:
 
 
 @cache
-def binomial2_scalar(m2: int, i: int, sign: int = 1) -> ExactScalar:
+def binomial2_scalar(m2: int, i: int, sign: int) -> ExactScalar:
     """sign * C(m2/2, i) as one shared (immutable) ExactScalar.
 
     Cached: the recursion asks for the same few hundred values thousands of
@@ -304,25 +304,26 @@ def jacobi_left(u_fam: Family, w_fam: Family, ell: int, m2: int,
     m = m2/2, n = n2/2 and col_w2 = engine.col_w2[col]:
 
         sum_i (-1)**i C(l,i) [u_{m+l-i} w_{n+i} - (-1)**l (-1)**|u||w| w_{n+l-i} u_{m+i}] col
-
-    Each sum stops once the inner mode annihilates every state of the
-    column's weight.
     """
     acc: Vec = {}
-    for i in range((col_w2 + w_fam.weight2 - n2 - 2) // 2 + 1):
-        mid = w_fam.apply_basis(n2 + 2 * i, col)
-        if mid:
-            res = u_fam.apply(m2 + 2 * (ell - i), mid)
-            if res:
-                v_iadd(acc, res, binomial2_scalar(2 * ell, i, (-1) ** i))
+    _ordered_products(acc, u_fam, m2, w_fam, n2, ell, col, col_w2, 1)
     sgn = -((-1) ** (ell % 2)) * ((-1) ** (u_fam.parity * w_fam.parity))
-    for i in range((col_w2 + u_fam.weight2 - m2 - 2) // 2 + 1):
-        mid = u_fam.apply_basis(m2 + 2 * i, col)
-        if mid:
-            res = w_fam.apply(n2 + 2 * (ell - i), mid)
-            if res:
-                v_iadd(acc, res, binomial2_scalar(2 * ell, i, sgn * (-1) ** i))
+    _ordered_products(acc, w_fam, n2, u_fam, m2, ell, col, col_w2, sgn)
     return acc
+
+
+def _ordered_products(acc: Vec, outer: Family, outer2: int, inner: Family,
+                      inner2: int, ell: int, col: int, col_w2: int, sign: int) -> None:
+    """Add sign * sum_i (-1)**i C(l,i) outer_{a+l-i} inner_{b+i} col to acc,
+    with a = outer2/2 and b = inner2/2.  The sum stops once the inner mode
+    annihilates every state of the column's weight.
+    """
+    for i in range((col_w2 + inner.weight2 - inner2 - 2) // 2 + 1):
+        mid = inner.apply_basis(inner2 + 2 * i, col)
+        if mid:
+            res = outer.apply(outer2 + 2 * (ell - i), mid)
+            if res:
+                v_iadd(acc, res, binomial2_scalar(2 * ell, i, sign * (-1) ** i))
 
 
 def jacobi_right(acc: Vec, u_fam: Family, w_fam: Family, ell: int, m2: int,

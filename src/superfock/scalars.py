@@ -32,14 +32,6 @@ from .errors import DivisionByZero
 RationalLike = Union[int, Fraction]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a decimal-free fraction string such as '-3/4' or '2'."""
-    text = text.strip()
-    if "." in text or "e" in text or "E" in text:
-        raise ValueError(f"not a decimal-free fraction string: {text!r}")
-    return Fraction(text)
-
-
 def _reduced(a: int, b: int, c: int, d: int, q: int) -> tuple:
     """(a, b, c, d, q) divided by gcd(a, b, c, d, q); q must be positive."""
     g = gcd(a, b, c, d, q)
@@ -80,11 +72,6 @@ class ExactScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
-
-    def __reduce__(self):
-        # rebuild through the constructor: the default slot restore would
-        # go through the raising __setattr__
-        return (ExactScalar, (self.a, self.b, self.c, self.d))
 
     a = _part(0, "rational part")
     b = _part(1, "coefficient of i")
@@ -234,10 +221,6 @@ class ExactScalar:
             "c": str(self.c),
             "d": str(self.d),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExactScalar":
-        return cls(*(parse_rational(obj[k]) for k in ("a", "b", "c", "d")))
 
 
 _new = object.__new__

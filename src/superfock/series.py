@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import UnsupportedExponent, VariableMismatch
-from .scalars import ExactScalar, parse_rational
+from .scalars import ExactScalar
 
 ExpLike = Union[int, Fraction]
 
@@ -44,12 +44,6 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def monomial(cls, variable: str, exponent: ExpLike, coeff, truncation: ExpLike) -> "Series":
-        return cls(variable, truncation, [(Fraction(exponent), ExactScalar.coerce(coeff))])
-
     # -- access -----------------------------------------------------------
 
     def coefficient(self, exponent: ExpLike) -> ExactScalar:
@@ -70,29 +64,9 @@ class Series:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _match(self, other: "Series") -> Fraction:
+    def __mul__(self, other: "Series") -> "Series":
         if self.variable != other.variable:
             raise VariableMismatch(f"{self.variable!r} vs {other.variable!r}")
-        return min(self.truncation, other.truncation)
-
-    def __add__(self, other: "Series") -> "Series":
-        t = self._match(other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, ExactScalar(0)) + c
-        return Series(self.variable, t, merged)
-
-    def __neg__(self) -> "Series":
-        return Series(self.variable, self.truncation,
-                      {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self.scale(other)
-        self._match(other)
         # The product is determined below min(T_f + val(g), T_g + val(f)):
         # an unknown coefficient of one factor can reach down by the other
         # factor's lowest exponent.  For exponents bounded below by zero this
@@ -115,15 +89,6 @@ class Series:
                     acc[e] = c
         return Series(self.variable, t, acc)
 
-    __rmul__ = __mul__
-
-    def scale(self, s) -> "Series":
-        s = ExactScalar.coerce(s)
-        if s.is_zero():
-            return Series(self.variable, self.truncation)
-        return Series(self.variable, self.truncation,
-                      {e: c * s for e, c in self.terms.items()})
-
     def truncate(self, bound: ExpLike) -> "Series":
         b = Fraction(bound)
         if b > self.truncation:
@@ -144,9 +109,6 @@ class Series:
         return (self.variable == other.variable
                 and self.truncation == other.truncation
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.variable, self.truncation, tuple(self.sorted_terms())))
 
     def __repr__(self):
         if not self.terms:
@@ -174,15 +136,6 @@ class Series:
                 for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Series":
-        return cls(
-            obj["variable"],
-            parse_rational(obj["truncation"]),
-            [(parse_rational(t["exp"]), ExactScalar.from_json(t["coeff"]))
-             for t in obj["terms"]],
-        )
 
 
 def substitute_root_phase(f: Series, j: int) -> Series:

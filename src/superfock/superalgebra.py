@@ -348,7 +348,7 @@ def corrupted_virasoro_quintic() -> Presentation:
                                  name="virasoro-corrupted-quintic")
 
 
-def rescaled_virasoro(denominator: int = 11) -> Presentation:
+def rescaled_virasoro(denominator: int) -> Presentation:
     """(m**3 - m)/denominator: still a 2-cocycle, hence still a Lie algebra."""
     return virasoro_presentation(lambda m: Fraction(m ** 3 - m, denominator),
                                  name=f"virasoro-rescaled-{denominator}")

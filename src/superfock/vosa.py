@@ -365,9 +365,9 @@ class _TensorSlotFamily(Family):
 class TensorVosa(Engine):
     """V (x) V with Koszul-sign tensor vertex operators."""
 
-    def __init__(self, V: Vosa, bound=None):
+    def __init__(self, V: Vosa, bound):
         self.V = V
-        bound = Fraction(bound) if bound is not None else V.space.bound
+        bound = Fraction(bound)
         if bound > V.space.bound:
             raise ValueError("tensor truncation cannot exceed the factor truncation")
         self.space = PairSpace(V, bound)

@@ -76,6 +76,18 @@ def _unsigned_kappa(monkeypatch):
     monkeypatch.setattr(TensorVosa, "kappa", kappa)
 
 
+def _anticommute_left_side(monkeypatch):
+    """The left side's second ordering with sign +1 where it is -1, so a
+    commutator is read as an anticommutator.  Both `CompositeFamily.column`
+    and the Jacobi verifier in `checks` reach the helper through `modes`."""
+    exact = modes._ordered_products
+
+    def unsigned(acc, outer, outer2, inner, inner2, ell, col, col_w2, sign):
+        exact(acc, outer, outer2, inner, inner2, ell, col, col_w2, abs(sign))
+
+    monkeypatch.setattr(modes, "_ordered_products", unsigned)
+
+
 FAULTS = {
     "a1": (lambda mp: perturb_delta(mp, 0), {"mirror-equivariance"}),
     "a2": (lambda mp: perturb_delta(mp, 1),
@@ -88,6 +100,10 @@ FAULTS = {
     "product-at-one": (_drop_product_at_one,
                        {"sigma-twisted-jacobi", "mirror-twisted-jacobi"}),
     "kappa-sign": (_unsigned_kappa, {"mirror-equivariance"}),
+    "left-side-sign": (_anticommute_left_side,
+                       {"sigma-twisted-jacobi", "mirror-mode-lattices",
+                        "mirror-twisted-n2-table", "mirror-twisted-jacobi",
+                        "mirror-equivariance"}),
 }
 
 

@@ -56,3 +56,27 @@ def test_bench_alternates_sides_and_takes_medians_per_side():
     # head lower in rounds 0, 2 and 3; equal readings count for neither side
     assert summary["head_lower"] == {"w.peak_rss_mb": 0, "w.setup_s": 3}
     assert summary["failed"] == {"base": 0, "head": 1}
+
+
+def test_same_outputs_compares_every_part_of_each_command(monkeypatch):
+    # a stubbed runner stands in for the CLI: nothing is run
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  ROOT / "scripts" / "same_outputs.py")
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    outputs = {"a": (0, b"out", b""), "b": (1, b"out", b""), "c": (0, b"out", b"warn"),
+               "d": (2, b"", b"error: x")}
+    head = dict(outputs, b=(0, b"out", b""), c=(0, b"OUT", b""))
+    calls = []
+
+    def run(side, command):
+        calls.append((side, command))
+        return (outputs if side == "base" else head)[command]
+
+    lines = list(same_outputs.compare(run, ["a", "b", "c", "d"]))
+    assert calls == [(side, c) for c in "abcd" for side in ("base", "head")]
+    assert lines == ["SAME  a", "DIFF  b  (exit code)", "DIFF  c  (stdout, stderr)",
+                     "SAME  d"]
+    assert "all --window 0" in same_outputs.COMMANDS
+    assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 14

@@ -176,7 +176,7 @@ def _product_sum(tensor, left, right, t2, col):
 def test_slot_families_equal_the_product_sum(V4):
     # one factor is V's vacuum, whose only nonzero mode is 1_{-1}: the slot
     # family carries V's column to the pairs, and must equal the whole sum
-    tensor = TensorVosa(V4)
+    tensor = TensorVosa(V4, 4)
     rows, vac = tensor.space.rows, V4._family_by_index(V4.vac)
     compared = nonzero = odd_odd = overflows = 0
     for s in V4.columns(2):
