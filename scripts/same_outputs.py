@@ -21,7 +21,8 @@ from typing import Callable, Iterator, List, Tuple
 from bench import ROOT, git, unpack
 
 # every command whose output a behaviour-preserving change must keep; `all
-# --window 0` is the configuration-error path (exit 2)
+# --window 0` and `delta --k 0 --terms 1` are configuration errors (exit 2),
+# the corrupted quintic and `all --only delta` (skipped suites) exit 1
 COMMANDS = [
     "all --json",
     "all",
@@ -37,6 +38,13 @@ COMMANDS = [
     "character --space ramond --trunc 5 --json",
     "delta --k 2 --terms 3 --verify-order 10 --json",
     "verify algebra --name n2-mirror-twisted --window 4 --json",
+    "character --space vosa --trunc 4 --dump-basis",
+    "character --space ns-fermion --trunc 3 --json",
+    "verify algebra --name virasoro-corrupted-quintic --window 3 --json",
+    "verify algebra --name virasoro-rescaled-11 --window 3 --json",
+    "all --only delta",
+    "corollary2 --json",
+    "delta --k 0 --terms 1",
 ]
 
 Output = Tuple[int, bytes, bytes]

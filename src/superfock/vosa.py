@@ -489,7 +489,8 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2) -> N2Data:
     weight-3/2 vectors; the normalizations are pinned by the vacuum lines of
     [G1(3/2), G1(-3/2)] and [J(1), J(-1)], the relative scalar c2 by
     [J, G1] = -i G2, and every candidate is accepted only after the full
-    windowed bracket table passes on the columns up to level 2.
+    windowed bracket table passes on the columns up to level 2.  NoCalibration
+    names the vacuum line, the incomplete table or the violations at fault.
     """
     V = tensor.V
     tau1_raw, tau2_raw, j_raw = _raw_n2_vectors(tensor)
@@ -507,9 +508,15 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2) -> N2Data:
     fj = tensor.family(j_raw)
     lamj = _vacuum_line(fj, 2, vac, -1)
     cj_roots = _sqrt_in_field(lamj.inv()) if lamj else []
+    for bracket, line, roots in (("{G1(3/2), G1(-3/2)}", lam1, c1_roots),
+                                 ("[J(1), J(-1)]", lamj, cj_roots)):
+        if not roots:
+            raise NoCalibration(
+                f"the vacuum line of {bracket} is {line}, which no scalar in Q(i, sqrt2) "
+                "normalizes; the constructed modes are at fault, not the ansatz")
 
     f2 = tensor.family(tau2_raw)
-    tried = 0
+    tried = unrefuted = 0
     for c1 in c1_roots:
         for cJ in cj_roots:
             tried += 1
@@ -538,6 +545,12 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2) -> N2Data:
                                         window, tensor.columns(2))
             if table.passed:
                 return N2Data(c1, c2, cJ, tau1, tau2, jvec, table, tried)
+            unrefuted += table.violations == 0
+    if unrefuted:
+        raise NoCalibration(
+            f"{unrefuted} of {tried} candidates read 0 violations at window {window}, but "
+            f"truncation {Fraction(tensor.space.bound2, 2)} leaves pairs of the N=2 table "
+            "with no column, so none completes it")
     raise NoCalibration(
         f"no scalar assignment satisfies the N=2 table ({tried} candidates tried); "
         "the ansatz family must be widened")

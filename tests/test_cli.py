@@ -246,6 +246,18 @@ def test_configuration_errors_exit_2(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_calibration_names_the_window_it_cannot_complete(capsys):
+    # every candidate reads 0 violations at window 3, but truncation 5 leaves
+    # pairs of the table unchecked: the window is at fault, not the ansatz
+    code = main(["calibrate", "n2", "--window", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "at window 3" in lines[0] and "no column" in lines[0]
+    assert "ansatz" not in lines[0]
+
+
 # text with no decimal digits cannot parse as a number, so it cannot ask for
 # a large (slow) truncation; the numeric cases are drawn separately
 _TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)

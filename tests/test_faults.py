@@ -3,7 +3,10 @@ construction and runs `verify twisted --window 1 --json`.  The run must
 exit 1 (a failed check, not a pass and not a configuration error) with the
 named checks reading FAIL, and the clean run must exit 0.  One more case
 runs `all --json`, whose vosa suite runs in a forked child: the fault is
-planted before the fork and must fail that suite's checks.
+planted before the fork and must fail that suite's checks.  Another cuts
+the left side's sums at i = 0 and runs `calibrate n2`, which must exit 2
+naming the vacuum line the cut makes 0 (whether a broken recursion should
+exit 1 instead is ROADMAP item 10).
 
 Three faults are known to pass `verify twisted`, at window 1 and at the
 defaults: a3 + 1/100 and a4 + 1/100 (ROADMAP item 2) and a Ramond offset
@@ -162,6 +165,29 @@ def _scale_deep_left_side(monkeypatch):
         return v_scale(acc, Fraction(101, 100)) if ell <= -4 else acc
 
     monkeypatch.setattr(modes, "jacobi_left", scaled)
+
+
+def _cut_left_side(monkeypatch):
+    """Each sum of the left side's helper cut at i = 0, as when its bound
+    counts no correction term."""
+    exact = modes._ordered_products
+
+    def cut(acc, outer, outer2, inner, inner2, ell, col, col_w2, sign):
+        exact(acc, outer, outer2, inner, inner2, ell, col,
+              min(col_w2, inner2 + 2 - inner.weight2), sign)
+
+    monkeypatch.setattr(modes, "_ordered_products", cut)
+
+
+def test_broken_recursion_is_named_by_the_calibration(monkeypatch, capsys):
+    _cut_left_side(monkeypatch)
+    code = cli.main(["calibrate", "n2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "{G1(3/2), G1(-3/2)} is 0" in lines[0]
+    assert "constructed modes are at fault" in lines[0]
 
 
 def test_fault_in_the_forked_lane_fails_all(monkeypatch, capsys):

@@ -14,18 +14,25 @@ memo, `VacuumFamily(...)` is called only in `modes`, where
 `Engine._family_by_index` builds the vacuum's family for every engine,
 `Engine.product_families` holds the one memoized function nested in
 another under src/, so the product-state families of the component
-identity are found in one place, and every name the benchmark's tracer (`perfbench/tracer.py`)
-patches or reads still resolves in the package."""
+identity are found in one place, every name the benchmark's tracer
+(`perfbench/tracer.py`) patches or reads still resolves in the package,
+and the package's `__init__.py` imports nothing, so each name has one
+import path (its own module) and importing the presentation layer
+(`superalgebra`, `delta`) loads none of `fock`, `checks`, `vosa` and
+`twisted`."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "superfock"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
 ORACLE = "mode_apply"
@@ -35,6 +42,8 @@ SCALAR_BUILDERS = {"_new", "_set_v"}
 ERROR_BASE = "SuperfockError"
 MEMOIZERS = {"cache", "lru_cache"}
 VACUUM_FAMILY = "VacuumFamily"
+PRESENTATION_LAYER = {"superfock", "superfock.errors", "superfock.scalars", "superfock.series",
+                      "superfock.modes", "superfock.superalgebra", "superfock.delta"}
 
 
 def _imported_names(tree: ast.Module):
@@ -73,6 +82,15 @@ def test_every_import_is_used(path):
     used = _used_names(tree)
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def test_presentation_layer_loads_only_what_it_imports():
+    probe = ("import sys, superfock.superalgebra, superfock.delta\n"
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'superfock'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert set(out.split()) == PRESENTATION_LAYER
 
 
 def _catch_all_handlers(tree: ast.Module):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -174,39 +175,43 @@ def _product_sum(tensor, left, right, t2, col):
 
 
 def test_slot_families_equal_the_product_sum(V4):
-    # one factor is V's vacuum, whose only nonzero mode is 1_{-1}: the slot
-    # family carries V's column to the pairs, and must equal the whole sum
+    # a slot family (one factor is V's vacuum, whose only nonzero mode is
+    # 1_{-1}) carries V's column to the pairs, and a two-slot family s (x) t
+    # sums the Koszul products itself: each must equal the whole sum
     tensor = TensorVosa(V4, 4)
-    rows, vac = tensor.space.rows, V4._family_by_index(V4.vac)
-    compared = nonzero = odd_odd = overflows = 0
-    for s in V4.columns(2):
-        if s == V4.vac:
-            continue
-        u = V4._family_by_index(s)
-        for slot, k, left, right in ((1, rows[s][V4.vac], u, vac),
-                                     (2, rows[V4.vac][s], vac, u)):
-            fam = tensor._family_by_index(k)
-            assert fam.slot == slot
-            for col in range(tensor.space.dim):
-                top = tensor.col_w2[col] + fam.weight2 - 2   # t2 of output level 0
-                # from negative output weight down to the first overflows
-                for t2 in range(top + 2, top - tensor.bound2 - 2, -1):
-                    if t2 % 2:
-                        assert fam.apply_basis(t2, col) is EMPTY
-                    elif top - t2 >= tensor.bound2:
-                        with pytest.raises(TruncationOverflow):
-                            fam.apply_basis(t2, col)
-                        overflows += 1
-                    else:
-                        got = fam.apply_basis(t2, col)
-                        assert got == _product_sum(tensor, left, right, t2, col), (
-                            slot, s, t2, col)
-                        compared += 1
-                        nonzero += bool(got)
-                        a = tensor.space.states[col][0]
-                        odd_odd += bool(got) and slot == 2 and bool(
-                            u.parity * V4.space.parities[a])
-    assert compared > nonzero > odd_odd > 0 and overflows
+    rows, states = tensor.space.rows, tensor.space.states
+    low = [s for s in V4.columns(2) if s != V4.vac]
+    family, vac = V4._family_by_index, V4._family_by_index(V4.vac)
+    # (pair, its slot or None for two slots, left factor, right factor)
+    cases = ([(rows[s][V4.vac], 1, family(s), vac) for s in low]
+             + [(rows[V4.vac][s], 2, vac, family(s)) for s in low]
+             + [(k, None, family(s), family(t)) for k, (s, t) in enumerate(states)
+                if s in low and t in low])
+    seen = Counter()
+    for k, slot, left, right in cases:
+        fam = tensor._family_by_index(k)
+        assert getattr(fam, "slot", None) == slot
+        for col in range(tensor.space.dim):
+            top = tensor.col_w2[col] + fam.weight2 - 2   # t2 of output level 0
+            # from negative output weight down to the first overflows
+            for t2 in range(top + 2, top - tensor.bound2 - 2, -1):
+                if t2 % 2:
+                    assert fam.apply_basis(t2, col) is EMPTY
+                elif top - t2 >= tensor.bound2:
+                    with pytest.raises(TruncationOverflow):
+                        fam.apply_basis(t2, col)
+                    seen[slot, "overflows"] += 1
+                else:
+                    got = fam.apply_basis(t2, col)
+                    assert got == _product_sum(tensor, left, right, t2, col), (k, t2, col)
+                    seen[slot, "compared"] += 1
+                    if got:
+                        seen[slot, "nonzero"] += 1
+                        a = states[col][0]
+                        seen[slot, "odd-odd"] += right.parity * V4.space.parities[a]
+    for slot in (1, 2, None):
+        assert seen[slot, "compared"] > seen[slot, "nonzero"] > 0 and seen[slot, "overflows"]
+    assert seen[2, "odd-odd"] and seen[None, "odd-odd"]
 
 
 def test_kappa_involution_and_fixed_points(tensor):
