@@ -21,8 +21,10 @@ from typing import Callable, Iterator, List, Tuple
 from bench import ROOT, git, unpack
 
 # every command whose output a behaviour-preserving change must keep; `all
-# --window 0` and `delta --k 0 --terms 1` are configuration errors (exit 2),
-# the corrupted quintic and `all --only delta` (skipped suites) exit 1
+# --window 0`, `delta --k 0 --terms 1` and `calibrate n2 --window 3` (a table
+# the truncation cannot complete) are configuration errors (exit 2), the
+# corrupted quintic, `all --only delta` (skipped suites), `verify vosa
+# --max-weight 3` and `verify twisted --levels 1` (incomplete tables) exit 1
 COMMANDS = [
     "all --json",
     "all",
@@ -45,6 +47,9 @@ COMMANDS = [
     "all --only delta",
     "corollary2 --json",
     "delta --k 0 --terms 1",
+    "calibrate n2 --window 3",
+    "verify vosa --max-weight 3 --json",
+    "verify twisted --levels 1 --json",
 ]
 
 Output = Tuple[int, bytes, bytes]

@@ -430,12 +430,6 @@ class Engine:
         offs = {f.off2 for _, f in parts}
         return LinearFamily.combine(self, parts, offs.pop() if len(offs) == 1 else None)
 
-    def product(self, u_vec: Vec, ell: int, v_vec: Vec) -> Vec:
-        """The algebra product state u_l v, for an int l."""
-        if not u_vec or not v_vec:
-            return {}
-        return self.algebra.family(u_vec).apply(2 * ell, v_vec)
-
     def product_families(self, u_vec: Vec, v_vec: Vec) -> Callable[[int], Optional[Family]]:
         """s -> the family of the product state u_s v (None when it
         vanishes), built once per s: the one memo of product-state

@@ -16,9 +16,7 @@ doubled indices and shared, cached coefficients built from ints.  A
 user-supplied central term keeps its ``Fraction -> Fraction`` signature and
 is called only when m2 + n2 == 0.  The sweeps intern every generator they
 meet by ``(family, t2)`` and check its family and lattice once, when it is
-interned; each bracket is then a direct call of the rule.  `pair_bracket`
-is the ``Fraction`` boundary: it validates two `Generator`s, converts their
-indices to half units, calls the same rule and returns an `Element`.
+interned; each bracket is then a direct call of the rule.
 """
 
 from __future__ import annotations
@@ -86,21 +84,6 @@ class Element:
     @classmethod
     def of(cls, g: Generator, coeff=1) -> "Element":
         return cls([(g, coeff)])
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, ExactScalar(0)) + c
-        return Element(out)
-
-    def __neg__(self) -> "Element":
-        return Element({g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
 
     def scale(self, s) -> "Element":
         s = ExactScalar.coerce(s)
@@ -220,13 +203,10 @@ class Presentation:
             fa, fb = key
             if fa not in self.lattices or fb not in self.lattices:
                 raise InvalidAlgebra(f"{self.name}: rule key {key} names a family "
-                                     f"outside {self.families()}")
+                                     f"outside {tuple(self.lattices)}")
             if _RANK[fa] > _RANK[fb]:
                 raise InvalidAlgebra(f"{self.name}: rule key {key} breaks the "
                                      f"canonical order; key it as {(fb, fa)}")
-
-    def families(self):
-        return tuple(self.lattices)
 
     def valid_index(self, g: Generator) -> bool:
         if g.family == "C":
@@ -355,21 +335,8 @@ def rescaled_virasoro(denominator: int) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# The super-bracket
+# The mirror map
 # ---------------------------------------------------------------------------
-
-def pair_bracket(alg: Presentation, a: Generator, b: Generator) -> Element:
-    terms = alg.bracket2(a.family, alg.index2(a), b.family, alg.index2(b))
-    return Element([(Generator(f, Fraction(t2, 2)), c) for (f, t2), c in terms.items()])
-
-
-def bracket(alg: Presentation, a: Element, b: Element) -> Element:
-    out = Element()
-    for ga, ca in a.sorted_terms():
-        for gb, cb in b.sorted_terms():
-            out = out + pair_bracket(alg, ga, gb).scale(ca * cb)
-    return out
-
 
 def mirror_automorphism(e: Element) -> Element:
     """The mirror map on the N=2 Neveu-Schwarz algebra.

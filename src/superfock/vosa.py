@@ -45,8 +45,6 @@ def _sqrt_in_field(x: ExactScalar) -> List[ExactScalar]:
     if not x.is_rational():
         return []
     r = x.as_rational()
-    if r == 0:
-        return [ExactScalar(0)]
     roots: List[ExactScalar] = []
     mag = abs(r)
     for base, unit in ((mag, ExactScalar(1)), (mag / 2, ExactScalar(0, 0, 1))):
@@ -373,7 +371,6 @@ class TensorVosa(Engine):
         self.space = PairSpace(V, bound)
         self.algebra = self
         self.vac = self.space.rows[V.vac][V.vac]
-        self.central_charge = 2 * V.central_charge
 
     # states ------------------------------------------------------------
 

@@ -19,10 +19,24 @@ identity are found in one place, every name the benchmark's tracer
 and the package's `__init__.py` imports nothing, so each name has one
 import path (its own module) and importing the presentation layer
 (`superalgebra`, `delta`) loads none of `fock`, `checks`, `vosa` and
-`twisted`."""
+`twisted`.
+
+The trace rule: every function the package defines (`def`, nested ones and
+methods included) is entered when `TRACED_COMMANDS` run in a fresh
+interpreter under `sys.settrace`, or is listed in `NEVER_ENTERED` with one
+of seven fixed reasons (error path, abstract base, immutability guard,
+value semantics, test reference, named by perfbench, forked child).  Code
+that no command runs and no reason keeps is deleted, and a test that needs
+a second route to a result keeps it in tests/.  The allowlist cannot go
+stale: an entry that names a missing function, or one the trace entered,
+fails.  `python3 tests/test_hygiene.py` (with src/ on PYTHONPATH) prints
+the trace as JSON."""
 
 import ast
+import contextlib
 import importlib.util
+import io
+import json
 import os
 import subprocess
 import sys
@@ -375,3 +389,217 @@ def test_traced_names_resolve():
     assert not missing, f"perfbench/tracer.py relies on missing names: {missing}"
     family = importlib.import_module("superfock.modes").Family(None, 0, 0)
     assert family._cols == {}
+
+
+def test_workload_names_resolve():
+    """A deletion must not break a benchmark workload silently: each name
+    `perfbench/workloads.py` imports from the package, and each method or
+    function it calls outside the tracer, still resolves."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    # `from superfock.vosa import Vosa` -> "vosa.Vosa", `from superfock import cli` -> "cli"
+    names = [f"{node.module}.{alias.name}".partition(".")[2] for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "superfock"
+             for alias in node.names]
+    names += ["checks.CheckReport.to_json", "checks.TableReport.to_json",
+              "superalgebra.AlgebraReport.to_json", "twisted.Corollary2Result.to_json",
+              "superalgebra.Element.of", "superalgebra.Element.scale",
+              "fock.TruncatedSpace.basis_dump", "delta.residual_for_coefficients",
+              "superalgebra.mirror_map_on_generator",
+              "superalgebra.corrupted_virasoro_quintic", "superalgebra.rescaled_virasoro"]
+    missing = []
+    for name in names:
+        module, *attrs = name.split(".")
+        found = importlib.import_module(f"superfock.{module}")
+        for attr in attrs:
+            found = getattr(found, attr, None)
+        if found is None:
+            missing.append(name)
+    assert not missing, f"perfbench/workloads.py relies on missing names: {missing}"
+
+
+# the trace rule ------------------------------------------------------------------
+
+# Run in one process with `all`'s lanes in series, these commands enter every
+# package function that the commands of scripts/same_outputs.py enter; each
+# comes with its exit code.
+TRACED_COMMANDS = [
+    ("all --json", 0),
+    ("verify vosa --max-weight 3 --json", 1),
+    ("verify twisted --levels 1 --json", 1),
+    ("calibrate n2 --json", 0),
+    ("calibrate n2 --window 3", 2),
+    ("character --space vosa --trunc 4 --dump-basis", 0),
+    ("character --space ns-fermion --trunc 3 --json", 0),
+    ("character --space ramond --trunc 5 --json", 0),
+    ("character --space twisted --trunc 6 --json", 0),
+    ("corollary2 --json", 0),
+    ("delta --k 2 --terms 3 --verify-order 10 --json", 0),
+    ("verify algebra --name virasoro-corrupted-quintic --window 3 --json", 1),
+    ("verify algebra --name virasoro-rescaled-11 --window 3 --json", 0),
+    ("all --window 0", 2),
+    ("delta --k 0 --terms 1", 2),
+]
+# the trace entered 248 of the package's 264 functions
+MIN_ENTERED = 240
+
+ERROR_PATH = "error path: builds an exception that no command provokes"
+ABSTRACT = "abstract base: every subclass overrides it"
+GUARD = "immutability guard: refuses an assignment that no code makes"
+VALUE = "value semantics: equality, hashing or display of a value"
+TEST_REFERENCE = "test reference: the tests compare the engines with it"
+PERFBENCH = "named by perfbench: the benchmark patches or calls it"
+FORKED = "forked child: `all` runs it around a fork, which the trace runs in series"
+
+# each package function that no traced command enters, with its reason
+NEVER_ENTERED = {
+    "modes._not_half_units": ERROR_PATH,
+    "modes.Family._compute": ABSTRACT,
+    "modes.Engine._build_family": ABSTRACT,
+    "scalars.ExactScalar.__setattr__": GUARD,
+    "series.Series.__setattr__": GUARD,
+    "scalars.ExactScalar.__hash__": VALUE,
+    "superalgebra.Element.__eq__": VALUE,
+    "superalgebra.Element.__hash__": VALUE,
+    "superalgebra.Element.__repr__": VALUE,
+    "fock.mode_apply": TEST_REFERENCE,
+    "fock.FockState.level": TEST_REFERENCE,
+    "fock.FockState.parity": TEST_REFERENCE,
+    "checks.CheckReport.to_json": PERFBENCH,
+    "checks.CheckViolation.to_json": PERFBENCH,
+    "cli._run_lanes": FORKED,
+    "cli._forked_lane": FORKED,
+}
+
+
+def _defined_functions(node, scope=()):
+    """(dotted path, first line, name) of each function a module defines,
+    methods and nested functions included.  The first line is that of the
+    first decorator, as in the function's code object; a lambda has no name
+    and is left out."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = scope + (child.name,)
+            if not isinstance(child, ast.ClassDef):
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                yield ".".join(path), first, child.name
+            yield from _defined_functions(child, path)
+        else:
+            yield from _defined_functions(child, scope)
+
+
+def _entered_code(run) -> set:
+    """The code object of every Python frame entered while run() runs."""
+    codes = set()
+
+    def tracer(frame, event, arg):
+        # a global trace function sees each call; None asks for no line events
+        codes.add(frame.f_code)
+
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return codes
+
+
+def _code_keys(codes, directory: Path) -> set:
+    """'module:first line:name' of each code object compiled from a module
+    file in directory."""
+    return {f"{Path(code.co_filename).stem}:{code.co_firstlineno}:{code.co_name}"
+            for code in codes if Path(code.co_filename).parent == directory}
+
+
+def _never_entered(modules: dict, keys: set) -> tuple:
+    """The functions of modules ({name: source}) that no code key names, and
+    the number that one does, each as 'module.dotted.path'."""
+    defined = {f"{name}:{first}:{fn}": f"{name}.{path}" for name, source in modules.items()
+               for path, first, fn in _defined_functions(ast.parse(source))}
+    never = sorted(dotted for key, dotted in defined.items() if key not in keys)
+    return never, len(defined) - len(never)
+
+
+def _trace_cli():
+    """Print, as JSON, the exit code of each of TRACED_COMMANDS and the code
+    key of every package function they enter.  The trace starts before the
+    CLI is imported, so import-time calls count, and the commands run in
+    this process, `all`'s lanes in series: a forked child's calls would not
+    reach this trace."""
+    exits = []
+
+    def run():
+        from superfock import cli
+
+        cli._run_lanes = lambda args, forked, here: cli._run_lane(args, forked + here)
+        for command, _ in TRACED_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                exits.append(cli.main(command.split()))
+
+    keys = _code_keys(_entered_code(run), PACKAGE)
+    print(json.dumps({"exits": exits, "entered": sorted(keys)}))
+
+
+@pytest.fixture(scope="module")
+def cli_trace():
+    # a fresh interpreter: a warm one's module caches would hide calls
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    trace = json.loads(out)
+    modules = {path.stem: path.read_text() for path in MODULES}
+    return (trace["exits"], *_never_entered(modules, set(trace["entered"])))
+
+
+def test_traced_commands_run_to_their_exit_codes(cli_trace):
+    exits, _, entered = cli_trace
+    assert exits == [code for _, code in TRACED_COMMANDS]
+    assert entered >= MIN_ENTERED
+
+
+def test_every_package_function_is_entered_or_allowlisted(cli_trace):
+    _, never, _ = cli_trace
+    unexplained = [name for name in never if name not in NEVER_ENTERED]
+    assert not unexplained, ("no traced command enters these package functions; "
+                             f"delete them or allowlist them with a reason: {unexplained}")
+
+
+def test_no_allowlist_entry_is_stale(cli_trace):
+    _, never, _ = cli_trace
+    stale = [name for name in NEVER_ENTERED if name not in never]
+    assert not stale, f"allowlisted functions that are missing or entered: {stale}"
+    assert set(NEVER_ENTERED.values()) <= {ERROR_PATH, ABSTRACT, GUARD, VALUE,
+                                           TEST_REFERENCE, PERFBENCH, FORKED}
+
+
+def test_trace_finder_sees_each_form(tmp_path):
+    src = ("def top():\n    def inner():\n        pass\n    def spare():\n        pass\n"
+           "    inner()\n"
+           "class K:\n    @property\n    def prop(self):\n        return 1\n"
+           "    def unused(self):\n        pass\n"
+           "    class Nested:\n        @staticmethod\n        @cache\n"
+           "        def method():\n            pass\n"
+           "def never(f=lambda: 0):\n    return f\n"
+           "def at_import():\n    return [x for x in (1,)]\n"
+           "at_import()\n")
+    code = compile(src, str(tmp_path / "synthetic.py"), "exec")
+
+    def run():
+        namespace = {"cache": lambda f: f}
+        exec(code, namespace)
+        namespace["top"]()
+        assert namespace["K"]().prop == 1
+        namespace["K"].Nested.method()
+        namespace["never"].__defaults__[0]()
+
+    keys = _code_keys(_entered_code(run), tmp_path)
+    assert _never_entered({"synthetic": src}, keys) == (
+        ["synthetic.K.unused", "synthetic.never", "synthetic.top.spare"], 5)
+    assert [p for p, *_ in _defined_functions(ast.parse(src))] == [
+        "top", "top.inner", "top.spare", "K.prop", "K.unused", "K.Nested.method",
+        "never", "at_import"]
+
+
+if __name__ == "__main__":
+    _trace_cli()

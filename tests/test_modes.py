@@ -64,9 +64,7 @@ def _pair(engine, wu2, ww2, u_off2, ell=0):
                            ell, lambda s: None)
 
 
-def test_product_index_must_be_an_int(V4):
-    with pytest.raises(TypeError):
-        V4.product(V4.tau_vec, Fraction(-1), V4.vacuum_vec)
+def test_product_index_must_be_an_int():
     with pytest.raises(TypeError):
         _pair(_Truncation(8), 2, 2, 0, Fraction(-1))
 

@@ -535,9 +535,10 @@ def _nested_mirror(mirror):
         u_vec, v_vec = {i: ONE}, {j: ONE}
         u_fam = _NestedSum(mirror, [(ONE, _nested_vec(mirror, tensor.slot(u_vec, s), basis))
                                     for s in (1, 2)], 0)
+        u_in_V = V.family(u_vec)
         comp = CompositeFamily(mirror, u_fam, slot2(v_vec), -1,
-                               cache(lambda s: slot2(V.product(u_vec, s, v_vec))))
-        minus = slot2(V.product(u_vec, -1, v_vec))
+                               cache(lambda s: slot2(u_in_V.apply(2 * s, v_vec))))
+        minus = slot2(u_in_V.apply(-2, v_vec))
         return comp if minus is None else _NestedSum(mirror, [(ONE, comp), (-ONE, minus)],
                                                      None)
 
