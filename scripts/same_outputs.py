@@ -38,6 +38,7 @@ COMMANDS = [
     "calibrate n2 --json",
     "character --space twisted --trunc 6 --json",
     "character --space ramond --trunc 5 --json",
+    "character --space ramond --trunc 1 --json",
     "delta --k 2 --terms 3 --verify-order 10 --json",
     "verify algebra --name n2-mirror-twisted --window 4 --json",
     "character --space vosa --trunc 4 --dump-basis",

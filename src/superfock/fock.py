@@ -1,15 +1,14 @@
-"""Truncated weight-graded Fock spaces: free boson, free fermion in both
-sectors, and their tensor products.
+"""Level-truncated Fock spaces: the NS free fermion, and the free boson
+tensored with the free fermion in either sector.
 
 Basis states are creation-mode monomials on a vacuum, held by a space as
 int codes; a `FockState` is their readable form, built on demand for text
-and for the reference action `mode_apply`.  The Ramond fermion has a
+and for the reference action `mode_apply`.  Every space is truncated by
+level above its ground states, so no ground weight enters here: the
+parity-twisted module computes its own.  The Ramond fermion has a
 two-dimensional ground space spanned by an even vector w+ and an odd vector w-:
 the zero mode is parity odd, squares to 1/2, and therefore must exchange
-two ground states of opposite parity.  The Ramond ground weight offset 1/16
-is carried here as the constant `RAMOND_OFFSET`; the twisted-construction
-computation of the twisted conformal weight reproduces it independently and
-the tests cross-check the two.
+two ground states of opposite parity.
 """
 
 from __future__ import annotations
@@ -24,36 +23,8 @@ from .errors import NonDiagonal, TruncationOverflow
 from .scalars import ExactScalar, pow_two
 from .series import Series
 
-KINDS = ("boson", "ns-fermion", "ramond-fermion", "vosa", "sigma")
-_HAS_BOSON = {"boson", "vosa", "sigma"}
-_FERMION_SECTOR = {"ns-fermion": "ns", "vosa": "ns", "ramond-fermion": "r", "sigma": "r"}
-
-
-# the weight of the Ramond ground states above the Neveu-Schwarz vacuum
-RAMOND_OFFSET = Fraction(1, 16)
-
-
-@dataclass(frozen=True)
-class FockSpaceSpec:
-    kind: str
-    truncation: Fraction
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        object.__setattr__(self, "truncation", Fraction(self.truncation))
-
-    @property
-    def fermion_sector(self) -> Optional[str]:
-        return _FERMION_SECTOR.get(self.kind)
-
-    @property
-    def has_boson(self) -> bool:
-        return self.kind in _HAS_BOSON
-
-    @property
-    def ground_offset(self) -> Fraction:
-        return RAMOND_OFFSET if self.fermion_sector == "r" else Fraction(0)
+# kind -> (has a boson, fermion sector)
+KINDS = {"vosa": (True, "ns"), "ns-fermion": (False, "ns"), "sigma": (True, "r")}
 
 
 @dataclass(frozen=True)
@@ -107,25 +78,18 @@ def _distinct_parts(first2: int, top2: int) -> list[Tuple[int, Tuple[int, ...]]]
     return out
 
 
-def _basis_codes(spec: FockSpaceSpec) -> list[Tuple[int, Tuple[int, ...], Tuple[int, ...], int]]:
-    """(level2, bosons, fermions2, ground rank) of each basis state in basis
-    order: twice the level, the boson magnitudes, the fermion magnitudes in
-    half units (2r) and the rank of the ground label (w- is 1)."""
-    level_bound = spec.truncation - spec.ground_offset
-    if level_bound <= 0:
-        return []
-    # a level2 (an int) is below 2 * level_bound exactly when it is below top2
-    top2 = ceil(2 * level_bound)
-    ranks = (0, 1) if spec.fermion_sector == "r" else (0,)
-
+def _basis_codes(has_boson: bool, sector: str,
+                 top2: int) -> list[Tuple[int, Tuple[int, ...], Tuple[int, ...], int]]:
+    """(level2, bosons, fermions2, ground rank) of each basis state below
+    level top2 / 2, in basis order: twice the level, the boson magnitudes,
+    the fermion magnitudes in half units (2r) and the rank of the ground
+    label (w- is 1)."""
+    ranks = (0, 1) if sector == "r" else (0,)
     boson_monos: list[Tuple[int, Tuple[int, ...]]] = [(0, ())]
-    if spec.has_boson:
+    if has_boson:
         table = _partitions_upto((top2 - 1) // 2)
         boson_monos = [(2 * n, m) for n in sorted(table) for m in table[n]]
-
-    fermion_monos: list[Tuple[int, Tuple[int, ...]]] = [(0, ())]
-    if spec.fermion_sector is not None:
-        fermion_monos = _distinct_parts(1 if spec.fermion_sector == "ns" else 2, top2)
+    fermion_monos = _distinct_parts(1 if sector == "ns" else 2, top2)
 
     out = []
     for lb2, b in boson_monos:
@@ -139,7 +103,8 @@ def _basis_codes(spec: FockSpaceSpec) -> list[Tuple[int, Tuple[int, ...], Tuple[
 
 
 class TruncatedSpace:
-    """Frozen ordered basis of a Fock model below a weight truncation.
+    """Frozen ordered basis of the Fock model `kind` (a key of `KINDS`)
+    below `levels` levels above its ground states.
 
     Each basis state is held once, as ints in `codes`: (bosons, fermions2,
     ground rank), with the fermion magnitudes in half units (2r), both
@@ -147,20 +112,23 @@ class TruncatedSpace:
     otherwise.  `code_index` maps a code to its column.  `level2` holds
     twice each state's level above the ground states and `bound2` the
     truncation in the same units: a level2 at or above it lies beyond the
-    space.  A column's weight is `spec.ground_offset + level2 / 2`.
-    `ground_labels` names the ground states by rank.  `state(col)` and
-    `column(state)` convert between a column and its `FockState`, for text
-    and for the reference `mode_apply`.
+    space.  `ground_labels` names the ground states by rank.  `state(col)`
+    and `column(state)` convert between a column and its `FockState`, for
+    text and for the reference `mode_apply`.
     """
 
-    def __init__(self, spec: FockSpaceSpec):
-        self.spec = spec
-        entries = _basis_codes(spec)
-        self.ground_labels = ("+", "-") if spec.fermion_sector == "r" else ("0",)
+    def __init__(self, kind: str, levels):
+        if kind not in KINDS:
+            raise ValueError(f"unknown space kind {kind!r}")
+        self.kind = kind
+        self.has_boson, self.fermion_sector = KINDS[kind]
+        self.levels = Fraction(levels)
+        # a level2 (an int) is below 2 * levels exactly when it is below bound2
+        self.bound2 = ceil(2 * self.levels)
+        entries = _basis_codes(self.has_boson, self.fermion_sector, self.bound2)
+        self.ground_labels = ("+", "-") if self.fermion_sector == "r" else ("0",)
         self.level2: Tuple[int, ...] = tuple(e[0] for e in entries)
-        self.bound2 = ceil(2 * (spec.truncation - spec.ground_offset))
         self.parities: Tuple[int, ...] = tuple((len(f) + g) % 2 for _, _, f, g in entries)
-        self.bound = spec.truncation
         self.codes: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = tuple(
             (b, f, g) for _, b, f, g in entries)
         self.code_index = {c: i for i, c in enumerate(self.codes)}
@@ -198,14 +166,14 @@ def mode_apply(space: TruncatedSpace, family: str, index: Fraction,
                ) -> List[Tuple[FockState, ExactScalar]]:
     """Act with a single boson mode a(index) or fermion mode psi(index).
 
-    Raises TruncationOverflow when a nonzero result would land at or above
-    the space truncation.
+    Raises TruncationOverflow when a nonzero result would land at a level
+    at or above the space's `levels`.
     """
     index = Fraction(index)
     out: List[Tuple[FockState, ExactScalar]] = []
     if family == "a":
-        if not space.spec.has_boson or index.denominator != 1:
-            raise ValueError(f"a({index}) does not act on kind {space.spec.kind!r}")
+        if not space.has_boson or index.denominator != 1:
+            raise ValueError(f"a({index}) does not act on kind {space.kind!r}")
         n = int(index)
         if n == 0:
             return []
@@ -221,9 +189,7 @@ def mode_apply(space: TruncatedSpace, family: str, index: Fraction,
             bos.remove(n)
             out.append((replace(state, bosons=tuple(bos)), ExactScalar(n * mult)))
     elif family == "psi":
-        sector = space.spec.fermion_sector
-        if sector is None:
-            raise ValueError(f"psi({index}) does not act on kind {space.spec.kind!r}")
+        sector = space.fermion_sector
         expected_den = 2 if sector == "ns" else 1
         if index.denominator != expected_den:
             raise ValueError(f"psi({index}) is off the {sector}-sector mode lattice")
@@ -250,14 +216,11 @@ def mode_apply(space: TruncatedSpace, family: str, index: Fraction,
     else:
         raise ValueError(f"unknown mode family {family!r}")
 
-    result = []
-    for st, coeff in out:
-        w = st.level + space.spec.ground_offset
-        if w >= space.bound:
+    for st, _ in out:
+        if st.level >= space.levels:
             raise TruncationOverflow(
-                f"{family}({index}) on {state} lands at weight {w} >= {space.bound}")
-        result.append((st, coeff))
-    return result
+                f"{family}({index}) on {state} lands at level {st.level} >= {space.levels}")
+    return out
 
 
 def character(space: TruncatedSpace, central_charge: Fraction,
@@ -265,21 +228,15 @@ def character(space: TruncatedSpace, central_charge: Fraction,
               bound: Optional[Fraction] = None) -> Series:
     """Graded dimension tr q**(-c/24 + L(0)) as an exact q-series.
 
-    By default the conformal weights are the basis weights, ground offset
-    plus level; passing `eigenvalues` (one rational per basis state) traces
-    a different diagonal grading operator instead.  `bound` is the
-    eigenvalue truncation; the series truncation is -c/24 + bound.
+    By default the conformal weights are the basis levels, truncated at the
+    space's `levels`; a twisted module passes its computed L(0) spectrum as
+    `eigenvalues` (one rational per basis state) with its eigenvalue
+    truncation `bound`.  The series truncation is -c/24 + bound.
     """
     c = Fraction(central_charge)
     if eigenvalues is None:
-        offset = space.spec.ground_offset
-        eigenvalues = [offset + Fraction(lv2, 2) for lv2 in space.level2]
-        if bound is None:
-            bound = space.bound
-    else:
-        if len(eigenvalues) != space.dim:
-            raise NonDiagonal("eigenvalue list does not match the basis")
-        if bound is None:
-            raise ValueError("an explicit truncation is required with custom eigenvalues")
+        eigenvalues, bound = [Fraction(lv2, 2) for lv2 in space.level2], space.levels
+    elif len(eigenvalues) != space.dim:
+        raise NonDiagonal("eigenvalue list does not match the basis")
     terms = {-c / 24 + lam: ExactScalar(n) for lam, n in Counter(eigenvalues).items()}
     return Series("q", -c / 24 + Fraction(bound), terms)

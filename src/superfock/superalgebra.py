@@ -97,9 +97,6 @@ class Element:
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(tuple(self.sorted_terms()))
-
     def __repr__(self):
         if not self.terms:
             return "0"

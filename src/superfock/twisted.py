@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, bracket_table_check, jacobi_pair_reports, tally
 from .delta import apply_delta
-from .fock import RAMOND_OFFSET, FockSpaceSpec, TruncatedSpace, character
+from .fock import TruncatedSpace, character
 from .modes import (
     CompositeFamily,
     Engine,
@@ -41,6 +41,15 @@ from .superalgebra import N1_RAMOND, N2_MIRROR_TWISTED, N1_NS, VIRASORO
 from .vosa import FreeFieldEngine, N2Data, TensorVosa, Vosa
 
 
+def _computed_character(module: Engine, central_charge: Fraction) -> Series:
+    """tr q**(-c/24 + L(0)) over a twisted module's computed L(0) spectrum,
+    truncated at its levels above its lowest eigenvalue, so the ground
+    weight that sizes the series is computed, never configured."""
+    eig = module.l0_eigenvalues()
+    bound = Fraction(module.bound2, 2) + min(eig)
+    return character(module.space, central_charge, eigenvalues=eig, bound=bound)
+
+
 class SigmaModule(FreeFieldEngine):
     """The parity-twisted V-module on B (x) F_R, truncated by level."""
 
@@ -48,7 +57,7 @@ class SigmaModule(FreeFieldEngine):
 
     def __init__(self, V: Vosa, levels: int):
         self.V = self.algebra = V
-        self.space = TruncatedSpace(FockSpaceSpec("sigma", RAMOND_OFFSET + levels))
+        self.space = TruncatedSpace("sigma", levels)
         self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     def twist(self, vec: Vec) -> Vec:
@@ -57,9 +66,7 @@ class SigmaModule(FreeFieldEngine):
 
     def graded_dimension(self) -> Series:
         """tr q**(-c/24 + L(0)) with the computed twisted L(0) spectrum."""
-        c = self.V.central_charge
-        eig = self.l0_eigenvalues()
-        return character(self.space, c, eigenvalues=eig, bound=self.space.bound)
+        return _computed_character(self, self.V.central_charge)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +144,7 @@ class MirrorModule(Engine):
 
     def graded_dimension(self) -> Series:
         """tr q**(-2c/24 + L(0)) with c the central charge of V."""
-        eig = self.l0_eigenvalues()
-        c2 = 2 * self.V.central_charge
-        bound = Fraction(self.bound2, 2) + (min(eig) if eig else 0)
-        return character(self.space, c2, eigenvalues=eig, bound=bound)
+        return _computed_character(self, 2 * self.V.central_charge)
 
     def mode_lattice_report(self, window: int, max_col_level: Fraction) -> CheckReport:
         """Eigenvalue bookkeeping: fixed vectors carry integer modes only,

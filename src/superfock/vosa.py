@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .checks import CheckReport, TableReport, bracket_table_check, tally
 from .errors import NoCalibration, TruncationOverflow
-from .fock import FockSpaceSpec, FockState, TruncatedSpace, sqrt_half_delta
+from .fock import FockState, TruncatedSpace, sqrt_half_delta
 from .modes import (
     EMPTY,
     CompositeFamily,
@@ -113,7 +113,7 @@ class _FermionModes(Family):
         # each pair is indexed by the parity of the fermions the mode passes
         self._create = (ONE, -ONE)
         self._kill = (ExactScalar(delta), ExactScalar(-delta))
-        if engine.space.spec.fermion_sector == "r":  # psi(0) is on the lattice
+        if engine.space.fermion_sector == "r":  # psi(0) is on the lattice
             root = sqrt_half_delta(delta)
             self._flip = (root, -root)
 
@@ -166,7 +166,7 @@ class Vosa(FreeFieldEngine):
     """The N=1 free-field model: one boson and one fermion, truncated by weight."""
 
     def __init__(self, max_weight, psi_delta: Fraction = Fraction(1)):
-        self.space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(max_weight)))
+        self.space = TruncatedSpace("vosa", max_weight)
         self.algebra = self
         self.psi_delta = Fraction(psi_delta)
         self.vac_state = FockState()
@@ -366,7 +366,7 @@ class TensorVosa(Engine):
     def __init__(self, V: Vosa, bound):
         self.V = V
         bound = Fraction(bound)
-        if bound > V.space.bound:
+        if bound > V.space.levels:
             raise ValueError("tensor truncation cannot exceed the factor truncation")
         self.space = PairSpace(V, bound)
         self.algebra = self

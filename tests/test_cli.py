@@ -3,15 +3,17 @@ import io
 import json
 import os
 import signal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import superfock.cli as cli
+from superfock.checks import CheckReport
 from superfock.cli import main
 from superfock.errors import NoCalibration, SuperfockError
-from superfock.superalgebra import PRESENTATIONS
+from superfock.superalgebra import PRESENTATIONS, AlgebraReport
 
 SNAPSHOT = Path(__file__).resolve().parent / "snapshots" / "all.json"
 
@@ -61,6 +63,29 @@ def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# control -> (the verifier swapped for one that checks nothing, the suite)
+EMPTY_VERIFIERS = {
+    "negative-control-psi-normalization":
+        ("grading_report", lambda V: CheckReport("l0-grading"),
+         lambda: cli._vosa_suite(Fraction(5, 2), 1)),
+    "negative-control-quintic-cocycle":
+        ("verify_algebra", lambda alg, window: AlgebraReport(alg.name, window),
+         lambda: cli._algebra_suite(1)),
+    "negative-control-g1-flip-not-automorphism":
+        ("verify_automorphism", lambda alg, image, window: AlgebraReport(alg.name, window),
+         lambda: cli._algebra_suite(1)),
+}
+
+
+@pytest.mark.parametrize("control", sorted(EMPTY_VERIFIERS))
+def test_a_negative_control_needs_an_observed_violation(control, monkeypatch):
+    # a faulty model whose report checks nothing has not been caught
+    name, empty, suite = EMPTY_VERIFIERS[control]
+    monkeypatch.setattr(cli, name, empty)
+    check, = [c for c in suite() if c.name == control]
+    assert not check.passed
 
 
 @pytest.mark.parametrize("max_weight", ["3", "7/2"])

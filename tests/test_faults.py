@@ -8,10 +8,10 @@ the left side's sums at i = 0 and runs `calibrate n2`, which must exit 2
 naming the vacuum line the cut makes 0 (whether a broken recursion should
 exit 1 instead is ROADMAP item 10).
 
-Three faults are known to pass `verify twisted`, at window 1 and at the
-defaults: a3 + 1/100 and a4 + 1/100 (ROADMAP item 2) and a Ramond offset
-of 1/8 (items 1 and 3).  Each is an expected-pass row of `SURVIVORS`,
-naming the item whose fix will flip it into a caught row of `FAULTS`."""
+Two faults are known to pass `verify twisted`, at window 1 and at the
+defaults: a3 + 1/100 and a4 + 1/100 (ROADMAP item 2).  Each is an
+expected-pass row of `SURVIVORS`, naming the item whose fix will flip it
+into a caught row of `FAULTS`."""
 
 import json
 from fractions import Fraction
@@ -19,9 +19,7 @@ from fractions import Fraction
 import pytest
 
 import superfock.cli as cli
-import superfock.fock as fock
 import superfock.modes as modes
-import superfock.twisted as twisted
 from conftest import perturb_delta
 from superfock.scalars import v_scale
 from superfock.twisted import MirrorModule
@@ -110,19 +108,10 @@ FAULTS = {
 }
 
 
-def _shift_ramond_offset(monkeypatch):
-    """The Ramond ground offset 1/8 instead of 1/16, in both of its
-    bindings: `fock`, which grades the ground states, and `twisted`,
-    which sizes the parity-twisted space."""
-    for module in (fock, twisted):
-        monkeypatch.setattr(module, "RAMOND_OFFSET", Fraction(1, 8))
-
-
 # fault -> (plant, the ROADMAP items whose fix must make it fail)
 SURVIVORS = {
     "a3": (lambda mp: perturb_delta(mp, 2), "2"),
     "a4": (lambda mp: perturb_delta(mp, 3), "2"),
-    "ramond-offset-1/8": (_shift_ramond_offset, "1 and 3"),
 }
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from superfock.errors import TruncationOverflow
 from superfock.fock import (
     KINDS,
-    FockSpaceSpec,
     FockState,
     TruncatedSpace,
     character,
@@ -42,9 +41,9 @@ def product_series(factors, order):
     return {e: c for e, c in acc.items() if c}
 
 
-def weights(space):
-    """Each column's weight: the ground offset plus its FockState's level."""
-    return [space.spec.ground_offset + space.state(i).level for i in range(space.dim)]
+def levels(space, keep=lambda state: True):
+    """The level of each column whose FockState passes keep."""
+    return [st.level for st in map(space.state, range(space.dim)) if keep(st)]
 
 
 def boson_factor(n, order):
@@ -57,62 +56,62 @@ def boson_factor(n, order):
 
 
 def test_boson_layers_match_partitions():
-    space = TruncatedSpace(FockSpaceSpec("boson", Fraction(8)))
-    dims = Counter(weights(space))
+    # the fermion-free states of V are the boson's Fock space
+    space = TruncatedSpace("vosa", 8)
+    dims = Counter(levels(space, lambda st: not st.fermions))
     p = partition_numbers(7)
     for n in range(8):
         assert dims.get(Fraction(n), 0) == p[n]
 
 
 def test_ns_fermion_small_layers():
-    space = TruncatedSpace(FockSpaceSpec("ns-fermion", Fraction(5, 2)))
-    assert Counter(weights(space)) == {Fraction(0): 1, HALF: 1, Fraction(3, 2): 1,
+    space = TruncatedSpace("ns-fermion", Fraction(5, 2))
+    assert Counter(levels(space)) == {Fraction(0): 1, HALF: 1, Fraction(3, 2): 1,
                                         Fraction(2): 1}
 
 
 def test_ramond_fermion_layers():
-    spec = FockSpaceSpec("ramond-fermion", Fraction(1, 16) + 2)
-    space = TruncatedSpace(spec)
-    off = Fraction(1, 16)
-    assert Counter(weights(space)) == {off: 2, off + 1: 2}
-    deeper = TruncatedSpace(FockSpaceSpec("ramond-fermion", Fraction(1, 16) + 4))
-    dims = Counter(weights(deeper))
-    assert [dims[off + n] for n in range(4)] == [2, 2, 2, 4]
+    # the boson-free states of the sigma space are the Ramond fermion's Fock space
+    def no_boson(st):
+        return not st.bosons
+
+    space = TruncatedSpace("sigma", 2)
+    assert Counter(levels(space, no_boson)) == {0: 2, 1: 2}
+    dims = Counter(levels(TruncatedSpace("sigma", 4), no_boson))
+    assert [dims[n] for n in range(4)] == [2, 2, 2, 4]
 
 
 def test_vosa_layers():
-    space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(4)))
-    dims = [Counter(weights(space))[Fraction(k, 2)] for k in range(8)]
+    space = TruncatedSpace("vosa", 4)
+    dims = [Counter(levels(space))[Fraction(k, 2)] for k in range(8)]
     assert dims == [1, 1, 1, 2, 3, 4, 5, 7]
 
 
 def test_sigma_layers_are_doubled_overpartitions():
-    space = TruncatedSpace(FockSpaceSpec("sigma", Fraction(1, 16) + 5))
+    space = TruncatedSpace("sigma", 5)
     # oracle: 2 * product over n of (1+q^n)/(1-q^n)
     factors = [boson_factor(Fraction(n), Fraction(5)) for n in range(1, 6)]
     factors += [{Fraction(0): 1, Fraction(n): 1} for n in range(1, 5)]
     series = product_series(factors, Fraction(5))
-    off = Fraction(1, 16)
-    dims = Counter(weights(space))
+    dims = Counter(levels(space))
     for n in range(5):
-        assert dims[off + n] == 2 * series[Fraction(n)]
+        assert dims[n] == 2 * series[Fraction(n)]
 
 
 def test_enumeration_is_sorted_and_deterministic():
-    spec = FockSpaceSpec("vosa", Fraction(4))
-    space = TruncatedSpace(spec)
+    space = TruncatedSpace("vosa", 4)
     keys = list(zip(space.level2, space.codes))
     assert keys == sorted(keys)
-    assert space.codes == TruncatedSpace(spec).codes
+    assert space.codes == TruncatedSpace("vosa", 4).codes
     assert str(space.state(0)) == "|0>"
 
 
 def test_basis_dump_format():
-    space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(4)))
+    space = TruncatedSpace("vosa", 4)
     dumped = space.basis_dump()
     assert "a(-2)a(-1)psi(-1/2)|0>" in dumped
     # the Ramond ground pair and the integer-moded fermion
-    sigma = TruncatedSpace(FockSpaceSpec("sigma", Fraction(1, 16) + 2))
+    sigma = TruncatedSpace("sigma", 2)
     assert sigma.basis_dump() == ["|+>", "|->", "psi(-1)|+>", "psi(-1)|->",
                                   "a(-1)|+>", "a(-1)|->"]
 
@@ -125,9 +124,16 @@ def _holds_state(value) -> bool:
     return isinstance(value, tuple) and any(_holds_state(v) for v in value)
 
 
+def test_only_the_built_kinds_exist():
+    assert sorted(KINDS) == ["ns-fermion", "sigma", "vosa"]
+    for kind in ("boson", "ramond-fermion"):
+        with pytest.raises(ValueError):
+            TruncatedSpace(kind, 3)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_state_column_conversions(kind):
-    space = TruncatedSpace(FockSpaceSpec(kind, Fraction(3)))
+    space = TruncatedSpace(kind, 3)
     assert space.dim
     for i in range(space.dim):
         state = space.state(i)
@@ -136,7 +142,7 @@ def test_state_column_conversions(kind):
         assert state.parity == space.parities[i]
     # a state the space does not hold: beyond the truncation, or a ground
     # label of the other fermion sector
-    other_ground = "0" if space.spec.fermion_sector == "r" else "+"
+    other_ground = "0" if space.fermion_sector == "r" else "+"
     for outside in (FockState(bosons=(3,)), FockState(ground=other_ground)):
         with pytest.raises(KeyError):
             space.column(outside)
@@ -148,12 +154,12 @@ def test_state_column_conversions(kind):
 
 @pytest.fixture(scope="module")
 def vspace():
-    return TruncatedSpace(FockSpaceSpec("vosa", Fraction(4)))
+    return TruncatedSpace("vosa", 4)
 
 
 @pytest.fixture(scope="module")
 def rspace():
-    return TruncatedSpace(FockSpaceSpec("sigma", Fraction(1, 16) + 4))
+    return TruncatedSpace("sigma", 4)
 
 
 def test_boson_commutator(vspace):
@@ -217,10 +223,14 @@ def test_zero_mode_is_parity_odd(rspace):
     assert out_state.parity != st.parity
 
 
-def test_truncation_overflow(vspace):
+def test_truncation_overflow(vspace, rspace):
     top = FockState(bosons=(3,))
     with pytest.raises(TruncationOverflow):
         mode_apply(vspace, "a", Fraction(-1), top)
+    # the sigma space is truncated by level too: level 4 lies beyond its 4 levels
+    assert mode_apply(rspace, "a", Fraction(-1), FockState(bosons=(2,), ground="+"))
+    with pytest.raises(TruncationOverflow):
+        mode_apply(rspace, "a", Fraction(-2), FockState(bosons=(2,), ground="+"))
 
 
 modes = st.one_of(
@@ -233,7 +243,7 @@ modes = st.one_of(
 @settings(max_examples=60)
 @given(modes, st.integers(0, 23))
 def test_mode_weight_bookkeeping(mode, state_idx):
-    space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(4)))
+    space = TruncatedSpace("vosa", 4)
     fam, index = mode
     state = space.state(state_idx % space.dim)
     before = state.level
@@ -249,7 +259,7 @@ def test_mode_weight_bookkeeping(mode, state_idx):
 # characters ------------------------------------------------------------------
 
 def test_vosa_character_against_product_formula():
-    space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(4)))
+    space = TruncatedSpace("vosa", 4)
     series = character(space, Fraction(3, 2))
     offset = Fraction(-1, 16)
     expected_low = {0: 1, HALF: 1, 1: 1, Fraction(3, 2): 2, 2: 3}
@@ -263,15 +273,21 @@ def test_vosa_character_against_product_formula():
 
 
 def test_sigma_character_leading_coefficients():
-    space = TruncatedSpace(FockSpaceSpec("sigma", Fraction(1, 16) + 4))
+    space = TruncatedSpace("sigma", 4)
+    # graded by level: the space carries no ground weight
     series = character(space, Fraction(3, 2))
-    # -c/24 cancels the ground offset exactly: -1/24 - 1/48 + 1/16 = 0
+    assert series.min_exponent() == Fraction(-1, 16)
+    assert series.truncation == Fraction(-1, 16) + 4
+    # graded by level + 1/16, the Ramond ground weight: -c/24 cancels it
+    # exactly, -1/24 - 1/48 + 1/16 = 0
+    shifted = [Fraction(lv2, 2) + Fraction(1, 16) for lv2 in space.level2]
+    series = character(space, Fraction(3, 2), shifted, Fraction(1, 16) + 4)
     assert series.min_exponent() == 0
     for n, c in enumerate((2, 4, 8, 16)):
         assert series.coefficient(Fraction(n)) == ExactScalar(c)
 
 
 def test_empty_truncation_gives_zero_series():
-    space = TruncatedSpace(FockSpaceSpec("vosa", Fraction(0)))
+    space = TruncatedSpace("vosa", 0)
     assert space.dim == 0
     assert character(space, Fraction(3, 2)).is_zero()

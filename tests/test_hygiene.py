@@ -14,7 +14,10 @@ memo, `VacuumFamily(...)` is called only in `modes`, where
 `Engine._family_by_index` builds the vacuum's family for every engine,
 `Engine.product_families` holds the one memoized function nested in
 another under src/, so the product-state families of the component
-identity are found in one place, every name the benchmark's tracer
+identity are found in one place, `cli` is the one module that writes the
+Ramond ground weight `Fraction(1, 16)`, as the expected value of its checks
+(everywhere else it is computed, so it cannot return as configured data),
+every name the benchmark's tracer
 (`perfbench/tracer.py`) patches or reads still resolves in the package,
 and the package's `__init__.py` imports nothing, so each name has one
 import path (its own module) and importing the presentation layer
@@ -40,6 +43,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,6 +60,7 @@ SCALAR_BUILDERS = {"_new", "_set_v"}
 ERROR_BASE = "SuperfockError"
 MEMOIZERS = {"cache", "lru_cache"}
 VACUUM_FAMILY = "VacuumFamily"
+RAMOND_GROUND = Fraction(1, 16)
 PRESENTATION_LAYER = {"superfock", "superfock.errors", "superfock.scalars", "superfock.series",
                       "superfock.modes", "superfock.superalgebra", "superfock.delta"}
 
@@ -306,6 +311,45 @@ def test_vacuum_family_detector_sees_each_form():
     assert list(_vacuum_family_calls(ast.parse(src))) == [1, 2, 6]
 
 
+def _constant_fraction(args):
+    """The Fraction that constant arguments build, or None."""
+    if not args or not all(isinstance(a, ast.Constant) for a in args):
+        return None
+    try:
+        return Fraction(*(a.value for a in args))
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _ramond_ground_literals(tree: ast.Module):
+    """The line of each call of `Fraction`, by its name or as an attribute
+    of a module, on constants whose value is 1/16."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and not node.keywords:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Fraction" and _constant_fraction(node.args) == RAMOND_GROUND:
+                yield node.lineno
+
+
+def test_only_cli_writes_the_ramond_ground_weight():
+    writers = [(path.name, line) for path in MODULES if path.name != "cli.py"
+               for line in _ramond_ground_literals(ast.parse(path.read_text(),
+                                                             filename=str(path)))]
+    assert not writers, f"modules other than cli.py write the weight 1/16: {writers}"
+
+
+def test_ramond_ground_detector_sees_each_form():
+    src = ("RAMOND_OFFSET = Fraction(1, 16)\n"
+           "off = fractions.Fraction(2, 32)\n"
+           "ok = ground == Fraction('1/16')\n"
+           "Fraction(1, 8)\n"
+           "Fraction(n, 16)\n"
+           "Fraction(1, 0)\n"
+           "F(1, 16)\n")
+    assert list(_ramond_ground_literals(ast.parse(src))) == [1, 2, 3]
+
+
 def _memoizer_name(decorator) -> str:
     if isinstance(decorator, ast.Call):
         decorator = decorator.func
@@ -440,7 +484,7 @@ TRACED_COMMANDS = [
     ("all --window 0", 2),
     ("delta --k 0 --terms 1", 2),
 ]
-# the trace entered 248 of the package's 264 functions
+# the trace entered 245 of the package's 260 functions
 MIN_ENTERED = 240
 
 ERROR_PATH = "error path: builds an exception that no command provokes"
@@ -460,7 +504,6 @@ NEVER_ENTERED = {
     "series.Series.__setattr__": GUARD,
     "scalars.ExactScalar.__hash__": VALUE,
     "superalgebra.Element.__eq__": VALUE,
-    "superalgebra.Element.__hash__": VALUE,
     "superalgebra.Element.__repr__": VALUE,
     "fock.mode_apply": TEST_REFERENCE,
     "fock.FockState.level": TEST_REFERENCE,

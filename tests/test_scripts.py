@@ -1,22 +1,10 @@
-"""The scripts under scripts/ run against the package as installed from src/."""
+"""The scripts under scripts/, each loaded as a module and driven by a
+stubbed runner: nothing is benchmarked and no CLI command runs."""
 
 import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_show_sectors_runs_and_reports_the_identity():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "show_sectors.py")],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "coefficientwise dim_q sigma == dim_(q^2) mirror: True" in proc.stdout
 
 
 def _load_bench():
@@ -79,4 +67,4 @@ def test_same_outputs_compares_every_part_of_each_command(monkeypatch):
     assert lines == ["SAME  a", "DIFF  b  (exit code)", "DIFF  c  (stdout, stderr)",
                      "SAME  d"]
     assert "all --window 0" in same_outputs.COMMANDS
-    assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 24
+    assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 25

@@ -40,8 +40,6 @@ HALF = Fraction(1, 2)
 def test_ground_weight_emerges(sigma):
     # computed from the twisted recursion, never inserted
     assert sigma.ground_eigenvalue() == Fraction(1, 16)
-    # and it agrees with the offset the Fock layer carries as configured data
-    assert sigma.space.spec.ground_offset == Fraction(1, 16)
 
 
 def test_sigma_l0_spectrum_is_offset_levels(sigma):
