@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .errors import InvalidAlgebra, TruncationOverflow
 from .modes import Family, jacobi_left, jacobi_right, twice
@@ -131,11 +131,10 @@ class PairResult:
 @dataclass
 class TableReport:
     name: str
-    presentation: str
+    presentation: Presentation = field(repr=False)
     window: int
     central_value: ExactScalar
     pairs: List[PairResult] = field(default_factory=list)
-    source: Optional[Presentation] = field(default=None, repr=False, compare=False)
 
     @property
     def checked(self) -> int:
@@ -180,25 +179,25 @@ class TableReport:
                 if p.a.family in families and p.b.family in families]
         symbols = [Generator(relabel(p.a.family), p.a.index) for p in kept if p.a == p.b]
         if symbols != [g for g in presentation.basis(self.window) if g.family != "C"]:
-            raise InvalidAlgebra(f"{name}: the view of {self.presentation} does not "
+            raise InvalidAlgebra(f"{name}: the view of {self.presentation.name} does not "
                                  f"span {presentation.name} at window {self.window}")
-        view = TableReport(name, presentation.name, self.window, self.central_value,
-                           source=presentation)
+        view = TableReport(name, presentation, self.window, self.central_value)
         for p in kept:
             a = Generator(relabel(p.a.family), p.a.index)
             b = Generator(relabel(p.b.family), p.b.index)
             m2, n2 = twice(p.a.index), twice(p.b.index)
-            full = self.source.bracket2(p.a.family, m2, p.b.family, n2)
+            full = self.presentation.bracket2(p.a.family, m2, p.b.family, n2)
             if (presentation.bracket2(a.family, m2, b.family, n2)
                     != {(relabel(f), t2): c for (f, t2), c in full.items()}):
-                raise InvalidAlgebra(f"{name}: [{a}, {b}] differs from {self.presentation}")
+                raise InvalidAlgebra(
+                    f"{name}: [{a}, {b}] differs from {self.presentation.name}")
             view.pairs.append(PairResult(a, b, p.checked, p.filtered, p.violations))
         return view
 
     def to_json(self):
         return {
             "name": self.name,
-            "presentation": self.presentation,
+            "presentation": self.presentation.name,
             "window": self.window,
             "central": self.central_value.to_json(),
             "checked": self.checked,
@@ -226,8 +225,7 @@ def bracket_table_check(name: str,
     the family's half units.
     """
     central_value = ExactScalar.coerce(central_value)
-    report = TableReport(name, presentation.name, window, central_value,
-                         source=presentation)
+    report = TableReport(name, presentation, window, central_value)
     shift2 = {f: fam.weight2 - 2 for f, fam in families.items()}
     symbols = [(g, presentation.index2(g)) for g in presentation.basis(window)
                if g.family != "C" and g.family in families]

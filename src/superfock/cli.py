@@ -308,8 +308,8 @@ def cmd_calibrate(args) -> int:
     ok = n2.table.passed and sign_ok
     _emit(args, payload, [
         f"calibrated scalars: c1 = {n2.c1}, c2 = {n2.c2}, cJ = {n2.cJ}",
-        f"n2 table (central 3): {'PASS' if n2.table.passed else 'FAIL'} "
-        f"checked={n2.table.checked}",
+        f"n2 table (central {n2.table.central_value}): "
+        f"{'PASS' if n2.table.passed else 'FAIL'} checked={n2.table.checked}",
         f"mirror-map signs (tau1 fixed, tau2 and J negated): "
         f"{'PASS' if sign_ok else 'FAIL'}",
     ])
@@ -328,12 +328,9 @@ def cmd_character(args) -> int:
                  "--trunc counts levels for twisted sectors and must be an integer")
         _require(not args.dump_basis,
                  "--dump-basis is only available for untwisted spaces")
-    if args.space == "vosa":
-        space = TruncatedSpace("vosa", trunc)
-        series = character(space, Fraction(3, 2))
-    elif args.space == "ns-fermion":
-        space = TruncatedSpace("ns-fermion", trunc)
-        series = character(space, Fraction(1, 2))
+    if args.space in ("vosa", "ns-fermion"):
+        space = TruncatedSpace(args.space, trunc)
+        series = character(space, space.central_charge)
     elif args.space == "ramond":
         series = SigmaModule(Vosa(5), levels=int(trunc)).graded_dimension()
     else:  # twisted

@@ -5,10 +5,11 @@ Basis states are creation-mode monomials on a vacuum, held by a space as
 int codes; a `FockState` is their readable form, built on demand for text
 and for the reference action `mode_apply`.  Every space is truncated by
 level above its ground states, so no ground weight enters here: the
-parity-twisted module computes its own.  The Ramond fermion has a
-two-dimensional ground space spanned by an even vector w+ and an odd vector w-:
-the zero mode is parity odd, squares to 1/2, and therefore must exchange
-two ground states of opposite parity.
+parity-twisted module computes its own.  A space's kind alone fixes its
+boson, its fermion sector (the fermion's lattice) and its central charge.
+The Ramond fermion has a two-dimensional ground space spanned by an even
+vector w+ and an odd vector w-: the zero mode is parity odd, squares to
+psi_delta/2, and therefore must exchange two ground states of opposite parity.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import ceil
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import NonDiagonal, TruncationOverflow
-from .scalars import ExactScalar, pow_two
+from .scalars import ExactScalar, square_roots
 from .series import Series
 
 # kind -> (has a boson, fermion sector)
@@ -112,9 +113,10 @@ class TruncatedSpace:
     otherwise.  `code_index` maps a code to its column.  `level2` holds
     twice each state's level above the ground states and `bound2` the
     truncation in the same units: a level2 at or above it lies beyond the
-    space.  `ground_labels` names the ground states by rank.  `state(col)`
-    and `column(state)` convert between a column and its `FockState`, for
-    text and for the reference `mode_apply`.
+    space.  `central_charge` is the free fields' c, 1 for the boson and
+    1/2 for the fermion.  `ground_labels` names the ground states by rank.
+    `state(col)` and `column(state)` convert between a column and its
+    `FockState`, for text and for the reference `mode_apply`.
     """
 
     def __init__(self, kind: str, levels):
@@ -125,6 +127,7 @@ class TruncatedSpace:
         self.levels = Fraction(levels)
         # a level2 (an int) is below 2 * levels exactly when it is below bound2
         self.bound2 = ceil(2 * self.levels)
+        self.central_charge = Fraction(2 * self.has_boson + 1, 2)
         entries = _basis_codes(self.has_boson, self.fermion_sector, self.bound2)
         self.ground_labels = ("+", "-") if self.fermion_sector == "r" else ("0",)
         self.level2: Tuple[int, ...] = tuple(e[0] for e in entries)
@@ -150,15 +153,6 @@ class TruncatedSpace:
 
     def basis_dump(self) -> list[str]:
         return [str(self.state(i)) for i in range(self.dim)]
-
-
-def sqrt_half_delta(psi_delta: Fraction) -> ExactScalar:
-    """sqrt(psi_delta / 2): the Ramond zero mode's ground-state action."""
-    if psi_delta == 1:
-        return pow_two(Fraction(-1, 2))
-    if psi_delta == 2:
-        return ExactScalar(1)
-    raise ValueError(f"unsupported fermion normalization {psi_delta}")
 
 
 def mode_apply(space: TruncatedSpace, family: str, index: Fraction,
@@ -194,10 +188,13 @@ def mode_apply(space: TruncatedSpace, family: str, index: Fraction,
         if index.denominator != expected_den:
             raise ValueError(f"psi({index}) is off the {sector}-sector mode lattice")
         if index == 0:
-            sign = -1 if len(state.fermions) % 2 else 1
+            roots = square_roots(ExactScalar(Fraction(psi_delta) / 2))
+            if not roots:
+                raise ValueError(f"unsupported fermion normalization {psi_delta}: "
+                                 "sqrt(psi_delta / 2) is outside Q(i, sqrt2)")
             flipped = "+" if state.ground == "-" else "-"
-            out.append((replace(state, ground=flipped),
-                        sqrt_half_delta(psi_delta) * sign))
+            # the sign of the root is that of the fermions psi(0) passes
+            out.append((replace(state, ground=flipped), roots[len(state.fermions) % 2]))
         elif index < 0:
             mag = -index
             if mag in state.fermions:

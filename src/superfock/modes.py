@@ -362,7 +362,8 @@ class Engine:
     sets `col_w2` and `bound2` itself.
     A twisted module overrides `twist`, the order-two automorphism whose
     eigenvalues fix mode lattices; the default is the identity, under which
-    every exponent is 0.
+    every exponent is 0.  `table(key, build)` keeps one report per key, so
+    the reports that read one bracket table compute it once.
     """
 
     @cached_property
@@ -410,6 +411,17 @@ class Engine:
 
     def _build_family(self, i: int) -> Family:
         raise NotImplementedError
+
+    @cached_property
+    def _tables(self) -> dict:
+        """The reports `table` has built, by key."""
+        return {}
+
+    def table(self, key, build: Callable[[], object]):
+        """build(), computed once per key on this engine and then shared."""
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
 
     def _family_by_index(self, i: int) -> Family:
         """The family of the algebra's basis vector i, built on first use."""

@@ -3,7 +3,8 @@
 Every quantity in the engine lives in this field.  The imaginary unit is
 forced by the N=2 structure constants, sqrt(2) by the fermionic zero mode
 and by the factor 2**(-wt) acting on half-integer weights in the order-two
-twisting operator.
+twisting operator.  Every square root the package takes, the Ramond zero
+mode's and the N=2 calibration's normalizations, comes from `square_roots`.
 
 This is the one module that knows how an `ExactScalar` is stored, so the
 accumulate kernel `v_iadd`, which does its field arithmetic on the stored
@@ -24,8 +25,8 @@ coefficients.  Every Vec in the package keeps one contract:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, Union
+from math import gcd, isqrt, lcm
+from typing import Dict, List, Union
 
 from .errors import DivisionByZero
 
@@ -240,6 +241,22 @@ def pow_two(e: Fraction) -> ExactScalar:
     if e.denominator == 2:
         return SQRT2 * ExactScalar(Fraction(2) ** int(e - Fraction(1, 2)))
     raise ValueError(f"2**{e} is outside Q(i, sqrt2)")
+
+
+def square_roots(x: ExactScalar) -> List[ExactScalar]:
+    """[r, -r] with r * r == x when x is s**2 or 2 * s**2 up to sign, for a
+    rational s (r is s, sqrt2*s, i*s or i*sqrt2*s); [] for any other x."""
+    a, b, c, d, q = x._v
+    if b or c or d:
+        return []
+    unit = I if a < 0 else ONE
+    for factor, base in ((unit, Fraction(abs(a), q)), (unit * SQRT2, Fraction(abs(a), 2 * q))):
+        # a rational in lowest terms is a square exactly when both its ints are
+        num, den = isqrt(base.numerator), isqrt(base.denominator)
+        if num * num == base.numerator and den * den == base.denominator:
+            root = factor * ExactScalar(Fraction(num, den))
+            return [root, -root]
+    return []
 
 
 # -- sparse exact vectors ---------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .checks import CheckReport, TableReport, bracket_table_check, jacobi_pair_reports, tally
 from .delta import apply_delta
@@ -51,14 +51,12 @@ def _computed_character(module: Engine, central_charge: Fraction) -> Series:
 
 
 class SigmaModule(FreeFieldEngine):
-    """The parity-twisted V-module on B (x) F_R, truncated by level."""
-
-    fermion_off2 = 1
+    """The parity-twisted V-module on B (x) F_R, truncated by level: its
+    space's Ramond fermion sector alone puts psi on the integers."""
 
     def __init__(self, V: Vosa, levels: int):
         self.V = self.algebra = V
         self.space = TruncatedSpace("sigma", levels)
-        self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     def twist(self, vec: Vec) -> Vec:
         """The parity map of V."""
@@ -89,7 +87,6 @@ class MirrorModule(Engine):
         # every parity-twisted level is an integer, so its half-unit int is even
         self.col_w2 = tuple(w2 // 2 for w2 in sigma.col_w2)
         self.bound2 = sigma.bound2 // 2
-        self._tables: Dict[Tuple[int, Fraction], TableReport] = {}
 
     def twist(self, vec: Vec) -> Vec:
         return self.tensor.kappa(vec)
@@ -143,8 +140,8 @@ class MirrorModule(Engine):
                 "G2": self.family(n2.tau2), "J": self.family(n2.jvec)}
 
     def graded_dimension(self) -> Series:
-        """tr q**(-2c/24 + L(0)) with c the central charge of V."""
-        return _computed_character(self, 2 * self.V.central_charge)
+        """tr q**(-c/24 + L(0)) with c the central charge of V (x) V."""
+        return _computed_character(self, self.tensor.central_charge)
 
     def mode_lattice_report(self, window: int, max_col_level: Fraction) -> CheckReport:
         """Eigenvalue bookkeeping: fixed vectors carry integer modes only,
@@ -179,13 +176,10 @@ def sigma_ramond_report(sigma: SigmaModule, window: int,
                         max_col_level: Fraction) -> TableReport:
     """The N=1 Ramond table on the columns up to max_col_level above the
     ground states, computed once per (window, max_col_level)."""
-    key = (window, Fraction(max_col_level))
-    if key not in sigma._tables:
-        families = {"L": sigma.L(), "G": sigma.family(sigma.V.tau_vec)}
-        sigma._tables[key] = bracket_table_check(
-            "sigma-n1-ramond", N1_RAMOND, sigma.V.central_charge, families, window,
-            sigma.columns(max_col_level))
-    return sigma._tables[key]
+    return sigma.table((window, Fraction(max_col_level)), lambda: bracket_table_check(
+        "sigma-n1-ramond", N1_RAMOND, sigma.V.central_charge,
+        {"L": sigma.L(), "G": sigma.family(sigma.V.tau_vec)}, window,
+        sigma.columns(max_col_level)))
 
 
 def sigma_twisted_jacobi_report(sigma: SigmaModule, window: int,
@@ -201,12 +195,9 @@ def mirror_table_report(mirror: MirrorModule, window: int,
                         max_col_level: Fraction) -> TableReport:
     """The mirror-twisted N=2 table on the columns up to max_col_level
     levels above the ground states, computed once per (window, max_col_level)."""
-    key = (window, Fraction(max_col_level))
-    if key not in mirror._tables:
-        mirror._tables[key] = bracket_table_check(
-            "mirror-twisted-n2", N2_MIRROR_TWISTED, 2 * mirror.V.central_charge,
-            mirror.n2_families(), window, mirror.columns(Fraction(max_col_level, 2)))
-    return mirror._tables[key]
+    return mirror.table((window, Fraction(max_col_level)), lambda: bracket_table_check(
+        "mirror-twisted-n2", N2_MIRROR_TWISTED, mirror.tensor.central_charge,
+        mirror.n2_families(), window, mirror.columns(Fraction(max_col_level, 2))))
 
 
 def mirror_subalgebra_reports(mirror: MirrorModule, window: int,

@@ -19,49 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
-from typing import Dict, List, Optional, Tuple
+from math import ceil
+from typing import Dict, List, Tuple
 
 from .checks import CheckReport, TableReport, bracket_table_check, tally
 from .errors import NoCalibration, TruncationOverflow
-from .fock import FockState, TruncatedSpace, sqrt_half_delta
+from .fock import FockState, TruncatedSpace
 from .modes import (
     EMPTY,
     CompositeFamily,
     Engine,
     Family,
 )
-from .scalars import ExactScalar, I, ONE, Vec, v_iadd, v_scale
+from .scalars import ExactScalar, ONE, Vec, square_roots, v_iadd, v_scale
 from .superalgebra import N1_NS, N2_NS
 
 HALF = Fraction(1, 2)
-
-
-def _sqrt_in_field(x: ExactScalar) -> List[ExactScalar]:
-    """Square roots of simple field elements: rationals and 2*(squares).
-
-    Covers the calibration use cases; anything else returns [].
-    """
-    if not x.is_rational():
-        return []
-    r = x.as_rational()
-    roots: List[ExactScalar] = []
-    mag = abs(r)
-    for base, unit in ((mag, ExactScalar(1)), (mag / 2, ExactScalar(0, 0, 1))):
-        num, den = base.numerator, base.denominator
-        ns, ds = _isqrt_exact(num), _isqrt_exact(den)
-        if ns is not None and ds is not None:
-            root = unit * ExactScalar(Fraction(ns, ds))
-            if r < 0:
-                root = root * I
-            roots.extend([root, -root])
-            break
-    return roots
-
-
-def _isqrt_exact(n: int) -> Optional[int]:
-    s = isqrt(n)
-    return s if s * s == n else None
 
 
 def _insertion_point(parts: Tuple[int, ...], mag: int) -> int:
@@ -103,19 +76,24 @@ class _BosonModes(Family):
 
 class _FermionModes(Family):
     """Y(psi(-1/2)|0>, x): mode t is psi(t + 1/2), acting on int-coded
-    states.  The Ramond zero mode psi(0) flips the ground state."""
+    states.  The space's fermion sector fixes the lattice: t in Z in the
+    Neveu-Schwarz sector, t in Z + 1/2 in the Ramond sector, where the zero
+    mode psi(0) flips the ground state with coefficient +-sqrt(psi_delta/2)."""
 
     def __init__(self, engine: "FreeFieldEngine"):
-        super().__init__(engine, 1, 1, engine.fermion_off2)
+        ramond = engine.space.fermion_sector == "r"
+        super().__init__(engine, 1, 1, int(ramond))
         self._codes = engine.space.codes
         self._index = engine.space.code_index
         delta = engine.algebra.psi_delta
         # each pair is indexed by the parity of the fermions the mode passes
         self._create = (ONE, -ONE)
         self._kill = (ExactScalar(delta), ExactScalar(-delta))
-        if engine.space.fermion_sector == "r":  # psi(0) is on the lattice
-            root = sqrt_half_delta(delta)
-            self._flip = (root, -root)
+        if ramond:
+            self._flip = tuple(square_roots(ExactScalar(delta / 2)))
+            if not self._flip:
+                raise ValueError(f"unsupported fermion normalization {delta}: "
+                                 "sqrt(psi_delta / 2) is outside Q(i, sqrt2)")
 
     def _compute(self, t2, col):
         r2 = t2 + 1
@@ -139,12 +117,11 @@ class FreeFieldEngine(Engine):
     The generators a(-1)|0> and psi(-1/2)|0> act as the free fields of the
     module's space, on its int-coded states; every other state's modes come
     out of the component recursion, peeling off the leading creation mode.
-    The fermion's modes live on Z + fermion_off2/2 (Z on V, Z + 1/2 on the
-    parity-twisted module), and a composite state's on
-    Z + parity * fermion_off2/2.
+    The space's `fermion_sector` alone fixes the fermion's mode lattice (Z
+    on V's Neveu-Schwarz space, Z + 1/2 on the parity-twisted module's
+    Ramond space), and a composite state's lattice follows from its
+    factors'.
     """
-
-    fermion_off2 = 0
 
     def _build_family(self, k: int) -> Family:
         V = self.algebra
@@ -173,7 +150,7 @@ class Vosa(FreeFieldEngine):
         self.b_state = FockState(bosons=(1,))
         self.f_state = FockState(fermions=(HALF,))
         self.vac = self.space.column(self.vac_state)
-        self.central_charge = Fraction(3, 2)
+        self.central_charge = self.space.central_charge
 
     # states -----------------------------------------------------------
 
@@ -252,8 +229,8 @@ def translation_report(V: Vosa) -> CheckReport:
 
 
 def n1_table_report(V: Vosa, window: int, max_col_level: Fraction) -> TableReport:
-    """The tau-modes satisfy the N=1 Neveu-Schwarz table with c = 3/2 on
-    the columns up to max_col_level."""
+    """The tau-modes satisfy the N=1 Neveu-Schwarz table with V's central
+    charge on the columns up to max_col_level."""
     families = {"L": V.L(), "G": V.family(V.tau_vec)}
     return bracket_table_check("n1-free-field", N1_NS, V.central_charge,
                                families, window, V.columns(max_col_level))
@@ -361,7 +338,8 @@ class _TensorSlotFamily(Family):
 
 
 class TensorVosa(Engine):
-    """V (x) V with Koszul-sign tensor vertex operators."""
+    """V (x) V with Koszul-sign tensor vertex operators; its central charge
+    is twice V's."""
 
     def __init__(self, V: Vosa, bound):
         self.V = V
@@ -370,6 +348,7 @@ class TensorVosa(Engine):
             raise ValueError("tensor truncation cannot exceed the factor truncation")
         self.space = PairSpace(V, bound)
         self.algebra = self
+        self.central_charge = 2 * V.central_charge
         self.vac = self.space.rows[V.vac][V.vac]
 
     # states ------------------------------------------------------------
@@ -480,7 +459,7 @@ def _vacuum_line(fam: Family, up2: int, vac: int, sign: int) -> ExactScalar:
 
 def calibrate_n2(tensor: TensorVosa, window: int = 2) -> N2Data:
     """Solve for the scalars making (tau1, tau2, J) generate the N=2 algebra
-    with central charge 3 on the truncated tensor square.
+    with the tensor square's central charge on its truncation.
 
     The ansatz is the minimal signed-transposition-equivariant family of
     weight-3/2 vectors; the normalizations are pinned by the vacuum lines of
@@ -492,19 +471,18 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2) -> N2Data:
     V = tensor.V
     tau1_raw, tau2_raw, j_raw = _raw_n2_vectors(tensor)
     vac = tensor.vac
-    central = ExactScalar(3)
 
     # family modes are in half units: G(r) is tau's mode r + 1/2, t2 = 2r + 1
     f1 = tensor.family(tau1_raw)
     # {G1(3/2), G1(-3/2)} on the vacuum = c1**2 * lam1, target 2; G(3/2) is
     # tau's mode 2, G(-3/2) its mode -1
     lam1 = _vacuum_line(f1, 4, vac, 1)
-    c1_roots = _sqrt_in_field(ExactScalar(2) * lam1.inv()) if lam1 else []
+    c1_roots = square_roots(ExactScalar(2) * lam1.inv()) if lam1 else []
 
     # [J(1), J(-1)] on the vacuum = cJ**2 * lamj, target 1
     fj = tensor.family(j_raw)
     lamj = _vacuum_line(fj, 2, vac, -1)
-    cj_roots = _sqrt_in_field(lamj.inv()) if lamj else []
+    cj_roots = square_roots(lamj.inv()) if lamj else []
     for bracket, line, roots in (("{G1(3/2), G1(-3/2)}", lam1, c1_roots),
                                  ("[J(1), J(-1)]", lamj, cj_roots)):
         if not roots:
@@ -538,8 +516,8 @@ def calibrate_n2(tensor: TensorVosa, window: int = 2) -> N2Data:
             jvec = v_scale(j_raw, cJ)
             families = {"L": tensor.L(), "J": tensor.family(jvec),
                         "G1": tensor.family(tau1), "G2": tensor.family(tau2)}
-            table = bracket_table_check("n2-calibrated", N2_NS, central, families,
-                                        window, tensor.columns(2))
+            table = bracket_table_check("n2-calibrated", N2_NS, tensor.central_charge,
+                                        families, window, tensor.columns(2))
             if table.passed:
                 return N2Data(c1, c2, cJ, tau1, tau2, jvec, table, tried)
             unrefuted += table.violations == 0

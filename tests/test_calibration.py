@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from superfock.scalars import ExactScalar, ONE, v_scale
+from superfock.superalgebra import N2_NS
 from superfock.vosa import calibrate_n2
 
 HALF = Fraction(1, 2)
@@ -8,8 +9,12 @@ HALF = Fraction(1, 2)
 
 def test_calibration_table_passes(n2):
     assert n2.table.passed and n2.table.complete
-    assert n2.table.presentation == "n2-ns"
+    assert n2.table.presentation is N2_NS and n2.table.to_json()["presentation"] == "n2-ns"
     assert n2.table.central_value == ExactScalar(3)
+
+
+def test_tensor_central_charge_is_twice_the_factors(tensor):
+    assert tensor.central_charge == 2 * tensor.V.central_charge == 3
 
 
 def test_scalar_constraints(n2):

@@ -131,6 +131,14 @@ def test_only_the_built_kinds_exist():
             TruncatedSpace(kind, 3)
 
 
+def test_each_kind_states_its_sector_and_central_charge():
+    # c is 1 for the boson and 1/2 for the fermion, in either sector
+    got = {kind: (TruncatedSpace(kind, 1).fermion_sector, TruncatedSpace(kind, 1).central_charge)
+           for kind in KINDS}
+    assert got == {"vosa": ("ns", Fraction(3, 2)), "ns-fermion": ("ns", HALF),
+                   "sigma": ("r", Fraction(3, 2))}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_state_column_conversions(kind):
     space = TruncatedSpace(kind, 3)
@@ -215,6 +223,12 @@ def test_zero_mode_exchanges_grounds(rspace):
     assert again == [(plus, pow_two(Fraction(-1, 2)))]
     coeff = got[0][1] * again[0][1]
     assert coeff == ExactScalar(HALF)
+
+
+def test_zero_mode_outside_the_field_is_refused(rspace):
+    # sqrt(3/2) is not in Q(i, sqrt2)
+    with pytest.raises(ValueError):
+        mode_apply(rspace, "psi", Fraction(0), FockState(ground="+"), Fraction(3))
 
 
 def test_zero_mode_is_parity_odd(rspace):

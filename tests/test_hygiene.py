@@ -32,8 +32,9 @@ value semantics, test reference, named by perfbench, forked child).  Code
 that no command runs and no reason keeps is deleted, and a test that needs
 a second route to a result keeps it in tests/.  The allowlist cannot go
 stale: an entry that names a missing function, or one the trace entered,
-fails.  `python3 tests/test_hygiene.py` (with src/ on PYTHONPATH) prints
-the trace as JSON."""
+fails.  Every traced command is one that `scripts/same_outputs.py`
+compares.  `python3 tests/test_hygiene.py` (with src/ on PYTHONPATH)
+prints the trace as JSON."""
 
 import ast
 import contextlib
@@ -593,6 +594,19 @@ def cli_trace():
     trace = json.loads(out)
     modules = {path.stem: path.read_text() for path in MODULES}
     return (trace["exits"], *_never_entered(modules, set(trace["entered"])))
+
+
+def test_traced_commands_are_compared_by_same_outputs(monkeypatch):
+    # the trace stands for the commands of scripts/same_outputs.py, so it
+    # runs none that the byte-identity check leaves out
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  ROOT / "scripts" / "same_outputs.py")
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    missing = [command for command, _ in TRACED_COMMANDS
+               if command not in same_outputs.COMMANDS]
+    assert not missing, f"traced commands that same_outputs.py does not compare: {missing}"
 
 
 def test_traced_commands_run_to_their_exit_codes(cli_trace):

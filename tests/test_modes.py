@@ -102,12 +102,13 @@ def test_integer_snapping_rounds_like_fraction_round(wu2, ww2, u_off2, t2):
 def test_composite_lattices_come_from_the_factor_families(V5, sigma, mirror):
     """A composite's lattice is the sum of its factors' lattices: on V and
     the parity-twisted module every basis family's off2 is its parity times
-    the fermion's, and a mirror two-slot composite, whose w factor has no
-    single lattice, has none.  u's lattice must be known."""
+    the fermion family's, and a mirror two-slot composite, whose w factor
+    has no single lattice, has none.  u's lattice must be known."""
     for engine in (V5, sigma):
+        psi_off2 = engine.family(V5.vec_of(V5.f_state)).off2
         for k in range(V5.space.dim):
             assert engine._family_by_index(k).off2 == (
-                V5.space.parities[k] * engine.fermion_off2), (engine, k)
+                V5.space.parities[k] * psi_off2), (engine, k)
     tensor = mirror.tensor
     composites = []
     for k, (i, j) in enumerate(tensor.space.states):
@@ -169,14 +170,14 @@ def test_memo_hits_keep_the_apply_basis_contract(V4):
 
 
 @pytest.mark.parametrize("index", [Fraction(1, 4), Fraction(-3, 8), Fraction(1, 3)])
-def test_mode_handle_rejects_an_index_off_the_half_integers(mirror, index):
+def test_an_index_off_the_half_integers_is_refused(mirror, index):
     with pytest.raises(ValueError):
         twice(index)
     with pytest.raises(ValueError):
         mode2(mirror.L(), index)
 
 
-def test_mode_handle_converts_labelled_indices(V4):
+def test_labelled_indices_map_to_family_indices(V4):
     # G(r) = tau_{r+1/2}: G(-3/2)|0> = tau_{-1}|0> = tau, G(-1/2)|0> = tau_0|0> = 0
     G = V4.family(V4.tau_vec)
     assert mode2(G, Fraction(-3, 2)) == -2 and mode2(G, Fraction(-1, 2)) == 0

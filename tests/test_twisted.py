@@ -123,6 +123,39 @@ def test_sigma_fermion_modes_are_integer_labelled(sigma):
     assert coeff * coeff == ExactScalar(HALF)
 
 
+@pytest.mark.parametrize("psi_delta", [1, 2])
+def test_the_space_alone_fixes_the_fermion_sector(psi_delta):
+    """The fermion's family reads its lattice off the space's fermion
+    sector: Z + 1/2 in half units (off2 1, so psi labels are Z) exactly on
+    the Ramond space.  There psi(0) maps w+ and w- onto each other with
+    +-sqrt(psi_delta/2), the sign that of the fermions it passes; on V's
+    Neveu-Schwarz space it is off the lattice."""
+    V = Vosa(4, psi_delta=psi_delta)
+    sigma = SigmaModule(V, levels=4)
+    root = {1: SQRT2 * ExactScalar(HALF), 2: ONE}[psi_delta]
+    assert root * root == ExactScalar(Fraction(psi_delta, 2))
+    for engine, sector in ((V, "ns"), (sigma, "r")):
+        assert engine.space.fermion_sector == sector
+        fam = engine.family(V.vec_of(V.f_state))
+        assert fam.off2 == (sector == "r")
+        for col, (bos, fer, rank) in enumerate(engine.space.codes):
+            got = fam.apply_basis(-1, col)  # half units: t = -1/2, psi(0)
+            if sector == "ns":
+                assert got == {}
+                continue
+            assert got == {engine.space.code_index[(bos, fer, 1 - rank)]:
+                           -root if len(fer) % 2 else root}
+    assert {sigma.space.ground_labels[rank] for _, _, rank in sigma.space.codes} == {"+", "-"}
+
+
+def test_a_zero_mode_outside_the_field_is_refused():
+    # sqrt(3/2) is not in Q(i, sqrt2): only the Ramond space needs it
+    V = Vosa(2, psi_delta=3)
+    assert V.family(V.vec_of(V.f_state)).off2 == 0
+    with pytest.raises(ValueError):
+        SigmaModule(V, levels=2).family(V.vec_of(V.f_state))
+
+
 def test_sigma_twisted_jacobi(sigma):
     rep = sigma_twisted_jacobi_report(sigma, 2, Fraction(1))
     assert rep.passed
