@@ -23,8 +23,10 @@ from bench import ROOT, git, unpack
 # every command whose output a behaviour-preserving change must keep; `all
 # --window 0`, `delta --k 0 --terms 1` and `calibrate n2 --window 3` (a table
 # the truncation cannot complete) are configuration errors (exit 2), the
-# corrupted quintic, `all --only delta` (skipped suites), `verify vosa
-# --max-weight 3` and `verify twisted --levels 1` (incomplete tables) exit 1
+# corrupted quintic, `all --only delta` and `all --only twisted` (skipped
+# suites), `verify vosa --max-weight 3` and `verify twisted --levels 1`
+# (incomplete tables) exit 1; in `all --only twisted` and `all --only
+# calibration,corollary2` one suite's parts run on both sides of the fork
 COMMANDS = [
     "all --json",
     "all",
@@ -51,6 +53,8 @@ COMMANDS = [
     "calibrate n2 --window 3",
     "verify vosa --max-weight 3 --json",
     "verify twisted --levels 1 --json",
+    "all --only twisted --json",
+    "all --only calibration,corollary2 --allow-skip --json",
 ]
 
 Output = Tuple[int, bytes, bytes]

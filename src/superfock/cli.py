@@ -248,11 +248,11 @@ def _mirror_signs(tensor: TensorVosa, n2) -> bool:
             and tensor.kappa(n2.jvec) == v_scale(n2.jvec, -1))
 
 
-def _twisted_suite(window: int, max_level: Fraction, levels: int) -> list[Check]:
-    mirror = _build_stack(levels)
-    sigma = mirror.sigma
+def _sigma_suite(sigma: SigmaModule, window: int, max_level: Fraction) -> list[Check]:
+    """The parity-twisted checks: sigma's Ramond ground, its N=1 Ramond
+    table and its twisted Jacobi identity.  They read no N=2 calibration."""
     ground = sigma.ground_eigenvalue()
-    checks = [
+    return [
         Check("sigma-ground-weight-1/16", ground == Fraction(1, 16), value=str(ground)),
         Check.of("sigma-virasoro-c-3/2", sigma_virasoro_report(sigma, window, max_level),
                  "checked", "filtered"),
@@ -261,10 +261,15 @@ def _twisted_suite(window: int, max_level: Fraction, levels: int) -> list[Check]
         Check.of("sigma-twisted-jacobi",
                  sigma_twisted_jacobi_report(sigma, window, Fraction(1)),
                  "checked", "filtered"),
-        Check("mirror-same-underlying-space", mirror.space is sigma.space),
     ]
+
+
+def _mirror_suite(window: int, max_level: Fraction, levels: int) -> list[Check]:
+    """The mirror-twisted checks, on the shared stack of `levels` levels."""
+    mirror = _build_stack(levels)
     kground = mirror.ground_eigenvalue()
-    checks += [
+    return [
+        Check("mirror-same-underlying-space", mirror.space is mirror.sigma.space),
         Check("mirror-ground-weight-1/8", kground == Fraction(1, 8), value=str(kground)),
         Check.of("mirror-mode-lattices", mirror.mode_lattice_report(window, Fraction(1)),
                  "checked"),
@@ -279,7 +284,6 @@ def _twisted_suite(window: int, max_level: Fraction, levels: int) -> list[Check]
                  mirror_equivariance_report(mirror, Fraction(2), window, max_level),
                  "checked", "filtered"),
     ]
-    return checks
 
 
 def _default_levels(window: int) -> int:
@@ -290,10 +294,13 @@ def _default_levels(window: int) -> int:
 def cmd_verify_twisted(args) -> int:
     _require(args.levels >= 0, "--levels must be >= 0")
     levels = args.levels or _default_levels(args.window)
+    max_level = _max_level(args.max_weight)
+    sigma = _build_stack(levels).sigma
     return _single_suite(args, "twisted", "twisted-sector verification:",
                          {"window": args.window, "max_weight": str(args.max_weight),
                           "levels": levels},
-                         _twisted_suite(args.window, _max_level(args.max_weight), levels))
+                         _sigma_suite(sigma, args.window, max_level)
+                         + _mirror_suite(args.window, max_level, levels))
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +444,18 @@ def _algebra_suite(window: int) -> list[Check]:
     return checks
 
 
+def _kappa_suite() -> list[Check]:
+    """kappa's compatibility with the vertex operators of its own tensor
+    square of V = Vosa(5), which no calibration is needed for."""
+    tensor = TensorVosa(Vosa(5), 5)
+    return [Check.of("kappa-vertex-compatibility", kappa_automorphism_report(tensor),
+                     "checked")]
+
+
 def _calibration_suite() -> list[Check]:
+    """The shared N=2 calibration's table and its mirror-map signs."""
     tensor, n2 = _calibrated(2)
     return [
-        Check.of("kappa-vertex-compatibility", kappa_automorphism_report(tensor), "checked"),
         Check("n2-calibration-table", n2.table.passed, c1=str(n2.c1),
               c2=str(n2.c2), cJ=str(n2.cJ)),
         Check("n2-mirror-signs", _mirror_signs(tensor, n2)),
@@ -465,37 +480,51 @@ def _corollary2_suite(levels: int) -> list[Check]:
     ]
 
 
-# The suites of `all` in dependency order, each run on the parsed options.
+# The suites of `all` in dependency order, each an ordered dict of named
+# parts; a part maps the parsed options to its checks.
 SUITES = {
-    "scalars": lambda args: _scalar_series_suite(args.seed),
-    "delta": lambda args: _delta_suite(),
-    "algebra": lambda args: _algebra_suite(max(args.window, 2)),
-    "vosa": lambda args: _vosa_suite(Fraction(4), min(args.window, 3)),
-    "calibration": lambda args: _calibration_suite(),
-    "twisted": lambda args: _twisted_suite(args.window, _max_level(args.max_weight),
-                                           _default_levels(args.window)),
-    "corollary2": lambda args: _corollary2_suite(max(_default_levels(args.window), 6)),
+    "scalars": {"scalars": lambda args: _scalar_series_suite(args.seed)},
+    "delta": {"delta": lambda args: _delta_suite()},
+    "algebra": {"algebra": lambda args: _algebra_suite(max(args.window, 2))},
+    "vosa": {"vosa": lambda args: _vosa_suite(Fraction(4), min(args.window, 3))},
+    "calibration": {"kappa": lambda args: _kappa_suite(),
+                    "n2": lambda args: _calibration_suite()},
+    "twisted": {
+        "sigma": lambda args: _sigma_suite(
+            SigmaModule(Vosa(5), levels=_default_levels(args.window)), args.window,
+            _max_level(args.max_weight)),
+        "mirror": lambda args: _mirror_suite(args.window, _max_level(args.max_weight),
+                                             _default_levels(args.window)),
+    },
+    "corollary2": {"corollary2": lambda args: _corollary2_suite(
+        max(_default_levels(args.window), 6))},
 }
 
-# The suites that share the calibration through `_calibrated` and
-# `_build_stack`: `all` runs them in its own process and every other suite
-# meanwhile in one forked child.
-CALIBRATED = ("calibration", "twisted", "corollary2")
+# The parts that share the N=2 calibration and the twisted modules built on
+# it, through `_calibrated` and `_build_stack`: the calibration's table and
+# signs, the mirror-twisted checks and the character identity.  `all` runs
+# them in its own process and every other part meanwhile in one forked
+# child: the scalars, delta, algebra and vosa suites, kappa's compatibility
+# on its own tensor square and the parity-twisted checks on their own
+# module.
+CALIBRATED = ("n2", "mirror", "corollary2")
 
 
-def _run_lane(args, names: list[str]) -> dict:
-    return {name: _suite_payload(name, SUITES[name](args)) for name in names}
+def _run_lane(args, parts: list) -> dict:
+    """The check records (name, pass, info) of each part (suite, part name)."""
+    return {(suite, part): [(c.name, c.passed, c.info) for c in SUITES[suite][part](args)]
+            for suite, part in parts}
 
 
-def _forked_lane(args, names: list[str], read_fd: int, write_fd: int):
-    """The child's side of `_run_lanes`: send ("done", payloads) or
+def _forked_lane(args, parts: list, read_fd: int, write_fd: int):
+    """The child's side of `_run_lanes`: send ("done", records) or
     ("error", message) down the pipe and leave through os._exit, with
     status 1 and a traceback on stderr when nothing was sent."""
     sent = False
     try:
         os.close(read_fd)
         try:
-            result = ("done", _run_lane(args, names))
+            result = ("done", _run_lane(args, parts))
         except SuperfockError as exc:
             result = ("error", str(exc))
         with os.fdopen(write_fd, "wb") as pipe:
@@ -510,11 +539,12 @@ def _forked_lane(args, names: list[str], read_fd: int, write_fd: int):
         os._exit(0 if sent else 1)
 
 
-def _run_lanes(args, forked: list[str], here: list[str]) -> dict:
-    """The payloads of the suites `forked`, run in one child made by
-    os.fork, and of the suites `here`, run meanwhile in this process.  The
+def _run_lanes(args, forked: list, here: list) -> dict:
+    """The check records of the parts `forked`, run in one child made by
+    os.fork, and of the parts `here`, run meanwhile in this process.  The
     child is always reaped; a SuperfockError in it is raised here, and a
-    child that sends no result raises RuntimeError."""
+    child that sends no result, or not one for each of its parts, raises
+    RuntimeError."""
     if not forked:
         return _run_lane(args, here)
     read_fd, write_fd = os.pipe()
@@ -529,11 +559,14 @@ def _run_lanes(args, forked: list[str], here: list[str]) -> dict:
             data = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0 or not data:
-        raise RuntimeError(f"the forked suites of `all` sent no result "
+        raise RuntimeError(f"the forked parts of `all` sent no result "
                            f"(child exit status {status})")
     kind, value = marshal.loads(data)
     if kind == "error":
         raise SuperfockError(value)
+    missing = [part for part in forked if part not in value]
+    if missing:
+        raise RuntimeError(f"the forked parts of `all` sent no checks for {missing}")
     return {**done, **value}
 
 
@@ -542,10 +575,12 @@ def cmd_all(args) -> int:
     only = set(args.only.split(",")) if args.only else set(SUITES)
     unknown = only - set(SUITES)
     _require(not unknown, f"unknown suites: {sorted(unknown)}")
-    chosen = [name for name in SUITES if name in only]
-    done = _run_lanes(args, [n for n in chosen if n not in CALIBRATED],
-                      [n for n in chosen if n in CALIBRATED])
-    suites = [done[name] if name in done else _suite_payload(name, [], skipped=True)
+    chosen = [(name, part) for name in SUITES if name in only for part in SUITES[name]]
+    records = _run_lanes(args, [p for p in chosen if p[1] not in CALIBRATED],
+                         [p for p in chosen if p[1] in CALIBRATED])
+    suites = [_suite_payload(name, [Check(check, passed, **info) for part in SUITES[name]
+                                    for check, passed, info in records[name, part]])
+              if name in only else _suite_payload(name, [], skipped=True)
               for name in SUITES]
 
     skipped = sum(1 for s in suites if s["skipped"])

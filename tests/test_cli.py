@@ -158,8 +158,11 @@ def test_all_json_determinism(capsys):
     assert payload["summary"]["skipped"] == 4
 
 
-# `all` runs the calibration, twisted and corollary2 suites in the calling
-# process and the rest in one forked child, which must be reaped on every path
+# `all` runs the parts of its suites that read the N=2 calibration (the
+# calibration's table and signs, the mirror-twisted checks and corollary2) in
+# the calling process, and every other part (the scalars, delta, algebra and
+# vosa suites, kappa's compatibility and the parity-twisted checks) in one
+# forked child, which must be reaped on every path
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -169,16 +172,32 @@ def assert_no_child_left():
 BOTH_LANES = ("all", "--only", "delta,calibration", "--allow-skip")
 
 
-def _in_the_child(action):
-    """A replacement suite that runs `action` and refuses to run in the
-    calling process."""
+def _in_lane(lane, action):
+    """A replacement suite that runs `action` on its arguments and refuses
+    to run outside its lane: "forked" (the child) or "calling"."""
     caller = os.getpid()
 
     def suite(*args):
-        assert os.getpid() != caller, "the suite ran in the calling process"
-        return action()
+        assert (os.getpid() == caller) == (lane == "calling"), \
+            f"the suite ran outside the {lane} process"
+        return action(*args)
 
     return suite
+
+
+def test_all_runs_each_part_in_its_lane(monkeypatch):
+    # each suite's checks come from the lane that computed them, and the
+    # output is the one recorded for a serial run
+    for name, lane in [("_kappa_suite", "forked"), ("_sigma_suite", "forked"),
+                       ("_calibration_suite", "calling"), ("_mirror_suite", "calling"),
+                       ("_corollary2_suite", "calling")]:
+        monkeypatch.setattr(cli, name, _in_lane(lane, getattr(cli, name)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["all", "--json"])
+    assert code == 0
+    assert out.getvalue() == SNAPSHOT.read_text()
+    assert_no_child_left()
 
 
 def test_all_reaps_its_child_on_a_pass(capsys):
@@ -191,7 +210,7 @@ def test_all_reaps_its_child_on_a_pass(capsys):
 
 def test_all_reaps_its_child_on_a_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_delta_suite",
-                        _in_the_child(lambda: [cli.Check("planted", False)]))
+                        _in_lane("forked", lambda: [cli.Check("planted", False)]))
     code, out = run(capsys, *BOTH_LANES)
     assert code == 1
     assert "FAIL delta (0/1 checks)" in out.splitlines()
@@ -205,11 +224,11 @@ def _raise(exc):
 @pytest.mark.parametrize("lane, suite, exc", [
     ("forked", "_delta_suite", SuperfockError("planted in the child")),
     ("calling", "_calibration_suite", NoCalibration("planted in the caller")),
+    ("forked", "_sigma_suite", SuperfockError("planted in the sigma part")),
 ])
 def test_an_error_in_either_lane_exits_2(capsys, monkeypatch, lane, suite, exc):
-    plant = _in_the_child if lane == "forked" else (lambda action: action)
-    monkeypatch.setattr(cli, suite, plant(lambda: _raise(exc)))
-    code = main(list(BOTH_LANES))
+    monkeypatch.setattr(cli, suite, _in_lane(lane, lambda *args: _raise(exc)))
+    code = main(["all", "--only", "delta,calibration,twisted", "--allow-skip"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -222,7 +241,7 @@ def test_an_error_in_either_lane_exits_2(capsys, monkeypatch, lane, suite, exc):
     (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
 ])
 def test_a_child_without_a_result_is_never_a_pass(capfd, monkeypatch, crash, status):
-    monkeypatch.setattr(cli, "_delta_suite", _in_the_child(crash))
+    monkeypatch.setattr(cli, "_delta_suite", _in_lane("forked", crash))
     with pytest.raises(RuntimeError, match=rf"child exit status {status}\)"):
         main(list(BOTH_LANES))
     assert_no_child_left()
@@ -230,7 +249,24 @@ def test_a_child_without_a_result_is_never_a_pass(capfd, monkeypatch, crash, sta
     assert ("ValueError: planted" in err) == (status == 1)
 
 
-@pytest.mark.parametrize("only", ["scalars,delta", "calibration,twisted"])
+def test_a_part_missing_from_the_reply_is_never_a_pass(monkeypatch):
+    exact, caller = cli._run_lane, os.getpid()
+
+    def dropping(args, parts):
+        records = exact(args, parts)
+        if os.getpid() != caller:
+            del records["calibration", "kappa"]
+        return records
+
+    monkeypatch.setattr(cli, "_run_lane", dropping)
+    with pytest.raises(RuntimeError, match=r"no checks for \[\('calibration', 'kappa'\)\]"):
+        main(list(BOTH_LANES))
+    assert_no_child_left()
+
+
+# twisted and calibration each span both processes
+@pytest.mark.parametrize("only", ["scalars,delta", "calibration,twisted", "twisted",
+                                  "calibration"])
 def test_each_lane_alone_matches_the_snapshot(capsys, only):
     code, out = run(capsys, "all", "--only", only, "--allow-skip", "--json")
     assert code == 0

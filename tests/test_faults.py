@@ -1,9 +1,13 @@
 """Fault injection: each case plants one known fault in the twisted-sector
 construction and runs `verify twisted --window 1 --json`.  The run must
 exit 1 (a failed check, not a pass and not a configuration error) with the
-named checks reading FAIL, and the clean run must exit 0.  One more case
-runs `all --json`, whose vosa suite runs in a forked child: the fault is
-planted before the fork and must fail that suite's checks.  Another cuts
+named checks reading FAIL, and the clean run must exit 0.  Two more cases
+run `all --json` with the fault planted before the fork.  `all` computes
+the vosa suite, kappa's compatibility and the parity-twisted (sigma)
+checks in a forked child, and the calibration's table and signs, the
+mirror-twisted checks and corollary2 in the calling process.  One case
+must fail the vosa suite's checks in the child; the other must fail one
+check of the twisted suite in each process.  Another cuts
 the left side's sums at i = 0 and runs `calibrate n2`, which must exit 2
 naming the vacuum line the cut makes 0 (whether a broken recursion should
 exit 1 instead is ROADMAP item 10).
@@ -187,3 +191,15 @@ def test_fault_in_the_forked_lane_fails_all(monkeypatch, capsys):
               for s in suites}
     assert code == 1
     assert {"creation-axiom", "translation-axiom"} <= failed["vosa"]
+
+
+def test_fault_on_both_sides_of_the_fork_fails_the_twisted_suite(monkeypatch, capsys):
+    # sigma-twisted-jacobi is computed in the child, mirror-twisted-jacobi
+    # in the caller
+    _drop_product_at_one(monkeypatch)
+    code = cli.main(["all", "--json"])
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    twisted, = [s for s in suites if s["name"] == "twisted"]
+    assert code == 1
+    assert {"sigma-twisted-jacobi", "mirror-twisted-jacobi"} <= {
+        c["name"] for c in twisted["checks"] if not c["pass"]}

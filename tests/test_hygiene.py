@@ -485,7 +485,7 @@ TRACED_COMMANDS = [
     ("all --window 0", 2),
     ("delta --k 0 --terms 1", 2),
 ]
-# the trace entered 245 of the package's 260 functions
+# the trace entered 247 of the package's 262 functions
 MIN_ENTERED = 240
 
 ERROR_PATH = "error path: builds an exception that no command provokes"
@@ -568,8 +568,9 @@ def _trace_cli():
     """Print, as JSON, the exit code of each of TRACED_COMMANDS and the code
     key of every package function they enter.  The trace starts before the
     CLI is imported, so import-time calls count, and the commands run in
-    this process, `all`'s lanes in series: a forked child's calls would not
-    reach this trace."""
+    this process, every part of `all` in series (its forked parts, then
+    those of the calling process): a forked child's calls would not reach
+    this trace."""
     exits = []
 
     def run():
