@@ -21,12 +21,14 @@ from typing import Callable, Iterator, List, Tuple
 from bench import ROOT, git, unpack
 
 # every command whose output a behaviour-preserving change must keep; `all
-# --window 0`, `delta --k 0 --terms 1` and `calibrate n2 --window 3` (a table
-# the truncation cannot complete) are configuration errors (exit 2), the
-# corrupted quintic, `all --only delta` and `all --only twisted` (skipped
-# suites), `verify vosa --max-weight 3` and `verify twisted --levels 1`
-# (incomplete tables) exit 1; in `all --only twisted` and `all --only
-# calibration,corollary2` one suite's parts run on both sides of the fork
+# --window 0`, `delta --k 0 --terms 1`, `verify twisted --max-weight -1` and
+# `calibrate n2 --window 3` (a table the truncation cannot complete) are
+# configuration errors (exit 2), the corrupted quintic, `all --only delta`
+# and `all --only twisted` (skipped suites), `verify vosa --max-weight 3` and
+# `verify twisted --levels 1` (incomplete tables) exit 1; in `all --only
+# twisted` and `all --only calibration,corollary2` one suite's parts run on
+# both sides of the fork; the text forms of `verify twisted --window 1` and
+# `verify vosa --max-weight 3` print each check's line, with its fields
 COMMANDS = [
     "all --json",
     "all",
@@ -55,6 +57,9 @@ COMMANDS = [
     "verify twisted --levels 1 --json",
     "all --only twisted --json",
     "all --only calibration,corollary2 --allow-skip --json",
+    "verify twisted --window 1",
+    "verify vosa --max-weight 3",
+    "verify twisted --max-weight -1",
 ]
 
 Output = Tuple[int, bytes, bytes]

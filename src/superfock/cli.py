@@ -86,36 +86,21 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-class Check:
-    """One named pass/fail observation inside a suite."""
-
-    def __init__(self, name: str, passed: bool, **info):
-        self.name = name
-        self.passed = bool(passed)
-        self.info = info
-
-    @classmethod
-    def of(cls, name: str, report, *fields: str) -> "Check":
-        """The check `name` of a report: its verdict and the named report
-        attributes, in the order given (the JSON keeps that order)."""
-        return cls(name, report.passed, **{f: getattr(report, f) for f in fields})
-
-    def to_json(self):
-        return {"name": self.name, "pass": self.passed, **self.info}
-
-    def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        extra = " ".join(f"{k}={v}" for k, v in self.info.items())
-        return f"  {status} {self.name}" + (f" ({extra})" if extra else "")
+def _check(name: str, passed: bool, **fields) -> dict:
+    """One named pass/fail observation inside a suite, as its JSON record:
+    the name, the verdict, then the fields in the order given."""
+    return {"name": name, "pass": bool(passed), **fields}
 
 
-def _suite_payload(name: str, checks: list[Check], skipped: bool = False):
-    return {
-        "name": name,
-        "skipped": skipped,
-        "checks": [] if skipped else [c.to_json() for c in checks],
-        "pass": (not skipped) and all(c.passed for c in checks),
-    }
+def _reported(name: str, report, *fields: str) -> dict:
+    """The check `name` of a report: its verdict and the named report
+    attributes, in the order given."""
+    return _check(name, report.passed, **{f: getattr(report, f) for f in fields})
+
+
+def _suite_payload(name: str, checks: list[dict], skipped: bool = False):
+    return {"name": name, "skipped": skipped, "checks": [] if skipped else checks,
+            "pass": (not skipped) and all(c["pass"] for c in checks)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +143,15 @@ def cmd_verify_algebra(args) -> int:
         pres = corrupted_virasoro_quintic()
     elif name.startswith("virasoro-rescaled-"):
         try:
-            denominator = int(name.rsplit("-", 1)[1])
+            denominator = int(name[len("virasoro-rescaled-"):])
         except ValueError:
             denominator = 0
-        _require(denominator != 0, f"{name!r}: the rescaling must be a nonzero integer")
-        pres = rescaled_virasoro(denominator)
+        # int() also reads "03", "+11" and "1_1": only the name that the
+        # rescaling itself writes names it
+        pres = rescaled_virasoro(denominator) if denominator else None
+        _require(pres is not None and pres.name == name,
+                 f"{name!r}: the rescaling must be a nonzero integer, written as "
+                 f"in virasoro-rescaled-11 or virasoro-rescaled--11")
     else:
         raise SuperfockError(f"unknown algebra {name!r}; choices: "
                              + ", ".join(sorted(PRESENTATIONS)))
@@ -177,38 +166,43 @@ def cmd_verify_algebra(args) -> int:
     return 0 if report.passed else 1
 
 
-def _vosa_suite(max_weight: Fraction, window: int) -> list[Check]:
+def _vosa_suite(max_weight: Fraction, window: int) -> list[dict]:
     V = Vosa(max_weight)
     col_max = max_weight - 2
     checks = [
-        Check.of("creation-axiom", creation_report(V), "checked"),
-        Check.of("l0-grading", grading_report(V), "checked"),
-        Check.of("translation-axiom", translation_report(V), "checked", "filtered"),
-        *(Check.of(rep.name, rep, "checked", "filtered")
+        _reported("creation-axiom", creation_report(V), "checked"),
+        _reported("l0-grading", grading_report(V), "checked"),
+        _reported("translation-axiom", translation_report(V), "checked", "filtered"),
+        *(_reported(rep.name, rep, "checked", "filtered")
           for rep in jacobi_pair_reports(V, V.generators, window, col_max, "jacobi-")),
-        Check.of("jacobi-omega-tau",
-                 borcherds_check(V, V.omega_vec, V.tau_vec, window, col_max,
-                                 "jacobi-omega-tau"), "checked", "filtered"),
+        _reported("jacobi-omega-tau",
+                  borcherds_check(V, V.omega_vec, V.tau_vec, window, col_max,
+                                  "jacobi-omega-tau"), "checked", "filtered"),
         # bracket tables use the index window 2: structure constants have degree
         # at most 3 in the indices, and weight-4 truncation checks it completely
-        Check.of("n1-table-c-3/2", n1_table_report(V, min(window, 2), col_max),
-                 "checked", "filtered"),
+        _reported("n1-table-c-3/2", n1_table_report(V, min(window, 2), col_max),
+                  "checked", "filtered"),
     ]
     bad = Vosa(min(max_weight, 4), psi_delta=2)
     bad_grading = grading_report(bad)
     bad_table = n1_table_report(bad, 1, Fraction(1))
     # a control passes on observed violations: a faulty model that checks
     # nothing must not read as caught
-    checks.append(Check("negative-control-psi-normalization",
-                        len(bad_grading.violations) > 0 and bad_table.violations > 0))
+    checks.append(_check("negative-control-psi-normalization",
+                         len(bad_grading.violations) > 0 and bad_table.violations > 0))
     return checks
 
 
-def _single_suite(args, name: str, title: str, config: dict, checks: list[Check]) -> int:
+def _single_suite(args, name: str, title: str, config: dict, checks: list[dict]) -> int:
     """Emit the one suite of `verify <name>` and return its exit code."""
     payload = {"schema": SCHEMA, "command": f"verify-{name}", "config": config,
                **_suite_payload(name, checks)}
-    _emit(args, payload, [title] + [c.line() for c in checks])
+    lines = [title]
+    for c in checks:
+        extra = " ".join(f"{k}={v}" for k, v in c.items() if k not in ("name", "pass"))
+        lines.append(f"  {'PASS' if c['pass'] else 'FAIL'} {c['name']}"
+                     + (f" ({extra})" if extra else ""))
+    _emit(args, payload, lines)
     return 0 if payload["pass"] else 1
 
 
@@ -221,86 +215,100 @@ def cmd_verify_vosa(args) -> int:
                          _vosa_suite(max_weight, args.window))
 
 
-# The calibration and the tower are cached per process: everything is
-# deterministic and immutable after construction, so reuse across suites
-# changes no output.  The suites calibrate at the default window 2, passed
-# explicitly so that every call shares one cache key.
+# Each engine that commands and suites share is built here alone, once per
+# process: everything is deterministic and immutable after construction, so
+# reuse changes no output.  `all` forks before it builds any of them, so each
+# of its processes builds its own.
+@lru_cache(maxsize=None)
+def _tensor() -> TensorVosa:
+    """The tensor square, at truncation 5, of V, the free-field model at
+    truncation 5."""
+    return TensorVosa(Vosa(5), 5)
+
+
+@lru_cache(maxsize=None)
+def _sigma(levels: int) -> SigmaModule:
+    """The parity-twisted module of V with `levels` levels."""
+    return SigmaModule(_tensor().V, levels=levels)
+
+
 @lru_cache(maxsize=None)
 def _calibrated(window: int):
-    """The tensor square of V = Vosa(5) and its N=2 calibration at a
-    bracket window."""
-    tensor = TensorVosa(Vosa(5), 5)
-    return tensor, calibrate_n2(tensor, window=window)
+    """The N=2 calibration of the tensor square at a bracket window.  The
+    suites calibrate at the default window 2, passed explicitly so that
+    every call shares one cache key."""
+    return calibrate_n2(_tensor(), window=window)
 
 
 @lru_cache(maxsize=None)
 def _build_stack(levels: int) -> MirrorModule:
-    """The mirror-twisted module of the shared calibration on a
+    """The mirror-twisted module of the shared calibration on the
     parity-twisted module of `levels` levels (its `sigma`)."""
-    tensor, n2 = _calibrated(2)
-    return MirrorModule(SigmaModule(tensor.V, levels=levels), tensor, n2)
+    return MirrorModule(_sigma(levels), _tensor(), _calibrated(2))
 
 
-def _mirror_signs(tensor: TensorVosa, n2) -> bool:
+def _levels(args) -> int:
+    """The level truncation of the twisted space: --levels, or 4*window+1
+    when that is 0 (`all` has no --levels)."""
+    return args.levels or 4 * args.window + 1
+
+
+def _mirror_signs(n2) -> bool:
     """The mirror map fixes tau1 and negates tau2 and J."""
-    return (tensor.kappa(n2.tau1) == n2.tau1
-            and tensor.kappa(n2.tau2) == v_scale(n2.tau2, -1)
-            and tensor.kappa(n2.jvec) == v_scale(n2.jvec, -1))
+    kappa = _tensor().kappa
+    return (kappa(n2.tau1) == n2.tau1
+            and kappa(n2.tau2) == v_scale(n2.tau2, -1)
+            and kappa(n2.jvec) == v_scale(n2.jvec, -1))
 
 
-def _sigma_suite(sigma: SigmaModule, window: int, max_level: Fraction) -> list[Check]:
+def _sigma_suite(args) -> list[dict]:
     """The parity-twisted checks: sigma's Ramond ground, its N=1 Ramond
     table and its twisted Jacobi identity.  They read no N=2 calibration."""
+    window, max_level = args.window, _max_level(args.max_weight)
+    sigma = _sigma(_levels(args))
     ground = sigma.ground_eigenvalue()
     return [
-        Check("sigma-ground-weight-1/16", ground == Fraction(1, 16), value=str(ground)),
-        Check.of("sigma-virasoro-c-3/2", sigma_virasoro_report(sigma, window, max_level),
-                 "checked", "filtered"),
-        Check.of("sigma-n1-ramond-table", sigma_ramond_report(sigma, window, max_level),
-                 "checked", "filtered"),
-        Check.of("sigma-twisted-jacobi",
-                 sigma_twisted_jacobi_report(sigma, window, Fraction(1)),
-                 "checked", "filtered"),
+        _check("sigma-ground-weight-1/16", ground == Fraction(1, 16), value=str(ground)),
+        _reported("sigma-virasoro-c-3/2", sigma_virasoro_report(sigma, window, max_level),
+                  "checked", "filtered"),
+        _reported("sigma-n1-ramond-table", sigma_ramond_report(sigma, window, max_level),
+                  "checked", "filtered"),
+        _reported("sigma-twisted-jacobi",
+                  sigma_twisted_jacobi_report(sigma, window, Fraction(1)),
+                  "checked", "filtered"),
     ]
 
 
-def _mirror_suite(window: int, max_level: Fraction, levels: int) -> list[Check]:
-    """The mirror-twisted checks, on the shared stack of `levels` levels."""
-    mirror = _build_stack(levels)
+def _mirror_suite(args) -> list[dict]:
+    """The mirror-twisted checks, on the shared stack."""
+    window, max_level = args.window, _max_level(args.max_weight)
+    mirror = _build_stack(_levels(args))
     kground = mirror.ground_eigenvalue()
     return [
-        Check("mirror-same-underlying-space", mirror.space is mirror.sigma.space),
-        Check("mirror-ground-weight-1/8", kground == Fraction(1, 8), value=str(kground)),
-        Check.of("mirror-mode-lattices", mirror.mode_lattice_report(window, Fraction(1)),
-                 "checked"),
-        Check.of("mirror-twisted-n2-table", mirror_table_report(mirror, window, max_level),
-                 "checked", "filtered", "complete"),
-        *(Check.of(sub.name, sub, "checked", "filtered")
+        _check("mirror-same-underlying-space", mirror.space is mirror.sigma.space),
+        _check("mirror-ground-weight-1/8", kground == Fraction(1, 8), value=str(kground)),
+        _reported("mirror-mode-lattices", mirror.mode_lattice_report(window, Fraction(1)),
+                  "checked"),
+        _reported("mirror-twisted-n2-table", mirror_table_report(mirror, window, max_level),
+                  "checked", "filtered", "complete"),
+        *(_reported(sub.name, sub, "checked", "filtered")
           for sub in mirror_subalgebra_reports(mirror, window, max_level)),
-        Check.of("mirror-twisted-jacobi",
-                 mirror_twisted_jacobi_report(mirror, 1, Fraction(1)),
-                 "checked", "filtered"),
-        Check.of("mirror-equivariance",
-                 mirror_equivariance_report(mirror, Fraction(2), window, max_level),
-                 "checked", "filtered"),
+        _reported("mirror-twisted-jacobi",
+                  mirror_twisted_jacobi_report(mirror, 1, Fraction(1)),
+                  "checked", "filtered"),
+        _reported("mirror-equivariance",
+                  mirror_equivariance_report(mirror, Fraction(2), window, max_level),
+                  "checked", "filtered"),
     ]
-
-
-def _default_levels(window: int) -> int:
-    """The level truncation of the twisted space when none is given."""
-    return 4 * window + 1
 
 
 def cmd_verify_twisted(args) -> int:
     _require(args.levels >= 0, "--levels must be >= 0")
-    levels = args.levels or _default_levels(args.window)
-    max_level = _max_level(args.max_weight)
-    sigma = _build_stack(levels).sigma
+    # the sigma part, first, refuses a bad --max-weight before it builds
     return _single_suite(args, "twisted", "twisted-sector verification:",
                          {"window": args.window, "max_weight": str(args.max_weight),
-                          "levels": levels},
-                         _sigma_suite(sigma, args.window, max_level)
-                         + _mirror_suite(args.window, max_level, levels))
+                          "levels": _levels(args)},
+                         [c for part in SUITES["twisted"].values() for c in part(args)])
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +316,8 @@ def cmd_verify_twisted(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    tensor, n2 = _calibrated(args.window)
-    sign_ok = _mirror_signs(tensor, n2)
+    n2 = _calibrated(args.window)
+    sign_ok = _mirror_signs(n2)
     payload = {"schema": SCHEMA, "command": "calibrate-n2",
                **n2.to_json(), "mirror_signs": sign_ok}
     ok = n2.table.passed and sign_ok
@@ -339,7 +347,7 @@ def cmd_character(args) -> int:
         space = TruncatedSpace(args.space, trunc)
         series = character(space, space.central_charge)
     elif args.space == "ramond":
-        series = SigmaModule(Vosa(5), levels=int(trunc)).graded_dimension()
+        series = _sigma(int(trunc)).graded_dimension()
     else:  # twisted
         series = _build_stack(int(trunc)).graded_dimension()
     payload = {"schema": SCHEMA, "command": "character", "space": args.space,
@@ -353,8 +361,7 @@ def cmd_character(args) -> int:
 
 def cmd_corollary2(args) -> int:
     _require(args.trunc >= 1, "--trunc must be >= 1")
-    levels = 2 * int(args.trunc)
-    result = corollary2_check(_build_stack(max(levels, 4)), Fraction(args.trunc) * 2)
+    result = corollary2_check(_build_stack(max(2 * args.trunc, 4)), Fraction(args.trunc) * 2)
     payload = {"schema": SCHEMA, "command": "corollary2", **result.to_json()}
     _emit(args, payload, [
         f"dim_q (parity-twisted): {result.sigma_series!r}",
@@ -369,7 +376,7 @@ def cmd_corollary2(args) -> int:
 # all
 # ---------------------------------------------------------------------------
 
-def _scalar_series_suite(seed: int) -> list[Check]:
+def _scalar_series_suite(seed: int) -> list[dict]:
     rng = random.Random(seed)
 
     def rand_scalar():
@@ -399,11 +406,11 @@ def _scalar_series_suite(seed: int) -> list[Check]:
             series_ok = False
         if substitute_root_phase(substitute_root_phase(f, 1), 1) != f:
             series_ok = False
-    return [Check("scalar-field-axioms", field_ok, samples=40),
-            Check("series-ring-axioms", series_ok, samples=25)]
+    return [_check("scalar-field-axioms", field_ok, samples=40),
+            _check("series-ring-axioms", series_ok, samples=25)]
 
 
-def _delta_suite() -> list[Check]:
+def _delta_suite() -> list[dict]:
     closed = all(
         delta_mod.delta_coefficients(k, 2)
         == (Fraction(1 - k, 2), Fraction(k * k - 1, 12))
@@ -413,75 +420,73 @@ def _delta_suite() -> list[Check]:
     perturbed = list(delta_mod.delta_coefficients(2, 3))
     perturbed[1] = Fraction(1, 3)
     control = not delta_mod.residual_for_coefficients(2, perturbed, 4).is_zero()
-    return [Check("closed-forms-k-1..12", closed),
-            Check("flow-residuals-k-1..6-order-10", residuals),
-            Check("negative-control-perturbed-a2", control)]
+    return [_check("closed-forms-k-1..12", closed),
+            _check("flow-residuals-k-1..6-order-10", residuals),
+            _check("negative-control-perturbed-a2", control)]
 
 
-def _algebra_suite(window: int) -> list[Check]:
+def _algebra_suite(window: int) -> list[dict]:
     checks = []
     for name in sorted(PRESENTATIONS):
         rep = verify_algebra(PRESENTATIONS[name], window)
-        checks.append(Check(f"algebra-{name}", rep.passed,
-                            triples=rep.triples_checked))
+        checks.append(_check(f"algebra-{name}", rep.passed,
+                             triples=rep.triples_checked))
     # a quintic cocycle first violates Jacobi on index-3 triples
     bad = verify_algebra(corrupted_virasoro_quintic(), max(window, 3))
-    checks.append(Check("negative-control-quintic-cocycle", len(bad.violations) > 0,
-                        violations=len(bad.violations)))
+    checks.append(_check("negative-control-quintic-cocycle", len(bad.violations) > 0,
+                         violations=len(bad.violations)))
     rescaled = verify_algebra(rescaled_virasoro(11), window)
-    checks.append(Check("rescaled-cocycle-still-lie-algebra", rescaled.passed))
+    checks.append(_check("rescaled-cocycle-still-lie-algebra", rescaled.passed))
     auto = verify_automorphism(PRESENTATIONS["n2-ns"], mirror_map_on_generator, window)
-    checks.append(Check("mirror-map-automorphism", auto.passed,
-                        pairs=auto.pairs_checked))
+    checks.append(_check("mirror-map-automorphism", auto.passed,
+                         pairs=auto.pairs_checked))
 
     def bad_map(g):
         e = Element.of(g)
         return e.scale(-1) if g.family == "G1" else e
 
     bad_auto = verify_automorphism(PRESENTATIONS["n2-ns"], bad_map, min(window, 2))
-    checks.append(Check("negative-control-g1-flip-not-automorphism",
-                        len(bad_auto.violations) > 0))
+    checks.append(_check("negative-control-g1-flip-not-automorphism",
+                         len(bad_auto.violations) > 0))
     return checks
 
 
-def _kappa_suite() -> list[Check]:
-    """kappa's compatibility with the vertex operators of its own tensor
-    square of V = Vosa(5), which no calibration is needed for."""
-    tensor = TensorVosa(Vosa(5), 5)
-    return [Check.of("kappa-vertex-compatibility", kappa_automorphism_report(tensor),
-                     "checked")]
+def _kappa_suite() -> list[dict]:
+    """kappa's compatibility with the vertex operators of the tensor
+    square, which no calibration is needed for."""
+    return [_reported("kappa-vertex-compatibility", kappa_automorphism_report(_tensor()),
+                      "checked")]
 
 
-def _calibration_suite() -> list[Check]:
+def _calibration_suite() -> list[dict]:
     """The shared N=2 calibration's table and its mirror-map signs."""
-    tensor, n2 = _calibrated(2)
+    n2 = _calibrated(2)
     return [
-        Check("n2-calibration-table", n2.table.passed, c1=str(n2.c1),
-              c2=str(n2.c2), cJ=str(n2.cJ)),
-        Check("n2-mirror-signs", _mirror_signs(tensor, n2)),
+        _check("n2-calibration-table", n2.table.passed, c1=str(n2.c1),
+               c2=str(n2.c2), cJ=str(n2.cJ)),
+        _check("n2-mirror-signs", _mirror_signs(n2)),
     ]
 
 
-def _corollary2_suite(levels: int) -> list[Check]:
+def _corollary2_suite(levels: int) -> list[dict]:
     result = corollary2_check(_build_stack(levels))
-    sigma_series = result.sigma_series
-    expected = {Fraction(n): c for n, c in
-                zip(range(4), (2, 4, 8, 16))}
-    low_ok = all(sigma_series.coefficient(e) == ExactScalar(c)
-                 for e, c in expected.items())
+    low_ok = all(result.sigma_series.coefficient(Fraction(n)) == ExactScalar(c)
+                 for n, c in enumerate((2, 4, 8, 16)))
     return [
-        Check("sigma-character-2-4-8-16", low_ok),
-        Check("mirror-leading-exponent-0",
-              result.mirror_series.min_exponent() == 0),
-        Check("corollary2-identity", result.matches),
-        Check("ground-weights-1/16-1/8",
-              result.sigma_ground == Fraction(1, 16)
-              and result.mirror_ground == Fraction(1, 8)),
+        _check("sigma-character-2-4-8-16", low_ok),
+        _check("mirror-leading-exponent-0",
+               result.mirror_series.min_exponent() == 0),
+        _check("corollary2-identity", result.matches),
+        _check("ground-weights-1/16-1/8",
+               result.sigma_ground == Fraction(1, 16)
+               and result.mirror_ground == Fraction(1, 8)),
     ]
 
 
 # The suites of `all` in dependency order, each an ordered dict of named
-# parts; a part maps the parsed options to its checks.
+# parts; a part maps the parsed options to its check records, looking its
+# runner up when it runs (so a test can replace the runner).  `verify
+# twisted` runs the twisted suite's parts.
 SUITES = {
     "scalars": {"scalars": lambda args: _scalar_series_suite(args.seed)},
     "delta": {"delta": lambda args: _delta_suite()},
@@ -489,31 +494,23 @@ SUITES = {
     "vosa": {"vosa": lambda args: _vosa_suite(Fraction(4), min(args.window, 3))},
     "calibration": {"kappa": lambda args: _kappa_suite(),
                     "n2": lambda args: _calibration_suite()},
-    "twisted": {
-        "sigma": lambda args: _sigma_suite(
-            SigmaModule(Vosa(5), levels=_default_levels(args.window)), args.window,
-            _max_level(args.max_weight)),
-        "mirror": lambda args: _mirror_suite(args.window, _max_level(args.max_weight),
-                                             _default_levels(args.window)),
-    },
-    "corollary2": {"corollary2": lambda args: _corollary2_suite(
-        max(_default_levels(args.window), 6))},
+    "twisted": {"sigma": lambda args: _sigma_suite(args),
+                "mirror": lambda args: _mirror_suite(args)},
+    "corollary2": {"corollary2": lambda args: _corollary2_suite(max(_levels(args), 6))},
 }
 
-# The parts that share the N=2 calibration and the twisted modules built on
-# it, through `_calibrated` and `_build_stack`: the calibration's table and
-# signs, the mirror-twisted checks and the character identity.  `all` runs
-# them in its own process and every other part meanwhile in one forked
-# child: the scalars, delta, algebra and vosa suites, kappa's compatibility
-# on its own tensor square and the parity-twisted checks on their own
-# module.
+# The parts that read the N=2 calibration, through `_calibrated` and
+# `_build_stack`: the calibration's table and signs, the mirror-twisted
+# checks and the character identity.  `all` runs them in its own process
+# and every other part meanwhile in one forked child: the scalars, delta,
+# algebra and vosa suites, kappa's compatibility and the parity-twisted
+# checks, which share the child's own V.
 CALIBRATED = ("n2", "mirror", "corollary2")
 
 
 def _run_lane(args, parts: list) -> dict:
-    """The check records (name, pass, info) of each part (suite, part name)."""
-    return {(suite, part): [(c.name, c.passed, c.info) for c in SUITES[suite][part](args)]
-            for suite, part in parts}
+    """The check records of each part (suite, part name)."""
+    return {(suite, part): SUITES[suite][part](args) for suite, part in parts}
 
 
 def _forked_lane(args, parts: list, read_fd: int, write_fd: int):
@@ -578,8 +575,7 @@ def cmd_all(args) -> int:
     chosen = [(name, part) for name in SUITES if name in only for part in SUITES[name]]
     records = _run_lanes(args, [p for p in chosen if p[1] not in CALIBRATED],
                          [p for p in chosen if p[1] in CALIBRATED])
-    suites = [_suite_payload(name, [Check(check, passed, **info) for part in SUITES[name]
-                                    for check, passed, info in records[name, part]])
+    suites = [_suite_payload(name, [c for part in SUITES[name] for c in records[name, part]])
               if name in only else _suite_payload(name, [], skipped=True)
               for name in SUITES]
 
@@ -590,7 +586,7 @@ def cmd_all(args) -> int:
         "schema": SCHEMA,
         "command": "all",
         "config": {"window": args.window, "max_weight": str(max_weight),
-                   "seed": args.seed, "levels": _default_levels(args.window)},
+                   "seed": args.seed, "levels": _levels(args)},
         "suites": suites,
         "summary": {"total": len(suites), "failed": failed, "skipped": skipped},
         "pass": overall,
@@ -677,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default="",
                    help="comma-separated subset of suites; the rest are skipped")
     p.add_argument("--allow-skip", action="store_true")
-    p.set_defaults(func=cmd_all, min_window=1)
+    p.set_defaults(func=cmd_all, min_window=1, levels=0)
 
     return parser
 

@@ -59,6 +59,25 @@ def test_unknown_algebra_is_config_error(capsys):
     assert code == 2
 
 
+# int() reads each of the refused suffixes as a nonzero integer, so these
+# names once ran the rescaling by 3 or 11 and reported its other name
+@pytest.mark.parametrize("name, code", [
+    ("virasoro-rescaled-03", 2), ("virasoro-rescaled-+11", 2),
+    ("virasoro-rescaled-1_1", 2), ("virasoro-rescaled- 11", 2),
+    ("virasoro-rescaled---11", 2), ("virasoro-rescaled--11", 0),
+    ("virasoro-rescaled-11", 0),
+])
+def test_a_rescaled_name_names_what_was_verified(capsys, name, code):
+    got = main(["verify", "algebra", "--name", name, "--window", "1", "--json"])
+    captured = capsys.readouterr()
+    assert got == code
+    if code == 0:
+        assert json.loads(captured.out)["algebra"] == name
+    else:
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {name!r}")
+
+
 def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -84,8 +103,8 @@ def test_a_negative_control_needs_an_observed_violation(control, monkeypatch):
     # a faulty model whose report checks nothing has not been caught
     name, empty, suite = EMPTY_VERIFIERS[control]
     monkeypatch.setattr(cli, name, empty)
-    check, = [c for c in suite() if c.name == control]
-    assert not check.passed
+    check, = [c for c in suite() if c["name"] == control]
+    assert not check["pass"]
 
 
 @pytest.mark.parametrize("max_weight", ["3", "7/2"])
@@ -200,6 +219,36 @@ def test_all_runs_each_part_in_its_lane(monkeypatch):
     assert_no_child_left()
 
 
+def test_all_forks_before_it_builds_an_engine(monkeypatch):
+    # each process builds its own engines: none is built when the lanes
+    # start, and the output is still the snapshot
+    builders = [cli._tensor, cli._sigma, cli._calibrated, cli._build_stack]
+    for builder in builders:
+        builder.cache_clear()
+    sizes, exact = [], cli._run_lanes
+
+    def recording(args, forked, here):
+        sizes.append([b.cache_info().currsize for b in builders])
+        return exact(args, forked, here)
+
+    monkeypatch.setattr(cli, "_run_lanes", recording)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["all", "--json"])
+    assert code == 0 and sizes == [[0, 0, 0, 0]]
+    assert out.getvalue() == SNAPSHOT.read_text()
+    assert_no_child_left()
+
+
+def test_verify_twisted_runs_the_twisted_parts_of_all(capsys):
+    code, out = run(capsys, "verify", "twisted", "--json")
+    assert code == 0
+    code, all_out = run(capsys, "all", "--only", "twisted", "--allow-skip", "--json")
+    assert code == 0
+    twisted, = [s for s in json.loads(all_out)["suites"] if s["name"] == "twisted"]
+    assert json.loads(out)["checks"] == twisted["checks"]
+
+
 def test_all_reaps_its_child_on_a_pass(capsys):
     code, out = run(capsys, *BOTH_LANES)
     assert code == 0
@@ -210,7 +259,7 @@ def test_all_reaps_its_child_on_a_pass(capsys):
 
 def test_all_reaps_its_child_on_a_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_delta_suite",
-                        _in_lane("forked", lambda: [cli.Check("planted", False)]))
+                        _in_lane("forked", lambda: [cli._check("planted", False)]))
     code, out = run(capsys, *BOTH_LANES)
     assert code == 1
     assert "FAIL delta (0/1 checks)" in out.splitlines()

@@ -34,13 +34,15 @@ ARGV = ["verify", "twisted", "--window", "1", "--json"]
 
 @pytest.fixture(autouse=True)
 def fresh_stack():
-    """No stack built before a case is reused by it, and no faulty stack
-    outlives it."""
-    cli._calibrated.cache_clear()
-    cli._build_stack.cache_clear()
+    """No engine that a builder of `cli` cached before a case is reused by
+    it, so memoized columns never hide a planted fault, and no faulty
+    engine outlives it."""
+    builders = [cli._tensor, cli._sigma, cli._calibrated, cli._build_stack]
+    for builder in builders:
+        builder.cache_clear()
     yield
-    cli._calibrated.cache_clear()
-    cli._build_stack.cache_clear()
+    for builder in builders:
+        builder.cache_clear()
 
 
 def _drop_slot2_sign(monkeypatch):

@@ -12,6 +12,8 @@ base class is raised somewhere under src/, and `modes.Family` is the one
 class that defines `apply_basis`, so every mode family shares one column
 memo, `VacuumFamily(...)` is called only in `modes`, where
 `Engine._family_by_index` builds the vacuum's family for every engine,
+`cli` calls `TensorVosa`, `SigmaModule` and `MirrorModule` once each, in
+its cached builders, so every command and suite shares one build of each,
 `Engine.product_families` holds the one memoized function nested in
 another under src/, so the product-state families of the component
 identity are found in one place, `cli` is the one module that writes the
@@ -61,6 +63,9 @@ SCALAR_BUILDERS = {"_new", "_set_v"}
 ERROR_BASE = "SuperfockError"
 MEMOIZERS = {"cache", "lru_cache"}
 VACUUM_FAMILY = "VacuumFamily"
+# each engine class `cli` builds -> the cached builder that alone calls it
+CLI_BUILDERS = {"TensorVosa": "_tensor", "SigmaModule": "_sigma",
+                "MirrorModule": "_build_stack"}
 RAMOND_GROUND = Fraction(1, 16)
 PRESENTATION_LAYER = {"superfock", "superfock.errors", "superfock.scalars", "superfock.series",
                       "superfock.modes", "superfock.superalgebra", "superfock.delta"}
@@ -310,6 +315,42 @@ def test_vacuum_family_detector_sees_each_form():
            "cls = VacuumFamily\n"
            "fam = VacuumFamily(self) if k == vac else build(k)\n")
     assert list(_vacuum_family_calls(ast.parse(src))) == [1, 2, 6]
+
+
+def _engine_builds(tree: ast.Module):
+    """(class, builder) for each call of a class in CLI_BUILDERS, by its
+    name or as an attribute of a module: the builder is the memoized
+    top-level function that makes the call, or None anywhere else."""
+    for node in tree.body:
+        builder = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _memoizer_name(d) in MEMOIZERS for d in node.decorator_list):
+            builder = node.name
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in CLI_BUILDERS:
+                    yield name, builder
+
+
+def test_cli_builds_each_engine_once_in_its_builder():
+    builds = sorted(_engine_builds(ast.parse((PACKAGE / "cli.py").read_text())))
+    assert builds == sorted(CLI_BUILDERS.items()), builds
+
+
+def test_engine_build_detector_sees_each_form():
+    src = ("@lru_cache(maxsize=None)\ndef _tensor():\n    return TensorVosa(Vosa(5), 5)\n"
+           "@functools.cache\ndef _sigma(n):\n    return twisted.SigmaModule(V, levels=n)\n"
+           "def _kappa():\n    return TensorVosa(Vosa(5), 5)\n"
+           "STACK = MirrorModule(s, t, n2)\n"
+           "class K:\n    @cache\n    def build(self):\n        return SigmaModule(V)\n"
+           "def _stack():\n    @cache\n    def inner():\n        return MirrorModule(s, t, n2)\n"
+           "isinstance(x, SigmaModule)\n"
+           "cls = TensorVosa\n")
+    assert list(_engine_builds(ast.parse(src))) == [
+        ("TensorVosa", "_tensor"), ("SigmaModule", "_sigma"), ("TensorVosa", None),
+        ("MirrorModule", None), ("SigmaModule", None), ("MirrorModule", None)]
 
 
 def _constant_fraction(args):
