@@ -59,8 +59,8 @@ def test_unknown_algebra_is_config_error(capsys):
     assert code == 2
 
 
-# int() reads each of the refused suffixes as a nonzero integer, so these
-# names once ran the rescaling by 3 or 11 and reported its other name
+# int() reads each refused suffix but "--11" as a nonzero integer: a name
+# is accepted only when it is the name of the rescaling it selects
 @pytest.mark.parametrize("name, code", [
     ("virasoro-rescaled-03", 2), ("virasoro-rescaled-+11", 2),
     ("virasoro-rescaled-1_1", 2), ("virasoro-rescaled- 11", 2),
