@@ -28,7 +28,9 @@ from bench import ROOT, git, unpack
 # `verify twisted --levels 1` (incomplete tables) exit 1; in `all --only
 # twisted` and `all --only calibration,corollary2` one suite's parts run on
 # both sides of the fork; the text forms of `verify twisted --window 1` and
-# `verify vosa --max-weight 3` print each check's line, with its fields
+# `verify vosa --max-weight 3` print each check's line, with its fields;
+# `corollary2 --trunc 9` reads L(0) spectra that two processes split at 18
+# levels
 COMMANDS = [
     "all --json",
     "all",
@@ -60,6 +62,7 @@ COMMANDS = [
     "verify twisted --window 1",
     "verify vosa --max-weight 3",
     "verify twisted --max-weight -1",
+    "corollary2 --trunc 9 --json",
 ]
 
 Output = Tuple[int, bytes, bytes]

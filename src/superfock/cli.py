@@ -3,14 +3,15 @@
 Every subcommand emits either human-readable lines or a versioned JSON
 report; identical configurations produce byte-identical output.  Exit codes:
 0 all checks passed, 1 at least one check failed (or anything skipped
-without --allow-skip), 2 configuration errors.
+without --allow-skip), 2 configuration errors, 141 stdout closed before the
+output was written (as in `superfock all --json | head -c 10`), with
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import marshal
 import os
 import random
 import sys
@@ -18,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import delta as delta_mod
+from . import fork
 from .checks import borcherds_check, jacobi_pair_reports
 from .errors import SuperfockError
 from .fock import TruncatedSpace, character
@@ -56,6 +58,9 @@ from .vosa import (
 )
 
 SCHEMA = 1
+# the exit code when stdout is closed before the output is written, as
+# shells report a process killed by SIGPIPE (128 + 13)
+BROKEN_PIPE = 141
 
 
 def _require(ok: bool, message: str) -> None:
@@ -211,7 +216,7 @@ def cmd_verify_vosa(args) -> int:
     _require(max_weight > 2, "--max-weight must exceed 2, the weight of the "
              "conformal vector")
     return _single_suite(args, "vosa", "vosa verification:",
-                         {"max_weight": str(args.max_weight), "window": args.window},
+                         {"max_weight": str(max_weight), "window": args.window},
                          _vosa_suite(max_weight, args.window))
 
 
@@ -304,9 +309,10 @@ def _mirror_suite(args) -> list[dict]:
 
 def cmd_verify_twisted(args) -> int:
     _require(args.levels >= 0, "--levels must be >= 0")
-    # the sigma part, first, refuses a bad --max-weight before it builds
+    # a bad --max-weight is refused here, before any part builds
+    max_level = _max_level(args.max_weight)
     return _single_suite(args, "twisted", "twisted-sector verification:",
-                         {"window": args.window, "max_weight": str(args.max_weight),
+                         {"window": args.window, "max_weight": str(max_level),
                           "levels": _levels(args)},
                          [c for part in SUITES["twisted"].values() for c in part(args)])
 
@@ -513,58 +519,17 @@ def _run_lane(args, parts: list) -> dict:
     return {(suite, part): SUITES[suite][part](args) for suite, part in parts}
 
 
-def _forked_lane(args, parts: list, read_fd: int, write_fd: int):
-    """The child's side of `_run_lanes`: send ("done", records) or
-    ("error", message) down the pipe and leave through os._exit, with
-    status 1 and a traceback on stderr when nothing was sent."""
-    sent = False
-    try:
-        os.close(read_fd)
-        try:
-            result = ("done", _run_lane(args, parts))
-        except SuperfockError as exc:
-            result = ("error", str(exc))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(marshal.dumps(result))
-        sent = True
-    finally:
-        if not sent:
-            import traceback  # not loaded at start-up; only a failed child needs it
-
-            traceback.print_exception(*sys.exc_info())
-            sys.stderr.flush()
-        os._exit(0 if sent else 1)
-
-
 def _run_lanes(args, forked: list, here: list) -> dict:
-    """The check records of the parts `forked`, run in one child made by
-    os.fork, and of the parts `here`, run meanwhile in this process.  The
-    child is always reaped; a SuperfockError in it is raised here, and a
-    child that sends no result, or not one for each of its parts, raises
-    RuntimeError."""
+    """The check records of the parts `forked`, run in one forked child
+    (`fork.both`), and of the parts `here`, run meanwhile in this process.
+    A child that sends no record for one of its parts raises RuntimeError."""
     if not forked:
         return _run_lane(args, here)
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _forked_lane(args, forked, read_fd, write_fd)
-    os.close(write_fd)
-    try:
-        done = _run_lane(args, here)
-    finally:
-        with os.fdopen(read_fd, "rb") as pipe:
-            data = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0 or not data:
-        raise RuntimeError(f"the forked parts of `all` sent no result "
-                           f"(child exit status {status})")
-    kind, value = marshal.loads(data)
-    if kind == "error":
-        raise SuperfockError(value)
-    missing = [part for part in forked if part not in value]
+    sent, done = fork.both(lambda: _run_lane(args, forked), lambda: _run_lane(args, here))
+    missing = [part for part in forked if part not in sent]
     if missing:
         raise RuntimeError(f"the forked parts of `all` sent no checks for {missing}")
-    return {**done, **value}
+    return {**done, **sent}
 
 
 def cmd_all(args) -> int:
@@ -631,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("algebra", parents=[json_opt], help="structure-constant presentations")
     p.add_argument("--name", required=True)
     p.add_argument("--window", type=int, default=4)
-    p.set_defaults(func=cmd_verify_algebra)
+    p.set_defaults(func=cmd_verify_algebra, min_window=1)
 
     p = vsub.add_parser("vosa", parents=[json_opt], help="free-field vertex algebra axioms")
     p.add_argument("--max-weight", default="4")
@@ -686,10 +651,17 @@ def main(argv=None) -> int:
         # and no central term, so the commands that check one need window 1
         low = getattr(args, "min_window", 0)
         _require(getattr(args, "window", 0) >= low, f"--window must be >= {low}")
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed stdout is seen here and not at exit
+        sys.stdout.flush()
+        return code
     except SuperfockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away; later writes (the flush at exit) go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from functools import cache, cached_property
 from math import factorial, floor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import NonDiagonal, NonHomogeneous, TruncationOverflow
+from .errors import NonDiagonal, NonHomogeneous, SuperfockError, TruncationOverflow
 from .scalars import ZERO, ExactScalar, ONE, Vec, v_iadd, v_scale
 
 
@@ -363,7 +363,8 @@ class Engine:
     A twisted module overrides `twist`, the order-two automorphism whose
     eigenvalues fix mode lattices; the default is the identity, under which
     every exponent is 0.  `table(key, build)` keeps one report per key, so
-    the reports that read one bracket table compute it once.
+    the reports that read one bracket table compute it once; `l0_spectra`
+    keeps the engine's L(0) diagonal there too.
     """
 
     @cached_property
@@ -476,8 +477,7 @@ class Engine:
 
     def l0_eigenvalues(self) -> List[Fraction]:
         """The diagonal of L(0); raises NonDiagonal if it mixes basis states."""
-        L = self.L()
-        return [self._l0_entry(L, col) for col in range(self.space.dim)]
+        return l0_spectra([self])[0]
 
     def ground_eigenvalue(self) -> Fraction:
         """The L(0) eigenvalue on the ground states (the level-0 columns), computed
@@ -487,3 +487,65 @@ class Engine:
         if len(values) != 1:
             raise NonHomogeneous(f"ground eigenvalues disagree: {values}")
         return values.pop()
+
+
+# the key under which `Engine.table` keeps an engine's L(0) diagonal
+_SPECTRUM = "l0-spectrum"
+
+
+def _fermion_parity(engine: Engine, col: int) -> int:
+    """The parity of the number of fermion modes in col's code: the key
+    that splits the L(0) diagonals between two processes."""
+    return len(engine.space.codes[col][1]) % 2
+
+
+def _l0_share(engines: Sequence[Engine], parity: int) -> tuple:
+    """The L(0) diagonal entries, as (numerator, denominator), of the
+    columns whose fermion count has this parity, one list per engine, in
+    the serial order: engine by engine, column by column.  The share stops
+    at its first error and returns it as (engine, column, error class
+    name, message), column -1 when the engine's L failed; else None."""
+    entries: List[List[Tuple[int, int]]] = []
+    for k, engine in enumerate(engines):
+        mine: List[Tuple[int, int]] = []
+        entries.append(mine)
+        col = -1
+        try:
+            L = engine.L()
+            for col in range(engine.space.dim):
+                if _fermion_parity(engine, col) == parity:
+                    value = engine._l0_entry(L, col)
+                    mine.append((value.numerator, value.denominator))
+        except SuperfockError as exc:
+            return entries, (k, col, type(exc).__name__, str(exc))
+    return entries, None
+
+
+def l0_spectra(engines: Sequence[Engine]) -> List[List[Fraction]]:
+    """The L(0) diagonal of each engine, as `Engine.l0_eigenvalues` gives
+    it, kept per engine by `Engine.table` (callers never mutate one).
+
+    The diagonals not kept yet are computed in two processes (`fork.both`):
+    the columns whose code holds an odd number of fermion modes in a forked
+    child, the others (the ground columns among them) here.  A column's
+    entries read the memoized columns of its own fermion parity, so the two
+    processes compute almost no column twice; the engines are split
+    together, column by column, since the mirror-twisted diagonal reads
+    the parity-twisted one's columns.  The error raised is the one a serial
+    loop over the engines would raise first: each share stops at its first
+    error in that order, and the earlier of the two is raised."""
+    todo = [e for e in engines if _SPECTRUM not in e._tables]
+    if todo:
+        # imported here: the presentation layer loads modes but never forks
+        from . import fork
+
+        odd, even = fork.both(lambda: _l0_share(todo, 1), lambda: _l0_share(todo, 0))
+        failed = [err for _, err in (odd, even) if err is not None]
+        if failed:
+            *_, name, message = min(failed)
+            raise fork.rebuilt_error(name, message)
+        for k, engine in enumerate(todo):
+            shares = (iter(even[0][k]), iter(odd[0][k]))
+            engine._tables[_SPECTRUM] = [Fraction(*next(shares[_fermion_parity(engine, col)]))
+                                         for col in range(engine.space.dim)]
+    return [e._tables[_SPECTRUM] for e in engines]

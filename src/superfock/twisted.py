@@ -33,6 +33,7 @@ from .modes import (
     Engine,
     Family,
     LinearFamily,
+    l0_spectra,
     twice,
 )
 from .scalars import ExactScalar, ONE, Vec, v_iadd, v_scale
@@ -277,7 +278,10 @@ class Corollary2Result:
 def corollary2_check(mirror: MirrorModule,
                      truncation: Optional[Fraction] = None) -> Corollary2Result:
     """dim_q of the parity-twisted module equals dim_{q**2} of the
-    mirror-twisted one, coefficient by coefficient below the truncation."""
+    mirror-twisted one, coefficient by coefficient below the truncation.
+    Both L(0) spectra are computed together, split by column over two
+    processes (`l0_spectra`); the graded dimensions read them."""
+    l0_spectra([mirror.sigma, mirror])
     sigma_series = mirror.sigma.graded_dimension()
     mirror_series = mirror.graded_dimension()
     substituted = mirror_series.substitute_square()

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import signal
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,8 @@ from superfock.cli import main
 from superfock.errors import NoCalibration, SuperfockError
 from superfock.superalgebra import PRESENTATIONS, AlgebraReport
 
-SNAPSHOT = Path(__file__).resolve().parent / "snapshots" / "all.json"
+ROOT = Path(__file__).resolve().parent.parent
+SNAPSHOT = ROOT / "tests" / "snapshots" / "all.json"
 
 
 def run(capsys, *argv):
@@ -41,10 +44,40 @@ def test_delta_json_schema(capsys):
 
 
 def test_verify_algebra_vacuous_window(capsys):
-    code, out = run(capsys, "verify", "algebra", "--name", "virasoro",
-                    "--window", "0")
+    # window 0 holds no G mode and no central term: for n2-ns it passed on
+    # 9 pairs and 10 triples of L(0) and J(0) alone
+    code = main(["verify", "algebra", "--name", "n2-ns", "--window", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: --window must be >= 1"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("verify", "twisted", "--window", "1", "--max-weight", "2.0"), "2"),
+    (("verify", "twisted", "--window", "1", "--max-weight", "4/2"), "2"),
+    (("all", "--only", "twisted", "--allow-skip", "--window", "1", "--max-weight", "2.0"),
+     "2"),
+    (("verify", "vosa", "--max-weight", "4.0"), "4"),
+])
+def test_max_weight_is_echoed_in_one_form(capsys, argv, want):
+    # the config echoes the parsed value, str(Fraction), however it is spelled
+    code, out = run(capsys, *argv, "--json")
     assert code == 0
-    assert "PASS" in out
+    assert json.loads(out)["config"]["max_weight"] == want
+
+
+def test_a_closed_stdout_exits_quietly():
+    # the basis dump (124 kB) outgrows the pipe, so a write after the reader
+    # has gone fails; that is no failed check (1) and no traceback
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen([sys.executable, "-m", "superfock.cli", "character", "--space",
+                           "vosa", "--trunc", "14", "--dump-basis"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"c"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == cli.BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_verify_algebra_negative_control(capsys):
@@ -346,6 +379,8 @@ def test_each_lane_alone_matches_the_snapshot(capsys, only):
     ("all", "--window", "0"),
     # passed with only [L(0), L(0)] in its N=1 table
     ("verify", "vosa", "--window", "0"),
+    # passed on the pairs and triples of L(0) and J(0) alone
+    ("verify", "algebra", "--name", "n2-ns", "--window", "0"),
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code = main(list(argv))

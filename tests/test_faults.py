@@ -10,7 +10,7 @@ must fail the vosa suite's checks in the child; the other must fail one
 check of the twisted suite in each process.  Another cuts
 the left side's sums at i = 0 and runs `calibrate n2`, which must exit 2
 naming the vacuum line the cut makes 0 (whether a broken recursion should
-exit 1 instead is ROADMAP item 10).
+exit 1 instead is ROADMAP item 9).
 
 Two faults are known to pass `verify twisted`, at window 1 and at the
 defaults: a3 + 1/100 and a4 + 1/100 (ROADMAP item 2).  Each is an

@@ -14,8 +14,9 @@ memo, `VacuumFamily(...)` is called only in `modes`, where
 `Engine._family_by_index` builds the vacuum's family for every engine,
 `cli` calls `TensorVosa`, `SigmaModule` and `MirrorModule` once each, in
 its cached builders, so every command and suite shares one build of each,
-`Engine.product_families` holds the one memoized function nested in
-another under src/, so the product-state families of the component
+`fork.both` makes the package's one forked child (one call of `os.fork`
+under src/), `Engine.product_families` holds the one memoized function
+nested in another under src/, so the product-state families of the component
 identity are found in one place, `cli` is the one module that writes the
 Ramond ground weight `Fraction(1, 16)`, as the expected value of its checks
 (everywhere else it is computed, so it cannot return as configured data),
@@ -353,6 +354,23 @@ def test_engine_build_detector_sees_each_form():
         ("MirrorModule", None), ("SigmaModule", None), ("MirrorModule", None)]
 
 
+def _fork_calls(tree: ast.Module):
+    """The line of each call of `fork`, `os.fork` or any `*.fork` attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name == "fork":
+                yield node.lineno
+
+
+def test_the_package_forks_in_one_place():
+    # every forked child is made, reaped and read by `fork.both`
+    forks = {path.name: list(_fork_calls(ast.parse(path.read_text()))) for path in MODULES}
+    assert {name: len(lines) for name, lines in forks.items() if lines} == {"fork.py": 1}
+    assert list(_fork_calls(ast.parse("os.fork()\nfork()\nx.fork(1)\nfork\n"))) == [1, 2, 3]
+
+
 def _constant_fraction(args):
     """The Fraction that constant arguments build, or None."""
     if not args or not all(isinstance(a, ast.Constant) for a in args):
@@ -506,9 +524,9 @@ def test_workload_names_resolve():
 
 # the trace rule ------------------------------------------------------------------
 
-# Run in one process with `all`'s lanes in series, these commands enter every
-# package function that the commands of scripts/same_outputs.py enter; each
-# comes with its exit code.
+# Run in one process with both sides of each fork in series, these commands
+# enter every package function that the commands of scripts/same_outputs.py
+# enter; each comes with its exit code.
 TRACED_COMMANDS = [
     ("all --json", 0),
     ("verify vosa --max-weight 3 --json", 1),
@@ -526,7 +544,7 @@ TRACED_COMMANDS = [
     ("all --window 0", 2),
     ("delta --k 0 --terms 1", 2),
 ]
-# the trace entered 247 of the package's 262 functions
+# the trace entered 251 of the package's 267 functions
 MIN_ENTERED = 240
 
 ERROR_PATH = "error path: builds an exception that no command provokes"
@@ -535,7 +553,7 @@ GUARD = "immutability guard: refuses an assignment that no code makes"
 VALUE = "value semantics: equality, hashing or display of a value"
 TEST_REFERENCE = "test reference: the tests compare the engines with it"
 PERFBENCH = "named by perfbench: the benchmark patches or calls it"
-FORKED = "forked child: `all` runs it around a fork, which the trace runs in series"
+FORKED = "forked child: it runs the fork, which the trace replaces by a serial run"
 
 # each package function that no traced command enters, with its reason
 NEVER_ENTERED = {
@@ -552,8 +570,9 @@ NEVER_ENTERED = {
     "fock.FockState.parity": TEST_REFERENCE,
     "checks.CheckReport.to_json": PERFBENCH,
     "checks.CheckViolation.to_json": PERFBENCH,
-    "cli._run_lanes": FORKED,
-    "cli._forked_lane": FORKED,
+    "fork.rebuilt_error": ERROR_PATH,
+    "fork.both": FORKED,
+    "fork._child": FORKED,
 }
 
 
@@ -609,15 +628,16 @@ def _trace_cli():
     """Print, as JSON, the exit code of each of TRACED_COMMANDS and the code
     key of every package function they enter.  The trace starts before the
     CLI is imported, so import-time calls count, and the commands run in
-    this process, every part of `all` in series (its forked parts, then
-    those of the calling process): a forked child's calls would not reach
-    this trace."""
+    this process, both sides of each fork in series (the child's work,
+    then that of the calling process: the forked parts of `all`, then its
+    others, and the odd share of the L(0) spectra, then the even one): a
+    forked child's calls would not reach this trace."""
     exits = []
 
     def run():
-        from superfock import cli
+        from superfock import cli, fork
 
-        cli._run_lanes = lambda args, forked, here: cli._run_lane(args, forked + here)
+        fork.both = lambda child, here: (child(), here())
         for command, _ in TRACED_COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):

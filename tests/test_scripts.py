@@ -67,4 +67,4 @@ def test_same_outputs_compares_every_part_of_each_command(monkeypatch):
     assert lines == ["SAME  a", "DIFF  b  (exit code)", "DIFF  c  (stdout, stderr)",
                      "SAME  d"]
     assert "all --window 0" in same_outputs.COMMANDS
-    assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 30
+    assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 31
