@@ -1,7 +1,8 @@
 """Mode families: lazy, memoized actions of vertex-operator modes.
 
 A Family represents the whole tower of modes of one state acting on one
-module, and every family memoizes its columns the same way (`Family`).
+module, and every family memoizes its columns the same way (`Family`),
+except the classes whose columns copy memoized ones (`Family.memo`).
 Generator modes act directly on Fock monomials; modes of composite states
 are computed from the component form of the (twisted) Jacobi identity,
 
@@ -95,13 +96,20 @@ class Family:
     The weight, the lattice offset and every mode index are ints in half
     units: `weight2` is twice the state's weight and `apply_basis(t2, col)`
     applies the mode t = t2/2.  A subclass supplies `_compute(t2, col)`;
-    `apply_basis` memoizes its columns in one list per mode index t2,
-    indexed by column and filled on first use.  After refusing a t2 that is
-    not an int, `apply_basis` looks in the memo first; the lattice, weight
-    and overflow tests run only on a miss, so an off-lattice or
-    negative-weight column (EMPTY) and an overflowing one (TruncationOverflow)
-    are never stored and give the same answer on every call.
+    when the class sets `memo` (the default), `apply_basis` memoizes its
+    columns in one list per mode index t2, indexed by column and filled on
+    first use.  After refusing a t2 that is not an int, `apply_basis` looks
+    in the memo first; the lattice, weight and overflow tests run only on a
+    miss, so an off-lattice or negative-weight column (EMPTY) and an
+    overflowing one (TruncationOverflow) are never stored and give the same
+    answer on every call.  A class whose columns are cheap copies of
+    memoized ones sets `memo = False`: `VacuumFamily` and the tensor
+    square's `_TensorSlotFamily` and `_TensorMonoFamily`.  Its `apply_basis`
+    runs the same tests on every call, stores nothing and returns a fresh
+    column (or EMPTY).
     """
+
+    memo = True
 
     def __init__(self, engine, weight2: int, parity: int,
                  off2: Optional[int] = None):
@@ -137,6 +145,8 @@ class Family:
                 f"mode {Fraction(t2, 2)} of weight-{Fraction(self.weight2, 2)} state: "
                 f"output level {Fraction(out_w2, 2)} >= bound {Fraction(eng.bound2, 2)} "
                 f"(levels above the lowest column)")
+        if not self.memo:
+            return self._compute(t2, col) or EMPTY
         if row is None:
             row = self._cols[t2] = [None] * eng.space.dim
         res = row[col] = self._compute(t2, col) or EMPTY
@@ -155,7 +165,10 @@ class Family:
 
 
 class VacuumFamily(Family):
-    """Y(1, x) = identity: the only nonzero mode is t = -1."""
+    """Y(1, x) = identity: the only nonzero mode is t = -1, whose column
+    {col: ONE} is built on each call."""
+
+    memo = False
 
     def __init__(self, engine):
         super().__init__(engine, 0, 0, 0)

@@ -274,7 +274,12 @@ class _TensorMonoFamily(Family):
     Koszul-signed factorization of Y:
 
         (s (x) t)_n (a (x) b) = sum_p (-1)**(|t||a|) s_p a (x) t_{n-1-p} b.
+
+    Each term is a product of two of V's memoized columns, so no column is
+    stored here (`memo = False`).
     """
+
+    memo = False
 
     def __init__(self, engine: "TensorVosa", i: int, j: int):
         self.fam_i = engine.V._family_by_index(i)
@@ -317,8 +322,11 @@ class _TensorSlotFamily(Family):
         (s (x) 1)_n (a (x) b) = s_n a (x) b,
         (1 (x) s)_n (a (x) b) = (-1)**(|s||a|) a (x) s_n b,
 
-    and a column is V's column of s carried to the pairs.
+    and a column is V's memoized column of s carried to the pairs, rebuilt
+    on each call (`memo = False`).
     """
+
+    memo = False
 
     def __init__(self, engine: "TensorVosa", k: int, slot: int):
         self.fam = engine.V._family_by_index(k)

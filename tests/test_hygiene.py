@@ -10,7 +10,9 @@ module that knows how an `ExactScalar` is stored (its `_v` ints and the
 `_new`/`_set_v` constructors), every exception type in `errors` but the
 base class is raised somewhere under src/, and `modes.Family` is the one
 class that defines `apply_basis`, so every mode family shares one column
-memo, `VacuumFamily(...)` is called only in `modes`, where
+memo rule (a memo per family, skipped by the classes that set
+`memo = False`: `VacuumFamily`, `vosa._TensorSlotFamily` and
+`vosa._TensorMonoFamily`), `VacuumFamily(...)` is called only in `modes`, where
 `Engine._family_by_index` builds the vacuum's family for every engine,
 `cli` calls `TensorVosa`, `SigmaModule` and `MirrorModule` once each, in
 its cached builders, so every command and suite shares one build of each,

@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings, st
 
 from conftest import mode2
 from superfock.errors import TruncationOverflow
-from superfock.modes import EMPTY, CompositeFamily, Family, LinearFamily, twice
+from superfock.modes import EMPTY, CompositeFamily, Family, LinearFamily, VacuumFamily, twice
 from superfock.scalars import ONE, ExactScalar
 from superfock.twisted import MirrorModule, SigmaModule
+from superfock.vosa import _TensorMonoFamily, _TensorSlotFamily, kappa_automorphism_report
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -167,6 +168,108 @@ def test_memo_hits_keep_the_apply_basis_contract(V4):
         assert fam.apply_basis(-1, V4.vac) is EMPTY and fam.apply_basis(1, b) is EMPTY
     assert fam._cols[-2][top] is None and fam._cols[2][V4.vac] is None
     assert -1 not in fam._cols and 1 not in fam._cols
+
+
+# families that keep no memo --------------------------------------------------------
+
+UNMEMOIZED = {VacuumFamily, _TensorSlotFamily, _TensorMonoFamily}
+
+
+def _copying_families(V5, tensor):
+    """The vacuum families of V and of its tensor square, and every slot and
+    product family of the tensor square, after the N=2 calibration and
+    kappa's compatibility report have read them."""
+    assert kappa_automorphism_report(tensor).passed
+    fams = [f for engine in (V5, tensor) for f in engine._fams.values() if not f.memo]
+    assert {type(f) for f in fams} == UNMEMOIZED
+    return fams
+
+
+def test_the_families_that_copy_columns_keep_none(V5, tensor, n2):
+    """Only the vacuum, slot and product families skip the memo, and after
+    the calibration and kappa's report have read them each still holds no
+    column; every call returns a fresh column, so mutating one leaves the
+    next call unchanged."""
+    fams = _copying_families(V5, tensor)
+    assert all(f.memo == (type(f) not in UNMEMOIZED)
+               for engine in (V5, tensor) for f in engine._fams.values())
+    assert all(f._cols == {} for f in fams)
+    fresh = 0
+    for fam in fams:
+        for col in fam.engine.columns(1):
+            for t2 in range(-4, 5):
+                try:
+                    first = fam.apply_basis(t2, col)
+                except TruncationOverflow:
+                    continue
+                if not first:
+                    continue
+                second = fam.apply_basis(t2, col)
+                assert second == first and second is not first
+                first[col + 1] = first.pop(next(iter(first)))
+                assert fam.apply_basis(t2, col) == second
+                fresh += 1
+    assert fresh > 300
+    assert all(f._cols == {} for f in fams)
+
+
+def test_a_slot_column_is_vs_column_moved_onto_pairs(V5, tensor):
+    """(s (x) 1)_t (a (x) b) = s_t a (x) b and (1 (x) s)_t (a (x) b)
+    = (-1)**(|s||a|) a (x) s_t b, from V's memoized column of s."""
+    rows, states, parities = tensor.space.rows, tensor.space.states, V5.space.parities
+    moved = 0
+    for s in V5.columns(2):
+        if s == V5.vac:
+            continue
+        vfam = V5._family_by_index(s)
+        slot1 = tensor._family_by_index(rows[s][V5.vac])
+        slot2 = tensor._family_by_index(rows[V5.vac][s])
+        assert type(slot1) is type(slot2) is _TensorSlotFamily
+        for col in tensor.columns(2):
+            a, b = states[col]
+            sign = ExactScalar((-1) ** (parities[s] * parities[a]))
+            for t2 in range(-6, 5, 2):
+                try:
+                    got1, got2 = slot1.apply_basis(t2, col), slot2.apply_basis(t2, col)
+                except TruncationOverflow:
+                    continue
+                want1 = {rows[i][b]: c for i, c in vfam.apply_basis(t2, a).items()}
+                want2 = {rows[a][j]: sign * c for j, c in vfam.apply_basis(t2, b).items()}
+                assert got1 == want1 and got2 == want2, (s, t2, col)
+                moved += bool(want2) and sign == -ONE
+    assert moved > 20
+    assert slot1._cols == slot2._cols == {}
+
+
+def test_unmemoized_families_keep_the_apply_basis_contract(V5, tensor, n2):
+    """As `test_memo_hits_keep_the_apply_basis_contract` pins for a
+    memoized family: on every call a vacuum, slot or product family refuses
+    a Fraction index, overflows above the truncation and returns EMPTY off
+    its lattice and below weight 0, and it stores nothing."""
+    V = tensor.V
+    b_pair = tensor.space.rows[V.space.column(V.b_state)][V.vac]
+    f = V.space.column(V.f_state)
+    for fam in _copying_families(V5, tensor):
+        engine = fam.engine
+        vac = engine.algebra.vac
+        top = engine.col_w2.index(max(engine.col_w2))
+        # the lowest mode whose output on the top column reaches the bound
+        over2 = engine.col_w2[top] + fam.weight2 - engine.bound2 - 2
+        over2 -= over2 % 2
+        for _ in range(3):
+            with pytest.raises(TypeError):
+                fam.apply_basis(Fraction(-2), vac)
+            with pytest.raises(TruncationOverflow):
+                fam.apply_basis(over2, top)
+            assert fam.apply_basis(-1, vac) is EMPTY and fam.apply_basis(1, top) is EMPTY
+            assert fam.apply_basis(fam.weight2, vac) is EMPTY      # weight -1
+        assert fam._cols == {}
+    # the two slot families of b and the product family of f (x) f
+    slot = tensor._family_by_index(b_pair)
+    mono = tensor._family_by_index(tensor.space.rows[f][f])
+    assert type(slot) is _TensorSlotFamily and type(mono) is _TensorMonoFamily
+    assert slot.apply_basis(-2, tensor.vac) == {b_pair: ONE}
+    assert mono.apply_basis(-2, tensor.vac) == {tensor.space.rows[f][f]: ONE}
 
 
 @pytest.mark.parametrize("index", [Fraction(1, 4), Fraction(-3, 8), Fraction(1, 3)])

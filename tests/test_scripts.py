@@ -68,3 +68,37 @@ def test_same_outputs_compares_every_part_of_each_command(monkeypatch):
                      "SAME  d"]
     assert "all --window 0" in same_outputs.COMMANDS
     assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 31
+
+
+def test_deep_compares_exit_code_and_stdout_digest(monkeypatch, capsys):
+    # a stubbed runner stands in for the CLI and nothing is unpacked
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location("deep", ROOT / "scripts" / "deep.py")
+    deep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(deep)
+    digest = {7: "a" * 64, 8: "b" * 64, 9: "c" * 64}
+    runs = {("base", 7): (0, digest[7], 1.0, 25.0), ("head", 7): (0, digest[7], 0.9, 24.0),
+            ("base", 8): (0, digest[8], 2.0, 40.0), ("head", 8): (1, digest[8], 2.0, 40.0),
+            ("base", 9): (0, digest[9], 3.0, 60.0), ("head", 9): (0, digest[7], 3.1, 58.5)}
+    calls = []
+
+    def run(side, trunc):
+        calls.append((side, trunc))
+        return runs[side, trunc]
+
+    lines = list(deep.compare(run, [7, 8, 9]))
+    assert calls == [(side, n) for n in (7, 8, 9) for side in ("base", "head")]
+    assert lines == [
+        "SAME  --trunc 7  sha256 aaaaaaaaaaaa  base 1.00 s 25.0 MiB  head 0.90 s 24.0 MiB",
+        "DIFF (exit code)  --trunc 8  sha256 bbbbbbbbbbbb  base 2.00 s 40.0 MiB  "
+        "head 2.00 s 40.0 MiB",
+        "DIFF (stdout)  --trunc 9  sha256 cccccccccccc / aaaaaaaaaaaa  base 3.00 s 60.0 MiB  "
+        "head 3.10 s 58.5 MiB"]
+    # main exits 1 on any difference and 0 when every N matches
+    monkeypatch.setattr(deep, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(deep, "unpack", lambda ref, dest: None)
+    monkeypatch.setattr(deep, "run_deep",
+                        lambda tree, n: runs["head" if tree == deep.ROOT else "base", n])
+    assert deep.main(["REF", "7"]) == 0
+    assert deep.main(["REF", "7", "9"]) == 1
+    assert capsys.readouterr().out.splitlines() == [lines[0], lines[0], lines[2]]

@@ -8,7 +8,7 @@ from superfock.checks import borcherds_check, bracket_table_check
 from superfock.delta import apply_delta
 from superfock.errors import InvalidAlgebra, TruncationOverflow
 from superfock.fock import FockState
-from superfock.modes import CompositeFamily, Family, twice
+from superfock.modes import CompositeFamily, Family, VacuumFamily, twice
 from superfock.scalars import ExactScalar, ONE, SQRT2, v_iadd, v_scale
 from superfock.superalgebra import (
     N1_NS,
@@ -30,7 +30,7 @@ from superfock.twisted import (
     sigma_twisted_jacobi_report,
     sigma_virasoro_report,
 )
-from superfock.vosa import TensorVosa, Vosa, calibrate_n2
+from superfock.vosa import TensorVosa, Vosa, _TensorMonoFamily, _TensorSlotFamily, calibrate_n2
 
 HALF = Fraction(1, 2)
 
@@ -465,29 +465,52 @@ def _memo_columns(fam):
                 yield t2, col, vec
 
 
-def test_memoized_columns_are_zero_free_and_unmutated():
+def _recording(compute, read):
+    """compute, noting each (family, t2, col) it is called with in read."""
+    def recorded(fam, t2, col):
+        read[fam, t2, col] = None
+        return compute(fam, t2, col)
+    return recorded
+
+
+def test_memoized_columns_are_zero_free_and_unmutated(monkeypatch):
     """Vectors share their (immutable) scalars, and callers of a family
     never mutate the columns it memoizes: after a bracket table has run on
     every engine, each memoized column is zero-free and equals the column
-    a freshly built engine computes."""
+    a freshly built engine computes.  The classes that keep no memo
+    (`VacuumFamily`, `_TensorSlotFamily`, `_TensorMonoFamily`) copy memoized
+    columns, so each of their columns that the N=2 calibration and the
+    tables read is recomputed on the old engines and compared the same
+    way."""
+    read = {}
+    for cls in (VacuumFamily, _TensorSlotFamily, _TensorMonoFamily):
+        assert not cls.memo
+        monkeypatch.setattr(cls, "_compute", _recording(cls._compute, read))
     n2, V4, V, tensor, sigma, mirror, tables = _stack()
     for engine, pres, central, families in tables:
         report = bracket_table_check("shared", pres, central, families, 1,
                                      engine.columns(1))
         assert sum(p.checked for p in report.pairs) and report.violations == 0
+    monkeypatch.undo()
     _, V4b, Vb, tensor_b, sigma_b, mirror_b, tables_b = _stack(n2)
     pairs = []
+    fresh = {}
     for old, new in ((V4, V4b), (V, Vb), (tensor, tensor_b), (sigma, sigma_b),
                      (mirror, mirror_b)):
         pairs += [(f, new._family_by_index(k)) for k, f in old._fams.items()]
-    for (*_, families), (*_, fresh) in zip(tables, tables_b):
-        pairs += [(families[k], fresh[k]) for k in families]
+        fresh.update((f, new._family_by_index(k)) for k, f in old._fams.items())
+    for (*_, families), (*_, fresh_tables) in zip(tables, tables_b):
+        pairs += [(families[k], fresh_tables[k]) for k in families]
+    columns = [(old, new, t2, col, vec) for old, new in pairs
+               for t2, col, vec in _memo_columns(old)]
+    assert all(not old._cols for old in fresh if not old.memo)
+    columns += [(old, fresh[old], t2, col, old.apply_basis(t2, col))
+                for old, t2, col in read]
     compared = 0
-    for old, new in pairs:
-        for t2, col, vec in _memo_columns(old):
-            assert all(type(c) is ExactScalar and c for c in vec.values())
-            assert vec == new.apply_basis(t2, col), (old, t2, col)
-            compared += 1
+    for old, new, t2, col, vec in columns:
+        assert all(type(c) is ExactScalar and c for c in vec.values())
+        assert vec == new.apply_basis(t2, col), (old, t2, col)
+        compared += 1
     assert compared > 5000
 
 
