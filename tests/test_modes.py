@@ -246,14 +246,13 @@ def test_unmemoized_families_keep_the_apply_basis_contract(V5, tensor, n2):
     memoized family: on every call a vacuum, slot or product family refuses
     a Fraction index, overflows above the truncation and returns EMPTY off
     its lattice and below weight 0, and it stores nothing."""
-    V = tensor.V
-    b_pair = tensor.space.rows[V.space.column(V.b_state)][V.vac]
-    f = V.space.column(V.f_state)
+    b_pair = tensor.space.rows[V5.space.column(V5.b_state)][V5.vac]
+    f = V5.space.column(V5.f_state)
     for fam in _copying_families(V5, tensor):
         engine = fam.engine
         vac = engine.algebra.vac
         top = engine.col_w2.index(max(engine.col_w2))
-        # the lowest mode whose output on the top column reaches the bound
+        # an integer mode whose output on the top column reaches the bound
         over2 = engine.col_w2[top] + fam.weight2 - engine.bound2 - 2
         over2 -= over2 % 2
         for _ in range(3):
@@ -264,7 +263,7 @@ def test_unmemoized_families_keep_the_apply_basis_contract(V5, tensor, n2):
             assert fam.apply_basis(-1, vac) is EMPTY and fam.apply_basis(1, top) is EMPTY
             assert fam.apply_basis(fam.weight2, vac) is EMPTY      # weight -1
         assert fam._cols == {}
-    # the two slot families of b and the product family of f (x) f
+    # the slot-1 family of b and the product family of f (x) f
     slot = tensor._family_by_index(b_pair)
     mono = tensor._family_by_index(tensor.space.rows[f][f])
     assert type(slot) is _TensorSlotFamily and type(mono) is _TensorMonoFamily

@@ -494,11 +494,10 @@ def test_memoized_columns_are_zero_free_and_unmutated(monkeypatch):
     monkeypatch.undo()
     _, V4b, Vb, tensor_b, sigma_b, mirror_b, tables_b = _stack(n2)
     pairs = []
-    fresh = {}
     for old, new in ((V4, V4b), (V, Vb), (tensor, tensor_b), (sigma, sigma_b),
                      (mirror, mirror_b)):
         pairs += [(f, new._family_by_index(k)) for k, f in old._fams.items()]
-        fresh.update((f, new._family_by_index(k)) for k, f in old._fams.items())
+    fresh = dict(pairs)
     for (*_, families), (*_, fresh_tables) in zip(tables, tables_b):
         pairs += [(families[k], fresh_tables[k]) for k in families]
     columns = [(old, new, t2, col, vec) for old, new in pairs
