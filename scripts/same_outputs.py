@@ -1,4 +1,5 @@
-"""Byte-identity of the CLI's outputs between a git ref and the working tree.
+"""Byte-identity, wall time and peak memory of the CLI's outputs between
+a git ref and the working tree.
 
     python3 scripts/same_outputs.py --base REF
 
@@ -6,7 +7,11 @@ REF is unpacked with `git archive` into a temporary directory (under
 $TMPDIR), as `scripts/bench.py` does.  Each command of `COMMANDS` runs as
 `python3 -m superfock.cli` once on REF's src/ and once on the working
 tree's, and its stdout, stderr and exit code are compared.  One line per
-command reads SAME or DIFF; the command exits 1 on any DIFF.
+command reads SAME or DIFF (with the parts that differ), then, per side,
+the wall time and the peak resident set of the process tree: `ru_maxrss`
+from `os.wait4`, the largest resident set of the command and of the
+children it reaped (the forked L(0) share among them), not their sum.
+The command exits 1 on any DIFF.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from typing import Callable, Iterator, List, Tuple
 
 from bench import ROOT, git, unpack
@@ -29,8 +35,9 @@ from bench import ROOT, git, unpack
 # twisted` and `all --only calibration,corollary2` one suite's parts run on
 # both sides of the fork; the text forms of `verify twisted --window 1` and
 # `verify vosa --max-weight 3` print each check's line, with its fields;
-# `corollary2 --trunc 9` reads L(0) spectra that two processes split at 18
-# levels
+# `corollary2 --trunc 7` to `--trunc 11` check the character identity at
+# 14 to 22 levels, where the L(0) spectra are split over two processes and
+# time and memory grow with depth: their lines are the depth table
 COMMANDS = [
     "all --json",
     "all",
@@ -39,7 +46,6 @@ COMMANDS = [
     "verify twisted --json",
     "verify twisted --window 1 --json",
     "verify twisted --window 3 --levels 15 --json",
-    "corollary2 --trunc 7 --json",
     "verify vosa --json",
     "calibrate n2 --json",
     "character --space twisted --trunc 6 --json",
@@ -62,30 +68,47 @@ COMMANDS = [
     "verify twisted --window 1",
     "verify vosa --max-weight 3",
     "verify twisted --max-weight -1",
+    "corollary2 --trunc 7 --json",
+    "corollary2 --trunc 8 --json",
     "corollary2 --trunc 9 --json",
+    "corollary2 --trunc 10 --json",
+    "corollary2 --trunc 11 --json",
 ]
 
-Output = Tuple[int, bytes, bytes]
+# (exit code, stdout, stderr, wall seconds, peak resident set in MiB)
+Output = Tuple[int, bytes, bytes, float, float]
 
 
 def run_cli(tree: str, command: str) -> Output:
-    """(exit code, stdout, stderr) of `python3 -m superfock.cli command`
-    with the package taken from tree/src."""
+    """The Output of `python3 -m superfock.cli command` with the package
+    taken from tree/src.  stdout and stderr go to temporary files, so no
+    pipe can fill, and the process is reaped by `os.wait4`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run([sys.executable, "-m", "superfock.cli", *command.split()],
-                          cwd=tree, env=env, capture_output=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "superfock.cli", *command.split()],
+                                cwd=tree, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read(), err.read(), wall, usage.ru_maxrss / 1024
 
 
 def compare(run: Callable[[str, str], Output], commands: List[str]) -> Iterator[str]:
     """One line per command, as soon as both of its runs are done: SAME, or
-    DIFF with the parts that differ.  run(side, command) gives the Output
-    of command on side "base" or "head", as `run_cli` does."""
+    DIFF with the parts that differ, then each side's wall time and peak
+    resident set.  run(side, command) gives the Output of command on side
+    "base" or "head", as `run_cli` does."""
     for command in commands:
         base, head = run("base", command), run("head", command)
         diff = [part for part, b, h in zip(("exit code", "stdout", "stderr"), base, head)
                 if b != h]
-        yield f"DIFF  {command}  ({', '.join(diff)})" if diff else f"SAME  {command}"
+        verdict = f"DIFF  {command}  ({', '.join(diff)})" if diff else f"SAME  {command}"
+        sides = "  ".join(f"{side} {r[3]:.2f} s {r[4]:.1f} MiB"
+                          for side, r in (("base", base), ("head", head)))
+        yield f"{verdict}  {sides}"
 
 
 def main(argv=None) -> int:

@@ -110,10 +110,12 @@ class TruncatedSpace:
     Each basis state is held once, as ints in `codes`: (bosons, fermions2,
     ground rank), with the fermion magnitudes in half units (2r), both
     tuples in decreasing order, and the ground rank 1 for w- and 0
-    otherwise.  `code_index` maps a code to its column.  `level2` holds
-    twice each state's level above the ground states and `bound2` the
-    truncation in the same units: a level2 at or above it lies beyond the
-    space.  `central_charge` is the free fields' c, 1 for the boson and
+    otherwise.  `code_index` maps a code to its column, and
+    `fermion_parities` holds the parity of each code's fermion count, the
+    key that splits the L(0) diagonals (`modes.l0_spectra`).  `level2`
+    holds twice each state's level above the ground states and `bound2`
+    the truncation in the same units: a level2 at or above it lies beyond
+    the space.  `central_charge` is the free fields' c, 1 for the boson and
     1/2 for the fermion.  `ground_labels` names the ground states by rank.
     `state(col)` and `column(state)` convert between a column and its
     `FockState`, for text and for the reference `mode_apply`.
@@ -134,6 +136,7 @@ class TruncatedSpace:
         self.parities: Tuple[int, ...] = tuple((len(f) + g) % 2 for _, _, f, g in entries)
         self.codes: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = tuple(
             (b, f, g) for _, b, f, g in entries)
+        self.fermion_parities: Tuple[int, ...] = tuple(len(f) % 2 for _, _, f, _ in entries)
         self.code_index = {c: i for i, c in enumerate(self.codes)}
 
     @property

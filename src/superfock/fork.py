@@ -57,9 +57,10 @@ def _child(child: Callable[[], object], read_fd: int, write_fd: int):
 def both(child: Callable[[], object], here: Callable[[], object]) -> Tuple[object, object]:
     """(child(), here()): child() runs in one child made by os.fork while
     here() runs in this process.  The child is always reaped, also when
-    here() raises; a SuperfockError in the child is raised here with its
-    class, and a child that sends no result raises RuntimeError naming its
-    exit status."""
+    here() raises, whose error is then raised and the child's dropped; a
+    SuperfockError in the child is raised here with its class, and a
+    child that sends no result raises RuntimeError naming its exit
+    status."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:

@@ -363,7 +363,8 @@ def jacobi_right(acc: Vec, u_fam: Family, w_fam: Family, ell: int, m2: int,
 class Engine:
     """What the families and the verifiers need from a mode engine.
 
-    A subclass sets `space` (the module's ordered basis: `parities`, `dim`,
+    A subclass sets `space` (the module's ordered basis: `parities`,
+    `fermion_parities`, the parity of each column's fermion count, `dim`,
     and the ints `level2`, each column's level above the lowest one in half
     units, and `bound2`, the truncation in those units),
     `algebra` (the vertex algebra whose states label the families, with
@@ -506,12 +507,6 @@ class Engine:
 _SPECTRUM = "l0-spectrum"
 
 
-def _fermion_parity(engine: Engine, col: int) -> int:
-    """The parity of the number of fermion modes in col's code: the key
-    that splits the L(0) diagonals between two processes."""
-    return len(engine.space.codes[col][1]) % 2
-
-
 def _l0_share(engines: Sequence[Engine], parity: int) -> tuple:
     """The L(0) diagonal entries, as (numerator, denominator), of the
     columns whose fermion count has this parity, one list per engine, in
@@ -522,11 +517,11 @@ def _l0_share(engines: Sequence[Engine], parity: int) -> tuple:
     for k, engine in enumerate(engines):
         mine: List[Tuple[int, int]] = []
         entries.append(mine)
-        col = -1
+        col, keys = -1, engine.space.fermion_parities
         try:
             L = engine.L()
             for col in range(engine.space.dim):
-                if _fermion_parity(engine, col) == parity:
+                if keys[col] == parity:
                     value = engine._l0_entry(L, col)
                     mine.append((value.numerator, value.denominator))
         except SuperfockError as exc:
@@ -539,26 +534,30 @@ def l0_spectra(engines: Sequence[Engine]) -> List[List[Fraction]]:
     it, kept per engine by `Engine.table` (callers never mutate one).
 
     The diagonals not kept yet are computed in two processes (`fork.both`):
-    the columns whose code holds an odd number of fermion modes in a forked
-    child, the others (the ground columns among them) here.  A column's
-    entries read the memoized columns of its own fermion parity, so the two
-    processes compute almost no column twice; the engines are split
-    together, column by column, since the mirror-twisted diagonal reads
-    the parity-twisted one's columns.  The error raised is the one a serial
-    loop over the engines would raise first: each share stops at its first
-    error in that order, and the earlier of the two is raised."""
+    the columns whose code holds an odd number of fermion modes (the
+    space's `fermion_parities`) in a forked child, the others (the ground
+    columns among them) here; with no such column nothing is forked.  A
+    column's entries read the memoized columns of its own fermion parity,
+    so the two processes compute almost no column twice; the engines are
+    split together, column by column, since the mirror-twisted diagonal
+    reads the parity-twisted one's columns.  The error raised is the one a
+    serial loop over the engines would raise first: each share stops at its
+    first error in that order, and the earlier of the two is raised."""
     todo = [e for e in engines if _SPECTRUM not in e._tables]
     if todo:
         # imported here: the presentation layer loads modes but never forks
         from . import fork
 
-        odd, even = fork.both(lambda: _l0_share(todo, 1), lambda: _l0_share(todo, 0))
+        if any(1 in e.space.fermion_parities for e in todo):
+            odd, even = fork.both(lambda: _l0_share(todo, 1), lambda: _l0_share(todo, 0))
+        else:  # no column for a child, so none is forked (as in `cli._run_lanes`)
+            odd, even = ([[] for _ in todo], None), _l0_share(todo, 0)
         failed = [err for _, err in (odd, even) if err is not None]
         if failed:
             *_, name, message = min(failed)
             raise fork.rebuilt_error(name, message)
         for k, engine in enumerate(todo):
             shares = (iter(even[0][k]), iter(odd[0][k]))
-            engine._tables[_SPECTRUM] = [Fraction(*next(shares[_fermion_parity(engine, col)]))
-                                         for col in range(engine.space.dim)]
+            engine._tables[_SPECTRUM] = [Fraction(*next(shares[key]))
+                                         for key in engine.space.fermion_parities]
     return [e._tables[_SPECTRUM] for e in engines]

@@ -263,6 +263,9 @@ class PairSpace:
         self.level2: Tuple[int, ...] = tuple(k for k, _, _ in pairs)
         self.parities = tuple((V.space.parities[i] + V.space.parities[j]) % 2
                               for i, j in self.states)
+        # V's space is NS, with one even ground state, so a state's parity
+        # is its fermion count's and a pair's the sum of its two factors'
+        self.fermion_parities = self.parities
 
     @property
     def dim(self) -> int:

@@ -318,6 +318,22 @@ def test_an_error_in_either_lane_exits_2(capsys, monkeypatch, lane, suite, exc):
     assert_no_child_left()
 
 
+def test_when_both_lanes_raise_the_calling_lane_error_is_reported(capsys, monkeypatch):
+    # not a serial run's error: that run would stop at kappa, the calibration
+    # suite's first part, but `fork.both` raises the calling process's error
+    # and drops the child's
+    monkeypatch.setattr(cli, "_kappa_suite",
+                        _in_lane("forked", lambda: _raise(SuperfockError("kappa"))))
+    monkeypatch.setattr(cli, "_calibration_suite",
+                        _in_lane("calling", lambda: _raise(NoCalibration("n2"))))
+    code = main(["all", "--only", "calibration", "--allow-skip"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: n2"]
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("crash, status", [
     (lambda: _raise(ValueError("planted")), 1),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),

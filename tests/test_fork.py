@@ -13,6 +13,7 @@ from superfock import fork
 from superfock.errors import NonDiagonal, NonHomogeneous, SuperfockError
 from superfock.modes import l0_spectra
 from superfock.twisted import MirrorModule, SigmaModule
+from superfock.vosa import TensorVosa, Vosa
 
 
 def assert_no_child_left():
@@ -88,6 +89,22 @@ def test_split_spectra_equal_the_serial_loop(V5, tensor, n2, levels):
     # kept per engine: a second call, or one engine alone, forks no more
     assert l0_spectra([mirror])[0] is got[1] and sigma.l0_eigenvalues() is got[0]
     assert_no_child_left()
+
+
+def test_the_tensor_square_splits_on_its_factors_fermion_counts(capfd):
+    tensor = TensorVosa(Vosa(3), 3)
+    assert tensor.l0_eigenvalues() == _serial([tensor])[0]
+    assert capfd.readouterr().err == ""
+    assert 1 in tensor.space.fermion_parities, "the child's share is empty"
+    assert_no_child_left()
+
+
+def test_no_child_is_forked_for_an_empty_share(V5, monkeypatch):
+    # at one level the two Ramond ground states are the only columns, and
+    # neither holds a fermion mode
+    sigma = SigmaModule(V5, levels=1)
+    monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked")))
+    assert l0_spectra([sigma]) == _serial([sigma])
 
 
 def _planted(monkeypatch, bad):

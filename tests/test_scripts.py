@@ -7,8 +7,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_bench():
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -16,7 +16,7 @@ def _load_bench():
 
 def test_bench_alternates_sides_and_takes_medians_per_side():
     # a stubbed runner stands in for perfbench: nothing is benchmarked
-    bench = _load_bench()
+    bench = _load("bench")
     readings = {"base": iter([3.0, 1.0, 2.0, 9.0]), "head": iter([2.0, 2.5, 0.5, 1.0])}
     calls = []
 
@@ -46,16 +46,18 @@ def test_bench_alternates_sides_and_takes_medians_per_side():
     assert summary["failed"] == {"base": 0, "head": 1}
 
 
-def test_same_outputs_compares_every_part_of_each_command(monkeypatch):
-    # a stubbed runner stands in for the CLI: nothing is run
+def test_same_outputs_compares_every_part_of_each_command(monkeypatch, capsys):
+    # a stubbed runner stands in for the CLI and nothing is unpacked
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    spec = importlib.util.spec_from_file_location("same_outputs",
-                                                  ROOT / "scripts" / "same_outputs.py")
-    same_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(same_outputs)
-    outputs = {"a": (0, b"out", b""), "b": (1, b"out", b""), "c": (0, b"out", b"warn"),
-               "d": (2, b"", b"error: x")}
-    head = dict(outputs, b=(0, b"out", b""), c=(0, b"OUT", b""))
+    same_outputs = _load("same_outputs")
+    assert "all --window 0" in same_outputs.COMMANDS
+    deep = {f"corollary2 --trunc {n} --json" for n in range(7, 12)}
+    assert deep <= set(same_outputs.COMMANDS)
+    assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 34
+    outputs = {"a": (0, b"out", b"", 1.0, 25.0), "b": (1, b"out", b"", 2.0, 40.0),
+               "c": (0, b"out", b"warn", 3.0, 60.0), "d": (2, b"", b"error: x", 0.5, 20.0)}
+    head = dict(outputs, a=(0, b"out", b"", 0.9, 24.0), b=(0, b"out", b"", 2.0, 40.0),
+                c=(0, b"OUT", b"", 3.1, 58.5))
     calls = []
 
     def run(side, command):
@@ -64,41 +66,18 @@ def test_same_outputs_compares_every_part_of_each_command(monkeypatch):
 
     lines = list(same_outputs.compare(run, ["a", "b", "c", "d"]))
     assert calls == [(side, c) for c in "abcd" for side in ("base", "head")]
-    assert lines == ["SAME  a", "DIFF  b  (exit code)", "DIFF  c  (stdout, stderr)",
-                     "SAME  d"]
-    assert "all --window 0" in same_outputs.COMMANDS
-    assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 31
-
-
-def test_deep_compares_exit_code_and_stdout_digest(monkeypatch, capsys):
-    # a stubbed runner stands in for the CLI and nothing is unpacked
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    spec = importlib.util.spec_from_file_location("deep", ROOT / "scripts" / "deep.py")
-    deep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(deep)
-    digest = {7: "a" * 64, 8: "b" * 64, 9: "c" * 64}
-    runs = {("base", 7): (0, digest[7], 1.0, 25.0), ("head", 7): (0, digest[7], 0.9, 24.0),
-            ("base", 8): (0, digest[8], 2.0, 40.0), ("head", 8): (1, digest[8], 2.0, 40.0),
-            ("base", 9): (0, digest[9], 3.0, 60.0), ("head", 9): (0, digest[7], 3.1, 58.5)}
-    calls = []
-
-    def run(side, trunc):
-        calls.append((side, trunc))
-        return runs[side, trunc]
-
-    lines = list(deep.compare(run, [7, 8, 9]))
-    assert calls == [(side, n) for n in (7, 8, 9) for side in ("base", "head")]
     assert lines == [
-        "SAME  --trunc 7  sha256 aaaaaaaaaaaa  base 1.00 s 25.0 MiB  head 0.90 s 24.0 MiB",
-        "DIFF (exit code)  --trunc 8  sha256 bbbbbbbbbbbb  base 2.00 s 40.0 MiB  "
-        "head 2.00 s 40.0 MiB",
-        "DIFF (stdout)  --trunc 9  sha256 cccccccccccc / aaaaaaaaaaaa  base 3.00 s 60.0 MiB  "
-        "head 3.10 s 58.5 MiB"]
-    # main exits 1 on any difference and 0 when every N matches
-    monkeypatch.setattr(deep, "git", lambda *args: "0" * 40)
-    monkeypatch.setattr(deep, "unpack", lambda ref, dest: None)
-    monkeypatch.setattr(deep, "run_deep",
-                        lambda tree, n: runs["head" if tree == deep.ROOT else "base", n])
-    assert deep.main(["REF", "7"]) == 0
-    assert deep.main(["REF", "7", "9"]) == 1
-    assert capsys.readouterr().out.splitlines() == [lines[0], lines[0], lines[2]]
+        "SAME  a  base 1.00 s 25.0 MiB  head 0.90 s 24.0 MiB",
+        "DIFF  b  (exit code)  base 2.00 s 40.0 MiB  head 2.00 s 40.0 MiB",
+        "DIFF  c  (stdout, stderr)  base 3.00 s 60.0 MiB  head 3.10 s 58.5 MiB",
+        "SAME  d  base 0.50 s 20.0 MiB  head 0.50 s 20.0 MiB"]
+    # main exits 0 when every command matches and 1 on any DIFF
+    monkeypatch.setattr(same_outputs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(same_outputs, "unpack", lambda ref, dest: None)
+    monkeypatch.setattr(same_outputs, "run_cli", lambda tree, command: (
+        head if tree == same_outputs.ROOT else outputs)[command])
+    monkeypatch.setattr(same_outputs, "COMMANDS", ["a", "d"])
+    assert same_outputs.main(["--base", "REF"]) == 0
+    monkeypatch.setattr(same_outputs, "COMMANDS", ["a", "c"])
+    assert same_outputs.main(["--base", "REF"]) == 1
+    assert capsys.readouterr().out.splitlines() == [lines[0], lines[3], lines[0], lines[2]]
