@@ -46,13 +46,15 @@ def test_bench_alternates_sides_and_takes_medians_per_side():
     assert summary["failed"] == {"base": 0, "head": 1}
 
 
-def test_same_outputs_compares_every_part_of_each_command(monkeypatch, capsys):
+def _same_outputs(monkeypatch):
     # a stubbed runner stands in for the CLI and nothing is unpacked
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    same_outputs = _load("same_outputs")
+    return _load("same_outputs")
+
+
+def test_same_outputs_compares_every_part_of_each_command(monkeypatch):
+    same_outputs = _same_outputs(monkeypatch)
     assert "all --window 0" in same_outputs.COMMANDS
-    deep = {f"corollary2 --trunc {n} --json" for n in range(7, 12)}
-    assert deep <= set(same_outputs.COMMANDS)
     assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 34
     outputs = {"a": (0, b"out", b"", 1.0, 25.0), "b": (1, b"out", b"", 2.0, 40.0),
                "c": (0, b"out", b"warn", 3.0, 60.0), "d": (2, b"", b"error: x", 0.5, 20.0)}
@@ -71,13 +73,30 @@ def test_same_outputs_compares_every_part_of_each_command(monkeypatch, capsys):
         "DIFF  b  (exit code)  base 2.00 s 40.0 MiB  head 2.00 s 40.0 MiB",
         "DIFF  c  (stdout, stderr)  base 3.00 s 60.0 MiB  head 3.10 s 58.5 MiB",
         "SAME  d  base 0.50 s 20.0 MiB  head 0.50 s 20.0 MiB"]
+
+
+def test_deep_compares_exit_code_and_stdout_digest(monkeypatch, capsys):
+    # the corollary2 depth runs are commands of same_outputs, whose full
+    # stdout comparison stands in for a digest of it
+    same_outputs = _same_outputs(monkeypatch)
+    deep = [f"corollary2 --trunc {n} --json" for n in range(7, 12)]
+    assert same_outputs.COMMANDS[-5:] == deep
+    base = {deep[0]: (0, b"x", b"", 1.0, 25.0), deep[1]: (0, b"y", b"", 2.0, 40.0),
+            deep[2]: (0, b"z", b"", 3.0, 60.0)}
+    head = {deep[0]: (0, b"x", b"", 0.9, 24.0), deep[1]: (1, b"y", b"", 2.0, 40.0),
+            deep[2]: (0, b"x", b"", 3.1, 58.5)}
+    lines = [
+        f"SAME  {deep[0]}  base 1.00 s 25.0 MiB  head 0.90 s 24.0 MiB",
+        f"DIFF  {deep[1]}  (exit code)  base 2.00 s 40.0 MiB  head 2.00 s 40.0 MiB",
+        f"DIFF  {deep[2]}  (stdout)  base 3.00 s 60.0 MiB  head 3.10 s 58.5 MiB"]
     # main exits 0 when every command matches and 1 on any DIFF
     monkeypatch.setattr(same_outputs, "git", lambda *args: "0" * 40)
     monkeypatch.setattr(same_outputs, "unpack", lambda ref, dest: None)
     monkeypatch.setattr(same_outputs, "run_cli", lambda tree, command: (
-        head if tree == same_outputs.ROOT else outputs)[command])
-    monkeypatch.setattr(same_outputs, "COMMANDS", ["a", "d"])
+        head if tree == same_outputs.ROOT else base)[command])
+    monkeypatch.setattr(same_outputs, "COMMANDS", deep[:1])
     assert same_outputs.main(["--base", "REF"]) == 0
-    monkeypatch.setattr(same_outputs, "COMMANDS", ["a", "c"])
+    assert capsys.readouterr().out.splitlines() == lines[:1]
+    monkeypatch.setattr(same_outputs, "COMMANDS", deep[:3])
     assert same_outputs.main(["--base", "REF"]) == 1
-    assert capsys.readouterr().out.splitlines() == [lines[0], lines[3], lines[0], lines[2]]
+    assert capsys.readouterr().out.splitlines() == lines
