@@ -506,30 +506,9 @@ SUITES = {
 }
 
 # The parts that read the N=2 calibration, through `_calibrated` and
-# `_build_stack`: the calibration's table and signs, the mirror-twisted
-# checks and the character identity.  `all` runs them in its own process
-# and every other part meanwhile in one forked child: the scalars, delta,
-# algebra and vosa suites, kappa's compatibility and the parity-twisted
-# checks, which share the child's own V.
+# `_build_stack`.  `all` runs its parts over `fork.split`: these in the
+# calling process, every other part in one forked child.
 CALIBRATED = ("n2", "mirror", "corollary2")
-
-
-def _run_lane(args, parts: list) -> dict:
-    """The check records of each part (suite, part name)."""
-    return {(suite, part): SUITES[suite][part](args) for suite, part in parts}
-
-
-def _run_lanes(args, forked: list, here: list) -> dict:
-    """The check records of the parts `forked`, run in one forked child
-    (`fork.both`), and of the parts `here`, run meanwhile in this process.
-    A child that sends no record for one of its parts raises RuntimeError."""
-    if not forked:
-        return _run_lane(args, here)
-    sent, done = fork.both(lambda: _run_lane(args, forked), lambda: _run_lane(args, here))
-    missing = [part for part in forked if part not in sent]
-    if missing:
-        raise RuntimeError(f"the forked parts of `all` sent no checks for {missing}")
-    return {**done, **sent}
 
 
 def cmd_all(args) -> int:
@@ -538,8 +517,9 @@ def cmd_all(args) -> int:
     unknown = only - set(SUITES)
     _require(not unknown, f"unknown suites: {sorted(unknown)}")
     chosen = [(name, part) for name in SUITES if name in only for part in SUITES[name]]
-    records = _run_lanes(args, [p for p in chosen if p[1] not in CALIBRATED],
-                         [p for p in chosen if p[1] in CALIBRATED])
+    runners = [SUITES[name][part] for name, part in chosen]
+    records = dict(zip(chosen, fork.split([part not in CALIBRATED for _, part in chosen],
+                                          lambda i: runners[i](args))))
     suites = [_suite_payload(name, [c for part in SUITES[name] for c in records[name, part]])
               if name in only else _suite_payload(name, [], skipped=True)
               for name in SUITES]

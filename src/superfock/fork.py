@@ -1,13 +1,8 @@
-"""Two processes for two independent pieces of work: one child made by
-POSIX `os.fork` and the calling process.
-
-`both(child, here)` is the one fork of the package.  `all` runs its parts
-in it, and `modes.l0_spectra` splits the L(0) diagonals with it.  The
-child's result goes back over a pipe as `marshal` data, so it must be made
-of ints, strings, tuples, lists and dicts.  The rules are those of a
-serial run: the child is always reaped and leaves through `os._exit`, a
-`SuperfockError` in it is raised in the caller with its class kept, and a
-child that dies or sends nothing raises RuntimeError, never a result.
+"""The package's one fork, `split(sides, run)`: a serial run's results and
+errors from two processes, one of them a child made by POSIX `os.fork`.
+`all` splits its parts with it, and `modes.l0_spectra` the L(0) diagonal
+entries.  The child's results go back over a pipe as `marshal` data, so
+they must be made of ints, strings, tuples, lists and dicts.
 """
 
 from __future__ import annotations
@@ -15,7 +10,7 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from typing import Callable, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import errors
 from .errors import SuperfockError
@@ -31,19 +26,31 @@ def rebuilt_error(name: str, message: str) -> SuperfockError:
     return cls(message)
 
 
-def _child(child: Callable[[], object], read_fd: int, write_fd: int):
-    """The child's side of `both`: send ("done", child()) or ("error",
-    class name, message) down the pipe and leave through os._exit, with
+def _share(run: Callable[[int], object],
+           positions: List[int]) -> Tuple[list, Optional[SuperfockError]]:
+    """(results, error): run(i) for the positions in order, up to the first
+    SuperfockError, which then fails the position after the results."""
+    results = []
+    try:
+        for i in positions:
+            results.append(run(i))
+    except SuperfockError as exc:
+        return results, exc
+    return results, None
+
+
+def _child(run: Callable[[int], object], positions: List[int], read_fd: int,
+           write_fd: int):
+    """The child's side of `split`: send (results, None) or (results, (error
+    class name, message)) down the pipe and leave through os._exit, with
     status 1 and a traceback on stderr when nothing was sent."""
     sent = False
     try:
         os.close(read_fd)
-        try:
-            result = ("done", child())
-        except SuperfockError as exc:
-            result = ("error", type(exc).__name__, str(exc))
+        results, exc = _share(run, positions)
+        reply = (results, None if exc is None else (type(exc).__name__, str(exc)))
         with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(marshal.dumps(result))
+            pipe.write(marshal.dumps(reply))
         sent = True
     finally:
         if not sent:
@@ -54,27 +61,40 @@ def _child(child: Callable[[], object], read_fd: int, write_fd: int):
         os._exit(0 if sent else 1)
 
 
-def both(child: Callable[[], object], here: Callable[[], object]) -> Tuple[object, object]:
-    """(child(), here()): child() runs in one child made by os.fork while
-    here() runs in this process.  The child is always reaped, also when
-    here() raises, whose error is then raised and the child's dropped; a
-    SuperfockError in the child is raised here with its class, and a
-    child that sends no result raises RuntimeError naming its exit
-    status."""
+def split(sides: Sequence[object], run: Callable[[int], object]) -> list:
+    """[run(i) for i in range(len(sides))]: the positions with a true side
+    run in one forked child, the others here, each share in position order
+    up to its first SuperfockError; with no true side nothing is forked.
+    The error at the earlier position is raised, the child's with its class
+    kept.  The child is always reaped and leaves through os._exit; any
+    other error here is raised once it is, and a child that sends no
+    result, or a reply of the wrong length, raises RuntimeError naming its
+    exit status, ahead of any error here."""
+    child = [i for i, side in enumerate(sides) if side]
+    if not child:
+        return [run(i) for i in range(len(sides))]
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
-        _child(child, read_fd, write_fd)
+        _child(run, child, read_fd, write_fd)
     os.close(write_fd)
+    here = [i for i, side in enumerate(sides) if not side]
     try:
-        mine = here()
+        mine, my_error = _share(run, here)
     finally:
         with os.fdopen(read_fd, "rb") as pipe:
             data = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0 or not data:
-        raise RuntimeError(f"the forked child sent no result (child exit status {status})")
-    kind, *value = marshal.loads(data)
-    if kind == "error":
-        raise rebuilt_error(*value)
-    return value[0], mine
+        theirs, their_error = marshal.loads(data) if status == 0 and data else (None, None)
+        # a complete reply has a result for each of the child's positions,
+        # or for those before the one its error fails
+        if theirs is None or not (len(theirs) < len(child) if their_error
+                                  else len(theirs) == len(child)):
+            raise RuntimeError(f"the forked child sent no complete result "
+                               f"(child exit status {status})")
+    if my_error is not None and (their_error is None or here[len(mine)] < child[len(theirs)]):
+        raise my_error
+    if their_error is not None:
+        raise rebuilt_error(*their_error)
+    mine, theirs = iter(mine), iter(theirs)
+    return [next(theirs if side else mine) for side in sides]

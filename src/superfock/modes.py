@@ -42,12 +42,14 @@ verifier relies on.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import accumulate
 from math import factorial, floor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import NonDiagonal, NonHomogeneous, SuperfockError, TruncationOverflow
+from .errors import NonDiagonal, NonHomogeneous, TruncationOverflow
 from .scalars import ZERO, ExactScalar, ONE, Vec, v_iadd, v_scale
 
 
@@ -104,9 +106,9 @@ class Family:
     overflowing one (TruncationOverflow) are never stored and give the same
     answer on every call.  A class whose columns are cheap copies of
     memoized ones sets `memo = False`: `VacuumFamily` and the tensor
-    square's `_TensorSlotFamily` and `_TensorMonoFamily`.  Its `apply_basis`
-    runs the same tests on every call, stores nothing and returns a fresh
-    column (or EMPTY).
+    square's `_TensorSlotFamily` and `_TensorMonoFamily` (and the L of
+    `l0_spectra`, on itself).  Its `apply_basis` runs the same tests on
+    every call, stores nothing and returns a fresh column (or EMPTY).
     """
 
     memo = True
@@ -507,57 +509,35 @@ class Engine:
 _SPECTRUM = "l0-spectrum"
 
 
-def _l0_share(engines: Sequence[Engine], parity: int) -> tuple:
-    """The L(0) diagonal entries, as (numerator, denominator), of the
-    columns whose fermion count has this parity, one list per engine, in
-    the serial order: engine by engine, column by column.  The share stops
-    at its first error and returns it as (engine, column, error class
-    name, message), column -1 when the engine's L failed; else None."""
-    entries: List[List[Tuple[int, int]]] = []
-    for k, engine in enumerate(engines):
-        mine: List[Tuple[int, int]] = []
-        entries.append(mine)
-        col, keys = -1, engine.space.fermion_parities
-        try:
-            L = engine.L()
-            for col in range(engine.space.dim):
-                if keys[col] == parity:
-                    value = engine._l0_entry(L, col)
-                    mine.append((value.numerator, value.denominator))
-        except SuperfockError as exc:
-            return entries, (k, col, type(exc).__name__, str(exc))
-    return entries, None
-
-
 def l0_spectra(engines: Sequence[Engine]) -> List[List[Fraction]]:
     """The L(0) diagonal of each engine, as `Engine.l0_eigenvalues` gives
     it, kept per engine by `Engine.table` (callers never mutate one).
 
-    The diagonals not kept yet are computed in two processes (`fork.both`):
-    the columns whose code holds an odd number of fermion modes (the
-    space's `fermion_parities`) in a forked child, the others (the ground
-    columns among them) here; with no such column nothing is forked.  A
-    column's entries read the memoized columns of its own fermion parity,
-    so the two processes compute almost no column twice; the engines are
-    split together, column by column, since the mirror-twisted diagonal
-    reads the parity-twisted one's columns.  The error raised is the one a
-    serial loop over the engines would raise first: each share stops at its
-    first error in that order, and the earlier of the two is raised."""
+    The diagonals not kept yet are one `fork.split` over all the engines'
+    columns in serial order (the mirror-twisted diagonal reads the
+    parity-twisted one's columns), with the columns of odd fermion count
+    (`fermion_parities`) in the child: an entry reads memoized columns of
+    its own fermion parity, so the processes compute almost no column
+    twice.  Each process builds an engine's L once and keeps none of its
+    columns, as each is read once."""
     todo = [e for e in engines if _SPECTRUM not in e._tables]
     if todo:
         # imported here: the presentation layer loads modes but never forks
         from . import fork
 
-        if any(1 in e.space.fermion_parities for e in todo):
-            odd, even = fork.both(lambda: _l0_share(todo, 1), lambda: _l0_share(todo, 0))
-        else:  # no column for a child, so none is forked (as in `cli._run_lanes`)
-            odd, even = ([[] for _ in todo], None), _l0_share(todo, 0)
-        failed = [err for _, err in (odd, even) if err is not None]
-        if failed:
-            *_, name, message = min(failed)
-            raise fork.rebuilt_error(name, message)
+        starts = list(accumulate((e.space.dim for e in todo), initial=0))
+        Ls: Dict[int, Family] = {}
+
+        def entry(i: int) -> Tuple[int, int]:
+            k = bisect_right(starts, i) - 1
+            if k not in Ls:
+                Ls[k] = todo[k].L()
+                Ls[k].memo = False
+            value = todo[k]._l0_entry(Ls[k], i - starts[k])
+            return value.numerator, value.denominator
+
+        entries = fork.split([key for e in todo for key in e.space.fermion_parities], entry)
         for k, engine in enumerate(todo):
-            shares = (iter(even[0][k]), iter(odd[0][k]))
-            engine._tables[_SPECTRUM] = [Fraction(*next(shares[key]))
-                                         for key in engine.space.fermion_parities]
+            engine._tables[_SPECTRUM] = [Fraction(*pair)
+                                         for pair in entries[starts[k]:starts[k + 1]]]
     return [e._tables[_SPECTRUM] for e in engines]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superfock.cli as cli
+from superfock import fork
 from superfock.checks import CheckReport
 from superfock.cli import main
 from superfock.errors import NoCalibration, SuperfockError
@@ -258,17 +259,18 @@ def test_all_forks_before_it_builds_an_engine(monkeypatch):
     builders = [cli._tensor, cli._sigma, cli._calibrated, cli._build_stack]
     for builder in builders:
         builder.cache_clear()
-    sizes, exact = [], cli._run_lanes
+    sizes, exact = [], fork.split
 
-    def recording(args, forked, here):
+    def recording(sides, run):
         sizes.append([b.cache_info().currsize for b in builders])
-        return exact(args, forked, here)
+        return exact(sides, run)
 
-    monkeypatch.setattr(cli, "_run_lanes", recording)
+    monkeypatch.setattr(fork, "split", recording)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["all", "--json"])
-    assert code == 0 and sizes == [[0, 0, 0, 0]]
+    # all's split comes first; the corollary2 part's L(0) spectra split later
+    assert code == 0 and sizes[0] == [0, 0, 0, 0] and len(sizes) == 2
     assert out.getvalue() == SNAPSHOT.read_text()
     assert_no_child_left()
 
@@ -318,19 +320,22 @@ def test_an_error_in_either_lane_exits_2(capsys, monkeypatch, lane, suite, exc):
     assert_no_child_left()
 
 
-def test_when_both_lanes_raise_the_calling_lane_error_is_reported(capsys, monkeypatch):
-    # not a serial run's error: that run would stop at kappa, the calibration
-    # suite's first part, but `fork.both` raises the calling process's error
-    # and drops the child's
-    monkeypatch.setattr(cli, "_kappa_suite",
-                        _in_lane("forked", lambda: _raise(SuperfockError("kappa"))))
-    monkeypatch.setattr(cli, "_calibration_suite",
-                        _in_lane("calling", lambda: _raise(NoCalibration("n2"))))
-    code = main(["all", "--only", "calibration", "--allow-skip"])
+@pytest.mark.parametrize("first, later", [
+    (("_kappa_suite", "forked", SuperfockError("kappa")),
+     ("_calibration_suite", "calling", NoCalibration("n2"))),
+    (("_calibration_suite", "calling", NoCalibration("n2")),
+     ("_sigma_suite", "forked", SuperfockError("sigma"))),
+], ids=["forked kappa before calling n2", "calling n2 before forked sigma"])
+def test_when_both_lanes_raise_the_serial_error_is_reported(capsys, monkeypatch, first,
+                                                            later):
+    # a serial run stops at the first of the two parts, in whichever lane it ran
+    for suite, lane, exc in (first, later):
+        monkeypatch.setattr(cli, suite, _in_lane(lane, lambda *args, exc=exc: _raise(exc)))
+    code = main(["all", "--only", "calibration,twisted", "--allow-skip"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: n2"]
+    assert captured.err.splitlines() == [f"error: {first[2]}"]
     assert_no_child_left()
 
 
@@ -348,16 +353,14 @@ def test_a_child_without_a_result_is_never_a_pass(capfd, monkeypatch, crash, sta
 
 
 def test_a_part_missing_from_the_reply_is_never_a_pass(monkeypatch):
-    exact, caller = cli._run_lane, os.getpid()
+    exact, caller = fork._share, os.getpid()
 
-    def dropping(args, parts):
-        records = exact(args, parts)
-        if os.getpid() != caller:
-            del records["calibration", "kappa"]
-        return records
+    def dropping(run, positions):
+        results, error = exact(run, positions)
+        return (results[:-1] if os.getpid() != caller else results), error
 
-    monkeypatch.setattr(cli, "_run_lane", dropping)
-    with pytest.raises(RuntimeError, match=r"no checks for \[\('calibration', 'kappa'\)\]"):
+    monkeypatch.setattr(fork, "_share", dropping)
+    with pytest.raises(RuntimeError, match=r"no complete result \(child exit status 0\)"):
         main(list(BOTH_LANES))
     assert_no_child_left()
 

@@ -1,4 +1,4 @@
-"""The one fork of the package (`fork.both`) and the L(0) spectra split
+"""The one fork of the package (`fork.split`) and the L(0) spectra split
 over it (`modes.l0_spectra`): the split equals the serial loop, an error is
 the one the serial loop raises first, a child that dies never yields a
 spectrum, and no child is left behind."""
@@ -45,13 +45,25 @@ def _raise(exc):
     raise exc
 
 
-# fork.both -------------------------------------------------------------------
+# fork.split -------------------------------------------------------------------
 
-def test_both_returns_each_side_and_reaps_its_child():
+def _in(lane, value):
+    """run(i) that returns value, refusing to run outside its lane:
+    "child" (the forked child) or "here" (the calling process)."""
     caller = os.getpid()
-    child, here = fork.both(lambda: (os.getpid() != caller, {(1, "a"): [2 ** 80]}),
-                            lambda: os.getpid() == caller)
-    assert child == (True, {(1, "a"): [2 ** 80]}) and here is True
+
+    def run():
+        assert (os.getpid() == caller) == (lane == "here"), f"ran outside the {lane} lane"
+        return value
+
+    return run
+
+
+def test_split_returns_each_result_in_position_order_and_reaps_its_child():
+    work = [_in("child", 2 ** 80), _in("here", "a"), _in("here", {(1, "a"): [2 ** 81]}),
+            _in("child", {"b": (3, -4)}), _in("here", None)]
+    assert fork.split([1, 0, 0, 1, 0], lambda i: work[i]()) == [
+        2 ** 80, "a", {(1, "a"): [2 ** 81]}, {"b": (3, -4)}, None]
     assert_no_child_left()
 
 
@@ -59,14 +71,48 @@ def test_both_returns_each_side_and_reaps_its_child():
                                  SuperfockError("planted")])
 def test_an_error_in_the_child_keeps_its_class(exc):
     with pytest.raises(SuperfockError, match="^planted$") as info:
-        fork.both(lambda: _raise(exc), lambda: None)
+        fork.split([True, False], lambda i: _raise(exc) if i == 0 else None)
     assert type(info.value) is type(exc)
     assert_no_child_left()
 
 
 def test_an_error_here_still_reaps_the_child():
-    with pytest.raises(NonDiagonal, match="here"):
-        fork.both(lambda: 1, lambda: _raise(NonDiagonal("here")))
+    # not a package error, so not a share's stop: raised once the child is reaped
+    with pytest.raises(ValueError, match="here"):
+        fork.split([True, False], lambda i: _raise(ValueError("here")) if i else 1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("sides", [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]])
+def test_split_raises_the_serial_first_error_whichever_share_holds_it(sides):
+    # positions 1 and 3 fail; a serial run stops at 1, and so does the split
+    ran, caller = [], os.getpid()
+
+    def run(i):
+        ran.append(i)
+        if i in (1, 3):
+            raise (NonDiagonal if i == 1 else NonHomogeneous)(f"position {i}")
+        return i
+
+    with pytest.raises(NonDiagonal, match="^position 1$"):
+        fork.split(sides, run)
+    # this process's share stopped at its first error
+    here = [i for i, side in enumerate(sides) if not side]
+    stop = min([i for i in here if i in (1, 3)], default=len(sides))
+    assert ran == [i for i in here if i <= stop]
+    assert_no_child_left()
+
+
+def test_no_child_is_forked_without_a_child_position(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked")))
+    assert fork.split([0, False, None], lambda i: i * i) == [0, 1, 4]
+    assert fork.split([], lambda i: i) == []
+
+
+def test_a_dead_child_is_not_hidden_by_an_error_here():
+    with pytest.raises(RuntimeError, match=r"child exit status 1\)") as info:
+        fork.split([True, False], lambda i: _raise(ValueError("here")) if i else os._exit(1))
+    assert isinstance(info.value.__context__, ValueError)
     assert_no_child_left()
 
 
@@ -88,6 +134,21 @@ def test_split_spectra_equal_the_serial_loop(V5, tensor, n2, levels):
     assert got == _serial([sigma, mirror])
     # kept per engine: a second call, or one engine alone, forks no more
     assert l0_spectra([mirror])[0] is got[1] and sigma.l0_eigenvalues() is got[0]
+    assert_no_child_left()
+
+
+def test_the_spectrum_L_keeps_no_column_memo(V5, tensor, n2, monkeypatch):
+    sigma, mirror = _stack(V5, tensor, n2, 5)
+    want, built, exact = _serial([sigma, mirror]), [], modes.Engine.L
+
+    def L(engine):
+        built.append(exact(engine))
+        return built[-1]
+
+    monkeypatch.setattr(modes.Engine, "L", L)
+    assert l0_spectra([sigma, mirror]) == want
+    # one L per engine in this process, each column computed and not kept
+    assert len(built) == 2 and all(fam._cols == {} for fam in built)
     assert_no_child_left()
 
 

@@ -16,7 +16,7 @@ memo rule (a memo per family, skipped by the classes that set
 `Engine._family_by_index` builds the vacuum's family for every engine,
 `cli` calls `TensorVosa`, `SigmaModule` and `MirrorModule` once each, in
 its cached builders, so every command and suite shares one build of each,
-`fork.both` makes the package's one forked child (one call of `os.fork`
+`fork.split` makes the package's one forked child (one call of `os.fork`
 under src/), `Engine.product_families` holds the one memoized function
 nested in another under src/, so the product-state families of the component
 identity are found in one place, `cli` is the one module that writes the
@@ -367,7 +367,7 @@ def _fork_calls(tree: ast.Module):
 
 
 def test_the_package_forks_in_one_place():
-    # every forked child is made, reaped and read by `fork.both`
+    # every forked child is made, reaped and read by `fork.split`
     forks = {path.name: list(_fork_calls(ast.parse(path.read_text()))) for path in MODULES}
     assert {name: len(lines) for name, lines in forks.items() if lines} == {"fork.py": 1}
     assert list(_fork_calls(ast.parse("os.fork()\nfork()\nx.fork(1)\nfork\n"))) == [1, 2, 3]
@@ -526,7 +526,7 @@ def test_workload_names_resolve():
 
 # the trace rule ------------------------------------------------------------------
 
-# Run in one process with both sides of each fork in series, these commands
+# Run in one process with each split serial, these commands
 # enter every package function that the commands of scripts/same_outputs.py
 # enter; each comes with its exit code.
 TRACED_COMMANDS = [
@@ -546,7 +546,7 @@ TRACED_COMMANDS = [
     ("all --window 0", 2),
     ("delta --k 0 --terms 1", 2),
 ]
-# the trace entered 251 of the package's 267 functions
+# the trace entered 248 of the package's 265 functions
 MIN_ENTERED = 240
 
 ERROR_PATH = "error path: builds an exception that no command provokes"
@@ -573,7 +573,8 @@ NEVER_ENTERED = {
     "checks.CheckReport.to_json": PERFBENCH,
     "checks.CheckViolation.to_json": PERFBENCH,
     "fork.rebuilt_error": ERROR_PATH,
-    "fork.both": FORKED,
+    "fork.split": FORKED,
+    "fork._share": FORKED,
     "fork._child": FORKED,
 }
 
@@ -630,16 +631,15 @@ def _trace_cli():
     """Print, as JSON, the exit code of each of TRACED_COMMANDS and the code
     key of every package function they enter.  The trace starts before the
     CLI is imported, so import-time calls count, and the commands run in
-    this process, both sides of each fork in series (the child's work,
-    then that of the calling process: the forked parts of `all`, then its
-    others, and the odd share of the L(0) spectra, then the even one): a
-    forked child's calls would not reach this trace."""
+    this process, with `fork.split` replaced by its serial form (every
+    position in order, in this process): a forked child's calls would not
+    reach this trace."""
     exits = []
 
     def run():
         from superfock import cli, fork
 
-        fork.both = lambda child, here: (child(), here())
+        fork.split = lambda sides, run: [run(i) for i in range(len(sides))]
         for command, _ in TRACED_COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
