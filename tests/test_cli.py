@@ -325,7 +325,7 @@ def test_an_error_in_either_lane_exits_2(capsys, monkeypatch, lane, suite, exc):
      ("_calibration_suite", "calling", NoCalibration("n2"))),
     (("_calibration_suite", "calling", NoCalibration("n2")),
      ("_sigma_suite", "forked", SuperfockError("sigma"))),
-], ids=["forked kappa before calling n2", "calling n2 before forked sigma"])
+], ids=["kappa before n2", "n2 before sigma"])
 def test_when_both_lanes_raise_the_serial_error_is_reported(capsys, monkeypatch, first,
                                                             later):
     # a serial run stops at the first of the two parts, in whichever lane it ran
