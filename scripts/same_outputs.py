@@ -35,9 +35,11 @@ from bench import ROOT, git, unpack
 # twisted` and `all --only calibration,corollary2` one suite's parts run on
 # both sides of the fork; the text forms of `verify twisted --window 1` and
 # `verify vosa --max-weight 3` print each check's line, with its fields;
-# `corollary2 --trunc 7` to `--trunc 11` check the character identity at
-# 14 to 22 levels, where the L(0) spectra are split over two processes and
-# time and memory grow with depth: their lines are the depth table
+# `corollary2 --trunc 7` to `--trunc 12` check the character identity at
+# 14 to 24 levels, where the L(0) spectra are split over two processes and
+# time and memory grow with depth: their lines are the depth table, and
+# trunc 12, the deepest, shows first what a change to the column memos
+# costs in memory
 COMMANDS = [
     "all --json",
     "all",
@@ -73,6 +75,7 @@ COMMANDS = [
     "corollary2 --trunc 9 --json",
     "corollary2 --trunc 10 --json",
     "corollary2 --trunc 11 --json",
+    "corollary2 --trunc 12 --json",
 ]
 
 # (exit code, stdout, stderr, wall seconds, peak resident set in MiB)

@@ -3,15 +3,18 @@
 Every subcommand emits either human-readable lines or a versioned JSON
 report; identical configurations produce byte-identical output.  Exit codes:
 0 all checks passed, 1 at least one check failed (or anything skipped
-without --allow-skip), 2 configuration errors, 141 stdout closed before the
-output was written (as in `superfock all --json | head -c 10`), with
-nothing on stderr.
+without --allow-skip), 2 configuration errors, 3 a run cut short, with
+nothing on stdout and one `error:` line on stderr (memory ran out, in
+either process of a fork, or the forked child died without a reply),
+141 stdout closed before the output was written (as in
+`superfock all --json | head -c 10`), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import mmap
 import os
 import random
 import sys
@@ -21,7 +24,7 @@ from functools import lru_cache
 from . import delta as delta_mod
 from . import fork
 from .checks import borcherds_check, jacobi_pair_reports
-from .errors import SuperfockError
+from .errors import ChildLost, SuperfockError
 from .fock import TruncatedSpace, character
 from .scalars import ExactScalar, v_scale
 from .series import Series, substitute_root_phase
@@ -61,6 +64,11 @@ SCHEMA = 1
 # the exit code when stdout is closed before the output is written, as
 # shells report a process killed by SIGPIPE (128 + 13)
 BROKEN_PIPE = 141
+# the exit code of a run cut short, neither a verdict nor a bad option
+CUT_SHORT = 3
+# address space that main() maps, untouched, while a command runs and
+# unmaps when memory runs out (under `ulimit -v`), making room to report it
+RESERVE = 4 << 20
 
 
 def _require(ok: bool, message: str) -> None:
@@ -626,6 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    reserve = mmap.mmap(-1, RESERVE)
     try:
         # a bracket table at window 0 holds L(0) (and J(0)) but no G mode
         # and no central term, so the commands that check one need window 1
@@ -635,6 +644,15 @@ def main(argv=None) -> int:
         # flushed here, so that a closed stdout is seen here and not at exit
         sys.stdout.flush()
         return code
+    except MemoryError:
+        # the cached engines outlive the error, so without the reserve the
+        # line and the exit could find no memory left
+        reserve.close()
+        print("error: out of memory", file=sys.stderr)
+        return CUT_SHORT
+    except ChildLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CUT_SHORT
     except SuperfockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,3 +49,8 @@ class NoCalibration(SuperfockError):
 class NonDiagonal(SuperfockError):
     pass
 
+
+class ChildLost(SuperfockError, RuntimeError):
+    """A forked child ended without a complete reply: it was killed, ran
+    out of memory, or died of an error it could not send."""
+

@@ -2,7 +2,9 @@
 
 A Family represents the whole tower of modes of one state acting on one
 module, and every family memoizes its columns the same way (`Family`),
-except the classes whose columns copy memoized ones (`Family.memo`).
+except the classes whose columns copy memoized ones (`Family.memo`) and
+the generator modes, whose columns are each one basis column times one
+of a few scalars and are kept as index arrays (`Family.monomial`).
 Generator modes act directly on Fock monomials; modes of composite states
 are computed from the component form of the (twisted) Jacobi identity,
 
@@ -42,6 +44,7 @@ verifier relies on.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, cached_property
@@ -87,6 +90,9 @@ def binomial2_scalar(m2: int, i: int, sign: int) -> ExactScalar:
 # The one empty result every family returns; callers never mutate a result.
 EMPTY: Vec = {}
 
+# the target of a monomial family's slot not filled yet, and of a zero column
+UNKNOWN, NONE = -2, -1
+
 
 def _not_half_units(t2) -> TypeError:
     return TypeError(f"mode index {t2!r} is not an int in half units (2t)")
@@ -109,9 +115,20 @@ class Family:
     square's `_TensorSlotFamily` and `_TensorMonoFamily` (and the L of
     `l0_spectra`, on itself).  Its `apply_basis` runs the same tests on
     every call, stores nothing and returns a fresh column (or EMPTY).
+
+    A class whose every column is one basis column times one of a few
+    scalars, or zero, sets `monomial` (the free-field generators of
+    `vosa`).  It keeps those scalars in the tuple `coeffs`, and its
+    `_compute` returns (target column, index into `coeffs`) or None.  Its
+    memo is compact and kept apart from `_cols`: per mode index, an
+    `array('i')` of target columns (UNKNOWN until filled, NONE for zero)
+    and a `bytearray` of coefficient ids, so an id above 255 is refused when
+    it is stored.  A hit builds the fresh column {target: coeff}; the
+    contract above is the same.
     """
 
     memo = True
+    monomial = False
 
     def __init__(self, engine, weight2: int, parity: int,
                  off2: Optional[int] = None):
@@ -122,6 +139,8 @@ class Family:
         # or 1), or None when both half-integer lattices can occur.
         self.off2 = off2
         self._cols: Dict[int, List[Optional[Vec]]] = {}
+        if self.monomial:
+            self._rows: Dict[int, Tuple[array, bytearray]] = {}
 
     def apply_basis(self, t2: int, col: int) -> Vec:
         # the type test comes first: Fraction(2) hashes like 2 and would
@@ -133,6 +152,15 @@ class Family:
             res = row[col]
             if res is not None:
                 return res
+        elif self.monomial:
+            # only a family without a `_cols` row at t2 pays for this test
+            row = self._rows.get(t2)
+            if row is not None:
+                target = row[0][col]
+                if target >= 0:
+                    return {target: self.coeffs[row[1][col]]}
+                if target == NONE:
+                    return EMPTY
         # a miss: a slot is filled only once the tests below have passed for
         # its (t2, col), and they read nothing else, so a hit skips them; an
         # off-lattice, negative-weight or overflowing column is never stored
@@ -149,6 +177,19 @@ class Family:
                 f"(levels above the lowest column)")
         if not self.memo:
             return self._compute(t2, col) or EMPTY
+        if self.monomial:
+            if row is None:
+                row = self._rows[t2] = (array("i", [UNKNOWN]) * eng.space.dim,
+                                        bytearray(eng.space.dim))
+            hit = self._compute(t2, col)
+            if hit is None:
+                row[0][col] = NONE
+                return EMPTY
+            target, cid = hit
+            # the id first: one that outgrows its byte leaves the slot unknown
+            row[1][col] = cid
+            row[0][col] = target
+            return {target: self.coeffs[cid]}
         if row is None:
             row = self._cols[t2] = [None] * eng.space.dim
         res = row[col] = self._compute(t2, col) or EMPTY

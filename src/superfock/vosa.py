@@ -25,12 +25,7 @@ from typing import Dict, List, Tuple
 from .checks import CheckReport, TableReport, bracket_table_check, tally
 from .errors import NoCalibration, TruncationOverflow
 from .fock import FockState, TruncatedSpace
-from .modes import (
-    EMPTY,
-    CompositeFamily,
-    Engine,
-    Family,
-)
+from .modes import CompositeFamily, Engine, Family
 from .scalars import ExactScalar, ONE, Vec, square_roots, v_iadd, v_scale
 from .superalgebra import N1_NS, N2_NS
 
@@ -49,36 +44,44 @@ def _insertion_point(parts: Tuple[int, ...], mag: int) -> int:
 
 class _BosonModes(Family):
     """Y(a(-1)|0>, x): mode t is a(t), acting on the space's int-coded
-    states (`TruncatedSpace.codes`)."""
+    states (`TruncatedSpace.codes`).  A column is one state times one of
+    `coeffs`, so the family keeps the compact memo of a `monomial` one."""
+
+    monomial = True
 
     def __init__(self, engine: "FreeFieldEngine"):
         super().__init__(engine, 2, 0, 0)
         self._codes = engine.space.codes
         self._index = engine.space.code_index
         # a(n) removes one of `mult` equal parts n with coefficient n * mult,
-        # at most the boson level of a column, which stays below bound2 / 2
-        self._counts = tuple(ExactScalar(k) for k in range(engine.bound2 // 2 + 1))
+        # at most the boson level of a column, which stays below bound2 / 2;
+        # a(-n) adds a part with coefficient 1, the id 1
+        self.coeffs = tuple(ExactScalar(k) for k in range(engine.bound2 // 2 + 1))
 
     def _compute(self, t2, col):
         n = t2 // 2
         if n == 0:
-            return EMPTY
+            return None
         bos, fer, ground = self._codes[col]
         if n < 0:
             i = _insertion_point(bos, -n)
-            return {self._index[(bos[:i] + (-n,) + bos[i:], fer, ground)]: ONE}
+            return self._index[(bos[:i] + (-n,) + bos[i:], fer, ground)], 1
         mult = bos.count(n)
         if not mult:
-            return EMPTY
+            return None
         i = bos.index(n)
-        return {self._index[(bos[:i] + bos[i + 1:], fer, ground)]: self._counts[n * mult]}
+        return self._index[(bos[:i] + bos[i + 1:], fer, ground)], n * mult
 
 
 class _FermionModes(Family):
     """Y(psi(-1/2)|0>, x): mode t is psi(t + 1/2), acting on int-coded
     states.  The space's fermion sector fixes the lattice: t in Z in the
     Neveu-Schwarz sector, t in Z + 1/2 in the Ramond sector, where the zero
-    mode psi(0) flips the ground state with coefficient +-sqrt(psi_delta/2)."""
+    mode psi(0) flips the ground state with coefficient +-sqrt(psi_delta/2).
+    A column is one state times one of `coeffs`, so the family keeps the
+    compact memo of a `monomial` one."""
+
+    monomial = True
 
     def __init__(self, engine: "FreeFieldEngine"):
         ramond = engine.space.fermion_sector == "r"
@@ -86,29 +89,32 @@ class _FermionModes(Family):
         self._codes = engine.space.codes
         self._index = engine.space.code_index
         delta = engine.algebra.psi_delta
-        # each pair is indexed by the parity of the fermions the mode passes
-        self._create = (ONE, -ONE)
-        self._kill = (ExactScalar(delta), ExactScalar(-delta))
+        # ids 2k + p: k = 0 creates, 1 kills and 2 flips the Ramond ground
+        # state; p is the parity of the fermions the mode passes (for the
+        # flip, of all of them)
+        coeffs = [ONE, -ONE, ExactScalar(delta), ExactScalar(-delta)]
         if ramond:
-            self._flip = tuple(square_roots(ExactScalar(delta / 2)))
-            if not self._flip:
+            flips = square_roots(ExactScalar(delta / 2))
+            if not flips:
                 raise ValueError(f"unsupported fermion normalization {delta}: "
                                  "sqrt(psi_delta / 2) is outside Q(i, sqrt2)")
+            coeffs += flips
+        self.coeffs = tuple(coeffs)
 
     def _compute(self, t2, col):
         r2 = t2 + 1
         bos, fer, ground = self._codes[col]
         if r2 < 0:
             if -r2 in fer:
-                return EMPTY
+                return None
             i = _insertion_point(fer, -r2)
-            return {self._index[(bos, fer[:i] + (-r2,) + fer[i:], ground)]: self._create[i % 2]}
+            return self._index[(bos, fer[:i] + (-r2,) + fer[i:], ground)], i % 2
         if r2 == 0:
-            return {self._index[(bos, fer, 1 - ground)]: self._flip[len(fer) % 2]}
+            return self._index[(bos, fer, 1 - ground)], 4 + len(fer) % 2
         if r2 not in fer:
-            return EMPTY
+            return None
         i = fer.index(r2)
-        return {self._index[(bos, fer[:i] + fer[i + 1:], ground)]: self._kill[i % 2]}
+        return self._index[(bos, fer[:i] + fer[i + 1:], ground)], 2 + i % 2
 
 
 class FreeFieldEngine(Engine):

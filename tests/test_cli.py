@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superfock.cli as cli
-from superfock import fork
+from superfock import fork, modes
 from superfock.checks import CheckReport
 from superfock.cli import main
 from superfock.errors import NoCalibration, SuperfockError
@@ -344,15 +344,19 @@ def test_when_both_lanes_raise_the_serial_error_is_reported(capsys, monkeypatch,
     (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
 ])
 def test_a_child_without_a_result_is_never_a_pass(capfd, monkeypatch, crash, status):
+    # a run cut short exits 3 with its error last on stderr; the child's
+    # own traceback comes first when an error killed it
     monkeypatch.setattr(cli, "_delta_suite", _in_lane("forked", crash))
-    with pytest.raises(RuntimeError, match=rf"child exit status {status}\)"):
-        main(list(BOTH_LANES))
+    code = main(list(BOTH_LANES))
     assert_no_child_left()
-    err = capfd.readouterr().err
-    assert ("ValueError: planted" in err) == (status == 1)
+    captured = capfd.readouterr()
+    assert code == cli.CUT_SHORT and captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"error: the forked child sent no complete result (child exit status {status})")
+    assert ("ValueError: planted" in captured.err) == (status == 1)
 
 
-def test_a_part_missing_from_the_reply_is_never_a_pass(monkeypatch):
+def test_a_part_missing_from_the_reply_is_never_a_pass(capfd, monkeypatch):
     exact, caller = fork._share, os.getpid()
 
     def dropping(run, positions):
@@ -360,9 +364,65 @@ def test_a_part_missing_from_the_reply_is_never_a_pass(monkeypatch):
         return (results[:-1] if os.getpid() != caller else results), error
 
     monkeypatch.setattr(fork, "_share", dropping)
-    with pytest.raises(RuntimeError, match=r"no complete result \(child exit status 0\)"):
-        main(list(BOTH_LANES))
+    code = main(list(BOTH_LANES))
     assert_no_child_left()
+    captured = capfd.readouterr()
+    assert code == cli.CUT_SHORT and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the forked child sent no complete result (child exit status 0)"]
+
+
+def _cut_short(capfd, argv) -> str:
+    """The one stderr line of a run that exits 3 with nothing on stdout and
+    no traceback from either process."""
+    code = main(argv)
+    assert_no_child_left()
+    captured = capfd.readouterr()
+    assert code == cli.CUT_SHORT and captured.out == ""
+    [line] = captured.err.splitlines()
+    return line
+
+
+@pytest.mark.parametrize("lane, suite", [("forked", "_delta_suite"),
+                                         ("calling", "_calibration_suite")])
+def test_running_out_of_memory_in_either_lane_exits_3(capfd, monkeypatch, lane, suite):
+    monkeypatch.setattr(cli, suite, _in_lane(lane, lambda *args: _raise(MemoryError())))
+    argv = ["all", "--only", "delta,calibration", "--allow-skip", "--json"]
+    assert _cut_short(capfd, argv) == "error: out of memory"
+
+
+def test_out_of_memory_before_a_later_error_is_the_one_reported(capfd, monkeypatch):
+    # the serial rule: the forked delta part comes before the calling n2 part
+    monkeypatch.setattr(cli, "_delta_suite",
+                        _in_lane("forked", lambda *args: _raise(MemoryError())))
+    monkeypatch.setattr(cli, "_calibration_suite",
+                        _in_lane("calling", lambda *args: _raise(NoCalibration("n2"))))
+    argv = ["all", "--only", "delta,calibration", "--allow-skip", "--json"]
+    assert _cut_short(capfd, argv) == "error: out of memory"
+
+
+def _in_child_column(monkeypatch, action):
+    """Make `Engine._l0_entry` run action() on the forked child's columns
+    of the parity-twisted module above its ground states."""
+    exact, caller = modes.Engine._l0_entry, os.getpid()
+
+    def entry(engine, L, col):
+        if os.getpid() != caller and engine.space.level2[col] > 0:
+            action()
+        return exact(engine, L, col)
+
+    monkeypatch.setattr(modes.Engine, "_l0_entry", entry)
+
+
+def test_running_out_of_memory_in_the_spectrum_child_exits_3(capfd, monkeypatch):
+    _in_child_column(monkeypatch, lambda: _raise(MemoryError()))
+    assert _cut_short(capfd, ["corollary2", "--trunc", "3"]) == "error: out of memory"
+
+
+def test_a_child_that_dies_mid_share_exits_3(capfd, monkeypatch):
+    _in_child_column(monkeypatch, lambda: os._exit(1))
+    assert _cut_short(capfd, ["corollary2", "--trunc", "3"]) == (
+        "error: the forked child sent no complete result (child exit status 1)")
 
 
 # twisted and calibration each span both processes

@@ -103,6 +103,22 @@ def test_split_raises_the_serial_first_error_whichever_share_holds_it(sides):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("sides", [[1, 0, 1, 0], [0, 1, 0, 1]])
+@pytest.mark.parametrize("first, later", [(MemoryError, NonHomogeneous),
+                                          (NonDiagonal, MemoryError)])
+def test_running_out_of_memory_follows_the_serial_first_rule(sides, first, later):
+    # a MemoryError stops a share as a package error does, in either process
+    def run(i):
+        if i in (1, 3):
+            raise (first if i == 1 else later)(f"position {i}")
+        return i
+
+    with pytest.raises(first, match="^position 1$") as info:
+        fork.split(sides, run)
+    assert type(info.value) is first
+    assert_no_child_left()
+
+
 def test_no_child_is_forked_without_a_child_position(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked")))
     assert fork.split([0, False, None], lambda i: i * i) == [0, 1, 4]
@@ -118,6 +134,7 @@ def test_a_dead_child_is_not_hidden_by_an_error_here():
 
 def test_a_rebuilt_error_is_a_package_error():
     assert type(fork.rebuilt_error("NonDiagonal", "m")) is NonDiagonal
+    assert type(fork.rebuilt_error("MemoryError", "m")) is MemoryError
     # a name that is no package error class comes back as the base class
     for name in ("ValueError", "Fraction", "missing"):
         err = fork.rebuilt_error(name, "m")

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings, st
 
 from conftest import mode2
 from superfock.errors import TruncationOverflow
-from superfock.modes import EMPTY, CompositeFamily, Family, LinearFamily, VacuumFamily, twice
+from superfock.modes import (EMPTY, UNKNOWN, CompositeFamily, Family, LinearFamily,
+                             VacuumFamily, twice)
 from superfock.scalars import ONE, ExactScalar
 from superfock.twisted import MirrorModule, SigmaModule
 from superfock.vosa import _TensorMonoFamily, _TensorSlotFamily, kappa_automorphism_report
@@ -157,8 +158,11 @@ def test_memo_hits_keep_the_apply_basis_contract(V4):
     top = V4.col_w2.index(max(V4.col_w2))
     assert fam.apply_basis(-2, V4.vac) == {b: ONE}         # a(-1)
     assert fam.apply_basis(2, b) == {V4.vac: ONE}          # a(1)
+    # a(n) is a monomial family: its memo is the compact `_rows`, whose
+    # target UNKNOWN marks a slot not stored
+    assert fam.monomial and fam._cols == {}
     for t2, col in ((-2, V4.vac), (2, b)):
-        assert fam._cols[t2][col] is not None
+        assert fam._rows[t2][0][col] != UNKNOWN
         with pytest.raises(TypeError):
             fam.apply_basis(Fraction(t2), col)
     for _ in range(3):
@@ -166,8 +170,8 @@ def test_memo_hits_keep_the_apply_basis_contract(V4):
             fam.apply_basis(-2, top)
         assert fam.apply_basis(2, V4.vac) is EMPTY
         assert fam.apply_basis(-1, V4.vac) is EMPTY and fam.apply_basis(1, b) is EMPTY
-    assert fam._cols[-2][top] is None and fam._cols[2][V4.vac] is None
-    assert -1 not in fam._cols and 1 not in fam._cols
+    assert fam._rows[-2][0][top] == UNKNOWN and fam._rows[2][0][V4.vac] == UNKNOWN
+    assert -1 not in fam._rows and 1 not in fam._rows and fam._cols == {}
 
 
 # families that keep no memo --------------------------------------------------------

@@ -55,7 +55,7 @@ def _same_outputs(monkeypatch):
 def test_same_outputs_compares_every_part_of_each_command(monkeypatch):
     same_outputs = _same_outputs(monkeypatch)
     assert "all --window 0" in same_outputs.COMMANDS
-    assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 34
+    assert len(set(same_outputs.COMMANDS)) == len(same_outputs.COMMANDS) == 35
     outputs = {"a": (0, b"out", b"", 1.0, 25.0), "b": (1, b"out", b"", 2.0, 40.0),
                "c": (0, b"out", b"warn", 3.0, 60.0), "d": (2, b"", b"error: x", 0.5, 20.0)}
     head = dict(outputs, a=(0, b"out", b"", 0.9, 24.0), b=(0, b"out", b"", 2.0, 40.0),
@@ -79,8 +79,8 @@ def test_deep_compares_exit_code_and_stdout_digest(monkeypatch, capsys):
     # the corollary2 depth runs are commands of same_outputs, whose full
     # stdout comparison stands in for a digest of it
     same_outputs = _same_outputs(monkeypatch)
-    deep = [f"corollary2 --trunc {n} --json" for n in range(7, 12)]
-    assert same_outputs.COMMANDS[-5:] == deep
+    deep = [f"corollary2 --trunc {n} --json" for n in range(7, 13)]
+    assert same_outputs.COMMANDS[-6:] == deep
     base = {deep[0]: (0, b"x", b"", 1.0, 25.0), deep[1]: (0, b"y", b"", 2.0, 40.0),
             deep[2]: (0, b"z", b"", 3.0, 60.0)}
     head = {deep[0]: (0, b"x", b"", 0.9, 24.0), deep[1]: (1, b"y", b"", 2.0, 40.0),

@@ -8,7 +8,7 @@ from superfock.checks import borcherds_check, bracket_table_check
 from superfock.delta import apply_delta
 from superfock.errors import InvalidAlgebra, TruncationOverflow
 from superfock.fock import FockState
-from superfock.modes import CompositeFamily, Family, VacuumFamily, twice
+from superfock.modes import NONE, UNKNOWN, CompositeFamily, Family, VacuumFamily, twice
 from superfock.scalars import ExactScalar, ONE, SQRT2, v_iadd, v_scale
 from superfock.superalgebra import (
     N1_NS,
@@ -458,11 +458,16 @@ def test_one_family_per_basis_index():
 
 
 def _memo_columns(fam):
-    """(t2, col, vec) for every column a family holds in its memo."""
+    """(t2, col, vec) for every column a family holds in its memo: its
+    `_cols`, or a monomial family's compact rows, read back as columns."""
     for t2, row in fam._cols.items():
         for col, vec in enumerate(row):
             if vec is not None:
                 yield t2, col, vec
+    for t2, (targets, ids) in getattr(fam, "_rows", {}).items():
+        for col, target in enumerate(targets):
+            if target != UNKNOWN:
+                yield t2, col, {} if target == NONE else {target: fam.coeffs[ids[col]]}
 
 
 def _recording(compute, read):
@@ -503,6 +508,7 @@ def test_memoized_columns_are_zero_free_and_unmutated(monkeypatch):
     columns = [(old, new, t2, col, vec) for old, new in pairs
                for t2, col, vec in _memo_columns(old)]
     assert all(not old._cols for old in fresh if not old.memo)
+    assert any(old.monomial and old._rows for old in fresh)
     columns += [(old, fresh[old], t2, col, old.apply_basis(t2, col))
                 for old, t2, col in read]
     compared = 0

@@ -1,3 +1,5 @@
+import gc
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -7,9 +9,9 @@ from conftest import mode2
 from superfock.checks import borcherds_check
 from superfock.errors import NonHomogeneous, TruncationOverflow
 from superfock.fock import FockState, mode_apply
-from superfock.modes import EMPTY
+from superfock.modes import EMPTY, UNKNOWN
 from superfock.scalars import ExactScalar, ONE, v_iadd, v_scale
-from superfock.twisted import SigmaModule
+from superfock.twisted import MirrorModule, SigmaModule, corollary2_check
 from superfock.vosa import (
     TensorVosa,
     Vosa,
@@ -25,11 +27,12 @@ HALF = Fraction(1, 2)
 
 def _generator_sweep(engine):
     """Compare both generator families with `fock.mode_apply` on every
-    column: equal wherever the output weight is below the bound (down to a
-    few steps below 0), an overflow on the first indices that reach the
-    bound, {} off the mode lattice.
+    column, twice, so that the columns rebuilt from the compact memo are
+    compared as well as the computed ones: equal wherever the output weight
+    is below the bound (down to a few steps below 0), an overflow on the
+    first indices that reach the bound, {} off the mode lattice.
 
-    Returns (compared, nonzero, ground flips) counts.
+    Returns (compared, nonzero, ground flips) counts of the first reading.
     """
     V, space = engine.algebra, engine.space
     psi_delta = V.psi_delta
@@ -37,21 +40,24 @@ def _generator_sweep(engine):
     # Y(a(-1)|0>, x) has mode t = a(t); Y(psi(-1/2)|0>, x) has t = psi(t + 1/2)
     for state, field, shift2 in ((V.b_state, "a", 0), (V.f_state, "psi", 1)):
         fam = engine.family(V.vec_of(state))
+        assert fam.monomial and fam._cols == {}
         for col in range(space.dim):
             top = engine.col_w2[col] + fam.weight2 - 2     # t2 with output weight 0
             for t2 in range(top - engine.bound2 - 4, top + 5):
                 if (t2 - fam.off2) % 2:
-                    assert fam.apply_basis(t2, col) == {}
+                    assert fam.apply_basis(t2, col) == fam.apply_basis(t2, col) == {}
                     continue
                 if top - t2 >= engine.bound2:
-                    with pytest.raises(TruncationOverflow):
-                        fam.apply_basis(t2, col)
+                    for _ in range(2):
+                        with pytest.raises(TruncationOverflow):
+                            fam.apply_basis(t2, col)
                     continue
                 index = Fraction(t2 + shift2, 2)
                 want = {space.column(s): c for s, c in
                         mode_apply(space, field, index, space.state(col), psi_delta)}
                 got = fam.apply_basis(t2, col)
                 assert got == want, (field, index, space.state(col))
+                assert fam.apply_basis(t2, col) == want, (field, index, space.state(col))
                 compared += 1
                 nonzero += bool(got)
                 flips += bool(got) and index == 0
@@ -65,6 +71,39 @@ def test_generator_modes_are_free_field_actions(V4, V5):
     # the Ramond sector adds the fermion zero mode, which flips the ground
     compared, nonzero, flips = _generator_sweep(SigmaModule(V5, levels=4))
     assert nonzero and compared > nonzero and flips
+
+
+def test_generator_rows_hold_no_dict(V5, tensor, n2):
+    """After the character identity on a level-8 stack, each generator
+    family's memo is arrays only: no row refers to a dict."""
+    mirror = MirrorModule(SigmaModule(V5, levels=8), tensor, n2)
+    assert corollary2_check(mirror).matches
+    rows = [row for engine in (V5, mirror.sigma) for fam in engine._fams.values()
+            if fam.monomial for row in fam._rows.values()]
+    assert len(rows) > 20
+    for row in rows:
+        assert sorted(type(part).__name__ for part in gc.get_referents(row)) == [
+            "array", "bytearray"]
+        assert not any(isinstance(ref, dict) for part in row for ref in gc.get_referents(part))
+
+
+def test_a_coefficient_id_beyond_a_byte_is_refused_on_store(V4, monkeypatch):
+    """A monomial family's coefficient ids are bytes: storing id 256 raises
+    and leaves the slot unknown, so the next call computes it again."""
+    fam = V4.family(V4.vec_of(V4.b_state))
+    col = V4.space.column(FockState(bosons=(2,)))
+    calls = []
+
+    def stub(t2, c):
+        calls.append((t2, c))
+        return V4.vac, 256
+
+    monkeypatch.setattr(fam, "_compute", stub)
+    monkeypatch.setattr(fam, "_rows", {})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fam.apply_basis(4, col)
+    assert calls == [(4, col)] * 2 and fam._rows[4][0][col] == UNKNOWN
 
 
 def test_creation_axiom(V4):
