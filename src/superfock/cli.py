@@ -68,7 +68,7 @@ BROKEN_PIPE = 141
 CUT_SHORT = 3
 # address space that main() maps, untouched, while a command runs and
 # unmaps when memory runs out (under `ulimit -v`), making room to report it
-RESERVE = 4 << 20
+RESERVE = 1 << 20
 
 
 def _require(ok: bool, message: str) -> None:
@@ -634,7 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    reserve = mmap.mmap(-1, RESERVE)
+    try:
+        reserve = mmap.mmap(-1, RESERVE)
+    except OSError:
+        reserve = None  # no room even for the reserve: run without it
     try:
         # a bracket table at window 0 holds L(0) (and J(0)) but no G mode
         # and no central term, so the commands that check one need window 1
@@ -647,15 +650,13 @@ def main(argv=None) -> int:
     except MemoryError:
         # the cached engines outlive the error, so without the reserve the
         # line and the exit could find no memory left
-        reserve.close()
+        if reserve is not None:
+            reserve.close()
         print("error: out of memory", file=sys.stderr)
-        return CUT_SHORT
-    except ChildLost as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return CUT_SHORT
     except SuperfockError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return CUT_SHORT if isinstance(exc, ChildLost) else 2
     except BrokenPipeError:
         # the reader went away; later writes (the flush at exit) go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

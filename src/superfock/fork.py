@@ -49,7 +49,7 @@ def _child(run: Callable[[int], object], positions: List[int], read_fd: int,
     """The child's side of `split`: send (results, None) or (results, (error
     class name, message)) down the pipe and leave through os._exit, with
     status 1 when nothing was sent, and a traceback on stderr unless memory
-    ran out."""
+    ran out or the calling process, failing itself, stopped reading."""
     sent = False
     try:
         os.close(read_fd)
@@ -60,7 +60,7 @@ def _child(run: Callable[[int], object], positions: List[int], read_fd: int,
         sent = True
     finally:
         try:
-            if not (sent or isinstance(sys.exc_info()[1], MemoryError)):
+            if not (sent or isinstance(sys.exc_info()[1], (MemoryError, BrokenPipeError))):
                 import traceback  # not loaded at start-up; only a failed child needs it
 
                 traceback.print_exception(*sys.exc_info())
@@ -91,9 +91,13 @@ def split(sides: Sequence[object], run: Callable[[int], object]) -> list:
     try:
         mine, my_error = _share(run, here)
     finally:
-        with os.fdopen(read_fd, "rb") as pipe:
-            data = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            # reaped even when the read fails (out of memory): the closed
+            # pipe ends the child
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         theirs, their_error = marshal.loads(data) if status == 0 and data else (None, None)
         # a complete reply has a result for each of the child's positions,
         # or for those before the one its error fails

@@ -119,6 +119,31 @@ def test_running_out_of_memory_follows_the_serial_first_rule(sides, first, later
     assert_no_child_left()
 
 
+def test_a_read_that_runs_out_of_memory_still_reaps_the_child(capfd, monkeypatch):
+    # the child, its pipe closed, leaves without a traceback
+    real = os.fdopen
+
+    class Starved:
+        def __init__(self, fd, mode):
+            self.pipe = real(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.pipe.close()
+
+        def read(self):
+            raise MemoryError()
+
+    monkeypatch.setattr(os, "fdopen",
+                        lambda fd, mode: Starved(fd, mode) if mode == "rb" else real(fd, mode))
+    with pytest.raises(MemoryError):
+        fork.split([True, False], lambda i: "x" * 100000)
+    assert_no_child_left()
+    assert capfd.readouterr().err == ""
+
+
 def test_no_child_is_forked_without_a_child_position(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked")))
     assert fork.split([0, False, None], lambda i: i * i) == [0, 1, 4]
