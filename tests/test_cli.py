@@ -364,12 +364,8 @@ def test_a_part_missing_from_the_reply_is_never_a_pass(capfd, monkeypatch):
         return (results[:-1] if os.getpid() != caller else results), error
 
     monkeypatch.setattr(fork, "_share", dropping)
-    code = main(list(BOTH_LANES))
-    assert_no_child_left()
-    captured = capfd.readouterr()
-    assert code == cli.CUT_SHORT and captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: the forked child sent no complete result (child exit status 0)"]
+    assert _cut_short(capfd, list(BOTH_LANES)) == (
+        "error: the forked child sent no complete result (child exit status 0)")
 
 
 def _cut_short(capfd, argv) -> str:
@@ -403,7 +399,7 @@ def test_out_of_memory_before_a_later_error_is_the_one_reported(capfd, monkeypat
 
 def _in_child_column(monkeypatch, action):
     """Make `Engine._l0_entry` run action() on the forked child's columns
-    of the parity-twisted module above its ground states."""
+    above the ground states."""
     exact, caller = modes.Engine._l0_entry, os.getpid()
 
     def entry(engine, L, col):
