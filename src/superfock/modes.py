@@ -120,7 +120,8 @@ class Family:
     scalars, or zero, sets `monomial` (the free-field generators of
     `vosa`).  It keeps those scalars in the tuple `coeffs`, and its
     `_compute` returns (target column, index into `coeffs`) or None.  Its
-    memo is compact and kept apart from `_cols`: per mode index, an
+    memo is compact and kept apart from `_cols`, in `_rows`, which is None
+    for every other family: per mode index, an
     `array('i')` of target columns (UNKNOWN until filled, NONE for zero)
     and a `bytearray` of coefficient ids, so an id above 255 is refused when
     it is stored.  A hit builds the fresh column {target: coeff}; the
@@ -139,8 +140,10 @@ class Family:
         # or 1), or None when both half-integer lattices can occur.
         self.off2 = off2
         self._cols: Dict[int, List[Optional[Vec]]] = {}
-        if self.monomial:
-            self._rows: Dict[int, Tuple[array, bytearray]] = {}
+        # the compact memo of a monomial family, None for the others: an
+        # instance attribute, which apply_basis reads faster than a class one
+        self._rows: Optional[Dict[int, Tuple[array, bytearray]]] = (
+            {} if self.monomial else None)
 
     def apply_basis(self, t2: int, col: int) -> Vec:
         # the type test comes first: Fraction(2) hashes like 2 and would
@@ -152,7 +155,7 @@ class Family:
             res = row[col]
             if res is not None:
                 return res
-        elif self.monomial:
+        elif self._rows is not None:
             # only a family without a `_cols` row at t2 pays for this test
             row = self._rows.get(t2)
             if row is not None:
@@ -177,7 +180,7 @@ class Family:
                 f"(levels above the lowest column)")
         if not self.memo:
             return self._compute(t2, col) or EMPTY
-        if self.monomial:
+        if self._rows is not None:
             if row is None:
                 row = self._rows[t2] = (array("i", [UNKNOWN]) * eng.space.dim,
                                         bytearray(eng.space.dim))

@@ -464,7 +464,7 @@ def _memo_columns(fam):
         for col, vec in enumerate(row):
             if vec is not None:
                 yield t2, col, vec
-    for t2, (targets, ids) in getattr(fam, "_rows", {}).items():
+    for t2, (targets, ids) in (fam._rows or {}).items():
         for col, target in enumerate(targets):
             if target != UNKNOWN:
                 yield t2, col, {} if target == NONE else {target: fam.coeffs[ids[col]]}
