@@ -4,7 +4,9 @@ A Family represents the whole tower of modes of one state acting on one
 module, and every family memoizes its columns the same way (`Family`),
 except the classes whose columns copy memoized ones (`Family.memo`) and
 the generator modes, whose columns are each one basis column times one
-of a few scalars and are kept as index arrays (`Family.monomial`).
+of a few scalars and are kept as index arrays (`Family.monomial`).  A
+memo row grows by level: it ends where the level of its highest stored
+column ends, as every engine's columns are sorted by level.
 Generator modes act directly on Fock monomials; modes of composite states
 are computed from the component form of the (twisted) Jacobi identity,
 
@@ -92,6 +94,8 @@ EMPTY: Vec = {}
 
 # the target of a monomial family's slot not filled yet, and of a zero column
 UNKNOWN, NONE = -2, -1
+# one unknown target, repeated to grow a monomial family's row
+_UNKNOWNS = array("i", [UNKNOWN])
 
 
 def _not_half_units(t2) -> TypeError:
@@ -106,10 +110,13 @@ class Family:
     applies the mode t = t2/2.  A subclass supplies `_compute(t2, col)`;
     when the class sets `memo` (the default), `apply_basis` memoizes its
     columns in one list per mode index t2, indexed by column and filled on
-    first use.  After refusing a t2 that is not an int, `apply_basis` looks
-    in the memo first; the lattice, weight and overflow tests run only on a
-    miss, so an off-lattice or negative-weight column (EMPTY) and an
-    overflowing one (TruncationOverflow) are never stored and give the same
+    first use.  A row starts empty and grows by level: a stored column
+    extends it to the last column of its level (`Engine.col_w2` never
+    decreases), and a column past its end is a miss.  After refusing a t2
+    that is not an int, `apply_basis` looks in the memo first; the lattice,
+    weight and overflow tests run only on a miss, so an off-lattice or
+    negative-weight column (EMPTY) and an overflowing one
+    (TruncationOverflow) are never stored, grow no row and give the same
     answer on every call.  A class whose columns are cheap copies of
     memoized ones sets `memo = False`: `VacuumFamily` and the tensor
     square's `_TensorSlotFamily` and `_TensorMonoFamily` (and the L of
@@ -121,11 +128,11 @@ class Family:
     `vosa`).  It keeps those scalars in the tuple `coeffs`, and its
     `_compute` returns (target column, index into `coeffs`) or None.  Its
     memo is compact and kept apart from `_cols`, in `_rows`, which is None
-    for every other family: per mode index, an
-    `array('i')` of target columns (UNKNOWN until filled, NONE for zero)
-    and a `bytearray` of coefficient ids, so an id above 255 is refused when
-    it is stored.  A hit builds the fresh column {target: coeff}; the
-    contract above is the same.
+    for every other family: per mode index, an `array('i')` of target
+    columns (UNKNOWN until filled, NONE for zero) and a `bytearray` of
+    coefficient ids, grown by level as the lists are, so an id above 255
+    is refused when it is stored.  A hit builds the fresh column
+    {target: coeff}; the contract above is the same.
     """
 
     memo = True
@@ -152,14 +159,23 @@ class Family:
             raise _not_half_units(t2)
         row = self._cols.get(t2)
         if row is not None:
-            res = row[col]
+            # a row ends at the level of its highest stored column: a column
+            # past its end is a miss (caught as an IndexError: the try costs a
+            # hit nothing, where a length test costs it a call)
+            try:
+                res = row[col]
+            except IndexError:
+                res = None
             if res is not None:
                 return res
         elif self._rows is not None:
             # only a family without a `_cols` row at t2 pays for this test
             row = self._rows.get(t2)
             if row is not None:
-                target = row[0][col]
+                try:
+                    target = row[0][col]
+                except IndexError:
+                    target = UNKNOWN
                 if target >= 0:
                     return {target: self.coeffs[row[1][col]]}
                 if target == NONE:
@@ -167,10 +183,12 @@ class Family:
         # a miss: a slot is filled only once the tests below have passed for
         # its (t2, col), and they read nothing else, so a hit skips them; an
         # off-lattice, negative-weight or overflowing column is never stored
+        # and grows no row
         if self.off2 is not None and (t2 - self.off2) % 2:
             return EMPTY
         eng = self.engine
-        out_w2 = eng.col_w2[col] + self.weight2 - t2 - 2
+        col_w2 = eng.col_w2[col]
+        out_w2 = col_w2 + self.weight2 - t2 - 2
         if out_w2 < 0:
             return EMPTY
         if out_w2 >= eng.bound2:
@@ -180,22 +198,31 @@ class Family:
                 f"(levels above the lowest column)")
         if not self.memo:
             return self._compute(t2, col) or EMPTY
+        # the columns are sorted by level: the row ends with col's level
+        end = bisect_right(eng.col_w2, col_w2)
+        # the row is extended after the column is computed: a recursive call
+        # may extend it too, and a column whose computation raises grows
+        # nothing
         if self._rows is not None:
-            if row is None:
-                row = self._rows[t2] = (array("i", [UNKNOWN]) * eng.space.dim,
-                                        bytearray(eng.space.dim))
             hit = self._compute(t2, col)
+            targets, ids = self._rows.setdefault(t2, (array("i"), bytearray()))
+            grow = end - len(targets)
+            if grow > 0:
+                targets.extend(_UNKNOWNS * grow)
+                ids.extend(bytes(grow))
             if hit is None:
-                row[0][col] = NONE
+                targets[col] = NONE
                 return EMPTY
             target, cid = hit
             # the id first: one that outgrows its byte leaves the slot unknown
-            row[1][col] = cid
-            row[0][col] = target
+            ids[col] = cid
+            targets[col] = target
             return {target: self.coeffs[cid]}
-        if row is None:
-            row = self._cols[t2] = [None] * eng.space.dim
-        res = row[col] = self._compute(t2, col) or EMPTY
+        res = self._compute(t2, col) or EMPTY
+        row = self._cols.setdefault(t2, [])
+        if end > len(row):
+            row.extend([None] * (end - len(row)))
+        row[col] = res
         return res
 
     def apply(self, t2: int, vec: Vec) -> Vec:
@@ -203,7 +230,9 @@ class Family:
             raise _not_half_units(t2)
         acc: Vec = {}
         for col, coeff in vec.items():
-            v_iadd(acc, self.apply_basis(t2, col), coeff)
+            res = self.apply_basis(t2, col)
+            if res:
+                v_iadd(acc, res, coeff)
         return acc
 
     def _compute(self, t2: int, col: int) -> Vec:
@@ -276,7 +305,9 @@ class LinearFamily(Family):
     def _compute(self, t2, col):
         acc: Vec = {}
         for fam, mul, add, c in self._by_parity[t2 & 1]:
-            v_iadd(acc, fam.apply_basis(mul * t2 + add, col), c)
+            res = fam.apply_basis(mul * t2 + add, col)
+            if res:
+                v_iadd(acc, res, c)
         return acc
 
 
@@ -439,9 +470,9 @@ class Engine:
         return self.space.bound2
 
     def columns(self, max_level) -> List[int]:
-        """The basis columns at most max_level above the lowest column."""
-        top2 = floor(2 * max_level)
-        return [i for i, w2 in enumerate(self.col_w2) if w2 <= top2]
+        """The basis columns at most max_level above the lowest column
+        (`col_w2` never decreases)."""
+        return list(range(bisect_right(self.col_w2, floor(2 * max_level))))
 
     @property
     def vacuum_vec(self) -> Vec:
@@ -569,7 +600,7 @@ def l0_spectra(engines: Sequence[Engine]) -> List[List[Fraction]]:
         # imported here: the presentation layer loads modes but never forks
         from . import fork
 
-        starts = list(accumulate((e.space.dim for e in todo), initial=0))
+        starts = list(accumulate((len(e.col_w2) for e in todo), initial=0))
         Ls: Dict[int, Family] = {}
 
         def entry(i: int) -> Tuple[int, int]:

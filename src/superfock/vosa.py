@@ -273,10 +273,6 @@ class PairSpace:
         # is its fermion count's and a pair's the sum of its two factors'
         self.fermion_parities = self.parities
 
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
 
 class _TensorMonoFamily(Family):
     """Modes of s (x) t, for s and t both other than V's vacuum, through the

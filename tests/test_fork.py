@@ -31,7 +31,7 @@ def _serial(engines):
     out = []
     for engine in engines:
         L = engine.L()
-        out.append([engine._l0_entry(L, col) for col in range(engine.space.dim)])
+        out.append([engine._l0_entry(L, col) for col in range(len(engine.col_w2))])
     return out
 
 

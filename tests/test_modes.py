@@ -9,6 +9,7 @@ Families take mode indices, offsets and weights as ints in half units
 term whose coefficient on the parity of t2 is 0, and rejects a term whose
 index map breaks the weight relation."""
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
 
 from conftest import mode2
+from superfock import cli
 from superfock.errors import TruncationOverflow
 from superfock.modes import (EMPTY, UNKNOWN, CompositeFamily, Family, LinearFamily,
                              VacuumFamily, twice)
@@ -148,6 +150,12 @@ def test_family_rejects_an_index_that_is_not_an_int(V4, sigma, mirror, index):
             fam.apply(index, {0: ONE})
 
 
+def _stored(row, col):
+    """Whether a monomial family's row holds col: a slot not stored lies
+    past the row's end or reads UNKNOWN."""
+    return col < len(row[0]) and row[0][col] != UNKNOWN
+
+
 def test_memo_hits_keep_the_apply_basis_contract(V4):
     # apply_basis looks in the memo before it tests lattice, weight and
     # overflow: filled rows must still refuse a Fraction index (Fraction(2)
@@ -159,10 +167,10 @@ def test_memo_hits_keep_the_apply_basis_contract(V4):
     assert fam.apply_basis(-2, V4.vac) == {b: ONE}         # a(-1)
     assert fam.apply_basis(2, b) == {V4.vac: ONE}          # a(1)
     # a(n) is a monomial family: its memo is the compact `_rows`, whose
-    # target UNKNOWN marks a slot not stored
+    # rows end at the level of their highest stored column
     assert fam.monomial and fam._cols == {}
     for t2, col in ((-2, V4.vac), (2, b)):
-        assert fam._rows[t2][0][col] != UNKNOWN
+        assert _stored(fam._rows[t2], col)
         with pytest.raises(TypeError):
             fam.apply_basis(Fraction(t2), col)
     for _ in range(3):
@@ -170,8 +178,72 @@ def test_memo_hits_keep_the_apply_basis_contract(V4):
             fam.apply_basis(-2, top)
         assert fam.apply_basis(2, V4.vac) is EMPTY
         assert fam.apply_basis(-1, V4.vac) is EMPTY and fam.apply_basis(1, b) is EMPTY
-    assert fam._rows[-2][0][top] == UNKNOWN and fam._rows[2][0][V4.vac] == UNKNOWN
+    assert not _stored(fam._rows[-2], top) and not _stored(fam._rows[2], V4.vac)
+    # the overflowing column grew no row: row -2 stops short of top's level
+    assert len(fam._rows[-2][0]) <= bisect_left(V4.col_w2, V4.col_w2[top])
     assert -1 not in fam._rows and 1 not in fam._rows and fam._cols == {}
+
+
+# rows that grow by level ------------------------------------------------------------
+
+def test_columns_are_sorted_by_level(V4, tensor, sigma, mirror):
+    """The memo rows and `Engine.columns` rely on each engine's columns
+    being sorted by level: `col_w2` never decreases."""
+    for engine in (V4, tensor, sigma, mirror):
+        w2 = engine.col_w2
+        assert len(set(w2)) > 1 and all(a <= b for a, b in zip(w2, w2[1:]))
+        for top2 in range(-1, max(w2) + 2):
+            assert engine.columns(Fraction(top2, 2)) == [
+                col for col, w in enumerate(w2) if w <= top2]
+
+
+def _reachable_families(engines):
+    """The families the engines keep per basis index, with the terms of
+    their combinations and the factors of their composites."""
+    todo = [f for engine in engines for f in engine._fams.values()]
+    seen = {}
+    while todo:
+        fam = todo.pop()
+        if id(fam) in seen:
+            continue
+        seen[id(fam)] = fam
+        if isinstance(fam, LinearFamily):
+            todo += [f for f, *_ in fam.terms]
+        elif isinstance(fam, CompositeFamily):
+            todo += [fam.u_fam, fam.w_fam]
+    return list(seen.values())
+
+
+def test_rows_end_at_the_level_of_their_highest_stored_column():
+    """After the twisted parts at window 1 on the level-9 stack, every memo
+    row ends where the level of its highest stored column ends, and holds
+    at least one stored column."""
+    builders = [cli._tensor, cli._sigma, cli._calibrated, cli._build_stack]
+    for builder in builders:
+        builder.cache_clear()
+    try:
+        args = cli.build_parser().parse_args(
+            ["verify", "twisted", "--window", "1", "--levels", "9"])
+        for part in cli.SUITES["twisted"].values():
+            assert all(check["pass"] for check in part(args))
+        mirror = cli._build_stack(9)
+        engines = (mirror.tensor.V, mirror.tensor, mirror.sigma, mirror)
+        rows = {"list": 0, "monomial": 0}
+        for fam in _reachable_families(engines):
+            w2 = fam.engine.col_w2
+            ends = [(len(row), [c for c, v in enumerate(row) if v is not None], "list")
+                    for row in fam._cols.values()]
+            for targets, ids in (fam._rows or {}).values():
+                assert len(ids) == len(targets)
+                ends.append((len(targets), [c for c, t in enumerate(targets)
+                                            if t != UNKNOWN], "monomial"))
+            for length, stored, kind in ends:
+                assert stored and length == bisect_right(w2, w2[stored[-1]])
+                rows[kind] += 1
+        assert rows["list"] > 100 and rows["monomial"] > 20, rows
+    finally:
+        for builder in builders:
+            builder.cache_clear()
 
 
 # families that keep no memo --------------------------------------------------------
@@ -339,7 +411,7 @@ def test_combinations_hold_merged_non_combination_terms(mirror):
     add) occurs once: the towers, every mirror basis family and the
     families their composites are built from."""
     fams = list(mirror.n2_families().values())
-    for k in range(mirror.tensor.space.dim):
+    for k in range(len(mirror.tensor.space.states)):
         fam = mirror._family_by_index(k)
         fams.append(fam)
         if isinstance(fam, LinearFamily):

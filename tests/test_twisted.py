@@ -447,12 +447,12 @@ def test_one_family_per_basis_index():
     _, V4, V, tensor, sigma, mirror, _ = _stack()
     for engine in (V4, V, tensor, sigma, mirror):
         space = engine.algebra.space
-        for k in range(space.dim):
+        for k in range(len(space.parities)):
             fam = engine._family_by_index(k)
             assert engine.family({k: ONE}) is fam
             assert fam.weight2 == engine.algebra.col_w2[k]
             assert fam.parity == space.parities[k]
-        assert len(engine._fams) == space.dim
+        assert len(engine._fams) == len(space.parities)
         omega = engine.algebra.omega_vec
         assert engine.family(omega) is not engine.family(omega)
 

@@ -230,7 +230,7 @@ def test_slot_families_equal_the_product_sum(V4):
     for k, slot, left, right in cases:
         fam = tensor._family_by_index(k)
         assert getattr(fam, "slot", None) == slot
-        for col in range(tensor.space.dim):
+        for col in range(len(tensor.space.states)):
             top = tensor.col_w2[col] + fam.weight2 - 2   # t2 of output level 0
             # from negative output weight down to the first overflows
             for t2 in range(top + 2, top - tensor.bound2 - 2, -1):
@@ -258,7 +258,7 @@ def test_kappa_involution_and_fixed_points(tensor):
 
     rng = random.Random(7)
     for _ in range(20):
-        k = rng.randrange(tensor.space.dim)
+        k = rng.randrange(len(tensor.space.states))
         vec = {k: ONE}
         assert tensor.kappa(tensor.kappa(vec)) == vec
     assert tensor.kappa(tensor.vacuum_vec) == tensor.vacuum_vec
@@ -281,7 +281,7 @@ def test_sigma_parity_map(tensor):
 
 def test_tensor_vacuum_and_grading(tensor):
     L = tensor.L()
-    for col in range(0, tensor.space.dim, 11):
+    for col in range(0, len(tensor.space.states), 11):
         got = L.apply_basis(mode2(L, 0), col)
         w = Fraction(tensor.col_w2[col], 2)
         want = {col: ExactScalar(w)} if w else {}
