@@ -198,16 +198,18 @@ class Family:
                 f"(levels above the lowest column)")
         if not self.memo:
             return self._compute(t2, col) or EMPTY
-        # the columns are sorted by level: the row ends with col's level
-        end = bisect_right(eng.col_w2, col_w2)
-        # the row is extended after the column is computed: a recursive call
-        # may extend it too, and a column whose computation raises grows
-        # nothing
+        # the row is made and extended after the column is computed, so a
+        # column whose computation raises grows nothing; a row is extended in
+        # place, never replaced, so the one found above is still the family's,
+        # and one not found may have been made by a recursive call since
         if self._rows is not None:
             hit = self._compute(t2, col)
-            targets, ids = self._rows.setdefault(t2, (array("i"), bytearray()))
-            grow = end - len(targets)
-            if grow > 0:
+            if row is None:
+                row = self._rows.setdefault(t2, (array("i"), bytearray()))
+            targets, ids = row
+            if col >= len(targets):
+                # the columns are sorted by level: the row ends with col's level
+                grow = bisect_right(eng.col_w2, col_w2) - len(targets)
                 targets.extend(_UNKNOWNS * grow)
                 ids.extend(bytes(grow))
             if hit is None:
@@ -219,9 +221,10 @@ class Family:
             targets[col] = target
             return {target: self.coeffs[cid]}
         res = self._compute(t2, col) or EMPTY
-        row = self._cols.setdefault(t2, [])
-        if end > len(row):
-            row.extend([None] * (end - len(row)))
+        if row is None:
+            row = self._cols.setdefault(t2, [])
+        if col >= len(row):
+            row.extend([None] * (bisect_right(eng.col_w2, col_w2) - len(row)))
         row[col] = res
         return res
 
