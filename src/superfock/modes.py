@@ -161,7 +161,8 @@ class Family:
         if row is not None:
             # a row ends at the level of its highest stored column: a column
             # past its end is a miss (caught as an IndexError: the try costs a
-            # hit nothing, where a length test costs it a call)
+            # hit nothing, where a length test costs it a call, and such
+            # misses are rare, as rows grow a whole level at a time)
             try:
                 res = row[col]
             except IndexError:
