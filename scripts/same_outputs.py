@@ -11,18 +11,25 @@ command reads SAME or DIFF (with the parts that differ), then, per side,
 the wall time and the peak resident set of the process tree: `ru_maxrss`
 from `os.wait4`, the largest resident set of the command and of the
 children it reaped (the forked L(0) share among them), not their sum.
-The command exits 1 on any DIFF.
+The depth commands (`DEPTH`) run twice per side, in the order base, head,
+head, base, and print both runs of each side.  Under the DIFF line of a
+`--json` command whose stdout differs comes its check-level diff: each
+check record added (+) or removed (-), each changed field of a record (~),
+keyed by suite, or by command for a one-suite command, and check name,
+and each other top-level key that changed.  The command exits 1 on any
+DIFF.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import json
 import subprocess
 import sys
 import tempfile
 import time
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from bench import ROOT, git, unpack
 
@@ -39,7 +46,9 @@ from bench import ROOT, git, unpack
 # 14 to 24 levels, where the L(0) spectra are split over two processes and
 # time and memory grow with depth: their lines are the depth table, and
 # trunc 12, the deepest, shows first what a change to the column memos
-# costs in memory
+# costs in memory; one run per side cannot show a 10-30% change in time on
+# a 2-vCPU host, so each of them runs twice per side
+DEPTH = [f"corollary2 --trunc {n} --json" for n in range(7, 13)]
 COMMANDS = [
     "all --json",
     "all",
@@ -70,12 +79,7 @@ COMMANDS = [
     "verify twisted --window 1",
     "verify vosa --max-weight 3",
     "verify twisted --max-weight -1",
-    "corollary2 --trunc 7 --json",
-    "corollary2 --trunc 8 --json",
-    "corollary2 --trunc 9 --json",
-    "corollary2 --trunc 10 --json",
-    "corollary2 --trunc 11 --json",
-    "corollary2 --trunc 12 --json",
+    *DEPTH,
 ]
 
 # (exit code, stdout, stderr, wall seconds, peak resident set in MiB)
@@ -99,19 +103,69 @@ def run_cli(tree: str, command: str) -> Output:
         return proc.returncode, out.read(), err.read(), wall, usage.ru_maxrss / 1024
 
 
+def _records(payload: dict) -> Dict[Tuple[str, str], dict]:
+    """{(suite, check name): record} of a --json payload: the checks of each
+    suite of `all`, and a one-suite command's checks under its command."""
+    groups = [(suite["name"], suite["checks"]) for suite in payload.get("suites", [])]
+    groups.append((payload.get("command"), payload.get("checks", [])))
+    return {(group, check["name"]): check for group, checks in groups for check in checks}
+
+
+def _shown(value) -> str:
+    """A JSON value as the check-level diff prints it: lists and objects
+    are only named."""
+    return "..." if isinstance(value, (dict, list)) else json.dumps(value)
+
+
+def check_diff(base: bytes, head: bytes) -> Iterator[str]:
+    """The check-level diff of two --json stdouts, one indented line per
+    record added or removed, per changed field of a record and per other
+    top-level key that changed; nothing when either side is not JSON."""
+    try:
+        base_payload, head_payload = json.loads(base), json.loads(head)
+    except ValueError:
+        return
+    old, new = _records(base_payload), _records(head_payload)
+    for key in [*old, *(k for k in new if k not in old)]:
+        label = f"{key[0]} / {key[1]}"
+        if key not in new or key not in old:
+            sign, record = ("-", old[key]) if key not in new else ("+", new[key])
+            fields = " ".join(f"{f}={_shown(v)}" for f, v in record.items()
+                              if f not in ("name", "pass"))
+            yield f"    {sign} {label}  {'PASS' if record['pass'] else 'FAIL'} {fields}".rstrip()
+            continue
+        for field in [*old[key], *(f for f in new[key] if f not in old[key])]:
+            if old[key].get(field) != new[key].get(field):
+                yield (f"    ~ {label}  {field}: {_shown(old[key].get(field))} -> "
+                       f"{_shown(new[key].get(field))}")
+    for field in [*base_payload, *(f for f in head_payload if f not in base_payload)]:
+        if field not in ("suites", "checks") and \
+                base_payload.get(field) != head_payload.get(field):
+            yield (f"    ~ {field}: {_shown(base_payload.get(field))} -> "
+                   f"{_shown(head_payload.get(field))}")
+
+
 def compare(run: Callable[[str, str], Output], commands: List[str]) -> Iterator[str]:
-    """One line per command, as soon as both of its runs are done: SAME, or
-    DIFF with the parts that differ, then each side's wall time and peak
-    resident set.  run(side, command) gives the Output of command on side
-    "base" or "head", as `run_cli` does."""
+    """One line per command, as soon as its runs are done: SAME, or DIFF
+    with the parts that differ, then each side's wall time and peak
+    resident set, and under a DIFF line the check-level diff of a --json
+    stdout.  run(side, command) gives the Output of command on side "base"
+    or "head", as `run_cli` does.  A command of DEPTH runs twice per side,
+    base first, then head first; the parts of every run are compared."""
     for command in commands:
-        base, head = run("base", command), run("head", command)
-        diff = [part for part, b, h in zip(("exit code", "stdout", "stderr"), base, head)
-                if b != h]
+        runs: Dict[str, List[Output]] = {"base": [], "head": []}
+        for order in (("base", "head"), ("head", "base"))[:2 if command in DEPTH else 1]:
+            for side in order:
+                runs[side].append(run(side, command))
+        outputs = runs["base"] + runs["head"]
+        diff = [part for i, part in enumerate(("exit code", "stdout", "stderr"))
+                if len({r[i] for r in outputs}) > 1]
         verdict = f"DIFF  {command}  ({', '.join(diff)})" if diff else f"SAME  {command}"
-        sides = "  ".join(f"{side} {r[3]:.2f} s {r[4]:.1f} MiB"
-                          for side, r in (("base", base), ("head", head)))
+        sides = "  ".join(f"{side} " + " / ".join(f"{r[3]:.2f} s {r[4]:.1f} MiB" for r in rs)
+                          for side, rs in runs.items())
         yield f"{verdict}  {sides}"
+        if "stdout" in diff and "--json" in command.split():
+            yield from check_diff(runs["base"][0][1], runs["head"][0][1])
 
 
 def main(argv=None) -> int:
@@ -125,7 +179,7 @@ def main(argv=None) -> int:
         same = True
         for line in compare(lambda side, command: run_cli(trees[side], command), COMMANDS):
             print(line, flush=True)
-            same = same and line.startswith("SAME")
+            same = same and not line.startswith("DIFF")
     return 0 if same else 1
 
 

@@ -111,6 +111,12 @@ def _reported(name: str, report, *fields: str) -> dict:
     return _check(name, report.passed, **{f: getattr(report, f) for f in fields})
 
 
+def _check_line(c: dict) -> str:
+    """A check record as a text line: its verdict, name and fields."""
+    extra = " ".join(f"{k}={v}" for k, v in c.items() if k not in ("name", "pass"))
+    return f"  {'PASS' if c['pass'] else 'FAIL'} {c['name']}" + (f" ({extra})" if extra else "")
+
+
 def _suite_payload(name: str, checks: list[dict], skipped: bool = False):
     return {"name": name, "skipped": skipped, "checks": [] if skipped else checks,
             "pass": (not skipped) and all(c["pass"] for c in checks)}
@@ -210,12 +216,7 @@ def _single_suite(args, name: str, title: str, config: dict, checks: list[dict])
     """Emit the one suite of `verify <name>` and return its exit code."""
     payload = {"schema": SCHEMA, "command": f"verify-{name}", "config": config,
                **_suite_payload(name, checks)}
-    lines = [title]
-    for c in checks:
-        extra = " ".join(f"{k}={v}" for k, v in c.items() if k not in ("name", "pass"))
-        lines.append(f"  {'PASS' if c['pass'] else 'FAIL'} {c['name']}"
-                     + (f" ({extra})" if extra else ""))
-    _emit(args, payload, lines)
+    _emit(args, payload, [title, *map(_check_line, checks)])
     return 0 if payload["pass"] else 1
 
 
@@ -264,14 +265,6 @@ def _levels(args) -> int:
     """The level truncation of the twisted space: --levels, or 4*window+1
     when that is 0 (`all` has no --levels)."""
     return args.levels or 4 * args.window + 1
-
-
-def _mirror_signs(n2) -> bool:
-    """The mirror map fixes tau1 and negates tau2 and J."""
-    kappa = _tensor().kappa
-    return (kappa(n2.tau1) == n2.tau1
-            and kappa(n2.tau2) == v_scale(n2.tau2, -1)
-            and kappa(n2.jvec) == v_scale(n2.jvec, -1))
 
 
 def _sigma_suite(args) -> list[dict]:
@@ -331,18 +324,17 @@ def cmd_verify_twisted(args) -> int:
 
 def cmd_calibrate(args) -> int:
     n2 = _calibrated(args.window)
-    sign_ok = _mirror_signs(n2)
+    table, signs = _calibration_suite(args.window)
     payload = {"schema": SCHEMA, "command": "calibrate-n2",
-               **n2.to_json(), "mirror_signs": sign_ok}
-    ok = n2.table.passed and sign_ok
+               **n2.to_json(), "mirror_signs": signs["pass"]}
     _emit(args, payload, [
         f"calibrated scalars: c1 = {n2.c1}, c2 = {n2.c2}, cJ = {n2.cJ}",
         f"n2 table (central {n2.table.central_value}): "
-        f"{'PASS' if n2.table.passed else 'FAIL'} checked={n2.table.checked}",
+        f"{'PASS' if table['pass'] else 'FAIL'} checked={n2.table.checked}",
         f"mirror-map signs (tau1 fixed, tau2 and J negated): "
-        f"{'PASS' if sign_ok else 'FAIL'}",
+        f"{'PASS' if signs['pass'] else 'FAIL'}",
     ])
-    return 0 if ok else 1
+    return 0 if table["pass"] and signs["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +367,16 @@ def cmd_character(args) -> int:
 
 def cmd_corollary2(args) -> int:
     _require(args.trunc >= 1, "--trunc must be >= 1")
-    result = corollary2_check(_build_stack(max(2 * args.trunc, 4)), Fraction(args.trunc) * 2)
-    payload = {"schema": SCHEMA, "command": "corollary2", **result.to_json()}
+    result, checks = _corollary2_suite(2 * args.trunc)
+    payload = {"schema": SCHEMA, "command": "corollary2", **result.to_json(), "checks": checks}
     _emit(args, payload, [
         f"dim_q (parity-twisted): {result.sigma_series!r}",
         f"dim_q (mirror-twisted): {result.mirror_series!r}",
         f"ground weights: sigma={result.sigma_ground}, mirror={result.mirror_ground}",
         f"dim_q sigma == dim_(q^2) mirror: {'PASS' if result.matches else 'FAIL'}",
+        *map(_check_line, checks),
     ])
-    return 0 if result.matches else 1
+    return 0 if all(c["pass"] for c in checks) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +465,27 @@ def _kappa_suite() -> list[dict]:
                       "checked")]
 
 
-def _calibration_suite() -> list[dict]:
-    """The shared N=2 calibration's table and its mirror-map signs."""
-    n2 = _calibrated(2)
+def _calibration_suite(window: int) -> list[dict]:
+    """The N=2 calibration at a bracket window: its table, and the mirror
+    map's signs on it (tau1 fixed, tau2 and J negated)."""
+    n2, kappa = _calibrated(window), _tensor().kappa
     return [
         _check("n2-calibration-table", n2.table.passed, c1=str(n2.c1),
                c2=str(n2.c2), cJ=str(n2.cJ)),
-        _check("n2-mirror-signs", _mirror_signs(n2)),
+        _check("n2-mirror-signs", kappa(n2.tau1) == n2.tau1
+               and kappa(n2.tau2) == v_scale(n2.tau2, -1)
+               and kappa(n2.jvec) == v_scale(n2.jvec, -1)),
     ]
 
 
-def _corollary2_suite(levels: int) -> list[dict]:
+def _corollary2_suite(levels: int):
+    """`corollary2_check` on the stack of `levels` levels and its records;
+    of 2, 4, 8, 16, those below the compared range's truncation are read."""
     result = corollary2_check(_build_stack(levels))
-    low_ok = all(result.sigma_series.coefficient(Fraction(n)) == ExactScalar(c)
-                 for n, c in enumerate((2, 4, 8, 16)))
-    return [
+    sigma = result.sigma_series
+    low_ok = all(sigma.coefficient(Fraction(n)) == ExactScalar(c)
+                 for n, c in enumerate((2, 4, 8, 16)) if n < sigma.truncation)
+    return result, [
         _check("sigma-character-2-4-8-16", low_ok),
         _check("mirror-leading-exponent-0",
                result.mirror_series.min_exponent() == 0),
@@ -507,10 +506,10 @@ SUITES = {
     "algebra": {"algebra": lambda args: _algebra_suite(max(args.window, 2))},
     "vosa": {"vosa": lambda args: _vosa_suite(Fraction(4), min(args.window, 3))},
     "calibration": {"kappa": lambda args: _kappa_suite(),
-                    "n2": lambda args: _calibration_suite()},
+                    "n2": lambda args: _calibration_suite(2)},
     "twisted": {"sigma": lambda args: _sigma_suite(args),
                 "mirror": lambda args: _mirror_suite(args)},
-    "corollary2": {"corollary2": lambda args: _corollary2_suite(max(_levels(args), 6))},
+    "corollary2": {"corollary2": lambda args: _corollary2_suite(max(_levels(args), 6))[1]},
 }
 
 # The parts that read the N=2 calibration, through `_calibrated` and
@@ -615,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corollary2", parents=[json_opt], help="the character identity")
     p.add_argument("--trunc", type=int, default=4,
-                   help="compare coefficients of q^0..q^(trunc-1) on the "
-                        "parity-twisted side")
+                   help="build 2*trunc levels and compare coefficients of "
+                        "q^0..q^(2*trunc-1) on the parity-twisted side")
     p.set_defaults(func=cmd_corollary2)
 
     p = sub.add_parser("all", parents=[json_opt], help="every suite in dependency order")

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -174,16 +175,65 @@ def test_character_dump_basis(capsys):
     assert "psi(-1/2)|0>" in out
 
 
+COROLLARY2_CHECKS = ["sigma-character-2-4-8-16", "mirror-leading-exponent-0",
+                     "corollary2-identity", "ground-weights-1/16-1/8"]
+
+
 def test_corollary2_command(capsys):
+    # the series and the identity's line, then the records of all's part
     code, out = run(capsys, "corollary2", "--trunc", "3")
     assert code == 0
-    assert "PASS" in out
+    lines = out.splitlines()
+    assert lines[3] == "dim_q sigma == dim_(q^2) mirror: PASS"
+    assert lines[4:] == [f"  PASS {name}" for name in COROLLARY2_CHECKS]
+    code, out = run(capsys, "corollary2", "--trunc", "3", "--json")
+    payload = json.loads(out)
+    assert code == 0 and list(payload)[-1] == "checks"
+    assert payload["checks"] == [{"name": name, "pass": True} for name in COROLLARY2_CHECKS]
+
+
+def test_corollary2_at_trunc_1_reads_the_prefix_below_its_truncation(capsys):
+    # two levels: sigma's series stops at q^1, so 2 and 4 are compared
+    code, out = run(capsys, "corollary2", "--trunc", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "dim_q (parity-twisted): (2) + (4)*q + O(q^(2))"
+    assert lines[1] == "dim_q (mirror-twisted): (2) + (4)*q^(1/2) + O(q^(1))"
+    assert lines[4:] == [f"  PASS {name}" for name in COROLLARY2_CHECKS]
+
+
+def test_corollary2_and_all_judge_one_planted_failure_alike(capsys, monkeypatch):
+    # a wrong sigma ground weight fails the same record in both commands
+    exact = cli.corollary2_check
+    monkeypatch.setattr(cli, "corollary2_check", lambda mirror: dataclasses.replace(
+        exact(mirror), sigma_ground=Fraction(1, 8)))
+    code, out = run(capsys, "corollary2", "--trunc", "6", "--json")
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == [{"name": "ground-weights-1/16-1/8", "pass": False}]
+    code, out = run(capsys, "all", "--only", "corollary2", "--allow-skip", "--json")
+    assert code == 1
+    suite, = [s for s in json.loads(out)["suites"] if s["name"] == "corollary2"]
+    assert [c for c in suite["checks"] if not c["pass"]] == failed
+    code, out = run(capsys, "corollary2", "--trunc", "6")
+    assert code == 1 and "  FAIL ground-weights-1/16-1/8" in out.splitlines()
 
 
 def test_calibrate_command(capsys):
     code, out = run(capsys, "calibrate", "n2")
     assert code == 0
     assert "c1 = 1" in out
+
+
+def test_calibrate_prints_the_verdicts_of_the_n2_part(capsys, monkeypatch):
+    # the table and the signs are judged by all's n2 part alone
+    monkeypatch.setattr(cli, "_calibration_suite", lambda window: [
+        cli._check("n2-calibration-table", False), cli._check("n2-mirror-signs", False)])
+    code, out = run(capsys, "calibrate", "n2")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "n2 table (central 3): FAIL checked=3768",
+        "mirror-map signs (tau1 fixed, tau2 and J negated): FAIL"]
 
 
 def test_all_only_subset_and_allow_skip(capsys):

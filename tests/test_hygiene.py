@@ -16,6 +16,9 @@ memo rule (a memo per family, skipped by the classes that set
 `Engine._family_by_index` builds the vacuum's family for every engine,
 `cli` calls `TensorVosa`, `SigmaModule` and `MirrorModule` once each, in
 its cached builders, so every command and suite shares one build of each,
+`cli` names `twisted.corollary2_check` once, in `_corollary2_suite`, so
+the `corollary2` command and `all` judge the character identity by one
+part's checks,
 `fork.split` makes the package's one forked child (one call of `os.fork`
 under src/), `Engine.product_families` holds the one memoized function
 nested in another under src/, so the product-state families of the component
@@ -70,6 +73,7 @@ VACUUM_FAMILY = "VacuumFamily"
 CLI_BUILDERS = {"TensorVosa": "_tensor", "SigmaModule": "_sigma",
                 "MirrorModule": "_build_stack"}
 RAMOND_GROUND = Fraction(1, 16)
+IDENTITY_CHECK = "corollary2_check"
 PRESENTATION_LAYER = {"superfock", "superfock.errors", "superfock.scalars", "superfock.series",
                       "superfock.modes", "superfock.superalgebra", "superfock.delta"}
 
@@ -354,6 +358,37 @@ def test_engine_build_detector_sees_each_form():
     assert list(_engine_builds(ast.parse(src))) == [
         ("TensorVosa", "_tensor"), ("SigmaModule", "_sigma"), ("TensorVosa", None),
         ("MirrorModule", None), ("SigmaModule", None), ("MirrorModule", None)]
+
+
+def _identity_checks(tree: ast.Module):
+    """The top-level function or class that holds each reference to
+    `corollary2_check`, called or not, by its name or as an attribute of a
+    module; None for a reference outside them."""
+    for node in tree.body:
+        site = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                              ast.ClassDef)) else None
+        for ref in ast.walk(node):
+            name = ref.id if isinstance(ref, ast.Name) else getattr(ref, "attr", None)
+            if name == IDENTITY_CHECK:
+                yield site
+
+
+def test_cli_checks_the_character_identity_in_one_part():
+    # `corollary2` and `all` read one judge of the identity: the corollary2 part
+    sites = list(_identity_checks(ast.parse((PACKAGE / "cli.py").read_text())))
+    assert sites == ["_corollary2_suite"], sites
+
+
+def test_identity_check_detector_sees_each_form():
+    src = ("def _corollary2_suite(n):\n    return corollary2_check(stack(n))\n"
+           "def cmd(args):\n    return twisted.corollary2_check(s, 4)\n"
+           "SUITE = {'c': lambda args: corollary2_check(s)}\n"
+           "class K:\n    def run(self):\n        return corollary2_check(s)\n"
+           "def outer():\n    def inner():\n        return corollary2_check(s)\n"
+           "check = corollary2_check\n"
+           "def other():\n    return corollary2(s)\n")
+    assert list(_identity_checks(ast.parse(src))) == [
+        "_corollary2_suite", "cmd", None, "K", "outer", None]
 
 
 def _fork_calls(tree: ast.Module):

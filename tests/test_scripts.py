@@ -2,6 +2,7 @@
 stubbed runner: nothing is benchmarked and no CLI command runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,26 +78,99 @@ def test_same_outputs_compares_every_part_of_each_command(monkeypatch):
 
 def test_deep_compares_exit_code_and_stdout_digest(monkeypatch, capsys):
     # the corollary2 depth runs are commands of same_outputs, whose full
-    # stdout comparison stands in for a digest of it
+    # stdout comparison stands in for a digest of it; each runs twice per
+    # side, base first and then head first, and both runs are printed
     same_outputs = _same_outputs(monkeypatch)
     deep = [f"corollary2 --trunc {n} --json" for n in range(7, 13)]
-    assert same_outputs.COMMANDS[-6:] == deep
+    assert same_outputs.COMMANDS[-6:] == same_outputs.DEPTH == deep
     base = {deep[0]: (0, b"x", b"", 1.0, 25.0), deep[1]: (0, b"y", b"", 2.0, 40.0),
             deep[2]: (0, b"z", b"", 3.0, 60.0)}
     head = {deep[0]: (0, b"x", b"", 0.9, 24.0), deep[1]: (1, b"y", b"", 2.0, 40.0),
             deep[2]: (0, b"x", b"", 3.1, 58.5)}
     lines = [
-        f"SAME  {deep[0]}  base 1.00 s 25.0 MiB  head 0.90 s 24.0 MiB",
-        f"DIFF  {deep[1]}  (exit code)  base 2.00 s 40.0 MiB  head 2.00 s 40.0 MiB",
-        f"DIFF  {deep[2]}  (stdout)  base 3.00 s 60.0 MiB  head 3.10 s 58.5 MiB"]
+        f"SAME  {deep[0]}  base 1.00 s 25.0 MiB / 1.00 s 25.0 MiB  "
+        "head 0.90 s 24.0 MiB / 0.90 s 24.0 MiB",
+        f"DIFF  {deep[1]}  (exit code)  base 2.00 s 40.0 MiB / 2.00 s 40.0 MiB  "
+        "head 2.00 s 40.0 MiB / 2.00 s 40.0 MiB",
+        f"DIFF  {deep[2]}  (stdout)  base 3.00 s 60.0 MiB / 3.00 s 60.0 MiB  "
+        "head 3.10 s 58.5 MiB / 3.10 s 58.5 MiB"]
     # main exits 0 when every command matches and 1 on any DIFF
+    calls = []
+
+    def run_cli(tree, command):
+        side = "head" if tree == same_outputs.ROOT else "base"
+        calls.append((side, command))
+        return (head if side == "head" else base)[command]
+
     monkeypatch.setattr(same_outputs, "git", lambda *args: "0" * 40)
     monkeypatch.setattr(same_outputs, "unpack", lambda ref, dest: None)
-    monkeypatch.setattr(same_outputs, "run_cli", lambda tree, command: (
-        head if tree == same_outputs.ROOT else base)[command])
+    monkeypatch.setattr(same_outputs, "run_cli", run_cli)
     monkeypatch.setattr(same_outputs, "COMMANDS", deep[:1])
     assert same_outputs.main(["--base", "REF"]) == 0
     assert capsys.readouterr().out.splitlines() == lines[:1]
+    assert calls == [(side, deep[0]) for side in ("base", "head", "head", "base")]
+    calls.clear()
     monkeypatch.setattr(same_outputs, "COMMANDS", deep[:3])
     assert same_outputs.main(["--base", "REF"]) == 1
     assert capsys.readouterr().out.splitlines() == lines
+    assert calls == [(side, c) for c in deep[:3] for side in ("base", "head", "head", "base")]
+
+
+def test_depth_runs_that_disagree_on_one_side_differ(monkeypatch):
+    # a depth command whose two runs on one side differ is a DIFF
+    same_outputs = _same_outputs(monkeypatch)
+    deep = same_outputs.DEPTH[0]
+    base = iter([(0, b"x", b"", 1.0, 25.0), (0, b"y", b"", 1.2, 25.0)])
+    lines = list(same_outputs.compare(
+        lambda side, command: next(base) if side == "base" else (0, b"x", b"", 0.9, 24.0),
+        [deep]))
+    assert lines == [f"DIFF  {deep}  (stdout)  base 1.00 s 25.0 MiB / 1.20 s 25.0 MiB  "
+                     "head 0.90 s 24.0 MiB / 0.90 s 24.0 MiB"]
+
+
+def _json(**payload) -> bytes:
+    return json.dumps(payload, indent=2).encode()
+
+
+def test_same_outputs_prints_the_check_level_diff_of_a_json_command(monkeypatch):
+    same_outputs = _same_outputs(monkeypatch)
+    kept = {"name": "kept", "pass": True, "checked": 10, "filtered": 2}
+    base_all = _json(command="all", suites=[
+        {"name": "twisted", "checks": [kept, {"name": "gone", "pass": True, "checked": 3}]},
+        {"name": "corollary2", "checks": [{"name": "kept", "pass": True}]}],
+        summary={"failed": 0}, **{"pass": True})
+    head_all = _json(command="all", suites=[
+        {"name": "twisted", "checks": [dict(kept, checked=12, filtered=2, complete=True)]},
+        {"name": "corollary2", "checks": [{"name": "kept", "pass": False},
+                                          {"name": "new", "pass": True, "value": "1/16"}]}],
+        summary={"failed": 1}, **{"pass": False})
+    records = [{"name": n, "pass": True} for n in ("a", "b")]
+    base_one = _json(command="corollary2", match=True)
+    head_one = _json(command="corollary2", match=True, checks=records)
+    outputs = {
+        "all --json": ((1, base_all, b"", 1.0, 20.0), (1, head_all, b"", 1.0, 20.0)),
+        "corollary2 --json": ((0, base_one, b"", 1.0, 20.0), (0, head_one, b"", 1.0, 20.0)),
+        # no check-level diff: a text form, a stdout that is not JSON, an
+        # exit code alone
+        "all": ((0, b"PASS", b"", 1.0, 20.0), (0, b"FAIL", b"", 1.0, 20.0)),
+        "verify twisted --json": ((0, b"{", b"", 1.0, 20.0), (0, b"}", b"", 1.0, 20.0)),
+        "calibrate n2 --json": ((0, base_one, b"", 1.0, 20.0), (1, base_one, b"", 1.0, 20.0)),
+    }
+    lines = list(same_outputs.compare(
+        lambda side, command: outputs[command][side == "head"], list(outputs)))
+    times = "base 1.00 s 20.0 MiB  head 1.00 s 20.0 MiB"
+    assert lines == [
+        f"DIFF  all --json  (stdout)  {times}",
+        "    ~ twisted / kept  checked: 10 -> 12",
+        "    ~ twisted / kept  complete: null -> true",
+        "    - twisted / gone  PASS checked=3",
+        "    ~ corollary2 / kept  pass: true -> false",
+        '    + corollary2 / new  PASS value="1/16"',
+        "    ~ summary: ... -> ...",
+        "    ~ pass: true -> false",
+        f"DIFF  corollary2 --json  (stdout)  {times}",
+        "    + corollary2 / a  PASS",
+        "    + corollary2 / b  PASS",
+        f"DIFF  all  (stdout)  {times}",
+        f"DIFF  verify twisted --json  (stdout)  {times}",
+        f"DIFF  calibrate n2 --json  (exit code)  {times}"]
