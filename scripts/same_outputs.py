@@ -126,7 +126,7 @@ def check_diff(base: bytes, head: bytes) -> Iterator[str]:
     except ValueError:
         return
     old, new = _records(base_payload), _records(head_payload)
-    for key in [*old, *(k for k in new if k not in old)]:
+    for key in {**old, **new}:
         label = f"{key[0]} / {key[1]}"
         if key not in new or key not in old:
             sign, record = ("-", old[key]) if key not in new else ("+", new[key])
@@ -134,11 +134,11 @@ def check_diff(base: bytes, head: bytes) -> Iterator[str]:
                               if f not in ("name", "pass"))
             yield f"    {sign} {label}  {'PASS' if record['pass'] else 'FAIL'} {fields}".rstrip()
             continue
-        for field in [*old[key], *(f for f in new[key] if f not in old[key])]:
+        for field in {**old[key], **new[key]}:
             if old[key].get(field) != new[key].get(field):
                 yield (f"    ~ {label}  {field}: {_shown(old[key].get(field))} -> "
                        f"{_shown(new[key].get(field))}")
-    for field in [*base_payload, *(f for f in head_payload if f not in base_payload)]:
+    for field in {**base_payload, **head_payload}:
         if field not in ("suites", "checks") and \
                 base_payload.get(field) != head_payload.get(field):
             yield (f"    ~ {field}: {_shown(base_payload.get(field))} -> "
@@ -154,7 +154,8 @@ def compare(run: Callable[[str, str], Output], commands: List[str]) -> Iterator[
     base first, then head first; the parts of every run are compared."""
     for command in commands:
         runs: Dict[str, List[Output]] = {"base": [], "head": []}
-        for order in (("base", "head"), ("head", "base"))[:2 if command in DEPTH else 1]:
+        orders = [("base", "head"), ("head", "base")] if command in DEPTH else [("base", "head")]
+        for order in orders:
             for side in order:
                 runs[side].append(run(side, command))
         outputs = runs["base"] + runs["head"]
