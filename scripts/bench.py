@@ -14,7 +14,7 @@ at the root of the repository, gets every round's metrics, the median and
 quartiles of each metric per side, the number of rounds in which head read
 lower than base (every end-to-end metric of the benchmark is better lower),
 and the environment.  The command exits 1 when any run reported a failed
-output.
+output, and 2 when REF names no commit.
 """
 
 from __future__ import annotations
@@ -124,10 +124,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
+    try:
+        base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    except subprocess.CalledProcessError:
+        parser.error(f"--base {args.base!r} names no commit")
     if git("status", "--porcelain", "--untracked-files=no"):
         parser.error("the working tree has uncommitted changes; commit them so that "
                      "the record names the code that ran")
-    base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         unpack(base_commit, tmp)
         trees = {"base": tmp, "head": ROOT}

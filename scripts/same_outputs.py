@@ -17,7 +17,7 @@ head, base, and print both runs of each side.  Under the DIFF line of a
 check record added (+) or removed (-), each changed field of a record (~),
 keyed by suite, or by command for a one-suite command, and check name,
 and each other top-level key that changed.  The command exits 1 on any
-DIFF.
+DIFF, and 2 when REF names no commit.
 """
 
 from __future__ import annotations
@@ -173,7 +173,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git ref to compare against")
     args = parser.parse_args(argv)
-    base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    try:
+        base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    except subprocess.CalledProcessError:
+        parser.error(f"--base {args.base!r} names no commit")
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         unpack(base_commit, tmp)
         trees = {"base": tmp, "head": ROOT}

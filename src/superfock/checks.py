@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from .errors import InvalidAlgebra, TruncationOverflow
-from .modes import Family, jacobi_left, jacobi_right, twice
-from .scalars import ZERO, ExactScalar, Vec, v_iadd, v_scale
+from .modes import Family, jacobi_left, jacobi_right
+from .scalars import ZERO, ExactScalar, Vec, twice, v_iadd, v_scale
 from .superalgebra import PARITY, Generator, Presentation
 
 

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import NonDiagonal, TruncationOverflow
 from .scalars import ExactScalar, square_roots
@@ -48,30 +48,17 @@ class FockState:
         return "".join(bits) + f"|{self.ground}>"
 
 
-def _partitions_upto(limit: int) -> dict[int, list[Tuple[int, ...]]]:
-    """Weakly decreasing integer partitions of every n <= limit."""
-
-    def gen(n: int, max_part: int) -> Iterable[Tuple[int, ...]]:
-        if n == 0:
-            yield ()
-            return
-        for part in range(min(n, max_part), 0, -1):
-            for rest in gen(n - part, part):
-                yield (part,) + rest
-
-    return {n: list(gen(n, n if n else 1)) for n in range(max(limit, 0) + 1)}
-
-
-def _distinct_parts(first2: int, top2: int) -> list[Tuple[int, Tuple[int, ...]]]:
-    """(level2, monomial) for every strictly decreasing fermionic creation
-    monomial with parts first2, first2 + 2, ... in half units (2r) and
-    level2 = sum of the parts below top2."""
+def _monomials(first2: int, top2: int, repeat: bool) -> list[Tuple[int, Tuple[int, ...]]]:
+    """(level2, parts) for every decreasing monomial of creation parts
+    first2, first2 + 2, ... in half units whose level2, the sum of its
+    parts, is below top2, sorted.  Each part appears at most once unless
+    repeat is set."""
     out: list[Tuple[int, Tuple[int, ...]]] = []
 
     def rec(part: int, total: int, chosen: Tuple[int, ...]):
         out.append((total, chosen))
         while total + part < top2:
-            rec(part + 2, total + part, (part,) + chosen)
+            rec(part if repeat else part + 2, total + part, (part,) + chosen)
             part += 2
 
     rec(first2, 0, ())
@@ -88,9 +75,9 @@ def _basis_codes(has_boson: bool, sector: str,
     ranks = (0, 1) if sector == "r" else (0,)
     boson_monos: list[Tuple[int, Tuple[int, ...]]] = [(0, ())]
     if has_boson:
-        table = _partitions_upto((top2 - 1) // 2)
-        boson_monos = [(2 * n, m) for n in sorted(table) for m in table[n]]
-    fermion_monos = _distinct_parts(1 if sector == "ns" else 2, top2)
+        # parts in half units, halved to the boson magnitudes
+        boson_monos = [(lb2, tuple(p // 2 for p in m)) for lb2, m in _monomials(2, top2, True)]
+    fermion_monos = _monomials(1 if sector == "ns" else 2, top2, False)
 
     out = []
     for lb2, b in boson_monos:

@@ -26,7 +26,7 @@ verifier in `checks` both read it.  A composite family's mode lattice and
 that of u are read off its factor families, never passed in.
 
 Every mode index, lattice offset and weight inside the recursion is an int
-in half units (t2 = 2t, see `twice`), and a column's weight is its level
+in half units (t2 = 2t, see `scalars.twice`), and a column's weight is its level
 above the engine's lowest column (`Engine.col_w2`), so the index arithmetic
 is int arithmetic.  A labelled mode X(n) of a state x of weight wt is
 x_{n+wt-1}, so its family index is 2n + weight2 - 2: L(n) = omega_{n+1},
@@ -54,21 +54,9 @@ from itertools import accumulate
 from math import factorial, floor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import fork
 from .errors import NonDiagonal, NonHomogeneous, TruncationOverflow
 from .scalars import ZERO, ExactScalar, ONE, Vec, v_iadd, v_scale
-
-
-def twice(x) -> int:
-    """2x as an int, for x in (1/2)Z: the half unit in which the engines
-    hold every mode index, lattice offset and weight (t2 = 2t).
-
-    Raises ValueError for x off (1/2)Z.
-    """
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    if x.denominator > 2:
-        raise ValueError(f"{x} is not in (1/2)Z")
-    return x.numerator * (2 // x.denominator)
 
 
 def binomial2(m2: int, i: int) -> Fraction:
@@ -445,9 +433,9 @@ class Engine:
     """What the families and the verifiers need from a mode engine.
 
     A subclass sets `space` (the module's ordered basis: `parities`,
-    `fermion_parities`, the parity of each column's fermion count, `dim`,
-    and the ints `level2`, each column's level above the lowest one in half
-    units, and `bound2`, the truncation in those units),
+    `fermion_parities`, the parity of each column's fermion count, and the
+    ints `level2`, each column's level above the lowest one in half units,
+    and `bound2`, the truncation in those units),
     `algebra` (the vertex algebra whose states label the families, with
     its vacuum index `vac`: the engine itself for an algebra acting on
     itself) and implements `_build_family(i)`, which builds the family of
@@ -601,9 +589,6 @@ def l0_spectra(engines: Sequence[Engine]) -> List[List[Fraction]]:
     columns, as each is read once."""
     todo = [e for e in engines if _SPECTRUM not in e._tables]
     if todo:
-        # imported here: the presentation layer loads modes but never forks
-        from . import fork
-
         starts = list(accumulate((len(e.col_w2) for e in todo), initial=0))
         Ls: Dict[int, Family] = {}
 

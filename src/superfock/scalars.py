@@ -5,6 +5,8 @@ forced by the N=2 structure constants, sqrt(2) by the fermionic zero mode
 and by the factor 2**(-wt) acting on half-integer weights in the order-two
 twisting operator.  Every square root the package takes, the Ramond zero
 mode's and the N=2 calibration's normalizations, comes from `square_roots`.
+The half unit that the engines and the presentations count indices and
+weights in, t2 = 2t for t in (1/2)Z, comes from `twice`.
 
 This is the one module that knows how an `ExactScalar` is stored, so the
 accumulate kernel `v_iadd`, which does its field arithmetic on the stored
@@ -31,6 +33,19 @@ from typing import Dict, List, Union
 from .errors import DivisionByZero
 
 RationalLike = Union[int, Fraction]
+
+
+def twice(x) -> int:
+    """2x as an int, for x in (1/2)Z: the half unit in which the engines
+    hold every mode index, lattice offset and weight (t2 = 2t).
+
+    Raises ValueError for x off (1/2)Z.
+    """
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    if x.denominator > 2:
+        raise ValueError(f"{x} is not in (1/2)Z")
+    return x.numerator * (2 // x.denominator)
 
 
 def _reduced(a: int, b: int, c: int, d: int, q: int) -> tuple:

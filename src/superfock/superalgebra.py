@@ -29,8 +29,7 @@ from functools import cache
 from typing import Callable
 
 from .errors import InvalidAlgebra, InvalidIndexLattice
-from .modes import twice
-from .scalars import ExactScalar, Vec, v_iadd
+from .scalars import ExactScalar, Vec, twice, v_iadd
 
 HALF = Fraction(1, 2)
 

@@ -34,9 +34,8 @@ from .modes import (
     Family,
     LinearFamily,
     l0_spectra,
-    twice,
 )
-from .scalars import ExactScalar, ONE, Vec, v_iadd, v_scale
+from .scalars import ExactScalar, ONE, Vec, twice, v_iadd, v_scale
 from .series import Series
 from .superalgebra import N1_RAMOND, N2_MIRROR_TWISTED, N1_NS, VIRASORO
 from .vosa import FreeFieldEngine, N2Data, TensorVosa, Vosa

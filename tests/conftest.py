@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import superfock.delta as delta
-from superfock.modes import twice
+from superfock.scalars import twice
 from superfock.twisted import MirrorModule, SigmaModule
 from superfock.vosa import TensorVosa, Vosa, calibrate_n2
 

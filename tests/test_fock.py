@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,29 @@ def test_sigma_layers_are_doubled_overpartitions():
     dims = Counter(levels(space))
     for n in range(5):
         assert dims[n] == 2 * series[Fraction(n)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_codes_are_every_monomial_below_the_truncation(kind):
+    # brute-force membership oracle at levels 0, 1/2, ..., 6: boson
+    # multisets times fermion sets in half units (odd parts in NS, even in
+    # Ramond) times the ground ranks, filtered by level
+    has_boson, sector = KINDS[kind]
+    ranks = (0, 1) if sector == "r" else (0,)
+    for top2 in range(13):
+        space = TruncatedSpace(kind, Fraction(top2, 2))
+        boson_parts = range((top2 - 1) // 2 if has_boson else 0, 0, -1)
+        fermion_parts = [p for p in range(top2 - 1, 0, -1) if p % 2 == (sector == "ns")]
+        bosons = [b for k in range(top2 // 2 + 1)
+                  for b in combinations_with_replacement(boson_parts, k)]
+        fermions = [f for k in range(len(fermion_parts) + 1)
+                    for f in combinations(fermion_parts, k)]
+        expected = {(b, f, g) for b in bosons for f in fermions for g in ranks
+                    if 2 * sum(b) + sum(f) < top2}
+        assert len(space.codes) == len(expected)
+        assert set(space.codes) == expected
+        assert space.level2 == tuple(2 * sum(b) + sum(f) for b, f, _ in space.codes)
+        assert list(space.level2) == sorted(space.level2)
 
 
 def test_enumeration_is_sorted_and_deterministic():

@@ -20,8 +20,8 @@ from conftest import mode2
 from superfock import cli
 from superfock.errors import TruncationOverflow
 from superfock.modes import (EMPTY, UNKNOWN, CompositeFamily, Family, LinearFamily,
-                             VacuumFamily, twice)
-from superfock.scalars import ONE, ExactScalar
+                             VacuumFamily)
+from superfock.scalars import ONE, ExactScalar, twice
 from superfock.twisted import MirrorModule, SigmaModule
 from superfock.vosa import _TensorMonoFamily, _TensorSlotFamily, kappa_automorphism_report
 

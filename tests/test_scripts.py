@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -174,3 +176,24 @@ def test_same_outputs_prints_the_check_level_diff_of_a_json_command(monkeypatch)
         f"DIFF  all  (stdout)  {times}",
         f"DIFF  verify twisted --json  (stdout)  {times}",
         f"DIFF  calibrate n2 --json  (exit code)  {times}"]
+
+
+@pytest.mark.parametrize("script, argv", [("bench", ["--tag", "x"]), ("same_outputs", [])])
+def test_an_unknown_base_is_a_configuration_error(monkeypatch, capsys, script, argv):
+    # exit 2 with argparse's error line; git runs only `rev-parse`, so the
+    # state of the working tree plays no part
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    module = _load(script)
+    calls, git = [], module.git
+
+    def recording(*args):
+        calls.append(args[0])
+        return git(*args)
+
+    monkeypatch.setattr(module, "git", recording)
+    with pytest.raises(SystemExit) as exited:
+        module.main(["--base", "no-such-ref", *argv])
+    assert exited.value.code == 2
+    assert calls == ["rev-parse"]
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: --base 'no-such-ref' names no commit")

@@ -8,8 +8,8 @@ from superfock.checks import borcherds_check, bracket_table_check
 from superfock.delta import apply_delta
 from superfock.errors import InvalidAlgebra, TruncationOverflow
 from superfock.fock import FockState
-from superfock.modes import NONE, UNKNOWN, CompositeFamily, Family, VacuumFamily, twice
-from superfock.scalars import ExactScalar, ONE, SQRT2, v_iadd, v_scale
+from superfock.modes import NONE, UNKNOWN, CompositeFamily, Family, VacuumFamily
+from superfock.scalars import ExactScalar, ONE, SQRT2, twice, v_iadd, v_scale
 from superfock.superalgebra import (
     N1_NS,
     N1_RAMOND,
